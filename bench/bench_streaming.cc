@@ -1,14 +1,12 @@
 // Range reads, the ARC chunk cache, and readahead (the streaming tentpole).
 //
-// Four phases, each with a hard acceptance bar:
+// Three phases, each with a hard acceptance bar:
 //   1. byte accounting - a range Get of 1% of a 64 MB file must download
 //      < 5% of the file's bytes and decode only the covering chunks;
 //   2. warm-cache TTFB - p99 time-to-first-byte of cached ranges must be
 //      >= 10x better than cold fetches over throttled links;
 //   3. rebuffers - a paced playback loop over one slow CSP must rebuffer
-//      >= 2x less with readahead on than off;
-//   4. A/B parity - whole-file Get routed through the range scheduler must
-//      stay within 5% of the legacy gather (get_via_range_path=false).
+//      >= 2x less with readahead on than off.
 //
 // Links are throttled with the same ThrottledConnector discipline as
 // bench_pipeline: each transfer sleeps rtt + bytes/bandwidth of real time,
@@ -92,7 +90,6 @@ struct BedSpec {
   int slow_csps = 0;                // first N connectors get the slow link
   bool throttled = false;           // false: raw in-memory CSPs
   uint32_t readahead_chunks = 0;
-  bool get_via_range_path = true;
   uint64_t seed = 1;
 };
 
@@ -106,7 +103,6 @@ StreamBed MakeBed(const BedSpec& spec) {
   config.cluster_aware = false;
   config.transfer_concurrency = 16;
   config.readahead_chunks = spec.readahead_chunks;
-  config.get_via_range_path = spec.get_via_range_path;
   // Pin Eq. (1) to n = kNumCsps (as bench_pipeline does) so every chunk
   // stores a share on every CSP and the beds are comparable.
   config.default_failure_prob = 0.01;
@@ -163,10 +159,6 @@ double NowMs() {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-double Median3(double a, double b, double c) {
-  return std::max(std::min(a, b), std::min(std::max(a, b), c));
 }
 
 bool g_failed = false;
@@ -361,60 +353,6 @@ int main() {
     row.Set("segment_ms", kSegmentMs);
     row.Set("rebuffers_readahead_off", uint64_t{static_cast<uint64_t>(off)});
     row.Set("rebuffers_readahead_on", uint64_t{static_cast<uint64_t>(on)});
-    report.AddRow(std::move(row));
-  }
-
-  // --- Phase 4: whole-file Get A/B - range scheduler vs legacy gather -----
-  {
-    constexpr uint64_t kFileBytes = 4ull << 20;
-    constexpr uint32_t kChunkBytes = 64 * 1024;
-
-    auto measure = [&](bool via_range, uint64_t seed) -> double {
-      BedSpec spec;
-      spec.chunk_bytes = kChunkBytes;
-      spec.get_via_range_path = via_range;
-      spec.seed = seed;
-      StreamBed bed = MakeBed(spec);
-      const Bytes content = MakeContent(kFileBytes, seed);
-      if (!bed.client->Put("ab.bin", content).ok()) {
-        std::abort();
-      }
-      const double start = NowMs();
-      auto got = bed.client->Get("ab.bin");
-      const double elapsed = NowMs() - start;
-      if (!got.ok() || got->content != content) {
-        std::fprintf(stderr, "phase4: Get failed or wrong bytes\n");
-        std::abort();
-      }
-      return elapsed;
-    };
-
-    double legacy[3];
-    double ranged[3];
-    for (uint64_t r = 0; r < 3; ++r) {
-      legacy[r] = measure(/*via_range=*/false, 400 + r);
-      ranged[r] = measure(/*via_range=*/true, 400 + r);
-    }
-    const double legacy_ms = Median3(legacy[0], legacy[1], legacy[2]);
-    const double ranged_ms = Median3(ranged[0], ranged[1], ranged[2]);
-    const double overhead =
-        legacy_ms > 0 ? (ranged_ms - legacy_ms) / legacy_ms : 0.0;
-
-    std::printf("Phase 4: whole-file Get, range scheduler vs legacy gather\n");
-    std::printf("  legacy %7.1f ms | range path %7.1f ms | overhead %+.1f%%"
-                " (bar: <= 5%%)\n\n",
-                legacy_ms, ranged_ms, overhead * 100.0);
-    // 5% plus a small absolute slack so micro-runs don't fail on timer
-    // noise when both medians are a few milliseconds.
-    Bar(ranged_ms <= legacy_ms * 1.05 + 10.0,
-        "phase4: range-path whole-file Get more than 5% slower than legacy");
-
-    JsonValue row{JsonValue::Object{}};
-    row.Set("phase", "whole-file-ab");
-    row.Set("file_bytes", kFileBytes);
-    row.Set("legacy_ms", legacy_ms);
-    row.Set("range_path_ms", ranged_ms);
-    row.Set("overhead_fraction", overhead);
     report.AddRow(std::move(row));
   }
 

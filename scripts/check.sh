@@ -20,8 +20,7 @@
 #                                   #   stream`, also in the fast tier) and
 #                                   #   the bench_streaming bars (range
 #                                   #   byte accounting, warm TTFB,
-#                                   #   readahead rebuffers, whole-file
-#                                   #   A/B parity)
+#                                   #   readahead rebuffers)
 #   scripts/check.sh --integrity    # + share-integrity tier (`ctest -L
 #                                   #   integrity`, also in the fast tier):
 #                                   #   per-share authentication, corrupt-
@@ -164,11 +163,11 @@ fi
 if [[ "$RUN_TSAN" == 1 ]]; then
   echo "== tsan: stress battery + gateway concurrency under ThreadSanitizer =="
   configure build-tsan -DENABLE_TSAN=ON
-  cmake --build build-tsan --parallel --target pipeline_stress_test thread_pool_test degraded_test gateway_test dedup_test buffer_pool_test chunk_cache_test integrity_test codec_stress_test
+  cmake --build build-tsan --parallel --target pipeline_stress_test thread_pool_test degraded_test gateway_test dedup_test buffer_pool_test chunk_cache_test integrity_test chunk_reader_test codec_stress_test
   (cd build-tsan && ./tests/thread_pool_test && ./tests/pipeline_stress_test && ./tests/degraded_test &&
     ./tests/gateway_test && ./tests/dedup_test &&
     ./tests/buffer_pool_test && ./tests/chunk_cache_test &&
-    ./tests/integrity_test && ./tests/codec_stress_test)
+    ./tests/integrity_test && ./tests/chunk_reader_test && ./tests/codec_stress_test)
 fi
 
 echo "OK"

@@ -68,8 +68,9 @@ class ChunkCache {
   // readahead skip) that should not distort the ARC state.
   std::shared_ptr<const Bytes> Peek(const Sha1Digest& id) const;
 
-  // Inserts decoded plaintext under `id`. `data` must hash to `id` (the
-  // caller just verified that in GatherChunk); the cache trusts it.
+  // Inserts decoded plaintext under `id`. `data` must be the verified
+  // plaintext of `id` (the ChunkReader just verified it); the cache
+  // trusts it.
   // Entries larger than a shard's budget are not cached. Re-inserting a
   // resident id refreshes its position but keeps the existing bytes.
   void Put(const Sha1Digest& id, std::shared_ptr<const Bytes> data);

@@ -36,6 +36,7 @@
 #include "src/crypto/convergent.h"
 #include "src/dedup/share_index.h"
 #include "src/core/chunk_cache.h"
+#include "src/core/chunk_reader.h"
 #include "src/core/hash_ring.h"
 #include "src/core/hedged_fetch.h"
 #include "src/core/local_cache.h"
@@ -126,12 +127,6 @@ struct CyrusConfig {
   // exponential backoff + jitter). max_attempts = 1 disables retries.
   RetryOptions transfer_retry;
 
-  // Recycle encode/upload buffers through a shared BufferPool
-  // (src/util/buffer_pool.h) instead of allocating fresh share vectors per
-  // chunk. Off restores the pre-pool allocation pattern (kept as an A/B
-  // lever for the identical-bytes regression test and for debugging).
-  bool use_buffer_pool = true;
-
   // Knobs for the proactive scrub & repair engine (bandwidth budget,
   // per-pass repair cap).
   RepairEngineOptions repair;
@@ -206,15 +201,9 @@ struct CyrusConfig {
   // Fragment scheduling for memory-constrained serving: a range Get admits
   // at most this many decoded chunks into its pipeline window at once,
   // streaming them into the result in order instead of buffering the whole
-  // span. 0 = use the pipeline window unchanged. Whole-file Gets keep the
-  // plain window (parity with the legacy path).
+  // span. 0 = use the pipeline window unchanged. Whole-file Gets decode in
+  // place and keep the plain window.
   uint32_t max_resident_chunks = 0;
-
-  // Route whole-file Get/GetVersion through the unified range scheduler
-  // (GetRange(name, 0, size) internally), so both paths share one gather
-  // engine. Off restores GetFullFileLegacy - kept as an A/B lever (like
-  // use_buffer_pool) for one release.
-  bool get_via_range_path = true;
 
   // Observability sinks. Pipeline counters/histograms go to `metrics`;
   // each Put/Get/ScrubOnce also records a stage timeline (chunking ->
@@ -516,31 +505,15 @@ class CyrusClient {
                              TransferReport& report, obs::TraceBuilder* trace,
                              PutResult& result);
 
-  // Whole-file gather predating the unified range scheduler; kept one
-  // release as the config.get_via_range_path=false A/B lever.
-  Result<GetResult> GetFullFileLegacy(std::string_view name,
-                                      const Sha1Digest& version_id,
-                                      obs::TraceBuilder& trace);
-
-  // The unified range scheduler behind GetRange and (when
-  // config.get_via_range_path) whole-file Get/GetVersion: assembles bytes
-  // [offset, offset+len) of `version_id` from cache hits plus pipelined
-  // gathers of the covering chunks. `whole_file` selects the zero-copy
-  // decode-into-result layout (and the whole-file SHA-1 check) instead of
-  // per-chunk cache-owned buffers.
+  // The one scheduler behind GetRange and whole-file Get/GetVersion:
+  // assembles bytes [offset, offset+len) of `version_id` from cache hits
+  // plus pipelined gathers of the covering chunks. `whole_file` selects the
+  // zero-copy decode-into-result layout (which never populates the cache)
+  // instead of per-chunk cache-owned buffers.
   Result<GetResult> GetRangeTraced(std::string_view name,
                                    const Sha1Digest& version_id,
                                    uint64_t offset, uint64_t len,
                                    bool whole_file, obs::TraceBuilder& trace);
-
-  // Lean gather for readahead: downloads t shares of `chunk` from
-  // `locations`, decodes, and hash-verifies into `out`. Deliberately no
-  // hedging, no lazy migration, no error-correcting repair - a background
-  // prefetch must never race the foreground path's chunk-table updates.
-  // Runs on a pool worker; touches only thread-safe components.
-  Status FetchChunkForCache(const ChunkRecord& chunk,
-                            const std::vector<ShareLocation>& locations,
-                            Bytes* out);
 
   // Sequential-stream detection and prefetch scheduling after a GetRange
   // of [offset, offset+len) on `version`. Driver thread only.
@@ -554,27 +527,17 @@ class CyrusClient {
   void InvalidateCachedChunks(const std::vector<ChunkRecord>& released,
                               const std::vector<ChunkRecord>* kept);
 
-  // Downloads and reconstructs one chunk per its ChunkRecord, decoding
-  // straight into `dst` - the chunk's slice of the assembled file (exactly
-  // chunk.size bytes) - so Get never materializes per-chunk temporaries.
-  // Performs lazy migration of shares on failed/removed CSPs. Runs on a
-  // pipeline worker; the caller resolves `locations` (chunk table /
-  // ShareMap) on the driver thread and folds `updated_shares` back into
-  // the version there, so this function never reads the mutable
-  // FileVersion. Workers write disjoint dst slices, never the vector.
-  // `integrity_rejected` counts shares discarded pre-decode on digest
-  // mismatch; `upgraded_digests`, when filled, is the authoritative digest
-  // set this gather derived for a legacy (digestless) record - the driver
-  // folds it into the version's ChunkRecord and republishes the metadata.
-  Status GatherChunk(const std::string& file_name, const ChunkRecord& chunk,
-                     MutableByteSpan dst,
-                     const std::vector<ShareLocation>& locations,
-                     const std::vector<int>& selected_csps,
-                     std::vector<ShareLocation>& updated_shares,
-                     size_t& migrated, size_t& hedged_downloads,
-                     size_t& integrity_rejected,
-                     std::vector<ShareDigest>& upgraded_digests,
-                     TransferReport& report);
+  // One covering chunk of a pipelined gather (defined in client.cc).
+  struct GatherSlot;
+
+  // Reads one chunk through the ChunkReader straight into slot.dst, then
+  // lazily migrates shares off failed/removed CSPs and, when the gather
+  // changed what the CSPs store or the record predates digests, derives the
+  // authoritative digest set into slot.upgraded. Runs on a pipeline worker:
+  // the driver resolves slot.locations beforehand and folds slot.updated /
+  // slot.upgraded into the version afterwards, so this never reads the
+  // mutable FileVersion.
+  Status GatherChunk(GatherSlot& slot);
 
   // Routes a failed transfer into the health machinery: with breakers on,
   // the connector decorator already counted the failure (the breaker trips
@@ -672,6 +635,12 @@ class CyrusClient {
   std::set<Sha1Digest> readahead_inflight_;  // ids queued or downloading
   size_t readahead_active_ = 0;
   std::condition_variable readahead_idle_;
+  // The one chunk read path: Get/GetRange gathers, readahead, and the
+  // repair engine's rebuild and integrity sweep all read through it.
+  // Declared before pool_: the pool destructor drains queued readahead
+  // tasks, which read through it (unhedged, so the already-destroyed
+  // fetcher_ is never touched).
+  std::unique_ptr<ChunkReader> reader_;
   std::unique_ptr<DownloadSelector> selector_;
   // Transfer worker threads (null when transfer_concurrency == 1).
   std::unique_ptr<ThreadPool> pool_;

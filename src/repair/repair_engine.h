@@ -15,11 +15,12 @@
 //                when it has dead locations or fewer live shares than the
 //                current Eq.-1 target n.
 //   3. Repair  - degraded chunks are repaired worst-first (smallest margin
-//                above t, then most missing redundancy, then largest): t
-//                surviving shares are gathered, the chunk is decoded with
-//                the keyed RS codec, fresh shares at new indices are
-//                encoded and placed through the HashRing on CSPs not yet
-//                holding one, and the ChunkTable is updated. Transfers run
+//                above t, then most missing redundancy, then largest): the
+//                chunk is read from t surviving shares through the client's
+//                ChunkReader (digest-checked, healed), fresh shares at new
+//                indices are encoded and placed through the HashRing on
+//                CSPs not yet holding one, and the ChunkTable is updated.
+//                Transfers run
 //                on the shared ThreadPool; a per-pass bandwidth budget and
 //                repair cap bound the traffic a scrub may add.
 //
@@ -43,12 +44,13 @@
 #include "src/meta/chunk_table.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/util/buffer_pool.h"
 #include "src/util/result.h"
 #include "src/util/retry.h"
 #include "src/util/thread_pool.h"
 
 namespace cyrus {
+
+class ChunkReader;
 
 struct RepairEngineOptions {
   // Most chunks repaired per ScrubOnce pass; 0 = unlimited. The rest stay
@@ -129,7 +131,10 @@ struct ScrubReport {
 // callbacks route state changes through the client so registry, ring, and
 // monitor stay consistent.
 struct RepairContext {
-  const std::string* key_string = nullptr;
+  // The client's chunk read path: repair and the integrity sweep read
+  // surviving shares through it (per-chunk keys, digest checks, error
+  // correction, in-place heals, pooled buffers).
+  ChunkReader* reader = nullptr;
   CspRegistry* registry = nullptr;
   HashRing* ring = nullptr;
   ChunkTable* chunk_table = nullptr;
@@ -140,19 +145,13 @@ struct RepairContext {
   std::function<double()> now;
   std::function<Status(int)> mark_csp_failed;
   std::function<Result<uint32_t>()> current_n;  // Eq. (1) for the active set
-  // Cross-user dedup hooks (both optional; null = pre-dedup behaviour).
-  // With `share_index` set, ScrubOnce appends an orphan-reclaim pass that
+  // Cross-user dedup hook (optional; null = pre-dedup behaviour). With
+  // `share_index` set, ScrubOnce appends an orphan-reclaim pass that
   // deletes the share objects of zero-ref entries under the same bandwidth
   // budget, and Scan skips condemned chunks instead of "repairing" garbage.
-  // `chunk_key` resolves the RS key for one chunk (convergent chunks decode
-  // under their unwrapped content key); unset falls back to `key_string`.
   ShareIndex* share_index = nullptr;
-  std::function<Result<std::string>(const Sha1Digest&, const ChunkEntry&)> chunk_key;
   // Sink for cyrus_scrub_* counters; nullptr = process-wide default.
   obs::MetricsRegistry* metrics = nullptr;
-  // Pool for re-encoded share upload buffers (borrowed from the owning
-  // client, like everything else here); nullptr = plain heap allocation.
-  BufferPool* buffers = nullptr;
 };
 
 class RepairEngine {

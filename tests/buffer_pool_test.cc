@@ -1,21 +1,23 @@
 // Tests for the aligned reusable buffer pool (src/util/buffer_pool.h):
 // alignment and capacity contracts, reuse-after-release, concurrent
 // checkout from thread-pool workers (selected into the TSan tier), and the
-// end-to-end regression that a pooled Put uploads byte-identical share
-// objects to the pre-pool allocation path.
+// end-to-end regression that a pooled Put uploads share objects
+// byte-identical to the allocating SecretSharingCodec::Encode path.
 #include "src/util/buffer_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/chunker/chunker.h"
 #include "src/cloud/simulated_csp.h"
 #include "src/core/client.h"
+#include "src/crypto/naming.h"
+#include "src/rs/secret_sharing.h"
 #include "src/util/rng.h"
 #include "src/util/strings.h"
 #include "src/util/thread_pool.h"
@@ -130,24 +132,25 @@ TEST(BufferPoolTest, ConcurrentCheckoutFromThreadPoolWorkers) {
   EXPECT_GT(stats.hits + stats.misses, 0u);
 }
 
-// --- End-to-end regression: pooled Put == pre-pool Put, byte for byte ---
+// --- End-to-end regression: pooled Put == allocating encode, byte for byte
+
+constexpr char kPoolKey[] = "pool regression key";
 
 struct MiniCloud {
   std::vector<std::shared_ptr<SimulatedCsp>> csps;
   std::unique_ptr<CyrusClient> client;
 };
 
-MiniCloud MakeCloud(bool use_buffer_pool) {
+MiniCloud MakeCloud() {
   MiniCloud cloud;
   CyrusConfig config;
   config.client_id = "pool-device";
-  config.key_string = "pool regression key";
+  config.key_string = kPoolKey;
   config.t = 2;
   config.meta_t = 2;
   config.epsilon = 1e-4;
   config.chunker = ChunkerOptions::ForTesting();
   config.cluster_aware = false;
-  config.use_buffer_pool = use_buffer_pool;
   auto client = CyrusClient::Create(std::move(config));
   EXPECT_TRUE(client.ok()) << client.status();
   cloud.client = std::move(client).value();
@@ -166,46 +169,41 @@ MiniCloud MakeCloud(bool use_buffer_pool) {
   return cloud;
 }
 
-// Every object stored across the cloud, keyed "<csp-id>/<object-name>".
-std::map<std::string, Bytes> DumpObjects(MiniCloud& cloud) {
-  std::map<std::string, Bytes> objects;
-  for (const auto& csp : cloud.csps) {
-    auto listing = csp->List("");
-    EXPECT_TRUE(listing.ok()) << listing.status();
-    for (const ObjectInfo& info : *listing) {
-      auto data = csp->Download(info.name);
-      EXPECT_TRUE(data.ok()) << data.status();
-      objects.emplace(StrCat(csp->id(), "/", info.name), *std::move(data));
-    }
-  }
-  return objects;
-}
-
 TEST(BufferPoolTest, PooledPutUploadsIdenticalBytesToPrePoolPath) {
   Rng rng(0x900DBEEF);
   Bytes content(100 * 1024);
   for (auto& b : content) {
     b = static_cast<uint8_t>(rng.Next());
   }
-  MiniCloud pooled = MakeCloud(/*use_buffer_pool=*/true);
-  MiniCloud legacy = MakeCloud(/*use_buffer_pool=*/false);
-  auto put_pooled = pooled.client->Put("regression.bin", content);
-  ASSERT_TRUE(put_pooled.ok()) << put_pooled.status();
-  auto put_legacy = legacy.client->Put("regression.bin", content);
-  ASSERT_TRUE(put_legacy.ok()) << put_legacy.status();
+  MiniCloud cloud = MakeCloud();
+  auto put = cloud.client->Put("regression.bin", content);
+  ASSERT_TRUE(put.ok()) << put.status();
 
-  const std::map<std::string, Bytes> a = DumpObjects(pooled);
-  const std::map<std::string, Bytes> b = DumpObjects(legacy);
-  ASSERT_FALSE(a.empty());
-  ASSERT_EQ(a.size(), b.size());
-  for (const auto& [name, bytes] : a) {
-    auto it = b.find(name);
-    ASSERT_NE(it, b.end()) << name << " only uploaded by the pooled client";
-    EXPECT_EQ(bytes, it->second) << name;
+  // Re-derive every chunk's shares through the allocate-per-chunk Encode()
+  // (the pre-pool upload path) and compare them with the stored objects.
+  auto chunker = Chunker::Create(ChunkerOptions::ForTesting());
+  ASSERT_TRUE(chunker.ok()) << chunker.status();
+  size_t compared = 0;
+  for (const ChunkSpan& span : chunker->Split(content)) {
+    const ByteSpan chunk = ByteSpan(content).subspan(span.offset, span.size);
+    const Sha1Digest id = Sha1::Hash(chunk);
+    const ChunkEntry* entry = cloud.client->chunk_table().Find(id);
+    ASSERT_NE(entry, nullptr);
+    auto codec = SecretSharingCodec::Create(kPoolKey, entry->t, entry->n);
+    ASSERT_TRUE(codec.ok()) << codec.status();
+    auto shares = codec->Encode(chunk);
+    ASSERT_TRUE(shares.ok()) << shares.status();
+    for (const ChunkShare& share : entry->shares) {
+      auto stored = cloud.csps[share.csp]->Download(
+          ShareName(id, share.share_index, entry->t));
+      ASSERT_TRUE(stored.ok()) << stored.status();
+      EXPECT_EQ(*stored, (*shares)[share.share_index].data);
+      ++compared;
+    }
   }
+  EXPECT_GT(compared, 0u);
 
-  // And both round-trip.
-  auto get = pooled.client->Get("regression.bin");
+  auto get = cloud.client->Get("regression.bin");
   ASSERT_TRUE(get.ok()) << get.status();
   EXPECT_EQ(get->content, content);
 }

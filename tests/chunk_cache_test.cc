@@ -1,8 +1,8 @@
 // Streaming tier: the byte-budgeted ARC chunk cache (budget enforcement,
 // ghost-list promotion, scan resistance, concurrent readers) and the
 // range-read path built on it - GetRange correctness, cache reuse,
-// sequential readahead, invalidation on overwrite/delete, and the
-// get_via_range_path A/B lever against the legacy whole-file gather.
+// sequential readahead, invalidation on overwrite/delete, and whole-file
+// Get agreeing with a full-span GetRange.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -394,24 +394,26 @@ TEST(RangeReadTest, DuplicateChunksAreAssembledCorrectly) {
   EXPECT_EQ(warm->chunks_decoded, 0u);
 }
 
-TEST(RangeReadTest, WholeFileGetMatchesLegacyPath) {
-  StreamCloud range_cloud = MakeCloud(StreamConfig("writer"));
+TEST(RangeReadTest, WholeFileGetMatchesFullSpanRange) {
+  StreamCloud writer = MakeCloud(StreamConfig("writer"));
   const Bytes content = RandomContent(96 * 1024, 19);
-  ASSERT_TRUE(range_cloud.client->Put("ab.bin", content).ok());
+  ASSERT_TRUE(writer.client->Put("ab.bin", content).ok());
 
-  // Same CSP pool, read through both gather paths.
-  auto via_range = range_cloud.client->Get("ab.bin");
-  ASSERT_TRUE(via_range.ok()) << via_range.status();
-  EXPECT_EQ(via_range->content, content);
-  EXPECT_EQ(via_range->file_size, content.size());
+  // A second device over the same CSP pool: whole-file Get (decoded in
+  // place, cache untouched) and a full-span GetRange (cache-owned buffers)
+  // run the same scheduler and must agree byte for byte.
+  StreamCloud reader = MakeCloud(StreamConfig("reader"), writer.csps);
+  ASSERT_TRUE(reader.client->SyncMetadata().ok());
+  auto whole = reader.client->Get("ab.bin");
+  ASSERT_TRUE(whole.ok()) << whole.status();
+  EXPECT_EQ(whole->content, content);
+  EXPECT_EQ(whole->file_size, content.size());
+  EXPECT_EQ(whole->chunks_from_cache, 0u);
 
-  CyrusConfig legacy_config = StreamConfig("legacy");
-  legacy_config.get_via_range_path = false;
-  StreamCloud legacy = MakeCloud(std::move(legacy_config), range_cloud.csps);
-  ASSERT_TRUE(legacy.client->SyncMetadata().ok());
-  auto via_legacy = legacy.client->Get("ab.bin");
-  ASSERT_TRUE(via_legacy.ok()) << via_legacy.status();
-  EXPECT_EQ(via_legacy->content, content);
+  auto span = reader.client->GetRange("ab.bin", 0, content.size());
+  ASSERT_TRUE(span.ok()) << span.status();
+  EXPECT_EQ(span->content, whole->content);
+  EXPECT_EQ(span->chunks_decoded, whole->chunks_decoded);
 }
 
 // Whole-file Gets consult the cache but never populate it: one large

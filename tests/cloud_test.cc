@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "src/cloud/availability.h"
-#include "src/cloud/bandwidth.h"
 #include "src/cloud/registry.h"
 #include "src/cloud/simulated_csp.h"
 #include "src/util/bytes.h"
@@ -260,48 +259,6 @@ TEST(PaperDowntimeTest, RangeMatchesPaper) {
   ASSERT_EQ(hours.size(), 4u);
   EXPECT_DOUBLE_EQ(hours.front(), 1.37);
   EXPECT_DOUBLE_EQ(hours.back(), 18.53);
-}
-
-// --- BandwidthEstimator ---
-
-TEST(BandwidthEstimatorTest, DefaultUntilSamples) {
-  BandwidthEstimator est;
-  EXPECT_FALSE(est.HasSamples(0, TransferDirection::kDownload));
-  EXPECT_DOUBLE_EQ(est.Estimate(0, TransferDirection::kDownload), 1e6);
-}
-
-TEST(BandwidthEstimatorTest, FirstSampleSetsEstimate) {
-  BandwidthEstimator est;
-  est.AddSample(0, TransferDirection::kDownload, 10 * 1024 * 1024, 2.0);
-  EXPECT_DOUBLE_EQ(est.Estimate(0, TransferDirection::kDownload), 5.0 * 1024 * 1024);
-}
-
-TEST(BandwidthEstimatorTest, EwmaConvergesTowardNewRate) {
-  BandwidthEstimator est;
-  est.AddSample(0, TransferDirection::kUpload, 1 << 20, 1.0);  // 1 MiB/s
-  for (int i = 0; i < 20; ++i) {
-    est.AddSample(0, TransferDirection::kUpload, 4 << 20, 1.0);  // 4 MiB/s
-  }
-  EXPECT_NEAR(est.Estimate(0, TransferDirection::kUpload), 4.0 * (1 << 20),
-              0.05 * (1 << 20));
-}
-
-TEST(BandwidthEstimatorTest, TinySamplesIgnored) {
-  BandwidthEstimator est;
-  est.AddSample(0, TransferDirection::kDownload, 100, 0.001);  // latency probe
-  EXPECT_FALSE(est.HasSamples(0, TransferDirection::kDownload));
-  est.AddSample(0, TransferDirection::kDownload, 1 << 20, 0.0);  // bad timing
-  EXPECT_FALSE(est.HasSamples(0, TransferDirection::kDownload));
-}
-
-TEST(BandwidthEstimatorTest, DirectionsAndCspsAreIndependent) {
-  BandwidthEstimator est;
-  est.AddSample(0, TransferDirection::kDownload, 2 << 20, 1.0);
-  est.AddSample(1, TransferDirection::kDownload, 8 << 20, 1.0);
-  EXPECT_DOUBLE_EQ(est.Estimate(0, TransferDirection::kDownload), 2.0 * (1 << 20));
-  EXPECT_DOUBLE_EQ(est.Estimate(1, TransferDirection::kDownload), 8.0 * (1 << 20));
-  EXPECT_FALSE(est.HasSamples(0, TransferDirection::kUpload));
-  EXPECT_EQ(est.sample_count(0, TransferDirection::kDownload), 1u);
 }
 
 }  // namespace
