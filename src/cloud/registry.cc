@@ -44,6 +44,11 @@ Result<CspState> CspRegistry::state(int index) const {
   return entries_[index].state;
 }
 
+bool CspRegistry::IsActive(int index) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return CheckIndex(index).ok() && entries_[index].state == CspState::kActive;
+}
+
 Result<std::string> CspRegistry::name(int index) const {
   std::lock_guard<std::mutex> lock(mutex_);
   CYRUS_RETURN_IF_ERROR(CheckIndex(index));

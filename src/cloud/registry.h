@@ -49,6 +49,8 @@ class CspRegistry {
   Result<CloudConnector*> connector(int index) const;
   Result<CspProfile> profile(int index) const;
   Result<CspState> state(int index) const;
+  // True when `index` names a CSP in the active state.
+  bool IsActive(int index) const;
   Result<std::string> name(int index) const;
 
   Status SetState(int index, CspState state);

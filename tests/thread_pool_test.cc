@@ -203,11 +203,11 @@ TEST(OrderedPipelineTest, FirstErrorLatchesAndSkipsLaterCompletions) {
   options.max_in_flight = 2;
   OrderedPipeline pipeline(&pool, options);
   std::atomic<int> later_completions{0};
-  ASSERT_TRUE(pipeline
-                  .Submit(
-                      1, [] {},
-                      [] { return InternalError("chunk 0 failed"); })
-                  .ok());
+  // A fast worker lets Submit deliver the task's own completion before it
+  // returns, so even the first Submit may surface the latched error.
+  const Status first = pipeline.Submit(
+      1, [] {}, [] { return InternalError("chunk 0 failed"); });
+  EXPECT_TRUE(first.ok() || first.code() == StatusCode::kInternal) << first;
   // Later submissions may observe the latched error (Submit surfaces it)
   // or slip in before delivery; either way their completions never run.
   for (int i = 0; i < 6; ++i) {
