@@ -26,26 +26,54 @@ Bytes MakeData(size_t size) {
   return data;
 }
 
+// The dispatched hasher (SHA-NI where the CPU has it) against the portable
+// scalar compression function it replaces, over the same whole blocks.
 void BM_Sha1(benchmark::State& state) {
   const Bytes data = MakeData(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(Sha1::Hash(data));
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * data.size());
+  state.SetLabel(Sha1ShaNiSupported() ? "dispatched: sha-ni" : "dispatched: scalar");
 }
 BENCHMARK(BM_Sha1)->Arg(64 << 10)->Arg(4 << 20)->Unit(benchmark::kMicrosecond);
 
-void BM_RabinChunking(benchmark::State& state) {
+void BM_Sha1Scalar(benchmark::State& state) {
   const Bytes data = MakeData(static_cast<size_t>(state.range(0)));
-  ChunkerOptions options;  // 4 MB average, production setting
-  options.min_chunk_size = 64 * 1024;
-  auto chunker = Chunker::Create(options);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(chunker->Split(data));
+    uint32_t h[5] = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u, 0xC3D2E1F0u};
+    Sha1BlocksScalar(h, data.data(), data.size() / 64);
+    benchmark::DoNotOptimize(h);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * data.size());
 }
-BENCHMARK(BM_RabinChunking)->Arg(16 << 20)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Sha1Scalar)->Arg(64 << 10)->Arg(4 << 20)->Unit(benchmark::kMicrosecond);
+
+// Chunker::Split over 16 MiB at a given average chunk size (min = avg/4,
+// max = 4 x avg); the 4 MiB row is the production default.
+void BM_RabinChunking(benchmark::State& state) {
+  const Bytes data = MakeData(16 << 20);
+  ChunkerOptions options;
+  options.modulus = static_cast<uint64_t>(state.range(0));
+  if (options.modulus != ChunkerOptions{}.modulus) {
+    options.min_chunk_size = options.modulus / 4;
+    options.max_chunk_size = options.modulus * 4;
+  }
+  auto chunker = Chunker::Create(options);
+  size_t chunks = 0;
+  for (auto _ : state) {
+    const std::vector<ChunkSpan> spans = chunker->Split(data);
+    chunks = spans.size();
+    benchmark::DoNotOptimize(spans.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * data.size());
+  state.counters["chunks"] = static_cast<double>(chunks);
+}
+BENCHMARK(BM_RabinChunking)
+    ->Arg(64 << 10)
+    ->Arg(1 << 20)
+    ->Arg(4 << 20)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_HashRingSelect(benchmark::State& state) {
   HashRing ring;

@@ -12,7 +12,8 @@
 #                                   #   crash recovery, hedging, corruption)
 #   scripts/check.sh --codec        # + codec battery (`ctest -L codec`:
 #                                   #   SIMD-vs-scalar differential tests,
-#                                   #   kernel dispatch, buffer pool) run
+#                                   #   SHA-NI-vs-scalar SHA-1, kernel
+#                                   #   dispatch, buffer pool) run
 #                                   #   under the dispatched kernel and
 #                                   #   again forced to ssse3 and scalar
 #   scripts/check.sh --stream       # + streaming tier: ARC chunk cache +
@@ -38,7 +39,8 @@
 #                                   #   gate vs bench/baselines/
 #   scripts/check.sh --tsan         # ThreadSanitizer build of the stress
 #                                   #   battery + gateway concurrency tests
-#                                   #   + buffer-pool checkout + integrity
+#                                   #   + buffer-pool checkout + chunk
+#                                   #   cache and readahead join + integrity
 #                                   #   gather/heal + codec stress loop in
 #                                   #   build-tsan/
 #

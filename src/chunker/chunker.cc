@@ -1,8 +1,57 @@
 #include "src/chunker/chunker.h"
 
+#include <algorithm>
+
 #include "src/util/strings.h"
 
 namespace cyrus {
+namespace {
+
+// Split's loop, specialised on the boundary test so the common
+// power-of-two modulus compiles to a mask with no per-byte branch on it.
+template <typename AtBoundary>
+std::vector<ChunkSpan> SplitImpl(ByteSpan data, const ChunkerOptions& options,
+                                 const RabinFingerprint& rabin, AtBoundary at_boundary) {
+  std::vector<ChunkSpan> chunks;
+  const uint8_t* const bytes = data.data();
+  const size_t size = data.size();
+  const size_t window = options.window_size;
+  size_t start = 0;
+  while (start < size) {
+    if (size - start <= options.min_chunk_size) {
+      chunks.push_back(ChunkSpan{start, size - start});
+      break;
+    }
+    // A boundary may first fall after byte start + min - 1, whose window
+    // begins `window` bytes earlier; the window resets at every boundary
+    // (chunk identity depends only on the chunk's own content, which is
+    // what lets two files sharing a middle section produce identical chunk
+    // ids there), so bytes before that cannot reach the fingerprint.
+    const size_t first_end = start + options.min_chunk_size;
+    uint64_t fp = 0;
+    for (size_t i = first_end - window; i < first_end; ++i) {
+      fp = rabin.Append(fp, bytes[i]);
+    }
+    const size_t limit = std::min(size, start + options.max_chunk_size);
+    size_t end = limit;
+    if (at_boundary(fp)) {
+      end = first_end;
+    } else {
+      for (size_t i = first_end; i < limit; ++i) {
+        fp = rabin.Append(rabin.Expire(fp, bytes[i - window]), bytes[i]);
+        if (at_boundary(fp)) {
+          end = i + 1;
+          break;
+        }
+      }
+    }
+    chunks.push_back(ChunkSpan{start, end - start});
+    start = end;
+  }
+  return chunks;
+}
+
+}  // namespace
 
 Result<Chunker> Chunker::Create(const ChunkerOptions& options) {
   if (options.modulus == 0) {
@@ -22,34 +71,15 @@ Result<Chunker> Chunker::Create(const ChunkerOptions& options) {
 }
 
 std::vector<ChunkSpan> Chunker::Split(ByteSpan data) const {
-  std::vector<ChunkSpan> chunks;
-  if (data.empty()) {
-    return chunks;
+  const uint64_t modulus = options_.modulus;
+  const uint64_t residue = options_.residue;
+  if ((modulus & (modulus - 1)) == 0) {
+    const uint64_t mask = modulus - 1;
+    return SplitImpl(data, options_, rabin_,
+                     [mask, residue](uint64_t fp) { return (fp & mask) == residue; });
   }
-
-  RabinFingerprint rf(options_.window_size);
-  size_t chunk_start = 0;
-  size_t in_chunk = 0;  // bytes accumulated in the current chunk
-
-  for (size_t i = 0; i < data.size(); ++i) {
-    const uint64_t fp = rf.Roll(data[i]);
-    ++in_chunk;
-    const bool at_boundary =
-        in_chunk >= options_.min_chunk_size && fp % options_.modulus == options_.residue;
-    if (at_boundary || in_chunk >= options_.max_chunk_size) {
-      chunks.push_back(ChunkSpan{chunk_start, in_chunk});
-      chunk_start = i + 1;
-      in_chunk = 0;
-      // A boundary resets the window so chunk identity depends only on the
-      // chunk's own content, not on preceding chunks. This is what lets two
-      // files sharing a middle section produce identical chunk ids there.
-      rf.Reset();
-    }
-  }
-  if (in_chunk > 0) {
-    chunks.push_back(ChunkSpan{chunk_start, in_chunk});
-  }
-  return chunks;
+  return SplitImpl(data, options_, rabin_,
+                   [modulus, residue](uint64_t fp) { return fp % modulus == residue; });
 }
 
 }  // namespace cyrus

@@ -8,6 +8,14 @@
 //
 // Min/max bounds keep pathological content (e.g. long runs of zeros) from
 // producing degenerate chunks.
+//
+// Split is the per-byte hot loop of every Put, so it does no division: the
+// Rabin tables are built once per Chunker, the expiring byte is read from
+// the input rather than a ring buffer, the boundary test is a mask when the
+// modulus is a power of two, and rolling starts only window_size bytes
+// before the first offset that may end a chunk. The window resets at every
+// boundary, so skipped bytes cannot affect the fingerprint; boundaries are
+// identical to rolling every byte.
 #ifndef SRC_CHUNKER_CHUNKER_H_
 #define SRC_CHUNKER_CHUNKER_H_
 
@@ -58,9 +66,11 @@ class Chunker {
   const ChunkerOptions& options() const { return options_; }
 
  private:
-  explicit Chunker(const ChunkerOptions& options) : options_(options) {}
+  explicit Chunker(const ChunkerOptions& options)
+      : options_(options), rabin_(options.window_size) {}
 
   ChunkerOptions options_;
+  RabinFingerprint rabin_;  // only its tables are used; Split is const
 };
 
 }  // namespace cyrus

@@ -46,11 +46,11 @@ uint64_t RabinFingerprint::Roll(uint8_t byte) {
   // Expire the byte that is leaving the window...
   const uint8_t oldest = window_[window_pos_];
   window_[window_pos_] = byte;
-  window_pos_ = (window_pos_ + 1) % window_size_;
-  fingerprint_ ^= out_table_[oldest];
+  if (++window_pos_ == window_size_) {
+    window_pos_ = 0;
+  }
   // ...then append the new byte: fp = fp * x^8 + byte (mod P).
-  const uint8_t top = static_cast<uint8_t>(fingerprint_ >> 56);
-  fingerprint_ = ((fingerprint_ << 8) | byte) ^ mod_table_[top];
+  fingerprint_ = Append(Expire(fingerprint_, oldest), byte);
   return fingerprint_;
 }
 

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "src/util/bytes.h"
 
@@ -27,6 +28,15 @@ class RabinFingerprint {
 
   // Feeds one byte, sliding the window. Returns the new fingerprint.
   uint64_t Roll(uint8_t byte);
+
+  // The two halves of Roll as pure functions of a fingerprint value, for
+  // callers that keep the window in their own buffer (Chunker::Split reads
+  // the expiring byte straight from its input). Expire removes `oldest`,
+  // the byte window_size positions back; Append shifts in `byte`.
+  uint64_t Expire(uint64_t fp, uint8_t oldest) const { return fp ^ out_table_[oldest]; }
+  uint64_t Append(uint64_t fp, uint8_t byte) const {
+    return ((fp << 8) | byte) ^ mod_table_[fp >> 56];
+  }
 
   uint64_t fingerprint() const { return fingerprint_; }
   size_t window_size() const { return window_size_; }

@@ -1784,18 +1784,33 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
   std::map<Sha1Digest, std::shared_ptr<const Bytes>> resident;
 
   // Cache pass, on the driver thread: hits are copied out immediately and
-  // drop out of the download problem entirely.
+  // drop out of the download problem entirely. A miss that a readahead
+  // task is already downloading joins it instead of fetching the chunk
+  // again; the joins are awaited after every id is classified, so they
+  // overlap.
   std::vector<Sha1Digest> to_gather;
-  for (const Sha1Digest& id : unique_ids) {
-    std::shared_ptr<const Bytes> cached = chunk_cache_.Get(id);
-    if (cached == nullptr) {
-      to_gather.push_back(id);
-      continue;
-    }
+  std::vector<std::pair<Sha1Digest, std::shared_ptr<Prefetch>>> joined;
+  auto use_resident = [&](const Sha1Digest& id, std::shared_ptr<const Bytes> bytes) {
     ++result.chunks_from_cache;
-    copy_overlap(*by_id.at(id), *cached);
+    copy_overlap(*by_id.at(id), *bytes);
     if (dup_ids.count(id) > 0) {
-      resident.emplace(id, std::move(cached));
+      resident.emplace(id, std::move(bytes));
+    }
+  };
+  for (const Sha1Digest& id : unique_ids) {
+    if (std::shared_ptr<const Bytes> cached = chunk_cache_.Get(id)) {
+      use_resident(id, std::move(cached));
+    } else if (std::shared_ptr<Prefetch> prefetch = JoinPrefetch(id)) {
+      joined.emplace_back(id, std::move(prefetch));
+    } else {
+      to_gather.push_back(id);
+    }
+  }
+  for (auto& [id, prefetch] : joined) {
+    if (std::shared_ptr<const Bytes> landed = AwaitPrefetch(*prefetch)) {
+      use_resident(id, std::move(landed));
+    } else {
+      to_gather.push_back(id);  // failed or stale: fetch it here
     }
   }
 
@@ -2016,11 +2031,12 @@ void CyrusClient::MaybeScheduleReadahead(const std::string& name,
   // `resume` mid-chunk was covering in the call that just finished, so
   // only records starting at or after it matter. Everything here runs on
   // the driver thread (tree/chunk-table reads); the tasks capture copies.
-  struct Prefetch {
+  struct Pick {
     ChunkRecord chunk;
     std::vector<ShareLocation> locations;
+    std::shared_ptr<Prefetch> prefetch;
   };
-  std::vector<Prefetch> picks;
+  std::vector<Pick> picks;
   std::set<Sha1Digest> picked;
   for (const ChunkRecord& chunk : version.chunks) {
     if (picks.size() >= config_.readahead_chunks) {
@@ -2030,15 +2046,16 @@ void CyrusClient::MaybeScheduleReadahead(const std::string& name,
         chunk_cache_.Peek(chunk.id) != nullptr) {
       continue;
     }
+    auto prefetch = std::make_shared<Prefetch>();
     {
       std::lock_guard<std::mutex> lock(readahead_mutex_);
-      if (!readahead_inflight_.insert(chunk.id).second) {
+      if (!readahead_inflight_.emplace(chunk.id, prefetch).second) {
         continue;  // an earlier call is already fetching it
       }
       ++readahead_active_;
     }
     picked.insert(chunk.id);
-    Prefetch pick{chunk, ResolveChunkLocations(version, chunk.id)};
+    Pick pick{chunk, ResolveChunkLocations(version, chunk.id), std::move(prefetch)};
     AugmentRecordDigests(pick.chunk);
     // Fastest links first, read in order: a prefetch that waits on the
     // slowest CSP arrives after the reader does. (The foreground gather
@@ -2053,19 +2070,21 @@ void CyrusClient::MaybeScheduleReadahead(const std::string& name,
     picks.push_back(std::move(pick));
   }
 
-  for (Prefetch& pick : picks) {
+  for (Pick& pick : picks) {
     readahead_issued_->Increment();
     pool_->SubmitBackground([this, name, generation, pick = std::move(pick)] {
-      bool stale = true;
+      Prefetch& prefetch = *pick.prefetch;
+      bool run = false;
       {
         std::lock_guard<std::mutex> lock(readahead_mutex_);
         auto it = streams_.find(name);
-        stale = it == streams_.end() || it->second.generation != generation;
+        const bool stale = it == streams_.end() || it->second.generation != generation;
+        // Stale: the reader seeked. Claimed: a foreground read took it.
+        run = prefetch.started = !stale && !prefetch.claimed;
       }
-      if (stale) {
-        readahead_cancelled_->Increment();  // credited: the reader seeked
-      } else {
-        auto plaintext = std::make_shared<Bytes>(pick.chunk.size);
+      std::shared_ptr<Bytes> plaintext;
+      if (run) {
+        plaintext = std::make_shared<Bytes>(pick.chunk.size);
         ChunkReadOptions options;
         options.heal = false;
         options.retry = config_.transfer_retry;
@@ -2074,19 +2093,48 @@ void CyrusClient::MaybeScheduleReadahead(const std::string& name,
                           MutableByteSpan(*plaintext), read)
                 .ok()) {
           RecordTransferMetrics(read.report, metrics_);
-          chunk_cache_.Put(pick.chunk.id, std::move(plaintext));
-          readahead_completed_->Increment();
+          chunk_cache_.Put(pick.chunk.id, plaintext);
         } else {
-          readahead_cancelled_->Increment();
+          plaintext.reset();
         }
       }
+      (plaintext != nullptr ? readahead_completed_ : readahead_cancelled_)->Increment();
       std::lock_guard<std::mutex> lock(readahead_mutex_);
-      readahead_inflight_.erase(pick.chunk.id);
+      prefetch.plaintext = std::move(plaintext);
+      prefetch.done = true;
+      if (auto it = readahead_inflight_.find(pick.chunk.id);
+          it != readahead_inflight_.end() && it->second == pick.prefetch) {
+        readahead_inflight_.erase(it);
+      }
+      readahead_landed_.notify_all();
       if (--readahead_active_ == 0) {
         readahead_idle_.notify_all();
       }
     });
   }
+}
+
+std::shared_ptr<CyrusClient::Prefetch> CyrusClient::JoinPrefetch(const Sha1Digest& id) {
+  std::lock_guard<std::mutex> lock(readahead_mutex_);
+  auto it = readahead_inflight_.find(id);
+  if (it == readahead_inflight_.end()) {
+    return nullptr;
+  }
+  std::shared_ptr<Prefetch> prefetch = it->second;
+  if (prefetch->started) {
+    return prefetch;
+  }
+  // Still queued: its task may be waiting for this very thread, so take
+  // the chunk over rather than wait for it.
+  prefetch->claimed = true;
+  readahead_inflight_.erase(it);
+  return nullptr;
+}
+
+std::shared_ptr<const Bytes> CyrusClient::AwaitPrefetch(const Prefetch& prefetch) {
+  std::unique_lock<std::mutex> lock(readahead_mutex_);
+  readahead_landed_.wait(lock, [&prefetch] { return prefetch.done; });
+  return prefetch.plaintext;
 }
 
 void CyrusClient::WaitForReadahead() {

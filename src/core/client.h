@@ -461,7 +461,8 @@ class CyrusClient {
   struct ReadaheadStats {
     uint64_t issued = 0;     // prefetch tasks handed to the pool
     uint64_t completed = 0;  // decoded, verified, and cached
-    uint64_t cancelled = 0;  // credited back: a seek staled the stream
+    uint64_t cancelled = 0;  // credited back: a seek staled the stream, a
+                             // foreground read claimed it, or it failed
   };
   ReadaheadStats readahead_stats() const;
 
@@ -520,6 +521,16 @@ class CyrusClient {
   void MaybeScheduleReadahead(const std::string& name,
                               const FileVersion& version, uint64_t offset,
                               uint64_t len);
+
+  // Foreground side of the readahead join, for a chunk the cache missed.
+  // Returns the prefetch to AwaitPrefetch when one is downloading it.
+  // Returns null when none is, after claiming a still-queued one: the
+  // caller then fetches the chunk itself.
+  struct Prefetch;
+  std::shared_ptr<Prefetch> JoinPrefetch(const Sha1Digest& id);
+  // Blocks until `prefetch` finishes. Returns its plaintext, or null when
+  // it failed or went stale.
+  std::shared_ptr<const Bytes> AwaitPrefetch(const Prefetch& prefetch);
 
   // Drops released chunks from the decoded-chunk cache. `kept` (nullable)
   // lists chunks still referenced by the superseding version - an
@@ -630,11 +641,24 @@ class CyrusClient {
     uint64_t next_offset = 0;  // where a contiguous reader resumes
     uint64_t generation = 0;   // bumped on seek; stale prefetches cancel
   };
+  // One issued prefetch, shared by its pool task and any foreground read
+  // of the same chunk. A foreground cache miss waits for a started
+  // prefetch rather than downloading the chunk a second time, and claims a
+  // queued one (the task then skips it), so it never waits on a task that
+  // may need its own thread to run.
+  struct Prefetch {
+    bool started = false;  // a pool thread is downloading it
+    bool claimed = false;  // a foreground read fetches it instead
+    bool done = false;
+    std::shared_ptr<const Bytes> plaintext;  // set when the read succeeded
+  };
   mutable std::mutex readahead_mutex_;
   std::map<std::string, StreamState, std::less<>> streams_;
-  std::set<Sha1Digest> readahead_inflight_;  // ids queued or downloading
+  // Queued or downloading; a claimed or finished prefetch leaves the map.
+  std::map<Sha1Digest, std::shared_ptr<Prefetch>> readahead_inflight_;
   size_t readahead_active_ = 0;
   std::condition_variable readahead_idle_;
+  std::condition_variable readahead_landed_;  // some started prefetch finished
   // The one chunk read path: Get/GetRange gathers, readahead, and the
   // repair engine's rebuild and integrity sweep all read through it.
   // Declared before pool_: the pool destructor drains queued readahead

@@ -4,10 +4,16 @@
 // files and chunks, as the input to consistent hashing for share placement,
 // and as H in the share naming scheme H'(index, H(chunk)). It is used for
 // content addressing, not collision-resistant signing.
+//
+// Every Put hashes each byte several times (whole file, chunk, share
+// digests), so the compression function is dispatched once per process:
+// the x86 SHA extensions (SHA-NI) when the CPU has them, a portable scalar
+// loop otherwise. Both produce bit-identical digests.
 #ifndef SRC_CRYPTO_SHA1_H_
 #define SRC_CRYPTO_SHA1_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -35,6 +41,15 @@ struct Sha1DigestHash {
   }
 };
 
+// SHA-1 compression of `count` consecutive 64-byte blocks into `state`
+// (big-endian message words, no padding). Sha1 picks one per process; both
+// are exposed so the differential test and the micro bench can compare them.
+void Sha1BlocksScalar(uint32_t state[5], const uint8_t* blocks, size_t count);
+// Requires Sha1ShaNiSupported().
+void Sha1BlocksShaNi(uint32_t state[5], const uint8_t* blocks, size_t count);
+// True when this build targets x86 and the CPU has the SHA extensions.
+bool Sha1ShaNiSupported();
+
 // Incremental SHA-1. Usage: Sha1 h; h.Update(a); h.Update(b); h.Finish().
 class Sha1 {
  public:
@@ -51,8 +66,6 @@ class Sha1 {
   static Sha1Digest Hash(std::string_view text) { return Hash(AsByteSpan(text)); }
 
  private:
-  void ProcessBlock(const uint8_t* block);
-
   std::array<uint32_t, 5> h_;
   std::array<uint8_t, 64> buffer_;
   size_t buffer_len_ = 0;

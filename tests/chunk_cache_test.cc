@@ -6,10 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "src/chunker/chunker.h"
+#include "src/cloud/metrics_connector.h"
 #include "src/cloud/simulated_csp.h"
 #include "src/core/chunk_cache.h"
 #include "src/core/client.h"
@@ -435,6 +440,189 @@ TEST(RangeReadTest, WholeFileGetDoesNotPopulateCache) {
   EXPECT_EQ(warm->content, content);
   EXPECT_GT(warm->chunks_from_cache, 0u);
   EXPECT_EQ(warm->chunks_decoded, 0u);
+}
+
+// --- readahead join: a foreground miss never re-downloads a prefetch ----
+
+// Parks every Download while closed, so a test can hold a readahead
+// prefetch mid-transfer and race a foreground read against it.
+class DownloadGate {
+ public:
+  void Close() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    closed_ = true;
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    closed_ = false;
+    changed_.notify_all();
+  }
+  void Pass() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (!closed_) {
+      return;
+    }
+    ++parked_;
+    changed_.notify_all();
+    changed_.wait(lock, [this] { return !closed_; });
+  }
+  // True once `count` downloads have parked; false after `timeout`.
+  bool WaitParked(int count, std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return changed_.wait_for(lock, timeout, [&] { return parked_ >= count; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable changed_;
+  bool closed_ = false;
+  int parked_ = 0;
+};
+
+class GatedCsp : public CloudConnector {
+ public:
+  GatedCsp(std::string id, DownloadGate* gate)
+      : inner_(SimulatedCspOptions{std::move(id)}), gate_(gate) {}
+
+  std::string_view id() const override { return inner_.id(); }
+  Status Authenticate(const Credentials& credentials) override {
+    return inner_.Authenticate(credentials);
+  }
+  Result<std::vector<ObjectInfo>> List(std::string_view prefix) override {
+    return inner_.List(prefix);
+  }
+  Status Upload(std::string_view name, ByteSpan data) override {
+    return inner_.Upload(name, data);
+  }
+  Result<Bytes> Download(std::string_view name) override {
+    gate_->Pass();
+    return inner_.Download(name);
+  }
+  Status Delete(std::string_view name) override { return inner_.Delete(name); }
+
+ private:
+  SimulatedCsp inner_;
+  DownloadGate* gate_;
+};
+
+// Four gated CSPs behind MetricsConnectors; they and the client count
+// into `registry`.
+struct GatedCloud {
+  DownloadGate gate;
+  obs::MetricsRegistry registry;
+  std::unique_ptr<CyrusClient> client;
+
+  explicit GatedCloud(CyrusConfig config) {
+    config.metrics = &registry;  // readahead stats start from zero
+    client = std::move(CyrusClient::Create(std::move(config))).value();
+    for (int i = 0; i < kCsps; ++i) {
+      auto csp = std::make_shared<MetricsConnector>(
+          std::make_shared<GatedCsp>(StrCat("csp", i), &gate), &registry);
+      CspProfile profile;
+      profile.download_bytes_per_sec = 2e6;
+      profile.upload_bytes_per_sec = 1e6;
+      EXPECT_TRUE(client->AddCsp(csp, profile, Credentials{"token"}).ok());
+    }
+  }
+
+  uint64_t downloads() {
+    uint64_t total = 0;
+    for (int i = 0; i < kCsps; ++i) {
+      total += registry
+                   .GetCounter("cyrus_csp_ops_total",
+                               {{"csp", StrCat("csp", i)}, {"op", "download"}, {"result", "ok"}})
+                   ->value();
+    }
+    return total;
+  }
+
+  static constexpr int kCsps = 4;
+};
+
+// Runs GetRange(chunk) on another thread once `cloud`'s prefetches are
+// parked, waits until its cache lookup has missed, gives it `settle` to
+// reach the join, then opens the gate. Returns the foreground result.
+Result<GetResult> RaceForegroundRead(GatedCloud& cloud, const std::string& name,
+                                     const ChunkSpan& chunk, int parked_prefetch_downloads) {
+  EXPECT_TRUE(cloud.gate.WaitParked(parked_prefetch_downloads, std::chrono::seconds(30)));
+  const uint64_t misses = cloud.client->chunk_cache().stats().misses;
+  Result<GetResult> got = InternalError("not run");
+  std::thread foreground(
+      [&] { got = cloud.client->GetRange(name, chunk.offset, chunk.size); });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (cloud.client->chunk_cache().stats().misses == misses &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // A foreground read that failed to join would park one more download.
+  (void)cloud.gate.WaitParked(parked_prefetch_downloads + 1, std::chrono::milliseconds(200));
+  cloud.gate.Open();
+  foreground.join();
+  return got;
+}
+
+TEST(RangeReadTest, ForegroundReadJoinsDownloadingPrefetch) {
+  CyrusConfig config = StreamConfig("joiner");
+  config.readahead_chunks = 1;
+  GatedCloud cloud(config);
+  const Bytes content = RandomContent(64 * 1024, 21);
+  ASSERT_TRUE(cloud.client->Put("join.bin", content).ok());
+  const std::vector<ChunkSpan> chunks =
+      Chunker::Create(config.chunker)->Split(content);
+  ASSERT_GE(chunks.size(), 4u);
+
+  // Cache chunks 0 and 1 without arming the detector (offset 1 is a seek),
+  // then read one cached byte mid-chunk-1: sequential, so it prefetches
+  // chunk 2, whose first share download parks at the closed gate.
+  const uint64_t mid = chunks[1].offset + chunks[1].size / 2;
+  ASSERT_TRUE(cloud.client->GetRange("join.bin", 1, mid - 1).ok());
+  cloud.gate.Close();
+  const uint64_t before = cloud.downloads();
+  ASSERT_TRUE(cloud.client->GetRange("join.bin", mid, 1).ok());
+
+  Result<GetResult> got = RaceForegroundRead(cloud, "join.bin", chunks[2], 1);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->content, Slice(content, chunks[2].offset, chunks[2].size));
+  EXPECT_EQ(got->chunks_decoded, 0u);
+  EXPECT_EQ(got->chunks_from_cache, 1u);
+  cloud.client->WaitForReadahead();
+  // Each of chunk 2's t shares crossed the wire once, for the prefetch.
+  EXPECT_EQ(cloud.downloads() - before, 2u);
+  const CyrusClient::ReadaheadStats stats = cloud.client->readahead_stats();
+  EXPECT_EQ(stats.issued, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+}
+
+TEST(RangeReadTest, ForegroundReadClaimsQueuedPrefetch) {
+  CyrusConfig config = StreamConfig("claimer");
+  config.transfer_concurrency = 2;  // two workers: the third prefetch queues
+  config.readahead_chunks = 3;
+  GatedCloud cloud(config);
+  const Bytes content = RandomContent(64 * 1024, 22);
+  ASSERT_TRUE(cloud.client->Put("claim.bin", content).ok());
+  const std::vector<ChunkSpan> chunks =
+      Chunker::Create(config.chunker)->Split(content);
+  ASSERT_GE(chunks.size(), 6u);
+
+  const uint64_t mid = chunks[1].offset + chunks[1].size / 2;
+  ASSERT_TRUE(cloud.client->GetRange("claim.bin", 1, mid - 1).ok());
+  cloud.gate.Close();
+  const uint64_t before = cloud.downloads();
+  ASSERT_TRUE(cloud.client->GetRange("claim.bin", mid, 1).ok());
+
+  // Prefetches of chunks 2 and 3 hold both workers at the gate; chunk 4's
+  // is still queued, so the foreground read takes it over and fetches it
+  // once the workers free up, instead of waiting on a task that needs one.
+  Result<GetResult> got = RaceForegroundRead(cloud, "claim.bin", chunks[4], 2);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->content, Slice(content, chunks[4].offset, chunks[4].size));
+  cloud.client->WaitForReadahead();
+  // t shares for each of chunks 2, 3 and 4: the claimed prefetch fetched
+  // nothing (had the claim lost the race, the read joined it instead).
+  EXPECT_EQ(cloud.downloads() - before, 6u);
+  const CyrusClient::ReadaheadStats stats = cloud.client->readahead_stats();
+  EXPECT_EQ(stats.issued, 3u);
+  EXPECT_EQ(stats.issued, stats.completed + stats.cancelled);
 }
 
 }  // namespace

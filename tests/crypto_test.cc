@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "src/crypto/naming.h"
 #include "src/crypto/sha1.h"
 #include "src/util/bytes.h"
+#include "src/util/rng.h"
 
 namespace cyrus {
 namespace {
@@ -81,6 +83,135 @@ TEST(Sha1Test, DigestOrderingIsLexicographic) {
   a.bytes[0] = 1;
   b.bytes[0] = 2;
   EXPECT_LT(a, b);
+}
+
+// --- SHA-NI vs scalar differential -------------------------------------
+//
+// Sha1 dispatches its compression function once per process. These cases
+// pit the SHA-NI block function against the scalar one directly (no env
+// var, no hook), and the dispatched incremental hasher against a one-shot
+// digest built on the scalar function alone.
+
+using BlocksFn = void (*)(uint32_t state[5], const uint8_t* blocks, size_t count);
+
+Bytes RandomBytes(size_t size, uint64_t seed) {
+  Rng rng(seed);
+  Bytes data(size);
+  for (auto& b : data) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  return data;
+}
+
+// FIPS 180-4 padding and digest serialization around a given block function.
+Sha1Digest DigestWith(BlocksFn blocks, ByteSpan data) {
+  uint32_t state[5] = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u, 0xC3D2E1F0u};
+  const size_t whole = data.size() / 64;
+  blocks(state, data.data(), whole);
+  uint8_t tail[128] = {};
+  const size_t rest = data.size() - whole * 64;
+  std::memcpy(tail, data.data() + whole * 64, rest);
+  tail[rest] = 0x80;
+  const size_t tail_len = rest < 56 ? 64 : 128;
+  const uint64_t bit_len = static_cast<uint64_t>(data.size()) * 8;
+  for (int i = 0; i < 8; ++i) {
+    tail[tail_len - 1 - i] = static_cast<uint8_t>(bit_len >> (8 * i));
+  }
+  blocks(state, tail, tail_len / 64);
+  Sha1Digest digest;
+  for (int i = 0; i < 5; ++i) {
+    for (int j = 0; j < 4; ++j) {
+      digest.bytes[4 * i + j] = static_cast<uint8_t>(state[i] >> (24 - 8 * j));
+    }
+  }
+  return digest;
+}
+
+#define SKIP_WITHOUT_SHA_NI()                                 \
+  if (!Sha1ShaNiSupported()) {                                \
+    GTEST_SKIP() << "CPU lacks the SHA extensions (SHA-NI)";  \
+  }
+
+TEST(Sha1DifferentialTest, FipsVectorsThroughBothBlockFunctions) {
+  const struct {
+    std::string text;
+    const char* hex;
+  } kVectors[] = {
+      {"", "da39a3ee5e6b4b0d3255bfef95601890afd80709"},
+      {"abc", "a9993e364706816aba3e25717850c26c9cd0d89d"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "84983e441c3bd26ebaae4aa1f95129e5e54670f1"},
+      {std::string(1000000, 'a'), "34aa973cd4c4daa4f61eeb2bdbad27316534016f"},
+      {"The quick brown fox jumps over the lazy dog",
+       "2fd4e1c67a2d28fced849ee1bb76e7391b93eb12"},
+  };
+  for (const auto& v : kVectors) {
+    EXPECT_EQ(DigestWith(Sha1BlocksScalar, AsByteSpan(v.text)).ToHex(), v.hex);
+    EXPECT_EQ(Sha1::Hash(std::string_view(v.text)).ToHex(), v.hex);
+  }
+  SKIP_WITHOUT_SHA_NI();
+  for (const auto& v : kVectors) {
+    EXPECT_EQ(DigestWith(Sha1BlocksShaNi, AsByteSpan(v.text)).ToHex(), v.hex);
+  }
+}
+
+TEST(Sha1DifferentialTest, BlockFunctionsAgreeAtEveryLengthAndAlignment) {
+  SKIP_WITHOUT_SHA_NI();
+  Rng rng(0x5a1);
+  const Bytes pool = RandomBytes(4096 + 64, 1);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t misalign = rng.NextBelow(64);
+    const size_t count = rng.NextBelow(4096 / 64 + 1);  // 0 .. 4 KiB
+    uint32_t scalar[5], shani[5];
+    for (int i = 0; i < 5; ++i) {
+      scalar[i] = shani[i] = static_cast<uint32_t>(rng.Next());
+    }
+    Sha1BlocksScalar(scalar, pool.data() + misalign, count);
+    Sha1BlocksShaNi(shani, pool.data() + misalign, count);
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_EQ(scalar[i], shani[i])
+          << "word " << i << " count " << count << " offset " << misalign;
+    }
+  }
+}
+
+TEST(Sha1DifferentialTest, DigestsAgreeForRandomLengthsAndOffsets) {
+  SKIP_WITHOUT_SHA_NI();
+  Rng rng(0x5a2);
+  const Bytes pool = RandomBytes(4096 + 64, 2);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t offset = rng.NextBelow(64);
+    const size_t len = rng.NextBelow(4096 + 1);
+    const ByteSpan data(pool.data() + offset, len);
+    ASSERT_EQ(DigestWith(Sha1BlocksShaNi, data), DigestWith(Sha1BlocksScalar, data))
+        << "len " << len << " offset " << offset;
+  }
+}
+
+TEST(Sha1DifferentialTest, RandomUpdateSplitsMatchScalarOneShot) {
+  Rng rng(0x5a3);
+  for (int trial = 0; trial < 300; ++trial) {
+    const Bytes data = RandomBytes(rng.NextBelow(8192 + 1), 100 + trial);
+    Sha1 h;
+    size_t pos = 0;
+    while (pos < data.size()) {
+      // Mostly small pieces so partial-block buffering is exercised, with
+      // the odd large one that carries many whole blocks in one call.
+      const size_t piece = rng.NextBool(0.1) ? rng.NextBelow(2048) : rng.NextBelow(130);
+      const size_t take = std::min(piece, data.size() - pos);
+      h.Update(ByteSpan(data.data() + pos, take));
+      pos += take;
+    }
+    ASSERT_EQ(h.Finish(), DigestWith(Sha1BlocksScalar, data)) << "trial " << trial;
+  }
+}
+
+TEST(Sha1DifferentialTest, SixtyFourMebibyteBuffer) {
+  const Bytes data = RandomBytes(64u << 20, 3);
+  const Sha1Digest scalar = DigestWith(Sha1BlocksScalar, data);
+  EXPECT_EQ(Sha1::Hash(data), scalar);
+  SKIP_WITHOUT_SHA_NI();
+  EXPECT_EQ(DigestWith(Sha1BlocksShaNi, data), scalar);
 }
 
 // --- Share naming ---
