@@ -19,9 +19,11 @@
 #   scripts/check.sh --stream       # + streaming tier: ARC chunk cache +
 #                                   #   range-read suites (`ctest -L
 #                                   #   stream`, also in the fast tier) and
-#                                   #   the bench_streaming bars (range
-#                                   #   byte accounting, warm TTFB,
-#                                   #   readahead rebuffers)
+#                                   #   50 repeats of the range-read
+#                                   #   tests (readahead window, claim,
+#                                   #   join) and the bench_streaming
+#                                   #   bars (range byte accounting, warm
+#                                   #   TTFB, readahead rebuffers)
 #   scripts/check.sh --integrity    # + share-integrity tier (`ctest -L
 #                                   #   integrity`, also in the fast tier):
 #                                   #   per-share authentication, corrupt-
@@ -128,6 +130,10 @@ fi
 if [[ "$RUN_STREAM" == 1 ]]; then
   echo "== stream: chunk cache + range reads + streaming bars =="
   ctest --test-dir build -L stream --output-on-failure
+  # A race in the readahead window, claim or join fails the tier here
+  # instead of flaking once in N ctest runs.
+  ./build/tests/chunk_cache_test --gtest_filter='RangeReadTest.*' --gtest_repeat=50 \
+    --gtest_brief=1
   (cd build && ./bench/bench_streaming)
 fi
 

@@ -2011,26 +2011,41 @@ void CyrusClient::MaybeScheduleReadahead(const std::string& name,
   }
   uint64_t generation = 0;
   uint64_t resume = 0;
+  uint64_t run_bytes = 0;
   {
     std::lock_guard<std::mutex> lock(readahead_mutex_);
-    StreamState& stream = streams_[name];
+    auto [it, fresh] = streams_.try_emplace(name);
+    StreamState& stream = it->second;
+    if (fresh) {
+      // Never reuse a generation: a prefetch queued for a deleted stream
+      // of the same name must stay stale.
+      stream.generation = ++last_stream_generation_;
+    }
     const bool sequential = len > 0 && offset == stream.next_offset;
     stream.next_offset = offset + len;
     if (!sequential) {
-      // A seek (or a fresh mid-file stream): bump the generation so
+      // A seek (or a fresh mid-file stream): take a new generation so
       // in-flight prefetches for the abandoned position self-cancel, and
       // prefetch nothing until the reader looks sequential again.
-      ++stream.generation;
+      stream.generation = ++last_stream_generation_;
+      stream.run_bytes = len;
       return;
     }
+    stream.run_bytes += len;
     generation = stream.generation;
     resume = stream.next_offset;
+    run_bytes = stream.run_bytes;
   }
 
-  // Pick the next K chunks past the consumed range. The chunk containing
-  // `resume` mid-chunk was covering in the call that just finished, so
-  // only records starting at or after it matter. Everything here runs on
-  // the driver thread (tree/chunk-table reads); the tasks capture copies.
+  // The window starts at the first record at or past `resume` (the chunk
+  // containing `resume` mid-chunk was covering in the call that just
+  // finished) and spans at most K records. Like on-demand readahead in a
+  // kernel page cache, it grows with the sequential run: only records
+  // starting within run_bytes of the reader are admitted, but always at
+  // least one. Cached or in-flight records inside the window are skipped,
+  // never replaced by records past it, so the prefetch frontier stays at
+  // most K records ahead of the reader. Everything here runs on the
+  // driver thread (tree/chunk-table reads); the tasks capture copies.
   struct Pick {
     ChunkRecord chunk;
     std::vector<ShareLocation> locations;
@@ -2038,12 +2053,20 @@ void CyrusClient::MaybeScheduleReadahead(const std::string& name,
   };
   std::vector<Pick> picks;
   std::set<Sha1Digest> picked;
-  for (const ChunkRecord& chunk : version.chunks) {
-    if (picks.size() >= config_.readahead_chunks) {
+  // FileVersion::Validate guarantees the records tile the file in offset
+  // order, so the window's first record is a binary search away.
+  const std::vector<ChunkRecord>& chunks = version.chunks;
+  const auto first = std::partition_point(
+      chunks.begin(), chunks.end(),
+      [resume](const ChunkRecord& chunk) { return chunk.offset < resume; });
+  const auto last =
+      first + std::min<ptrdiff_t>(chunks.end() - first, config_.readahead_chunks);
+  for (auto record = first; record != last; ++record) {
+    const ChunkRecord& chunk = *record;
+    if (record != first && chunk.offset - resume >= run_bytes) {
       break;
     }
-    if (chunk.offset < resume || picked.count(chunk.id) > 0 ||
-        chunk_cache_.Peek(chunk.id) != nullptr) {
+    if (picked.count(chunk.id) > 0 || chunk_cache_.Peek(chunk.id) != nullptr) {
       continue;
     }
     auto prefetch = std::make_shared<Prefetch>();
@@ -2427,6 +2450,12 @@ Status CyrusClient::Delete(std::string_view name) {
   CYRUS_RETURN_IF_ERROR(UploadMetadata(marker, report));
   // Only after the marker is durable do the dead head's chunks lose their
   // references; zero-ref dedup chunks become reclaimable by the next scrub.
+  {
+    // Forget the name's stream: its queued prefetches then find no stream
+    // and cancel instead of caching chunks invalidated just below.
+    std::lock_guard<std::mutex> lock(readahead_mutex_);
+    streams_.erase(std::string(name));
+  }
   InvalidateCachedChunks(released_chunks, nullptr);
   if (convergent_writes()) {
     ReleaseChunkRefs(released_chunks);

@@ -192,10 +192,11 @@ struct CyrusConfig {
   size_t chunk_cache_shards = 8;
 
   // Sequential-read detector: when consecutive GetRange calls are
-  // contiguous, prefetch up to this many following chunks into the chunk
-  // cache on background-priority pool tasks. A seek bumps the stream's
-  // generation, cancelling (crediting) prefetches not yet started. 0
-  // disables readahead.
+  // contiguous, prefetch the chunks just past the reader into the chunk
+  // cache on background-priority pool tasks. The window starts at the
+  // reader and covers as many bytes as the sequential run has read so far,
+  // at least one chunk and at most this many. A seek resets the run and
+  // cancels (credits) prefetches not yet started. 0 disables readahead.
   uint32_t readahead_chunks = 4;
 
   // Fragment scheduling for memory-constrained serving: a range Get admits
@@ -306,8 +307,10 @@ class CyrusClient {
   // entirely); `len` is clamped to the end of the file, and an offset past
   // the end fails with InvalidArgument (the REST layer's 416). Contiguous
   // GetRange calls on one name are detected as a sequential stream and
-  // trigger background readahead of the next config.readahead_chunks
-  // chunks; any seek cancels prefetches not yet started.
+  // trigger background readahead of the chunks just past the read, a
+  // window that grows with the sequential run up to
+  // config.readahead_chunks; any seek cancels prefetches not yet started,
+  // and Delete cancels the name's.
   Result<GetResult> GetRange(std::string_view name, uint64_t offset,
                              uint64_t len);
   Status Delete(std::string_view name);
@@ -639,7 +642,8 @@ class CyrusClient {
   // pool destruction read it). ---
   struct StreamState {
     uint64_t next_offset = 0;  // where a contiguous reader resumes
-    uint64_t generation = 0;   // bumped on seek; stale prefetches cancel
+    uint64_t run_bytes = 0;    // read contiguously since the last seek
+    uint64_t generation = 0;   // renewed on seek; stale prefetches cancel
   };
   // One issued prefetch, shared by its pool task and any foreground read
   // of the same chunk. A foreground cache miss waits for a started
@@ -653,7 +657,8 @@ class CyrusClient {
     std::shared_ptr<const Bytes> plaintext;  // set when the read succeeded
   };
   mutable std::mutex readahead_mutex_;
-  std::map<std::string, StreamState, std::less<>> streams_;
+  std::map<std::string, StreamState, std::less<>> streams_;  // Delete erases
+  uint64_t last_stream_generation_ = 0;  // generations are never reused
   // Queued or downloading; a claimed or finished prefetch leaves the map.
   std::map<Sha1Digest, std::shared_ptr<Prefetch>> readahead_inflight_;
   size_t readahead_active_ = 0;

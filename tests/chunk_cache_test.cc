@@ -353,6 +353,81 @@ TEST(RangeReadTest, SeekCreditsInFlightReadahead) {
   EXPECT_EQ(stats.issued, stats.completed + stats.cancelled);
 }
 
+// Index of the first chunk starting at or past `offset`: where the
+// readahead window of a reader resuming at `offset` begins.
+size_t FirstChunkAt(const std::vector<ChunkSpan>& chunks, uint64_t offset) {
+  return static_cast<size_t>(
+      std::partition_point(chunks.begin(), chunks.end(),
+                           [offset](const ChunkSpan& chunk) { return chunk.offset < offset; }) -
+      chunks.begin());
+}
+
+// The readahead window is anchored at the reader: however long a
+// sequential scan runs, nothing is prefetched more than K records past
+// where it resumes, and a reader that seeks every other read prefetches
+// no more than its short runs justify.
+TEST(RangeReadTest, ReadaheadStaysNearReader) {
+  constexpr uint32_t kWindow = 4;
+  CyrusConfig config = StreamConfig("window");
+  config.readahead_chunks = kWindow;
+  obs::MetricsRegistry scan_registry;  // readahead stats start from zero
+  config.metrics = &scan_registry;
+  StreamCloud cloud = MakeCloud(config);
+  const Bytes content = RandomContent(96 * 1024, 23);
+  ASSERT_TRUE(cloud.client->Put("win.bin", content).ok());
+  const std::vector<ChunkSpan> chunks = Chunker::Create(config.chunker)->Split(content);
+  std::vector<Sha1Digest> ids;
+  for (const ChunkSpan& chunk : chunks) {
+    ids.push_back(Sha1::Hash(ByteSpan(content).subspan(chunk.offset, chunk.size)));
+  }
+
+  // Half-chunk steps: a picker that skipped cached records and refilled
+  // past them would queue K fresh chunks per read and run away.
+  constexpr uint64_t kStep = 512;
+  for (uint64_t offset = 0; offset < content.size(); offset += kStep) {
+    auto got = cloud.client->GetRange("win.bin", offset, kStep);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_EQ(got->content, Slice(content, offset, kStep));
+    cloud.client->WaitForReadahead();
+    const size_t limit = FirstChunkAt(chunks, offset + kStep) + kWindow;
+    for (size_t i = limit; i < chunks.size(); ++i) {
+      ASSERT_TRUE(cloud.client->chunk_cache().Peek(ids[i]) == nullptr)
+          << "chunk " << i << " cached with the reader at " << offset + kStep
+          << "; the window ends before chunk " << limit;
+    }
+  }
+  const CyrusClient::ReadaheadStats scan = cloud.client->readahead_stats();
+  EXPECT_GT(scan.completed, 0u);
+  EXPECT_EQ(scan.issued, scan.completed + scan.cancelled);
+
+  // Seek, then read twice: each run is 2 x kRead bytes long, so its
+  // window admits only the records starting within that many bytes of
+  // the reader (at least one), however large readahead_chunks is.
+  constexpr uint32_t kMaxWindow = 16;
+  config.readahead_chunks = kMaxWindow;
+  obs::MetricsRegistry seek_registry;
+  config.metrics = &seek_registry;
+  StreamCloud seeker = MakeCloud(config);
+  ASSERT_TRUE(seeker.client->Put("win.bin", content).ok());
+  constexpr uint64_t kRead = 300;
+  Rng rng(23);
+  uint64_t bound = 0;
+  for (int run = 0; run < 40; ++run) {
+    const uint64_t offset = 1 + rng.NextBelow(content.size() - 4 * kRead);
+    ASSERT_TRUE(seeker.client->GetRange("win.bin", offset, kRead).ok());
+    ASSERT_TRUE(seeker.client->GetRange("win.bin", offset + kRead, kRead).ok());
+    const uint64_t resume = offset + 2 * kRead;
+    const size_t first = FirstChunkAt(chunks, resume);
+    const size_t ramp = FirstChunkAt(chunks, resume + 2 * kRead) - first;
+    bound += std::min<size_t>({std::max<size_t>(ramp, 1), kMaxWindow, chunks.size() - first});
+  }
+  seeker.client->WaitForReadahead();
+  const CyrusClient::ReadaheadStats seeks = seeker.client->readahead_stats();
+  EXPECT_GT(seeks.issued, 0u);
+  EXPECT_LE(seeks.issued, bound);
+  EXPECT_EQ(seeks.issued, seeks.completed + seeks.cancelled);
+}
+
 TEST(RangeReadTest, OverwriteAndDeleteInvalidateCachedChunks) {
   StreamCloud cloud = MakeCloud(StreamConfig("writer"));
   const Bytes v1 = RandomContent(32 * 1024, 16);
@@ -602,27 +677,81 @@ TEST(RangeReadTest, ForegroundReadClaimsQueuedPrefetch) {
   ASSERT_TRUE(cloud.client->Put("claim.bin", content).ok());
   const std::vector<ChunkSpan> chunks =
       Chunker::Create(config.chunker)->Split(content);
-  ASSERT_GE(chunks.size(), 6u);
+  ASSERT_GE(chunks.size(), 8u);
 
-  const uint64_t mid = chunks[1].offset + chunks[1].size / 2;
+  // Cache chunks 0-3 without arming the detector, then read one cached
+  // byte mid-chunk-3. The run is then long enough (~3.5 chunks) for a full
+  // window of 3: chunks 4, 5 and 6.
+  const uint64_t mid = chunks[3].offset + chunks[3].size / 2;
+  ASSERT_LT(chunks[6].offset, 2 * mid + 1) << "window would stop short of chunk 6";
   ASSERT_TRUE(cloud.client->GetRange("claim.bin", 1, mid - 1).ok());
   cloud.gate.Close();
   const uint64_t before = cloud.downloads();
   ASSERT_TRUE(cloud.client->GetRange("claim.bin", mid, 1).ok());
 
-  // Prefetches of chunks 2 and 3 hold both workers at the gate; chunk 4's
+  // Prefetches of chunks 4 and 5 hold both workers at the gate; chunk 6's
   // is still queued, so the foreground read takes it over and fetches it
   // once the workers free up, instead of waiting on a task that needs one.
-  Result<GetResult> got = RaceForegroundRead(cloud, "claim.bin", chunks[4], 2);
+  Result<GetResult> got = RaceForegroundRead(cloud, "claim.bin", chunks[6], 2);
   ASSERT_TRUE(got.ok()) << got.status();
-  EXPECT_EQ(got->content, Slice(content, chunks[4].offset, chunks[4].size));
+  EXPECT_EQ(got->content, Slice(content, chunks[6].offset, chunks[6].size));
   cloud.client->WaitForReadahead();
-  // t shares for each of chunks 2, 3 and 4: the claimed prefetch fetched
+  // t shares for each of chunks 4, 5 and 6: the claimed prefetch fetched
   // nothing (had the claim lost the race, the read joined it instead).
   EXPECT_EQ(cloud.downloads() - before, 6u);
   const CyrusClient::ReadaheadStats stats = cloud.client->readahead_stats();
   EXPECT_EQ(stats.issued, 3u);
   EXPECT_EQ(stats.issued, stats.completed + stats.cancelled);
+}
+
+// Delete forgets the name's stream: prefetches still queued for the
+// deleted file cancel instead of downloading shares and caching chunks
+// the delete just invalidated.
+TEST(RangeReadTest, DeleteCancelsQueuedPrefetch) {
+  CyrusConfig config = StreamConfig("deleter");
+  config.transfer_concurrency = 2;  // both workers held by keep.bin's prefetches
+  config.readahead_chunks = 2;
+  GatedCloud cloud(config);
+  const Bytes keep = RandomContent(64 * 1024, 24);
+  const Bytes doomed = RandomContent(64 * 1024, 25);
+  ASSERT_TRUE(cloud.client->Put("keep.bin", keep).ok());
+  ASSERT_TRUE(cloud.client->Put("doomed.bin", doomed).ok());
+  auto chunker = Chunker::Create(config.chunker);
+  const std::vector<ChunkSpan> keep_chunks = chunker->Split(keep);
+  const std::vector<ChunkSpan> doomed_chunks = chunker->Split(doomed);
+  ASSERT_GE(keep_chunks.size(), 6u);
+  ASSERT_GE(doomed_chunks.size(), 6u);
+
+  // Cache chunks 0-3 of each file without arming the detector; reading
+  // one more cached byte mid-chunk-3 then prefetches chunks 4 and 5.
+  auto mid_of = [](const std::vector<ChunkSpan>& chunks) {
+    return chunks[3].offset + chunks[3].size / 2;
+  };
+  const uint64_t keep_mid = mid_of(keep_chunks);
+  const uint64_t doomed_mid = mid_of(doomed_chunks);
+  ASSERT_LT(keep_chunks[5].offset, 2 * keep_mid + 1);
+  ASSERT_LT(doomed_chunks[5].offset, 2 * doomed_mid + 1);
+  ASSERT_TRUE(cloud.client->GetRange("keep.bin", 1, keep_mid - 1).ok());
+  ASSERT_TRUE(cloud.client->GetRange("doomed.bin", 1, doomed_mid - 1).ok());
+  ASSERT_EQ(cloud.client->chunk_cache().stats().entries, 8u);
+  cloud.gate.Close();
+  const uint64_t before = cloud.downloads();
+  ASSERT_TRUE(cloud.client->GetRange("keep.bin", keep_mid, 1).ok());
+  ASSERT_TRUE(cloud.gate.WaitParked(2, std::chrono::seconds(30)));
+  ASSERT_TRUE(cloud.client->GetRange("doomed.bin", doomed_mid, 1).ok());
+
+  ASSERT_TRUE(cloud.client->Delete("doomed.bin").ok());
+  cloud.gate.Open();
+  cloud.client->WaitForReadahead();
+  // Only keep.bin's prefetches downloaded: t shares for each of its
+  // chunks 4 and 5. Both of doomed.bin's were credited without a download.
+  EXPECT_EQ(cloud.downloads() - before, 4u);
+  const CyrusClient::ReadaheadStats stats = cloud.client->readahead_stats();
+  EXPECT_EQ(stats.issued, 4u);
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.cancelled, 2u);
+  // keep.bin's four chunks plus its two prefetched; none of doomed.bin's.
+  EXPECT_EQ(cloud.client->chunk_cache().stats().entries, 4u + 2u);
 }
 
 }  // namespace
