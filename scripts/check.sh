@@ -29,7 +29,8 @@
 #                                   #   per-share authentication, corrupt-
 #                                   #   CSP isolation, breaker weighting /
 #                                   #   quarantine, legacy combinatorial
-#                                   #   upgrade, scrub bit-rot healing
+#                                   #   upgrade, scrub bit-rot healing,
+#                                   #   the chunk read and write paths
 #   scripts/check.sh --all          # every labeled suite
 #   scripts/check.sh --bench        # + bench binaries with hard bars
 #                                   #   (pipeline, degraded, repair, the
@@ -43,7 +44,8 @@
 #                                   #   battery + gateway concurrency tests
 #                                   #   + buffer-pool checkout + chunk
 #                                   #   cache and readahead join + integrity
-#                                   #   gather/heal + codec stress loop in
+#                                   #   gather/heal + chunk writer uploads +
+#                                   #   scrub repair + codec stress loop in
 #                                   #   build-tsan/
 #
 # Flags compose: `scripts/check.sh --stress --bench`. The fast tier always
@@ -171,11 +173,14 @@ fi
 if [[ "$RUN_TSAN" == 1 ]]; then
   echo "== tsan: stress battery + gateway concurrency under ThreadSanitizer =="
   configure build-tsan -DENABLE_TSAN=ON
-  cmake --build build-tsan --parallel --target pipeline_stress_test thread_pool_test degraded_test gateway_test dedup_test buffer_pool_test chunk_cache_test integrity_test chunk_reader_test codec_stress_test
+  # The chunk writer's first upload pass runs ParallelFor from pipeline
+  # workers, and scrub repair writes through the same writer.
+  cmake --build build-tsan --parallel --target pipeline_stress_test thread_pool_test degraded_test gateway_test dedup_test buffer_pool_test chunk_cache_test integrity_test chunk_reader_test chunk_writer_test repair_test codec_stress_test
   (cd build-tsan && ./tests/thread_pool_test && ./tests/pipeline_stress_test && ./tests/degraded_test &&
     ./tests/gateway_test && ./tests/dedup_test &&
     ./tests/buffer_pool_test && ./tests/chunk_cache_test &&
-    ./tests/integrity_test && ./tests/chunk_reader_test && ./tests/codec_stress_test)
+    ./tests/integrity_test && ./tests/chunk_reader_test && ./tests/chunk_writer_test &&
+    ./tests/repair_test && ./tests/codec_stress_test)
 fi
 
 echo "OK"

@@ -24,6 +24,17 @@ ChunkRecord RecordFromEntry(const Sha1Digest& chunk_id, const ChunkEntry& entry)
   return record;
 }
 
+ChunkEntry EntryFromRecord(const ChunkRecord& record, std::vector<ChunkShare> shares) {
+  for (ChunkShare& share : shares) {
+    const Sha1Digest* digest = record.FindShareDigest(share.share_index);
+    if (!share.has_digest() && digest != nullptr) {
+      share.digest = *digest;
+    }
+  }
+  return ChunkEntry{record.size, record.size, record.t, record.n, /*refcount=*/0,
+                    record.dedup, record.wrapped_key, std::move(shares)};
+}
+
 Result<SecretSharingCodec> ChunkReader::CodecFor(const ChunkRecord& chunk) const {
   CYRUS_ASSIGN_OR_RETURN(std::string key, context_.chunk_key(chunk));
   return SecretSharingCodec::Create(key, chunk.t, kMaxShares);

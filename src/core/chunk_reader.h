@@ -135,8 +135,6 @@ class ChunkReader {
                                                  ByteSpan plaintext,
                                                  const std::vector<uint32_t>& indices);
 
-  BufferPool& buffers() { return *context_.buffers; }
-
  private:
   ChunkReaderContext context_;
 };
@@ -147,6 +145,10 @@ void AdoptShareDigests(const std::vector<ChunkShare>& shares, ChunkRecord& recor
 
 // A chunk-table entry in the record form reads take (offset 0).
 ChunkRecord RecordFromEntry(const Sha1Digest& chunk_id, const ChunkEntry& entry);
+
+// The inverse: the chunk-table entry of `record` stored as `shares`. A
+// share without a digest takes the record's digest for its index.
+ChunkEntry EntryFromRecord(const ChunkRecord& record, std::vector<ChunkShare> shares);
 
 }  // namespace cyrus
 

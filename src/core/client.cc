@@ -156,18 +156,6 @@ void AnnotateConflicts(const std::vector<const FileVersion*>& live,
   }
 }
 
-// The digest recorded for `share_index`, or null when the scatter produced
-// none for it.
-const Sha1Digest* DigestForIndex(const std::vector<ShareDigest>& digests,
-                                 uint32_t share_index) {
-  for (const ShareDigest& sd : digests) {
-    if (sd.share_index == share_index) {
-      return &sd.digest;
-    }
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 CyrusClient::CyrusClient(CyrusConfig config, Chunker chunker)
@@ -217,23 +205,49 @@ CyrusClient::CyrusClient(CyrusConfig config, Chunker chunker)
     }
     return deriver_.UnwrapForUser(chunk.wrapped_key, chunk.id);
   };
-  reader_context.on_transfer_failure = [this](int csp, const Status& status) {
+  // Reads and writes route failed transfers into the same health machinery.
+  auto on_transfer_failure = [this](int csp, const Status& status) {
     (void)NoteTransferFailure(csp, status);
   };
+  reader_context.on_transfer_failure = on_transfer_failure;
   reader_context.on_integrity_failure = [this](int csp) {
     (void)NoteIntegrityFailure(csp);
   };
   reader_ = std::make_unique<ChunkReader>(std::move(reader_context));
 
+  ChunkWriterContext writer_context;
+  writer_context.registry = &registry_;
+  writer_context.ring = &ring_;
+  writer_context.monitor = &monitor_;
+  writer_context.pool = pool_.get();
+  writer_context.buffers = &codec_buffers_;
+  writer_context.cluster_aware = config_.cluster_aware;
+  writer_context.record_digests = config_.verify_share_digests;
+  writer_context.now = [this] { return now(); };
+  writer_context.retry = config_.transfer_retry;
+  writer_context.on_transfer_failure = on_transfer_failure;
+  // Write-ahead journaling: every (csp, object) pair a Put may create is
+  // durably recorded before its upload, so a crash leaves a journal
+  // superset of what landed (a never-made upload rolls back as a harmless
+  // NotFound-on-delete).
+  writer_context.journal = [this](const std::string& intent, int csp,
+                                  const std::string& object) -> Status {
+    if (journal_ == nullptr || intent.empty()) {
+      return OkStatus();
+    }
+    CYRUS_ASSIGN_OR_RETURN(std::string csp_name, registry_.name(csp));
+    return journal_->AppendShare(intent, csp_name, object);
+  };
+  writer_ = std::make_unique<ChunkWriter>(std::move(writer_context));
+
   RepairContext repair_context;
   repair_context.registry = &registry_;
-  repair_context.ring = &ring_;
   repair_context.chunk_table = &chunk_table_;
   repair_context.monitor = &monitor_;
   repair_context.pool = pool_.get();
   repair_context.reader = reader_.get();
+  repair_context.writer = writer_.get();
   repair_context.cluster_aware = config_.cluster_aware;
-  repair_context.t = config_.t;
   repair_context.now = [this] { return now(); };
   repair_context.mark_csp_failed = [this](int csp) { return MarkCspFailed(csp); };
   repair_context.current_n = [this] { return CurrentN(); };
@@ -556,222 +570,40 @@ void CyrusClient::set_download_selector(std::unique_ptr<DownloadSelector> select
 }
 
 // ---------------------------------------------------------------------------
-// Share placement and scatter/gather
+// Gather and lazy migration
 // ---------------------------------------------------------------------------
 
-Result<std::vector<int>> CyrusClient::PlaceShares(const Sha1Digest& chunk_id,
-                                                  uint32_t n) const {
-  return config_.cluster_aware ? ring_.SelectCspsClusterAware(chunk_id, n)
-                               : ring_.SelectCsps(chunk_id, n);
-}
-
-Result<std::vector<ShareLocation>> CyrusClient::ScatterChunk(
-    const SecretSharingCodec& codec, const Sha1Digest& chunk_id, ByteSpan chunk,
-    const std::string& file, const std::string& journal_id,
-    std::vector<ShareDigest>* share_digests,
-    TransferReport& report, obs::TraceBuilder* trace) {
-  // The codec is built once per Put (the dispersal matrix depends only on
-  // (key, t, n), not on chunk content) and shared read-only by every
-  // pipelined scatter of that file.
-  const uint32_t n = codec.n();
-  obs::ScopedSpan encode_span;
-  if (trace != nullptr) {
-    encode_span = trace->Span("encode");
-    encode_span.AddBytes(chunk.size());
+Status CyrusClient::AdoptTableLayouts(const Sha1Digest& version_id,
+                                      const std::set<Sha1Digest>& chunk_ids) {
+  const FileVersion* version = tree_.Find(version_id);
+  if (version == nullptr) {
+    return NotFoundError(StrCat("unknown version ", version_id.ToHex()));
   }
-  // Encode share i straight into a pooled, 32B-aligned upload buffer
-  // (share index i is row i of the dispersal matrix). The handles live to
-  // the end of the scatter - connectors read the spans during upload - and
-  // recycle through codec_buffers_ on return.
-  const size_t share_len = ShareSize(chunk.size(), codec.t());
-  std::vector<PooledBuffer> share_buffers;
-  std::vector<MutableByteSpan> share_spans(n);
-  share_buffers.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    share_buffers.push_back(codec_buffers_.Acquire(std::max<size_t>(share_len, 1)));
-    share_spans[i] = share_buffers[i].span(share_len);
-  }
-  CYRUS_RETURN_IF_ERROR(codec.EncodeInto(chunk, share_spans));
-  encode_span.End();
-
-  obs::ScopedSpan place_span;
-  if (trace != nullptr) {
-    place_span = trace->Span("place");
-  }
-  Result<std::vector<int>> placement_or = PlaceShares(chunk_id, n);
-  if (!placement_or.ok() &&
-      placement_or.status().code() == StatusCode::kFailedPrecondition) {
-    // Fewer eligible CSPs than the target n - a provider was indicted
-    // after this Put sized its codec. Scatter onto the widest feasible
-    // placement that still reaches the commit quorum; the unplaced shares
-    // become repair debt instead of failing the whole Put.
-    const uint32_t quorum = PutQuorum(n);
-    for (uint32_t m = n - 1; m >= quorum && m >= 1; --m) {
-      placement_or = PlaceShares(chunk_id, m);
-      if (placement_or.ok()) {
-        break;
-      }
-      if (placement_or.status().code() != StatusCode::kFailedPrecondition) {
-        break;
-      }
+  std::vector<ShareLocation> merged;
+  for (const ShareLocation& loc : version->shares) {
+    if (chunk_ids.count(loc.chunk_id) == 0 || !chunk_table_.Contains(loc.chunk_id)) {
+      merged.push_back(loc);
     }
   }
-  CYRUS_RETURN_IF_ERROR(placement_or.status());
-  const std::vector<int> placement = *std::move(placement_or);
-  // Shares beyond the feasible placement are simply not uploaded; the
-  // codec still encodes all n, and indices [placed, n) are the debt.
-  const uint32_t placed = static_cast<uint32_t>(placement.size());
-  place_span.End();
-
-  // Write-ahead journaling: every (csp, object) pair this scatter might
-  // create is durably recorded *before* the upload is attempted, so a crash
-  // at any point leaves a journal superset of what actually landed. A
-  // record whose upload never happened rolls back as a harmless
-  // NotFound-on-delete.
-  auto journal_share = [&](int csp, const std::string& object) -> Status {
-    if (journal_ == nullptr || journal_id.empty()) {
-      return OkStatus();
-    }
-    CYRUS_ASSIGN_OR_RETURN(std::string csp_name, registry_.name(csp));
-    return journal_->AppendShare(journal_id, csp_name, object);
-  };
-  for (uint32_t i = 0; i < placed; ++i) {
-    CYRUS_RETURN_IF_ERROR(
-        journal_share(placement[i], ShareName(chunk_id, i, config_.t)));
-  }
-
-  obs::ScopedSpan upload_span;
-  if (trace != nullptr) {
-    upload_span = trace->Span("upload");
-    for (const MutableByteSpan& span : share_spans) {
-      upload_span.AddBytes(span.size());
-    }
-  }
-
-  // Phase 1: issue all n uploads concurrently on the transfer pool (the
-  // prototype's per-connector threads, §5.3). Placement targets are
-  // distinct, so the parallel requests never race on a provider decision;
-  // connectors themselves are thread-safe.
-  std::vector<Status> first_pass(placed, InternalError("no upload attempted"));
-  std::vector<TransferReport> first_pass_reports(placed);
-  auto upload_share = [&](size_t i) {
-    const std::string object =
-        ShareName(chunk_id, static_cast<uint32_t>(i), config_.t);
-    auto conn = registry_.connector(placement[i]);
-    if (!conn.ok()) {
-      first_pass[i] = conn.status();
-      first_pass_reports[i].records.push_back(TransferRecord{
-          TransferKind::kPut, placement[i], object, share_spans[i].size(), false});
-      return;
-    }
-    // Transient errors are retried in place before the failover path below
-    // re-places the share on a different CSP.
-    first_pass[i] =
-        UploadWithRetry(**conn, TransferKind::kPut, placement[i], object,
-                        share_spans[i], config_.transfer_retry, first_pass_reports[i]);
-  };
-  if (pool_ != nullptr && placed > 1) {
-    pool_->ParallelFor(placed, upload_share);
-  } else {
-    for (uint32_t i = 0; i < placed; ++i) {
-      upload_share(i);
-    }
-  }
-
-  // Phase 2 (sequential): bookkeeping plus the failover path for shares
-  // whose first upload failed. Failovers must avoid every CSP that already
-  // holds a share - including targets of *later* shares whose first-pass
-  // upload succeeded but has not been book-kept yet.
-  std::vector<int> reserved;
-  for (uint32_t j = 0; j < placed; ++j) {
-    if (first_pass[j].ok()) {
-      reserved.push_back(placement[j]);
-    }
-  }
-  std::vector<ShareLocation> locations;
-  std::vector<int> used;
-  for (uint32_t i = 0; i < placed; ++i) {
-    const std::string object = ShareName(chunk_id, i, config_.t);
-    int target = placement[i];
-    Status upload = first_pass[i];
-    report.Append(first_pass_reports[i]);
-    if (upload.ok()) {
-      monitor_.RecordProbe(target, now_, true);
-      used.push_back(target);
-      locations.push_back(ShareLocation{chunk_id, i, target});
+  std::map<Sha1Digest, std::vector<ShareDigest>> digests;
+  for (const Sha1Digest& chunk_id : chunk_ids) {
+    const ChunkEntry* entry = chunk_table_.Find(chunk_id);
+    if (entry == nullptr) {
       continue;
     }
-    // Retry on replacements from the ring, excluding CSPs already holding
-    // (or already refusing) a share of this chunk. Only connectivity
-    // errors indict the provider; a full quota just makes it ineligible
-    // for *this* share.
-    std::vector<int> exhausted = reserved;
-    for (int held : used) {
-      if (std::find(exhausted.begin(), exhausted.end(), held) == exhausted.end()) {
-        exhausted.push_back(held);
-      }
-    }
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      // Any provider-indicting status (kUnavailable, kDeadlineExceeded,
-      // kPermissionDenied) is failover-eligible; the CSP is also always
-      // excluded from re-selection for this share - a timed-out upload may
-      // have landed, and a second share index on the same provider would
-      // weaken the placement either way.
-      if (IsCspHealthFailure(upload)) {
-        CYRUS_RETURN_IF_ERROR(NoteTransferFailure(target, upload));
-      }
-      exhausted.push_back(target);
-      auto replacement = ring_.SelectCspsExcluding(chunk_id, 1, exhausted);
-      if (!replacement.ok()) {
-        break;  // no CSP left to try
-      }
-      target = replacement->front();
-      // Defense in depth: never store two shares of one chunk on the same
-      // provider (the exclusion list above should already prevent this).
-      if (std::find(used.begin(), used.end(), target) != used.end() ||
-          std::find(reserved.begin(), reserved.end(), target) != reserved.end()) {
-        exhausted.push_back(target);
-        upload = InternalError("placement collision");
-        continue;
-      }
-      CYRUS_RETURN_IF_ERROR(journal_share(target, object));
-      CYRUS_ASSIGN_OR_RETURN(CloudConnector * conn, registry_.connector(target));
-      upload = UploadWithRetry(*conn, TransferKind::kPut, target, object,
-                               share_spans[i], config_.transfer_retry, report);
-      if (upload.ok()) {
-        monitor_.RecordProbe(target, now_, true);
-        used.push_back(target);
-        reserved.push_back(target);
-        locations.push_back(ShareLocation{chunk_id, i, target});
-        break;
+    for (const ChunkShare& share : entry->shares) {
+      merged.push_back(ShareLocation{chunk_id, share.share_index, share.csp});
+      if (share.has_digest()) {
+        digests[chunk_id].push_back(ShareDigest{share.share_index, share.digest});
       }
     }
   }
-  // Quorum commit: the chunk is durable once `quorum` shares landed. With
-  // the default budget (-1) the quorum is the legacy bar t; a non-negative
-  // put_failure_budget lets that many of the n placements fail while the
-  // Put still succeeds *degraded* - the caller books the missing shares as
-  // repair debt for the scrub engine to complete in the background.
-  const uint32_t quorum = PutQuorum(n);
-  if (locations.size() < quorum) {
-    return UnavailableError(StrCat("only ", locations.size(), " of ", n,
-                                   " shares uploaded; need at least ", quorum));
+  CYRUS_RETURN_IF_ERROR(tree_.UpdateShareLocations(version_id, std::move(merged)));
+  for (auto& [chunk_id, chunk_digests] : digests) {
+    CYRUS_RETURN_IF_ERROR(
+        tree_.UpdateChunkShareDigests(version_id, chunk_id, std::move(chunk_digests)));
   }
-  // Authentication records: the digest of each placed share's bytes, keyed
-  // by share index (index i's bytes are identical wherever it lands, so
-  // the failover re-placements above share the first upload's digest).
-  if (share_digests != nullptr && config_.verify_share_digests) {
-    share_digests->reserve(locations.size());
-    for (const ShareLocation& loc : locations) {
-      share_digests->push_back(
-          ShareDigest{loc.share_index, Sha1::Hash(share_spans[loc.share_index])});
-    }
-  }
-  aggregator_.ExpectChunk(file, chunk_id, static_cast<uint32_t>(locations.size()));
-  for (size_t i = 0; i < locations.size(); ++i) {
-    aggregator_.OnShareEvent(file, chunk_id, /*success=*/true);
-  }
-  return locations;
+  return OkStatus();
 }
 
 std::vector<ShareLocation> CyrusClient::ResolveChunkLocations(
@@ -797,9 +629,8 @@ struct CyrusClient::GatherSlot {
   std::vector<int> selected;      // the download selector's picks
   Status status = InternalError("not gathered");
   ChunkReadResult read;
-  std::vector<ShareLocation> updated;  // locations after lazy migration
   size_t migrated = 0;
-  std::vector<ShareDigest> upgraded;   // freshly derived share digests
+  std::vector<ShareDigest> upgraded;   // re-derived share digests
 };
 
 Status CyrusClient::GatherChunk(GatherSlot& slot) {
@@ -819,58 +650,46 @@ Status CyrusClient::GatherChunk(GatherSlot& slot) {
     integrity_shares_healed_->Increment(slot.read.healed);
   }
 
-  const size_t share_len = ShareSize(chunk.size, chunk.t);
-  slot.updated = slot.locations;
-  std::optional<SecretSharingCodec> codec;  // built by the first migration
-  for (ShareLocation& loc : slot.updated) {
-    if (!migrating || registry_.IsActive(loc.csp)) {
-      continue;
-    }
-    std::vector<int> exclude;
+  // Every share on a failed or removed CSP is regenerated at a fresh index
+  // on a CSP holding none; the chunk table records it with its digest.
+  std::vector<ShareLocation> updated = slot.locations;
+  if (migrating) {
+    std::vector<int> holders;
+    std::vector<ShareLocation*> dead;
     uint32_t max_index = 0;
-    for (const ShareLocation& l : slot.updated) {
-      if (registry_.IsActive(l.csp)) {
-        exclude.push_back(l.csp);
+    for (ShareLocation& loc : updated) {
+      max_index = std::max(max_index, loc.share_index);
+      if (registry_.IsActive(loc.csp)) {
+        holders.push_back(loc.csp);
+      } else {
+        dead.push_back(&loc);
       }
-      max_index = std::max(max_index, l.share_index);
     }
-    auto replacement = ring_.SelectCspsExcluding(chunk.id, 1, exclude);
-    const uint32_t new_index = max_index + 1;
-    if (!replacement.ok() || new_index >= kMaxShares) {
-      continue;  // nowhere to migrate; retry on a later download
+    CYRUS_ASSIGN_OR_RETURN(SecretSharingCodec codec, reader_->CodecFor(chunk));
+    CYRUS_ASSIGN_OR_RETURN(
+        std::vector<ChunkShare> fresh,
+        writer_->Extend(codec, chunk.id, slot.dst, max_index + 1,
+                        static_cast<uint32_t>(dead.size()), std::move(holders),
+                        slot.read.report));
+    // Shares no CSP would take stay put; a later download retries them.
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      ShareLocation& loc = *dead[i];
+      (void)chunk_table_.MoveShare(chunk.id, loc.csp, loc.share_index, fresh[i].csp,
+                                   fresh[i].share_index, fresh[i].digest);
+      loc = ShareLocation{chunk.id, fresh[i].share_index, fresh[i].csp};
     }
-    if (!codec.has_value()) {
-      CYRUS_ASSIGN_OR_RETURN(codec, reader_->CodecFor(chunk));
-    }
-    PooledBuffer fresh_buf = codec_buffers_.Acquire(std::max<size_t>(share_len, 1));
-    const MutableByteSpan fresh = fresh_buf.span(share_len);
-    CYRUS_RETURN_IF_ERROR(codec->EncodeShareInto(slot.dst, new_index, fresh));
-    const int target = replacement->front();
-    CYRUS_ASSIGN_OR_RETURN(CloudConnector * conn, registry_.connector(target));
-    Status upload = UploadWithRetry(*conn, TransferKind::kPut, target,
-                                    ShareName(chunk.id, new_index, chunk.t), fresh,
-                                    config_.transfer_retry, slot.read.report);
-    if (!upload.ok()) {
-      (void)NoteTransferFailure(target, upload);
-      continue;
-    }
-    (void)chunk_table_.MoveShare(chunk.id, loc.csp, loc.share_index, target, new_index,
-                                 Sha1::Hash(fresh));
-    loc.csp = target;
-    loc.share_index = new_index;
-    ++slot.migrated;
+    slot.migrated = fresh.size();
   }
 
-  // Digest bookkeeping: whenever this gather changed what the CSPs store
-  // (healed or migrated shares) or the record predates per-share digests,
-  // derive the authoritative digest set from the verified plaintext. The
-  // chunk table is updated here; the driver folds `upgraded` into the
-  // version's ChunkRecord and republishes the metadata.
+  // Digest bookkeeping: when the read healed or corrected shares, or the
+  // record predates per-share digests, derive the authoritative digest set
+  // from the verified plaintext. The chunk table is updated here; the
+  // driver folds `upgraded` into the version's ChunkRecord and republishes
+  // the metadata.
   if (config_.verify_share_digests &&
-      (chunk.share_digests.empty() || slot.migrated > 0 || slot.read.healed > 0 ||
-       slot.read.corrected)) {
+      (chunk.share_digests.empty() || slot.read.healed > 0 || slot.read.corrected)) {
     std::set<uint32_t> indices;
-    for (const ShareLocation& loc : slot.updated) {
+    for (const ShareLocation& loc : updated) {
       indices.insert(loc.share_index);
     }
     CYRUS_ASSIGN_OR_RETURN(
@@ -1121,24 +940,15 @@ Status CyrusClient::RegisterVersionChunks(const FileVersion& version) {
       CYRUS_RETURN_IF_ERROR(chunk_table_.AddRef(chunk.id));
       continue;
     }
-    ChunkEntry entry;
-    entry.size = chunk.size;
-    entry.logical_size = chunk.size;
-    entry.t = chunk.t;
-    entry.n = chunk.n;
     // Synced copies carry the dedup fields so Get can unwrap the content
     // key, but take no *global* reference: the writing client counted the
     // version at Put time, and this table is a mirror of the same versions.
-    entry.dedup = chunk.dedup;
-    entry.wrapped_key = chunk.wrapped_key;
+    std::vector<ChunkShare> shares;
     for (const ShareLocation& loc : version.SharesOfChunk(chunk.id)) {
-      ChunkShare share{loc.share_index, loc.csp};
-      if (const Sha1Digest* d = chunk.FindShareDigest(loc.share_index)) {
-        share.digest = *d;
-      }
-      entry.shares.push_back(share);
+      shares.push_back(ChunkShare{loc.share_index, loc.csp});
     }
-    CYRUS_RETURN_IF_ERROR(chunk_table_.Insert(chunk.id, std::move(entry)));
+    CYRUS_RETURN_IF_ERROR(
+        chunk_table_.Insert(chunk.id, EntryFromRecord(chunk, std::move(shares))));
   }
   return OkStatus();
 }
@@ -1230,55 +1040,45 @@ Sha1Digest CyrusClient::ParentFor(std::string_view name) const {
   return newest != nullptr ? newest->id : Sha1Digest{};
 }
 
-Status CyrusClient::RescatterDedupChunk(const Sha1Digest& chunk_id, ByteSpan chunk,
-                                        uint32_t n, const std::string& file,
-                                        const std::string& journal_id,
-                                        TransferReport& report,
-                                        obs::TraceBuilder* trace,
-                                        PutResult& result) {
+Result<SecretSharingCodec> CyrusClient::ConvergentCodec(const Sha1Digest& chunk_id,
+                                                        uint32_t n, Bytes& wrapped_key) {
   if (config_.dedup_salt.empty()) {
-    // Without the deployment salt the content key this client would derive
-    // is not the one other users derive; publishing shares encoded under it
-    // would hand future adopters undecodable bytes. Fail the Put loudly
-    // rather than republish a layout whose objects may be gone.
     return FailedPreconditionError(
         StrCat("chunk ", chunk_id.ToHex(),
-               " lost its share-index entry and cannot be re-encoded without "
-               "the deployment dedup salt"));
+               " cannot be encoded convergently without the deployment dedup salt"));
   }
   const std::string content_key = deriver_.ContentKey(chunk_id);
-  Bytes wrapped_key = deriver_.WrapForUser(content_key, chunk_id);
-  CYRUS_ASSIGN_OR_RETURN(
-      SecretSharingCodec codec,
-      SecretSharingCodec::Create(content_key, config_.t, n));
+  wrapped_key = deriver_.WrapForUser(content_key, chunk_id);
+  CYRUS_ASSIGN_OR_RETURN(SecretSharingCodec codec,
+                         SecretSharingCodec::Create(content_key, config_.t, n));
   codec_creates_->Increment();
-  std::vector<ShareDigest> digests;
-  CYRUS_ASSIGN_OR_RETURN(
-      std::vector<ShareLocation> locations,
-      ScatterChunk(codec, chunk_id, chunk, file, journal_id, &digests, report,
-                   trace));
-  std::vector<ChunkShare> shares;
-  shares.reserve(locations.size());
-  for (const ShareLocation& loc : locations) {
-    ChunkShare share{loc.share_index, loc.csp};
-    if (const Sha1Digest* d = DigestForIndex(digests, loc.share_index)) {
-      share.digest = *d;
-    }
-    shares.push_back(share);
-  }
-  if (config_.share_index != nullptr) {
+  return codec;
+}
+
+Status CyrusClient::RecordScatteredChunk(const Sha1Digest& chunk_id, uint64_t size,
+                                         uint32_t n, bool convergent, Bytes wrapped_key,
+                                         std::vector<ChunkShare> shares, bool replace,
+                                         PutResult& result) {
+  // The *target* share count n is recorded, not the stored count: a quorum
+  // commit may have landed fewer, and the gap is repair debt the scrub
+  // engine completes against exactly this entry.
+  const uint32_t stored = static_cast<uint32_t>(shares.size());
+  const ChunkRecord record{chunk_id, 0, size, config_.t, n, convergent,
+                           std::move(wrapped_key), {}};
+  ChunkEntry entry = EntryFromRecord(record, std::move(shares));
+  if (convergent && config_.share_index != nullptr) {
+    // Publish the layout for every other writer. Racing publishers of the
+    // same chunk merge (uploads were byte-identical overwrites).
     ShareIndexEntry published;
-    published.logical_size = chunk.size();
+    published.logical_size = size;
     published.t = config_.t;
     published.n = n;
     published.refcount = 1;
-    published.shares = shares;
-    CYRUS_RETURN_IF_ERROR(
-        config_.share_index->Publish(chunk_id, std::move(published)));
+    published.shares = entry.shares;
+    CYRUS_RETURN_IF_ERROR(config_.share_index->Publish(chunk_id, std::move(published)));
   }
-  CYRUS_RETURN_IF_ERROR(chunk_table_.ResetShares(
-      chunk_id, config_.t, n, std::move(wrapped_key), std::move(shares)));
-  const uint32_t stored = static_cast<uint32_t>(locations.size());
+  CYRUS_RETURN_IF_ERROR(replace ? chunk_table_.Replace(chunk_id, std::move(entry))
+                                : chunk_table_.Insert(chunk_id, std::move(entry)));
   if (stored < n) {
     ++result.degraded_chunks;
     result.missing_shares += n - stored;
@@ -1378,13 +1178,12 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
   struct ScatterSlot {
     Sha1Digest chunk_id;
     ChunkSpan span{};
-    Result<std::vector<ShareLocation>> locations = InternalError("not scattered");
+    Result<std::vector<ChunkShare>> shares = InternalError("not scattered");
     TransferReport report;
     bool dedup = false;      // served by the local chunk table / in-flight set
     bool index_hit = false;  // served by the cross-user ShareIndex (ref taken)
     ShareIndexEntry index_entry;
     Bytes wrapped_key;       // per-user wrap of the content key (convergent)
-    std::vector<ShareDigest> digests;  // per-share auth records from the scatter
   };
   std::list<ScatterSlot> slots;
   OrderedPipeline::Options window;
@@ -1393,7 +1192,26 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
   OrderedPipeline pipeline(pool_.get(), window);
 
   const bool convergent = convergent_writes();
+  const uint32_t quorum = PutQuorum(n);
   std::set<Sha1Digest> shares_recorded;
+  // Every completion ends here once the chunk-table entry is final: the
+  // version gains a ChunkRecord (with the entry's share digests), and the
+  // chunk's first record lists its share locations.
+  auto record_chunk = [&](const Sha1Digest& id, uint64_t offset) -> Status {
+    const ChunkEntry* entry = chunk_table_.Find(id);
+    if (entry == nullptr) {
+      return InternalError(StrCat("chunk ", id.ToHex(), " missing from chunk table"));
+    }
+    ChunkRecord record = RecordFromEntry(id, *entry);
+    record.offset = offset;
+    version.chunks.push_back(std::move(record));
+    if (shares_recorded.insert(id).second) {
+      for (const ChunkShare& s : entry->shares) {
+        version.shares.push_back(ShareLocation{id, s.share_index, s.csp});
+      }
+    }
+    return OkStatus();
+  };
   // New chunks submitted but whose completion has not been delivered yet.
   // A duplicate of an in-flight chunk rides the pipeline as a no-work
   // task: ordered delivery guarantees the first occurrence's chunk-table
@@ -1441,158 +1259,89 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
       // so the per-Put user-key codec above cannot serve it. Codec
       // construction is pure (key, t, n) -> matrices and runs on the
       // worker beside the encode it feeds.
-      work = [this, slot, chunk_bytes, n, &version, &journal_id, &trace] {
-        const std::string content_key = deriver_.ContentKey(slot->chunk_id);
-        slot->wrapped_key = deriver_.WrapForUser(content_key, slot->chunk_id);
-        auto chunk_codec = SecretSharingCodec::Create(content_key, config_.t, n);
+      work = [this, slot, chunk_bytes, n, quorum, &journal_id, &trace] {
+        auto chunk_codec = ConvergentCodec(slot->chunk_id, n, slot->wrapped_key);
         if (!chunk_codec.ok()) {
-          slot->locations = chunk_codec.status();
+          slot->shares = chunk_codec.status();
           return;
         }
-        codec_creates_->Increment();
-        slot->locations =
-            ScatterChunk(*chunk_codec, slot->chunk_id, chunk_bytes,
-                         version.file_name, journal_id, &slot->digests,
-                         slot->report, &trace);
+        slot->shares = writer_->Scatter(*chunk_codec, slot->chunk_id, chunk_bytes,
+                                        quorum, journal_id, slot->report, trace);
       };
     } else {
       inflight.insert(chunk_id);
-      work = [this, slot, chunk_bytes, &codec, &version, &journal_id, &trace] {
-        slot->locations =
-            ScatterChunk(codec, slot->chunk_id, chunk_bytes, version.file_name,
-                         journal_id, &slot->digests, slot->report, &trace);
+      work = [this, slot, chunk_bytes, quorum, &codec, &journal_id, &trace] {
+        slot->shares = writer_->Scatter(codec, slot->chunk_id, chunk_bytes, quorum,
+                                        journal_id, slot->report, trace);
       };
     }
-    auto on_complete = [this, slot, n, convergent, chunk_bytes, &version,
-                        &result, &shares_recorded, &inflight, &journal_id,
+    auto on_complete = [this, slot, n, quorum, convergent, chunk_bytes, &result,
+                        &shares_recorded, &record_chunk, &inflight, &journal_id,
                         &trace]() -> Status {
       if (slot->dedup) {
         // Deduplicated: reuse the stored shares (Algorithm 2's "if chunk
-        // is not stored" guard).
-        const ChunkEntry* existing = chunk_table_.Find(slot->chunk_id);
-        if (existing == nullptr) {
-          return InternalError(StrCat("dedup chunk ", slot->chunk_id.ToHex(),
-                                      " missing from chunk table"));
-        }
+        // is not stored" guard), taking one reference per version.
         ++result.dedup_chunks;
         chunks_deduped_->Increment();
-        if (shares_recorded.insert(slot->chunk_id).second) {
-          CYRUS_RETURN_IF_ERROR(chunk_table_.AddRef(slot->chunk_id));
-          if (existing->dedup && config_.share_index != nullptr) {
-            // Mirror the local reference in the deployment-wide index.
-            Status global = config_.share_index->AddRef(slot->chunk_id);
-            if (global.code() == StatusCode::kNotFound) {
-              // Reclaimed between this chunk's last release and its
-              // re-adoption here. Another shard's scrub only consults its
-              // own chunk table, so our local entry did NOT keep the
-              // objects out of its delete set - the cached layout may
-              // point at nothing. Re-upload rather than republish a
-              // layout nobody verified.
-              global = RescatterDedupChunk(slot->chunk_id, chunk_bytes, n,
-                                           version.file_name, journal_id,
-                                           slot->report, &trace, result);
-              if (global.ok()) {
-                result.transfer.Append(slot->report);
-                existing = chunk_table_.Find(slot->chunk_id);
-              }
-            }
-            CYRUS_RETURN_IF_ERROR(global);
-          }
-          // Recorded after the index round-trip: a re-scatter replaces the
-          // layout, and the metadata must reference the objects that exist.
-          for (const ChunkShare& s : existing->shares) {
-            version.shares.push_back(
-                ShareLocation{slot->chunk_id, s.share_index, s.csp});
-          }
+        // A chunk this version already references takes no second ref; a
+        // missing one fails in record_chunk.
+        const ChunkEntry* existing = chunk_table_.Find(slot->chunk_id);
+        if (existing == nullptr || shares_recorded.count(slot->chunk_id) > 0) {
+          return record_chunk(slot->chunk_id, slot->span.offset);
         }
-        ChunkRecord record{slot->chunk_id, slot->span.offset, slot->span.size,
-                           existing->t, existing->n, existing->dedup,
-                           existing->wrapped_key, {}};
-        AdoptShareDigests(existing->shares, record);
-        version.chunks.push_back(std::move(record));
-        return OkStatus();
+        CYRUS_RETURN_IF_ERROR(chunk_table_.AddRef(slot->chunk_id));
+        if (existing->dedup && config_.share_index != nullptr) {
+          // Mirror the local reference in the deployment-wide index.
+          Status global = config_.share_index->AddRef(slot->chunk_id);
+          if (global.code() == StatusCode::kNotFound) {
+            // Reclaimed between this chunk's last release and its
+            // re-adoption here. Another shard's scrub only consults its own
+            // chunk table, so our local entry did NOT keep the objects out
+            // of its delete set - the cached layout may point at nothing.
+            // Re-encode and re-upload it as a fresh convergent scatter
+            // (uploads are idempotent overwrites under content-addressed
+            // names) rather than republish a layout nobody verified; the
+            // metadata then references the objects that exist.
+            Bytes wrapped_key;
+            CYRUS_ASSIGN_OR_RETURN(SecretSharingCodec chunk_codec,
+                                   ConvergentCodec(slot->chunk_id, n, wrapped_key));
+            CYRUS_ASSIGN_OR_RETURN(
+                std::vector<ChunkShare> shares,
+                writer_->Scatter(chunk_codec, slot->chunk_id, chunk_bytes, quorum,
+                                 journal_id, slot->report, trace));
+            result.transfer.Append(slot->report);
+            global = RecordScatteredChunk(slot->chunk_id, slot->span.size, n,
+                                          /*convergent=*/true, std::move(wrapped_key),
+                                          std::move(shares), /*replace=*/true, result);
+          }
+          CYRUS_RETURN_IF_ERROR(global);
+        }
+        return record_chunk(slot->chunk_id, slot->span.offset);
       }
+      inflight.erase(slot->chunk_id);
       if (slot->index_hit) {
         // Cross-user dedup: the chunk exists under its convergent name at
         // the CSPs already. The reference was taken at submit; all that
         // lands here is this user's bookkeeping - no encode, no upload.
-        inflight.erase(slot->chunk_id);
         ++result.dedup_chunks;
         ++result.index_hit_chunks;
         chunks_deduped_->Increment();
-        ChunkRecord record{slot->chunk_id, slot->span.offset, slot->span.size,
-                           slot->index_entry.t, slot->index_entry.n, true,
-                           slot->wrapped_key, {}};
-        AdoptShareDigests(slot->index_entry.shares, record);
-        version.chunks.push_back(std::move(record));
-        ChunkEntry entry;
-        entry.size = slot->span.size;
-        entry.logical_size = slot->span.size;
-        entry.t = slot->index_entry.t;
-        entry.n = slot->index_entry.n;
-        entry.dedup = true;
-        entry.wrapped_key = slot->wrapped_key;
-        entry.shares = slot->index_entry.shares;
-        CYRUS_RETURN_IF_ERROR(chunk_table_.Insert(slot->chunk_id, std::move(entry)));
-        if (shares_recorded.insert(slot->chunk_id).second) {
-          for (const ChunkShare& s : slot->index_entry.shares) {
-            version.shares.push_back(
-                ShareLocation{slot->chunk_id, s.share_index, s.csp});
-          }
-        }
-        return OkStatus();
+        const ChunkRecord adopted{slot->chunk_id, 0, slot->span.size,
+                                  slot->index_entry.t, slot->index_entry.n, true,
+                                  std::move(slot->wrapped_key), {}};
+        CYRUS_RETURN_IF_ERROR(chunk_table_.Insert(
+            slot->chunk_id,
+            EntryFromRecord(adopted, std::move(slot->index_entry.shares))));
+        return record_chunk(slot->chunk_id, slot->span.offset);
       }
-      inflight.erase(slot->chunk_id);
-      CYRUS_RETURN_IF_ERROR(slot->locations.status());
-      const std::vector<ShareLocation>& locations = *slot->locations;
+      CYRUS_RETURN_IF_ERROR(slot->shares.status());
       ++result.new_chunks;
       chunks_scattered_->Increment();
       result.transfer.Append(slot->report);
-      // Record the *target* share count n, not the stored count: a quorum
-      // commit may have landed fewer, and the gap is repair debt the scrub
-      // engine completes against exactly this record.
-      const uint32_t stored = static_cast<uint32_t>(locations.size());
-      ChunkRecord record{slot->chunk_id, slot->span.offset, slot->span.size,
-                         config_.t, n, convergent, slot->wrapped_key, {}};
-      record.share_digests = slot->digests;
-      version.chunks.push_back(std::move(record));
-      ChunkEntry entry;
-      entry.size = slot->span.size;
-      entry.logical_size = slot->span.size;
-      entry.t = config_.t;
-      entry.n = n;
-      entry.dedup = convergent;
-      entry.wrapped_key = slot->wrapped_key;
-      for (const ShareLocation& loc : locations) {
-        ChunkShare share{loc.share_index, loc.csp};
-        if (const Sha1Digest* d = DigestForIndex(slot->digests, loc.share_index)) {
-          share.digest = *d;
-        }
-        entry.shares.push_back(share);
-      }
-      if (convergent && config_.share_index != nullptr) {
-        // Publish the layout for every other writer. Racing publishers of
-        // the same chunk merge (uploads were byte-identical overwrites).
-        ShareIndexEntry published;
-        published.logical_size = slot->span.size;
-        published.t = config_.t;
-        published.n = n;
-        published.refcount = 1;
-        published.shares = entry.shares;
-        CYRUS_RETURN_IF_ERROR(
-            config_.share_index->Publish(slot->chunk_id, std::move(published)));
-      }
-      CYRUS_RETURN_IF_ERROR(chunk_table_.Insert(slot->chunk_id, std::move(entry)));
-      if (shares_recorded.insert(slot->chunk_id).second) {
-        version.shares.insert(version.shares.end(), locations.begin(),
-                              locations.end());
-      }
-      if (stored < n) {
-        ++result.degraded_chunks;
-        result.missing_shares += n - stored;
-        repair_->NoteDegradedWrite(slot->chunk_id, n - stored);
-      }
-      return OkStatus();
+      CYRUS_RETURN_IF_ERROR(RecordScatteredChunk(
+          slot->chunk_id, slot->span.size, n, convergent, std::move(slot->wrapped_key),
+          std::move(slot->shares).value(), /*replace=*/false, result));
+      return record_chunk(slot->chunk_id, slot->span.offset);
     };
     pipeline_status = pipeline.Submit(slot->dedup ? 0 : span.size,
                                       std::move(work), std::move(on_complete));
@@ -1613,16 +1362,10 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
   CYRUS_RETURN_IF_ERROR(version.Validate());
   CYRUS_RETURN_IF_ERROR(tree_.Insert(version));
 
-  // Metadata publishes only after every chunk's shares are stored
-  // (Algorithm 2 line 10), so readers never see a half-uploaded file. The
-  // gate is expressed over the aggregator's event stream: ScatterChunk fed
-  // a ShareComplete per stored share, and draining the pipeline joined
-  // them all, so the file-level completion event must have fired
-  // (dedup-only Puts move no shares and have nothing to wait for).
-  if (result.new_chunks > 0 && !aggregator_.FileComplete(version.file_name)) {
-    return InternalError(StrCat(version.file_name,
-                                ": pipeline drained but share uploads incomplete"));
-  }
+  // Metadata publishes only after every chunk's shares are durable
+  // (Algorithm 2 line 10), so readers never see a half-uploaded file:
+  // Drain returned OK above only because every chunk's scatter met its
+  // quorum and its completion recorded the shares.
   // The metadata record marks the journal intent roll-forward-able: it is
   // only written once every chunk's quorum is durable, so recovery can
   // republish this version without touching share data.
@@ -1871,7 +1614,7 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
   OrderedPipeline pipeline(pool_.get(), window);
 
   Status pipeline_status;
-  size_t digest_republish = 0;  // chunks whose version record gained digests
+  size_t republish = 0;  // chunks whose version record changed
   for (size_t i = 0; i < to_gather.size(); ++i) {
     slots.emplace_back();
     GatherSlot* slot = &slots.back();
@@ -1891,7 +1634,7 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
 
     auto work = [this, slot] { slot->status = GatherChunk(*slot); };
     auto on_complete = [this, slot, &version, &version_id, &result, &gather_span,
-                        &resident, &dup_ids, &copy_overlap, &digest_republish,
+                        &resident, &dup_ids, &copy_overlap, &republish,
                         whole_file]() -> Status {
       result.transfer.Append(slot->read.report);
       result.hedged_downloads += slot->read.hedged_downloads;
@@ -1901,38 +1644,21 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
       ++result.chunks_decoded;
       gather_span.AddBytes(slot->chunk.size);
 
-      // Persist this chunk's migrations into the version's ShareMap (the
-      // metadata republish happens once, after the drain).
-      if (slot->migrated > 0) {
+      // Persist this chunk's migrations and new digests into the version's
+      // ShareMap and ChunkRecord, so the republished metadata (once, after
+      // the drain) locates and authenticates the stored shares.
+      if (slot->migrated > 0 || !slot->upgraded.empty()) {
         result.migrated_shares += slot->migrated;
-        std::vector<ShareLocation> merged;
-        for (const ShareLocation& loc : version->shares) {
-          if (loc.chunk_id != slot->chunk.id) {
-            merged.push_back(loc);
-          }
-        }
-        merged.insert(merged.end(), slot->updated.begin(), slot->updated.end());
-        CYRUS_RETURN_IF_ERROR(
-            tree_.UpdateShareLocations(version->id, std::move(merged)));
-        version = tree_.Find(version_id);  // re-resolve after mutation
-      }
-      // Fold freshly derived per-share digests into the version's
-      // ChunkRecord so the republished metadata authenticates future reads.
-      if (!slot->upgraded.empty()) {
-        if (slot->chunk.share_digests.empty()) {
+        if (!slot->upgraded.empty() && slot->chunk.share_digests.empty()) {
           ++result.digest_upgraded_chunks;
           integrity_records_upgraded_->Increment();
         }
-        ++digest_republish;
-        CYRUS_RETURN_IF_ERROR(tree_.UpdateChunkShareDigests(
-            version->id, slot->chunk.id, slot->upgraded));
+        ++republish;
+        CYRUS_RETURN_IF_ERROR(AdoptTableLayouts(version_id, {slot->chunk.id}));
         version = tree_.Find(version_id);  // re-resolve after mutation
-      }
-      if ((slot->migrated > 0 || !slot->upgraded.empty()) &&
-          slot->chunk.dedup && config_.share_index != nullptr) {
-        if (const ChunkEntry* moved = chunk_table_.Find(slot->chunk.id)) {
-          (void)config_.share_index->ReplaceShares(slot->chunk.id,
-                                                   moved->shares);
+        const ChunkEntry* moved = chunk_table_.Find(slot->chunk.id);
+        if (moved != nullptr && slot->chunk.dedup && config_.share_index != nullptr) {
+          (void)config_.share_index->ReplaceShares(slot->chunk.id, moved->shares);
         }
       }
 
@@ -1961,7 +1687,7 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
   }
   CYRUS_RETURN_IF_ERROR(pipeline_status);
   gather_span.End();
-  if (result.migrated_shares > 0 || digest_republish > 0) {
+  if (republish > 0) {
     shares_migrated_->Increment(result.migrated_shares);
     obs::ScopedSpan republish_span = trace.Span("republish_meta");
     TransferReport meta_report;
@@ -2243,37 +1969,10 @@ Result<ScrubReport> CyrusClient::ScrubOnce() {
     if (affected.empty()) {
       continue;
     }
-    std::vector<ShareLocation> merged;
-    for (const ShareLocation& loc : version->shares) {
-      if (affected.count(loc.chunk_id) == 0) {
-        merged.push_back(loc);
-      }
-    }
-    std::map<Sha1Digest, std::vector<ShareDigest>> fresh_digests;
-    for (const Sha1Digest& chunk_id : affected) {
-      const ChunkEntry* entry = chunk_table_.Find(chunk_id);
-      if (entry == nullptr) {
-        continue;  // evicted between repair and republish; keep old rows out
-      }
-      std::vector<ShareDigest>& digests = fresh_digests[chunk_id];
-      for (const ChunkShare& share : entry->shares) {
-        merged.push_back(ShareLocation{chunk_id, share.share_index, share.csp});
-        if (share.has_digest()) {
-          digests.push_back(ShareDigest{share.share_index, share.digest});
-        }
-      }
-    }
     const Sha1Digest version_id = version->id;
-    CYRUS_RETURN_IF_ERROR(tree_.UpdateShareLocations(version_id, std::move(merged)));
-    for (auto& [chunk_id, digests] : fresh_digests) {
-      if (!digests.empty()) {
-        CYRUS_RETURN_IF_ERROR(tree_.UpdateChunkShareDigests(
-            version_id, chunk_id, std::move(digests)));
-      }
-    }
-    const FileVersion* refreshed = tree_.Find(version_id);
+    CYRUS_RETURN_IF_ERROR(AdoptTableLayouts(version_id, affected));
     TransferReport meta_report;
-    CYRUS_RETURN_IF_ERROR(UploadMetadata(*refreshed, meta_report));
+    CYRUS_RETURN_IF_ERROR(UploadMetadata(*tree_.Find(version_id), meta_report));
     report.transfer.Append(meta_report);
   }
   return report;

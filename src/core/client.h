@@ -37,6 +37,7 @@
 #include "src/dedup/share_index.h"
 #include "src/core/chunk_cache.h"
 #include "src/core/chunk_reader.h"
+#include "src/core/chunk_writer.h"
 #include "src/core/hash_ring.h"
 #include "src/core/hedged_fetch.h"
 #include "src/core/local_cache.h"
@@ -408,7 +409,6 @@ class CyrusClient {
   const ChunkTable& chunk_table() const { return chunk_table_; }
   const CspRegistry& registry() const { return registry_; }
   AvailabilityMonitor& availability_monitor() { return monitor_; }
-  TransferAggregator& aggregator() { return aggregator_; }
   const CyrusConfig& config() const { return config_; }
 
   // The sinks this client records into (resolved from the config's
@@ -472,42 +472,23 @@ class CyrusClient {
  private:
   explicit CyrusClient(CyrusConfig config, Chunker chunker);
 
-  // Placement candidates for new shares (cluster-aware if configured).
-  Result<std::vector<int>> PlaceShares(const Sha1Digest& chunk_id, uint32_t n) const;
+  // The codec a convergent chunk disperses under (keyed by its own
+  // content), plus this user's wrap of that key into `wrapped_key`. Fails
+  // without the deployment salt: the key would not be the one other users
+  // derive, and shares published under it would be undecodable to them.
+  // Safe on pipeline workers.
+  Result<SecretSharingCodec> ConvergentCodec(const Sha1Digest& chunk_id, uint32_t n,
+                                             Bytes& wrapped_key);
 
-  // Scatters one chunk to codec.n() CSPs; returns the share rows. Runs on
-  // a pipeline worker: it touches only thread-safe components (registry,
-  // ring, monitor, aggregator) plus caller-owned out-params; all chunk
-  // table and version bookkeeping stays on the driver thread. `trace`
-  // (nullable) receives encode/place/upload spans.
-  // `journal_id` (empty = journaling off) write-ahead-logs every placement
-  // target before its upload, so a crash mid-scatter leaves a deletable
-  // record of every object that may exist. `share_digests` (nullable)
-  // receives the SHA-1 of each successfully placed share's bytes, keyed by
-  // share index - the authentication records Put threads into the chunk
-  // table, the version metadata, and the shared ShareIndex.
-  Result<std::vector<ShareLocation>> ScatterChunk(const SecretSharingCodec& codec,
-                                                  const Sha1Digest& chunk_id,
-                                                  ByteSpan chunk,
-                                                  const std::string& file,
-                                                  const std::string& journal_id,
-                                                  std::vector<ShareDigest>* share_digests,
-                                                  TransferReport& report,
-                                                  obs::TraceBuilder* trace);
-
-  // A dedup chunk's entry vanished from the global ShareIndex (another
-  // shard's scrub reclaimed the chunk after its last release, and that
-  // scrub only consults its own chunk table - the objects may be gone).
-  // The cached local layout cannot be trusted, so re-encode and re-upload
-  // the chunk as a fresh convergent scatter (uploads are idempotent
-  // overwrites under content-addressed names), replace the stale layout in
-  // the chunk table, and publish the fresh one globally with refcount 1.
-  // Driver-thread only (runs inside an ordered pipeline completion).
-  Status RescatterDedupChunk(const Sha1Digest& chunk_id, ByteSpan chunk,
-                             uint32_t n, const std::string& file,
-                             const std::string& journal_id,
-                             TransferReport& report, obs::TraceBuilder* trace,
-                             PutResult& result);
+  // Records a freshly scattered chunk: publishes a convergent layout to the
+  // ShareIndex (refcount 1), inserts its chunk-table entry - or, with
+  // `replace`, replaces a dedup entry whose objects another shard's scrub
+  // reclaimed - and books the shares short of n as degraded-write debt.
+  // Driver-thread only.
+  Status RecordScatteredChunk(const Sha1Digest& chunk_id, uint64_t size, uint32_t n,
+                              bool convergent, Bytes wrapped_key,
+                              std::vector<ChunkShare> shares, bool replace,
+                              PutResult& result);
 
   // The one scheduler behind GetRange and whole-file Get/GetVersion:
   // assembles bytes [offset, offset+len) of `version_id` from cache hits
@@ -545,12 +526,13 @@ class CyrusClient {
   struct GatherSlot;
 
   // Reads one chunk through the ChunkReader straight into slot.dst, then
-  // lazily migrates shares off failed/removed CSPs and, when the gather
-  // changed what the CSPs store or the record predates digests, derives the
-  // authoritative digest set into slot.upgraded. Runs on a pipeline worker:
-  // the driver resolves slot.locations beforehand and folds slot.updated /
-  // slot.upgraded into the version afterwards, so this never reads the
-  // mutable FileVersion.
+  // lazily migrates shares off failed/removed CSPs through the ChunkWriter
+  // (the chunk table records the new shares with their digests). When the
+  // read healed or corrected shares, or the record predates digests, it
+  // derives the authoritative digest set into slot.upgraded. Runs on a
+  // pipeline worker: the driver resolves slot.locations beforehand and
+  // folds the chunk's table layout into the version afterwards, so this
+  // never reads the mutable FileVersion.
   Status GatherChunk(GatherSlot& slot);
 
   // Routes a failed transfer into the health machinery: with breakers on,
@@ -573,6 +555,13 @@ class CyrusClient {
   // workers can authenticate without reading the mutable chunk table.
   // Driver-thread only.
   void AugmentRecordDigests(ChunkRecord& record) const;
+
+  // Replaces the ShareMap rows and share digests `version_id` records for
+  // `chunk_ids` with the chunk table's, after lazy migration or a scrub
+  // moved shares or gave them digests. Chunks the table no longer tracks
+  // keep their rows. Driver-thread only.
+  Status AdoptTableLayouts(const Sha1Digest& version_id,
+                           const std::set<Sha1Digest>& chunk_ids);
 
   // Current share locations of a chunk: the global chunk table wins (it
   // sees migrations from other files); falls back to the version's
@@ -620,7 +609,6 @@ class CyrusClient {
   VersionTree tree_;
   ChunkTable chunk_table_;
   AvailabilityMonitor monitor_;
-  TransferAggregator aggregator_;
   // Serializes topology read-modify-write sequences (MarkCspFailed's
   // state-check + SetState + ring removal, and its recovery twin) against
   // each other. Individual registry/ring/monitor calls are already atomic;
@@ -630,8 +618,8 @@ class CyrusClient {
   // across a connector call.
   std::mutex topology_mutex_;
   // Reusable aligned share/upload buffers for the codec paths. Declared
-  // before pool_/hedge_pool_ so the worker threads (whose ScatterChunk /
-  // repair frames hold PooledBuffer handles) join before the pool dies.
+  // before pool_/hedge_pool_ so the worker threads (whose scatter / repair
+  // frames hold PooledBuffer handles) join before the pool dies.
   BufferPool codec_buffers_;
   // Decoded-chunk plaintext cache (GetRange hits skip the CSPs entirely).
   // Declared before pool_ for the same reason as codec_buffers_: the pool
@@ -670,6 +658,9 @@ class CyrusClient {
   // tasks, which read through it (unhedged, so the already-destroyed
   // fetcher_ is never touched).
   std::unique_ptr<ChunkReader> reader_;
+  // The one chunk write path: Put's scatter and dedup re-scatter, lazy
+  // migration, and the repair engine's rebuild all write through it.
+  std::unique_ptr<ChunkWriter> writer_;
   std::unique_ptr<DownloadSelector> selector_;
   // Transfer worker threads (null when transfer_concurrency == 1).
   std::unique_ptr<ThreadPool> pool_;

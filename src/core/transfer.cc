@@ -133,60 +133,4 @@ void TransferReport::Append(const TransferReport& other) {
   records.insert(records.end(), other.records.begin(), other.records.end());
 }
 
-void TransferAggregator::ExpectChunk(const std::string& file, const Sha1Digest& chunk_id,
-                                     uint32_t shares_needed) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = chunks_.emplace(chunk_id, ChunkState{shares_needed, 0});
-  if (!inserted) {
-    return;  // chunk already tracked (dedup within a file)
-  }
-  chunk_file_[chunk_id] = file;
-  ++files_[file].chunks_expected;
-}
-
-void TransferAggregator::OnShareEvent(const std::string& file, const Sha1Digest& chunk_id,
-                                      bool success) {
-  if (!success) {
-    return;
-  }
-  // Decide which completion levels fired under the lock; invoke callbacks
-  // after releasing it so they can re-enter the aggregator safely.
-  bool chunk_fired = false;
-  bool file_fired = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = chunks_.find(chunk_id);
-    if (it == chunks_.end() || it->second.done >= it->second.needed) {
-      return;  // unknown or already complete: surplus shares are fine
-    }
-    if (++it->second.done < it->second.needed) {
-      return;
-    }
-    chunk_fired = true;  // ChunkComplete just transitioned to true
-    FileState& fs = files_[file];
-    if (++fs.chunks_complete >= fs.chunks_expected && !fs.fired) {
-      fs.fired = true;
-      file_fired = true;
-    }
-  }
-  if (chunk_fired && on_chunk_complete_) {
-    on_chunk_complete_(chunk_id);
-  }
-  if (file_fired && on_file_complete_) {
-    on_file_complete_(file);
-  }
-}
-
-bool TransferAggregator::ChunkComplete(const Sha1Digest& chunk_id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = chunks_.find(chunk_id);
-  return it != chunks_.end() && it->second.done >= it->second.needed;
-}
-
-bool TransferAggregator::FileComplete(const std::string& file) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = files_.find(file);
-  return it != files_.end() && it->second.fired;
-}
-
 }  // namespace cyrus

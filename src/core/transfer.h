@@ -1,11 +1,11 @@
-// Transfer records and asynchronous completion aggregation (paper §5.3).
+// Transfer records and retrying connector calls (paper §5.3).
 //
-// Cloud connectors answer requests as asynchronous events; the CYRUS core
-// aggregates them through three levels of completion:
-//   ShareComplete - one share uploaded/downloaded,
-//   ChunkComplete - n shares uploaded or t shares downloaded for a chunk,
-//   FileComplete  - every chunk of the file complete.
-// The event types mirror the paper: PUT, GET, PUT_META, GET_META.
+// The paper's core aggregates asynchronous connector events at three
+// levels: one share, one chunk (n shares uploaded or t downloaded), and one
+// file. Here a chunk completes inside ChunkWriter::Scatter (its quorum) or
+// ChunkReader::Read (t authenticated shares), and a file when the
+// pipelined Put/Get drains. The event types mirror the paper: PUT, GET,
+// PUT_META, GET_META.
 //
 // The core also journals every request as a TransferRecord. Benchmarks feed
 // those records into the fluid network simulator (src/sim/flow_network.h)
@@ -15,14 +15,10 @@
 #define SRC_CORE_TRANSFER_H_
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "src/cloud/connector.h"
-#include "src/crypto/sha1.h"
 #include "src/obs/metrics.h"
 #include "src/util/result.h"
 #include "src/util/retry.h"
@@ -72,50 +68,6 @@ Status UploadWithRetry(CloudConnector& connector, TransferKind kind, int csp,
 Result<Bytes> DownloadWithRetry(CloudConnector& connector, TransferKind kind, int csp,
                                 const std::string& object, const RetryOptions& options,
                                 TransferReport& report);
-
-// Aggregates share-level events into chunk- and file-level completion.
-// Thread-safe: the pipelined engine feeds share events from pool threads.
-// Completion callbacks run on the thread that delivered the completing
-// event, outside the aggregator's lock.
-class TransferAggregator {
- public:
-  using ChunkCallback = std::function<void(const Sha1Digest&)>;
-  using FileCallback = std::function<void(const std::string&)>;
-
-  // Declares that `chunk_id` of `file` needs `shares_needed` successful
-  // share events (n when uploading, t when downloading).
-  void ExpectChunk(const std::string& file, const Sha1Digest& chunk_id,
-                   uint32_t shares_needed);
-
-  // Feeds one share event. Unsuccessful events do not advance completion.
-  void OnShareEvent(const std::string& file, const Sha1Digest& chunk_id, bool success);
-
-  bool ChunkComplete(const Sha1Digest& chunk_id) const;
-  bool FileComplete(const std::string& file) const;
-
-  // Install callbacks before transfers start; they are read without the
-  // lock while events are in flight.
-  void set_on_chunk_complete(ChunkCallback cb) { on_chunk_complete_ = std::move(cb); }
-  void set_on_file_complete(FileCallback cb) { on_file_complete_ = std::move(cb); }
-
- private:
-  struct ChunkState {
-    uint32_t needed = 0;
-    uint32_t done = 0;
-  };
-  struct FileState {
-    uint32_t chunks_expected = 0;
-    uint32_t chunks_complete = 0;
-    bool fired = false;
-  };
-
-  mutable std::mutex mutex_;
-  std::map<Sha1Digest, ChunkState> chunks_;
-  std::map<Sha1Digest, std::string> chunk_file_;
-  std::map<std::string, FileState> files_;
-  ChunkCallback on_chunk_complete_;
-  FileCallback on_file_complete_;
-};
 
 }  // namespace cyrus
 

@@ -82,8 +82,7 @@ Status ChunkTable::MoveShare(const Sha1Digest& chunk_id, int32_t old_csp,
       share.csp = new_csp;
       share.share_index = new_index;
       // Migration derives fresh share bytes, so the old digest never
-      // applies; callers that hashed the new bytes pass the digest along,
-      // everyone else resets it to unknown.
+      // applies.
       share.digest = new_digest;
       return OkStatus();
     }
@@ -108,16 +107,13 @@ Status ChunkTable::SetShareDigest(const Sha1Digest& chunk_id, uint32_t share_ind
                               share_index));
 }
 
-Status ChunkTable::ResetShares(const Sha1Digest& chunk_id, uint32_t t, uint32_t n,
-                               Bytes wrapped_key, std::vector<ChunkShare> shares) {
+Status ChunkTable::Replace(const Sha1Digest& chunk_id, ChunkEntry entry) {
   auto it = entries_.find(chunk_id);
   if (it == entries_.end()) {
     return NotFoundError(StrCat("chunk ", chunk_id.ToHex(), " not tracked"));
   }
-  it->second.t = t;
-  it->second.n = n;
-  it->second.wrapped_key = std::move(wrapped_key);
-  it->second.shares = std::move(shares);
+  entry.refcount = it->second.refcount;
+  it->second = std::move(entry);
   return OkStatus();
 }
 

@@ -78,10 +78,10 @@ class ChunkTable {
   // Replaces the share (old_csp, old_index) with a regenerated share
   // (new_csp, new_index) - lazy migration after CSP removal (paper §5.5 /
   // Figure 9). The index changes because migration derives a fresh share
-  // rather than re-creating the lost one byte-for-byte.
+  // rather than re-creating the lost one byte-for-byte. `new_digest` is the
+  // new share's digest; the all-zero digest records it as unknown.
   Status MoveShare(const Sha1Digest& chunk_id, int32_t old_csp, uint32_t old_index,
-                   int32_t new_csp, uint32_t new_index,
-                   const Sha1Digest& new_digest = Sha1Digest{});
+                   int32_t new_csp, uint32_t new_index, const Sha1Digest& new_digest);
 
   // Records (or corrects) the stored digest of one share. kNotFound if the
   // share index is not tracked for the chunk.
@@ -91,12 +91,11 @@ class ChunkTable {
   // Adds a share location (e.g. a regenerated share with a fresh index).
   Status AddShare(const Sha1Digest& chunk_id, ChunkShare share);
 
-  // Replaces the entry's coding parameters, per-user key wrap, and share
-  // layout wholesale. Used when a dedup chunk is re-encoded from scratch
-  // because its previous objects were reclaimed by another shard's scrub -
-  // the cached layout is void, not repairable share by share.
-  Status ResetShares(const Sha1Digest& chunk_id, uint32_t t, uint32_t n,
-                     Bytes wrapped_key, std::vector<ChunkShare> shares);
+  // Replaces a tracked entry wholesale, keeping its reference count. Used
+  // when a dedup chunk is re-encoded from scratch because its previous
+  // objects were reclaimed by another shard's scrub - the cached layout is
+  // void, not repairable share by share.
+  Status Replace(const Sha1Digest& chunk_id, ChunkEntry entry);
 
   // Drops a share location without a replacement - scrub prunes locations
   // on dead CSPs once the chunk is back at full redundancy. kNotFound if

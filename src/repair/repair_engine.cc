@@ -5,17 +5,12 @@
 #include <utility>
 
 #include "src/core/chunk_reader.h"
+#include "src/core/chunk_writer.h"
 #include "src/crypto/naming.h"
 #include "src/rs/secret_sharing.h"
 #include "src/util/strings.h"
 
 namespace cyrus {
-namespace {
-
-// Failover attempts per rebuilt share before giving up on this pass.
-constexpr int kPlacementAttempts = 3;
-
-}  // namespace
 
 RepairEngine::RepairEngine(RepairContext context, RepairEngineOptions options)
     : context_(std::move(context)), options_(std::move(options)) {
@@ -342,11 +337,13 @@ Status RepairEngine::RepairChunk(const ChunkHealth& health,
     return false;
   };
   std::vector<ShareLocation> live;
+  std::vector<int> holders;  // CSPs of live shares: the rebuild avoids them
   uint32_t max_index = 0;
   for (const ChunkShare& share : entry->shares) {
     max_index = std::max(max_index, share.share_index);
     if (!is_dead(share)) {
       live.push_back(ShareLocation{chunk_id, share.share_index, share.csp});
+      holders.push_back(share.csp);
     }
   }
   if (live.size() < t) {
@@ -391,75 +388,32 @@ Status RepairEngine::RepairChunk(const ChunkHealth& health,
   CYRUS_RETURN_IF_ERROR(read_status);
   CYRUS_ASSIGN_OR_RETURN(SecretSharingCodec codec, context_.reader->CodecFor(record));
 
-  // Re-encode the missing redundancy at fresh indices and place it through
-  // the ring, never on a CSP already holding a live share. Each rebuilt
-  // share is encoded into a pooled buffer that lives only for its upload.
+  // Re-encode the missing redundancy at fresh indices through the client's
+  // write path, never on a CSP already holding a live share.
+  CYRUS_ASSIGN_OR_RETURN(std::vector<ChunkShare> rebuilt,
+                         context_.writer->Extend(codec, chunk_id, data, max_index + 1,
+                                                 missing, std::move(holders),
+                                                 report.transfer));
+  spend(share_bytes * rebuilt.size());
+  delta.shares_rebuilt += rebuilt.size();
+  // Each rebuilt share supersedes one dead location; extras beyond the dead
+  // list widen the scatter to the new target n.
   std::vector<ChunkShare> dead_left = dead;
-  std::vector<int> exclude;
-  for (const ShareLocation& share : live) {
-    exclude.push_back(share.csp);
+  for (const ChunkShare& fresh : rebuilt) {
+    if (dead_left.empty()) {
+      CYRUS_RETURN_IF_ERROR(context_.chunk_table->AddShare(chunk_id, fresh));
+      continue;
+    }
+    const ChunkShare old = dead_left.back();
+    dead_left.pop_back();
+    CYRUS_RETURN_IF_ERROR(context_.chunk_table->MoveShare(
+        chunk_id, old.csp, old.share_index, fresh.csp, fresh.share_index, fresh.digest));
   }
-  uint32_t rebuilt = 0;
-  for (uint32_t k = 0; k < missing; ++k) {
-    const uint32_t new_index = ++max_index;
-    if (new_index >= kMaxShares) {
-      break;
-    }
-    PooledBuffer fresh_buf =
-        context_.reader->buffers().Acquire(std::max<uint64_t>(share_bytes, 1));
-    const MutableByteSpan fresh = fresh_buf.span(share_bytes);
-    CYRUS_RETURN_IF_ERROR(codec.EncodeShareInto(data, new_index, fresh));
-    bool placed = false;
-    for (int attempt = 0; attempt < kPlacementAttempts && !placed; ++attempt) {
-      auto replacement = context_.ring->SelectCspsExcluding(chunk_id, 1, exclude);
-      if (!replacement.ok()) {
-        break;  // no CSP left to hold this share
-      }
-      const int target = replacement->front();
-      auto conn = context_.registry->connector(target);
-      if (!conn.ok()) {
-        exclude.push_back(target);
-        continue;
-      }
-      const std::string object = ShareName(chunk_id, new_index, t);
-      Status upload = UploadWithRetry(**conn, TransferKind::kPut, target, object,
-                                      fresh, options_.retry, report.transfer);
-      if (!upload.ok()) {
-        if (upload.code() == StatusCode::kUnavailable && context_.mark_csp_failed) {
-          (void)context_.mark_csp_failed(target);
-        }
-        exclude.push_back(target);
-        continue;
-      }
-      spend(fresh.size());
-      exclude.push_back(target);
-      if (context_.monitor != nullptr && context_.now) {
-        context_.monitor->RecordProbe(target, context_.now(), true);
-      }
-      // Each rebuilt share supersedes one dead location; extras beyond the
-      // dead list widen the scatter to the new target n.
-      if (!dead_left.empty()) {
-        const ChunkShare old = dead_left.back();
-        dead_left.pop_back();
-        CYRUS_RETURN_IF_ERROR(context_.chunk_table->MoveShare(
-            chunk_id, old.csp, old.share_index, target, new_index));
-      } else {
-        CYRUS_RETURN_IF_ERROR(context_.chunk_table->AddShare(
-            chunk_id, ChunkShare{new_index, target}));
-      }
-      ++rebuilt;
-      placed = true;
-    }
-    if (!placed) {
-      break;  // capacity exhausted; the rest stays degraded until CSPs return
-    }
-  }
-  delta.shares_rebuilt += rebuilt;
 
   // Once the chunk is back at target, the leftover dead locations are
   // stale bookkeeping (their CSPs are gone or their objects vanished);
   // prune them so the next scan sees a clean entry.
-  const uint32_t live_now = static_cast<uint32_t>(live.size()) + rebuilt;
+  const uint32_t live_now = static_cast<uint32_t>(live.size() + rebuilt.size());
   if (live_now >= health.n_target) {
     for (const ChunkShare& old : dead_left) {
       if (context_.chunk_table->RemoveShare(chunk_id, old.csp, old.share_index).ok()) {
@@ -670,7 +624,7 @@ void RepairEngine::IntegrityPass(uint64_t* budget_left, ScrubReport& report,
 
 Result<ScrubReport> RepairEngine::ScrubOnce(obs::TraceBuilder* trace) {
   if (context_.chunk_table == nullptr || context_.registry == nullptr ||
-      context_.ring == nullptr || context_.reader == nullptr) {
+      context_.reader == nullptr || context_.writer == nullptr) {
     return FailedPreconditionError("repair engine context is incomplete");
   }
   ScrubReport report;

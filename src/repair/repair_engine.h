@@ -18,11 +18,11 @@
 //                above t, then most missing redundancy, then largest): the
 //                chunk is read from t surviving shares through the client's
 //                ChunkReader (digest-checked, healed), fresh shares at new
-//                indices are encoded and placed through the HashRing on
-//                CSPs not yet holding one, and the ChunkTable is updated.
-//                Transfers run
-//                on the shared ThreadPool; a per-pass bandwidth budget and
-//                repair cap bound the traffic a scrub may add.
+//                indices are written through the client's ChunkWriter onto
+//                CSPs not yet holding one, and the ChunkTable records them
+//                with their digests. Reads run on the shared ThreadPool; a
+//                per-pass bandwidth budget and repair cap bound the traffic
+//                a scrub may add.
 //
 // The engine mutates the chunk table but never file metadata; the owning
 // CyrusClient republishes metadata for versions whose chunks moved (see
@@ -38,7 +38,6 @@
 
 #include "src/cloud/availability.h"
 #include "src/cloud/registry.h"
-#include "src/core/hash_ring.h"
 #include "src/core/transfer.h"
 #include "src/dedup/share_index.h"
 #include "src/meta/chunk_table.h"
@@ -51,6 +50,7 @@
 namespace cyrus {
 
 class ChunkReader;
+class ChunkWriter;
 
 struct RepairEngineOptions {
   // Most chunks repaired per ScrubOnce pass; 0 = unlimited. The rest stay
@@ -135,13 +135,15 @@ struct RepairContext {
   // surviving shares through it (per-chunk keys, digest checks, error
   // correction, in-place heals, pooled buffers).
   ChunkReader* reader = nullptr;
+  // The client's chunk write path: repair rebuilds place and upload fresh
+  // shares through it (ring placement, failover, breaker-routed failures,
+  // share digests).
+  ChunkWriter* writer = nullptr;
   CspRegistry* registry = nullptr;
-  HashRing* ring = nullptr;
   ChunkTable* chunk_table = nullptr;
   AvailabilityMonitor* monitor = nullptr;
   ThreadPool* pool = nullptr;
   bool cluster_aware = false;
-  uint32_t t = 0;                              // config threshold (metadata fallback)
   std::function<double()> now;
   std::function<Status(int)> mark_csp_failed;
   std::function<Result<uint32_t>()> current_n;  // Eq. (1) for the active set

@@ -4,8 +4,8 @@
 // The paper's prototype runs uploads/downloads on dedicated threads with an
 // asynchronous event receiver (§5.3, architecture component 3). CYRUS's
 // client uses this pool to issue the per-share connector calls of one
-// chunk concurrently; completion events flow back through the
-// TransferAggregator exactly as in the synchronous path.
+// chunk concurrently (ChunkWriter's first upload pass, ChunkReader's
+// primary downloads).
 //
 // Two primitives sit on top of the raw pool:
 //

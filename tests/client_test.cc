@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 
 #include "src/cloud/simulated_csp.h"
 #include "src/core/client.h"
+#include "src/crypto/naming.h"
 #include "src/meta/metadata.h"
 #include "src/util/rng.h"
 #include "src/util/strings.h"
@@ -451,12 +453,45 @@ TEST(ClientTest, LazyMigrationAfterCspRemoval) {
     }
   }
   ASSERT_GE(victim, 0);
+  std::set<std::pair<Sha1Digest, uint32_t>> before;
+  for (const Sha1Digest& id : cloud.client->chunk_table().AllChunkIds()) {
+    for (const ChunkShare& s : cloud.client->chunk_table().Find(id)->shares) {
+      before.emplace(id, s.share_index);
+    }
+  }
   ASSERT_TRUE(cloud.client->RemoveCsp(victim).ok());
 
   auto get = cloud.client->Get("doc");
   ASSERT_TRUE(get.ok()) << get.status();
   EXPECT_EQ(get->content, content);
   EXPECT_GT(get->migrated_shares, 0u);
+
+  // Every migrated share carries the digest of the bytes its CSP stores, in
+  // the chunk table and in the republished version record.
+  const FileVersion* version = cloud.client->tree().Find(get->version_id);
+  ASSERT_NE(version, nullptr);
+  size_t migrated = 0;
+  for (const Sha1Digest& id : cloud.client->chunk_table().AllChunkIds()) {
+    const ChunkEntry* entry = cloud.client->chunk_table().Find(id);
+    for (const ChunkShare& s : entry->shares) {
+      if (before.count({id, s.share_index}) > 0) {
+        continue;
+      }
+      ++migrated;
+      ASSERT_TRUE(s.has_digest()) << "migrated share " << s.share_index;
+      auto stored = cloud.csps[s.csp]->Download(ShareName(id, s.share_index, entry->t));
+      ASSERT_TRUE(stored.ok()) << stored.status();
+      EXPECT_EQ(s.digest, Sha1::Hash(*stored));
+      for (const ChunkRecord& chunk : version->chunks) {
+        if (chunk.id == id) {
+          const Sha1Digest* recorded = chunk.FindShareDigest(s.share_index);
+          ASSERT_NE(recorded, nullptr);
+          EXPECT_EQ(*recorded, s.digest);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(migrated, get->migrated_shares);
 
   // After migration no chunk lists the removed CSP any more, and a second
   // download performs no further migrations.
@@ -515,16 +550,6 @@ TEST(ClientTest, ClusterAwarePlacementRespectsClusters) {
       EXPECT_FALSE(on0 && on1) << "chunk on both CSPs of platform 0";
     }
   }
-}
-
-TEST(ClientTest, TransferAggregatorReportsFileComplete) {
-  TestCloud cloud = MakeCloud();
-  std::vector<std::string> completed;
-  cloud.client->aggregator().set_on_file_complete(
-      [&](const std::string& f) { completed.push_back(f); });
-  ASSERT_TRUE(cloud.client->Put("tracked", RandomContent(8 * 1024, 26)).ok());
-  ASSERT_EQ(completed.size(), 1u);
-  EXPECT_EQ(completed[0], "tracked");
 }
 
 TEST(ClientTest, UploadFailureFallsBackToAnotherCsp) {

@@ -234,7 +234,7 @@ TEST(HashRingTest, ExclusionRespected) {
   }
 }
 
-// --- TransferReport / TransferAggregator ---
+// --- TransferReport ---
 
 TEST(TransferReportTest, Accounting) {
   TransferReport report;
@@ -256,58 +256,6 @@ TEST(TransferReportTest, Accounting) {
 TEST(TransferKindTest, Names) {
   EXPECT_EQ(TransferKindName(TransferKind::kPut), "PUT");
   EXPECT_EQ(TransferKindName(TransferKind::kGetMeta), "GET_META");
-}
-
-TEST(TransferAggregatorTest, ChunkThenFileCompletion) {
-  TransferAggregator agg;
-  int chunk_events = 0, file_events = 0;
-  agg.set_on_chunk_complete([&](const Sha1Digest&) { ++chunk_events; });
-  agg.set_on_file_complete([&](const std::string&) { ++file_events; });
-
-  agg.ExpectChunk("f", Id("c1"), 2);
-  agg.ExpectChunk("f", Id("c2"), 2);
-
-  agg.OnShareEvent("f", Id("c1"), true);
-  EXPECT_FALSE(agg.ChunkComplete(Id("c1")));
-  agg.OnShareEvent("f", Id("c1"), true);
-  EXPECT_TRUE(agg.ChunkComplete(Id("c1")));
-  EXPECT_EQ(chunk_events, 1);
-  EXPECT_FALSE(agg.FileComplete("f"));
-
-  agg.OnShareEvent("f", Id("c2"), true);
-  agg.OnShareEvent("f", Id("c2"), true);
-  EXPECT_TRUE(agg.FileComplete("f"));
-  EXPECT_EQ(file_events, 1);
-  EXPECT_EQ(chunk_events, 2);
-}
-
-TEST(TransferAggregatorTest, FailedEventsDoNotCount) {
-  TransferAggregator agg;
-  agg.ExpectChunk("f", Id("c"), 1);
-  agg.OnShareEvent("f", Id("c"), false);
-  EXPECT_FALSE(agg.ChunkComplete(Id("c")));
-  agg.OnShareEvent("f", Id("c"), true);
-  EXPECT_TRUE(agg.ChunkComplete(Id("c")));
-}
-
-TEST(TransferAggregatorTest, SurplusEventsIgnored) {
-  TransferAggregator agg;
-  int file_events = 0;
-  agg.set_on_file_complete([&](const std::string&) { ++file_events; });
-  agg.ExpectChunk("f", Id("c"), 1);
-  agg.OnShareEvent("f", Id("c"), true);
-  agg.OnShareEvent("f", Id("c"), true);  // duplicate completion
-  EXPECT_EQ(file_events, 1);
-}
-
-TEST(TransferAggregatorTest, DuplicateExpectIsNoop) {
-  TransferAggregator agg;
-  agg.ExpectChunk("f", Id("c"), 2);
-  agg.ExpectChunk("f", Id("c"), 5);  // ignored: first expectation wins
-  agg.OnShareEvent("f", Id("c"), true);
-  agg.OnShareEvent("f", Id("c"), true);
-  EXPECT_TRUE(agg.ChunkComplete(Id("c")));
-  EXPECT_TRUE(agg.FileComplete("f"));
 }
 
 }  // namespace

@@ -466,10 +466,11 @@ TEST(ChunkTableTest, MoveShare) {
   ChunkEntry entry;
   entry.shares = {{0, 5}, {1, 6}};
   ASSERT_TRUE(table.Insert(Id("c"), entry).ok());
-  ASSERT_TRUE(table.MoveShare(Id("c"), 5, 0, 9, 7).ok());
+  ASSERT_TRUE(table.MoveShare(Id("c"), 5, 0, 9, 7, Sha1Digest{}).ok());
   EXPECT_EQ(table.Find(Id("c"))->shares[0].csp, 9);
   EXPECT_EQ(table.Find(Id("c"))->shares[0].share_index, 7u);
-  EXPECT_EQ(table.MoveShare(Id("c"), 5, 0, 9, 7).code(), StatusCode::kNotFound);
+  EXPECT_EQ(table.MoveShare(Id("c"), 5, 0, 9, 7, Sha1Digest{}).code(),
+            StatusCode::kNotFound);
 }
 
 TEST(ChunkTableTest, AddShareRejectsDuplicateIndex) {
@@ -611,9 +612,9 @@ TEST(ChunkTableTest, ShareDigestsRoundTrip) {
   EXPECT_FALSE(e->shares[1].has_digest());  // all-zero sentinel = unknown
   EXPECT_TRUE(e->shares[2].has_digest());
 
-  // MoveShare to a new index without a fresh digest clears the stale one
+  // MoveShare to a new index with the unknown digest clears the stale one
   // (index i's bytes differ from index j's); with a digest, it adopts it.
-  ASSERT_TRUE(back->MoveShare(Id("cs"), 5, 0, 8, 3).ok());
+  ASSERT_TRUE(back->MoveShare(Id("cs"), 5, 0, 8, 3, Sha1Digest{}).ok());
   EXPECT_FALSE(back->Find(Id("cs"))->shares[0].has_digest());
   ASSERT_TRUE(back->MoveShare(Id("cs"), 7, 2, 9, 4, Id("sd-4")).ok());
   const ChunkShare& moved = back->Find(Id("cs"))->shares[2];

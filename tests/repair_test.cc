@@ -10,6 +10,7 @@
 #include "src/cloud/fault_injection.h"
 #include "src/cloud/simulated_csp.h"
 #include "src/core/client.h"
+#include "src/crypto/naming.h"
 #include "src/meta/metadata.h"
 #include "src/util/retry.h"
 #include "src/util/rng.h"
@@ -292,6 +293,62 @@ TEST(RepairTest, SecondScrubPassIsIdempotent) {
   EXPECT_EQ(second->stats.chunks_repaired, 0u);
   EXPECT_EQ(second->stats.bytes_moved, 0u);
   EXPECT_TRUE(second->repaired_chunks.empty());
+}
+
+TEST(RepairTest, RebuiltSharesCarryDigests) {
+  RepairCloud cloud = MakeCloud();
+  ASSERT_TRUE(cloud.client->Put("a.bin", RandomContent(16 * 1024, 5)).ok());
+  cloud.stores[4]->set_available(false);
+  auto scrub = cloud.client->ScrubOnce();
+  ASSERT_TRUE(scrub.ok()) << scrub.status();
+  ASSERT_GT(scrub->stats.shares_rebuilt, 0u);
+
+  // Every share of every chunk - rebuilt ones included - is recorded with
+  // the SHA-1 of the object its CSP actually stores.
+  const ChunkTable& table = cloud.client->chunk_table();
+  size_t shares = 0;
+  for (const Sha1Digest& id : table.AllChunkIds()) {
+    const ChunkEntry* entry = table.Find(id);
+    for (const ChunkShare& share : entry->shares) {
+      ++shares;
+      ASSERT_NE(share.csp, 4) << "dead location survived the repair";
+      ASSERT_TRUE(share.has_digest())
+          << "chunk " << id.ToHex() << " share " << share.share_index;
+      auto stored =
+          cloud.stores[share.csp]->Download(ShareName(id, share.share_index, entry->t));
+      ASSERT_TRUE(stored.ok()) << stored.status();
+      EXPECT_EQ(share.digest, Sha1::Hash(*stored));
+    }
+  }
+  EXPECT_GT(shares, 0u);
+
+  // The republished metadata carries them: a fresh device over the
+  // surviving CSPs recovers a digest for every share index it learns about.
+  auto second = CyrusClient::Create(SmallConfig("device-2"));
+  ASSERT_TRUE(second.ok());
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(
+        (*second)->AddCsp(cloud.faults[i], CspProfile{}, Credentials{"token"}).ok());
+  }
+  ASSERT_TRUE((*second)->Recover().ok());
+  for (const FileVersion* version : (*second)->tree().AllVersions()) {
+    for (const ChunkRecord& chunk : version->chunks) {
+      for (const ShareLocation& loc : version->SharesOfChunk(chunk.id)) {
+        EXPECT_NE(chunk.FindShareDigest(loc.share_index), nullptr)
+            << "chunk " << chunk.id.ToHex() << " share " << loc.share_index;
+      }
+    }
+  }
+
+  // Nothing looks legacy to the integrity sweep, so it upgrades nothing.
+  RepairEngineOptions options = cloud.client->repair_engine().options();
+  options.integrity_samples_per_pass = 1000;
+  cloud.client->repair_engine().set_options(options);
+  auto sweep = cloud.client->ScrubOnce();
+  ASSERT_TRUE(sweep.ok()) << sweep.status();
+  EXPECT_GT(sweep->stats.shares_integrity_checked, 0u);
+  EXPECT_EQ(sweep->stats.records_upgraded, 0u);
+  EXPECT_EQ(sweep->stats.integrity_failures, 0u);
 }
 
 TEST(RepairTest, ScrubCatchesSilentObjectLoss) {
