@@ -88,18 +88,36 @@ void BM_HashRingSelect(benchmark::State& state) {
 }
 BENCHMARK(BM_HashRingSelect);
 
+// Row kinds: ring = 0 puts every chunk on all 7 CSPs (4 fast, 3 slow) with
+// 0.5-4 MB shares; ring = 1 is the perfbench shape, 5 CSPs (3 x 15 MB/s,
+// 2 x 2 MB/s) with each chunk on 4 of them and 16-600 KB shares.
 void BM_DownloadSelection(benchmark::State& state) {
   const size_t chunks = static_cast<size_t>(state.range(0));
+  const bool ring = state.range(1) != 0;
   Rng rng(12);
   DownloadProblem problem;
   problem.t = 2;
-  for (int c = 0; c < 7; ++c) {
-    problem.csp_bandwidth.push_back(c < 4 ? 15e6 : 2e6);
+  if (ring) {
+    problem.csp_bandwidth = {15e6, 15e6, 15e6, 2e6, 2e6};
+  } else {
+    for (int c = 0; c < 7; ++c) {
+      problem.csp_bandwidth.push_back(c < 4 ? 15e6 : 2e6);
+    }
   }
   for (size_t r = 0; r < chunks; ++r) {
     DownloadChunk chunk;
-    chunk.share_bytes = rng.NextDouble(0.5e6, 4e6);
-    chunk.stored_at = {0, 1, 2, 3, 4, 5, 6};
+    if (ring) {
+      chunk.share_bytes = rng.NextDouble(16e3, 600e3);
+      const int missing = static_cast<int>(rng.NextBelow(5));
+      for (int c = 0; c < 5; ++c) {
+        if (c != missing) {
+          chunk.stored_at.push_back(c);
+        }
+      }
+    } else {
+      chunk.share_bytes = rng.NextDouble(0.5e6, 4e6);
+      chunk.stored_at = {0, 1, 2, 3, 4, 5, 6};
+    }
     problem.chunks.push_back(chunk);
   }
   OptimalDownloadSelector selector;
@@ -108,7 +126,15 @@ void BM_DownloadSelection(benchmark::State& state) {
   }
   state.counters["chunks"] = static_cast<double>(chunks);
 }
-BENCHMARK(BM_DownloadSelection)->Arg(1)->Arg(4)->Arg(13)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DownloadSelection)
+    ->ArgNames({"chunks", "ring"})
+    ->Args({1, 0})
+    ->Args({4, 0})
+    ->Args({13, 0})
+    ->Args({64, 1})
+    ->Args({500, 1})
+    ->Args({2000, 1})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -36,9 +36,11 @@
 #                                   #   (pipeline, degraded, repair, the
 #                                   #   10k-client gateway soak, the
 #                                   #   cross-user dedup economics run, the
-#                                   #   integrity chaos bar, and the fig12
+#                                   #   integrity chaos bar, the fig12
 #                                   #   codec gate with its >=10x AVX2
-#                                   #   kernel bar), then a strict delta
+#                                   #   kernel bar, and the download-
+#                                   #   selector quality bar vs the exact
+#                                   #   MILP), then a strict delta
 #                                   #   gate vs bench/baselines/
 #   scripts/check.sh --tsan         # ThreadSanitizer build of the stress
 #                                   #   battery + gateway concurrency tests
@@ -145,11 +147,13 @@ if [[ "$RUN_INTEGRITY" == 1 ]]; then
 fi
 
 if [[ "$RUN_BENCH" == 1 ]]; then
-  echo "== bench: pipeline / degraded / repair / gateway / dedup / integrity bars =="
+  echo "== bench: pipeline / degraded / repair / gateway / dedup / integrity / selector bars =="
   # Each binary enforces its own hard bars and exits non-zero on a miss
   # (e.g. pipelined Put slower than sequential, gateway probe p99 blowing
   # the 1.5x isolation bar under 2x overload, any Get surfacing corrupt
-  # plaintext in the integrity chaos run).
+  # plaintext in the integrity chaos run, the download selector's mean
+  # ratio to the exact optimum above greedy-fastest's or the per-chunk
+  # fixing loop's).
   (cd build &&
     ./bench/bench_pipeline &&
     ./bench/bench_degraded &&
@@ -158,7 +162,8 @@ if [[ "$RUN_BENCH" == 1 ]]; then
     ./bench/bench_dedup &&
     ./bench/bench_streaming &&
     ./bench/bench_integrity &&
-    ./bench/bench_fig12_erasure)
+    ./bench/bench_fig12_erasure &&
+    ./bench/bench_ablation_selector)
   echo "== bench: delta vs bench/baselines (strict past 50%) =="
   # --strict turns gross movements into failures; the loose 50% threshold
   # keeps scheduler-level timing jitter advisory while still catching real

@@ -276,6 +276,14 @@ CyrusClient::CyrusClient(CyrusConfig config, Chunker chunker)
                                         "chunk scatter (one per Put, not per chunk)");
   range_gets_total_ = metrics_->GetCounter("cyrus_client_range_gets_total", {},
                                            "GetRange operations attempted");
+  constexpr std::string_view kSelectFallbackHelp =
+      "Gathers whose sources the reader's fallback walk picked because the "
+      "download selector failed (reason=error) or a chunk was encoded with "
+      "another t (reason=mixed_t)";
+  select_fallbacks_error_ = metrics_->GetCounter(
+      "cyrus_download_select_fallbacks_total", {{"reason", "error"}}, kSelectFallbackHelp);
+  select_fallbacks_mixed_t_ = metrics_->GetCounter(
+      "cyrus_download_select_fallbacks_total", {{"reason", "mixed_t"}}, kSelectFallbackHelp);
   readahead_issued_ = metrics_->GetCounter("cyrus_readahead_issued_total", {},
                                            "Chunk prefetches handed to the pool");
   readahead_completed_ = metrics_->GetCounter(
@@ -1587,11 +1595,12 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
     problem.chunks.push_back(std::move(dc));
   }
   std::vector<std::vector<int>> selections(to_gather.size());
-  if (optimizable) {
-    auto assignment = selector_->Select(problem);
-    if (assignment.ok()) {
-      selections = assignment->selected;
-    }
+  if (!optimizable) {
+    select_fallbacks_mixed_t_->Increment();
+  } else if (auto assignment = selector_->Select(problem); assignment.ok()) {
+    selections = std::move(assignment->selected);
+  } else {
+    select_fallbacks_error_->Increment();
   }
   select_span.End();
 

@@ -700,6 +700,9 @@ class CyrusClient {
   obs::Counter* shares_migrated_ = nullptr;
   obs::Counter* codec_creates_ = nullptr;
   obs::Counter* range_gets_total_ = nullptr;
+  // Gathers planned by the reader's fallback walk instead of the selector.
+  obs::Counter* select_fallbacks_error_ = nullptr;
+  obs::Counter* select_fallbacks_mixed_t_ = nullptr;
   obs::Counter* readahead_issued_ = nullptr;
   obs::Counter* readahead_completed_ = nullptr;
   obs::Counter* readahead_cancelled_ = nullptr;

@@ -5,14 +5,18 @@
 //
 // The paper convexifies the min-max program (5)-(7) with a linear
 // over-estimator of d^(1/2) and then fixes one chunk's selection variables
-// to integers at a time via branch-and-bound. We keep Algorithm 1's exact
-// skeleton (relax -> fix bandwidths -> integerize chunk eta -> repeat) but
-// solve the relaxation exactly: for any share assignment d, the optimal
+// to integers at a time via branch-and-bound. We keep Algorithm 1's
+// relaxation but solve it exactly: for any share assignment d, the optimal
 // static bandwidth split gives completion time
 //     y(d) = max( sum_c L_c(d) / beta,  max_c L_c(d) / beta_bar_c ),
 // where L_c is the load placed on CSP c - and y(d) is a maximum of linear
-// functions of d, so minimizing it is a plain LP. This is a tighter
-// relaxation than the paper's over-estimator with the same structure.
+// functions of d, so minimizing it is a plain LP. Since y depends on d only
+// through the loads, the LP needs one fraction vector per distinct holder
+// set (at most C(C, n) of them), not one per chunk: it is solved once per
+// Select, whatever R is. Its optimum y* bounds every assignment from below.
+// Rounding: two integral starts (the relaxation's per-set loads dealt out
+// chunk by chunk, and a size-ordered load-balancing greedy), each improved
+// by a bounded local search of single-share moves and pairwise swaps.
 #ifndef SRC_OPT_DOWNLOAD_SELECTOR_H_
 #define SRC_OPT_DOWNLOAD_SELECTOR_H_
 
@@ -49,6 +53,9 @@ struct DownloadAssignment {
   std::vector<double> allocated_bandwidth;
   // Completion-time estimate under the static-allocation model.
   double predicted_seconds = 0.0;
+  // A lower bound on predicted_seconds over every feasible assignment (the
+  // relaxation's optimum y*); 0 from selectors that do not compute one.
+  double lower_bound_seconds = 0.0;
 };
 
 // Computes the model completion time and bandwidth split for a fixed
@@ -63,15 +70,14 @@ class DownloadSelector {
   virtual Result<DownloadAssignment> Select(const DownloadProblem& problem) = 0;
 
  protected:
-  // Validates chunk feasibility (each chunk stored on >= t CSPs with known
-  // bandwidth); shared by implementations.
+  // Validates chunk feasibility (each chunk stored on >= t distinct CSPs
+  // with known bandwidth); shared by implementations.
   static Status Validate(const DownloadProblem& problem);
 };
 
-// CYRUS's optimizer: LP relaxation + per-chunk branch-and-bound (Algorithm 1).
-// Beyond a chunk-count cap the exact phase is replaced by a load-aware
-// greedy pass (same fixing order, O(R*C log C)) so selection never
-// dominates the download it plans; see kMaxExactChunks in the .cc.
+// CYRUS's optimizer: Algorithm 1's relaxation solved once over holder sets,
+// rounded by local search from two starts (see the file comment). Fills
+// lower_bound_seconds with the relaxation's optimum.
 class OptimalDownloadSelector : public DownloadSelector {
  public:
   std::string_view name() const override { return "cyrus"; }
@@ -110,7 +116,7 @@ class GreedyFastestDownloadSelector : public DownloadSelector {
 // Exact one-shot solver: every d variable binary in a single
 // branch-and-bound. Globally optimal under the static-allocation model but
 // exponential in the worst case and not online - the ablation baseline
-// that Algorithm 1's per-chunk fixing trades against
+// the relaxation-and-rounding selector trades against
 // (bench_ablation_selector).
 class ExactMilpDownloadSelector : public DownloadSelector {
  public:

@@ -1,9 +1,9 @@
 // A dense two-phase primal simplex LP solver.
 //
 // This is the optimization substrate behind CYRUS's downlink CSP selection
-// (paper §4.3, Algorithm 1). Problems there are small (variables = chunks x
-// CSPs for one file transfer), so a dense tableau with Bland's anti-cycling
-// rule is simple, robust, and fast enough.
+// (paper §4.3, Algorithm 1). Problems there are small (variables = distinct
+// holder sets x CSPs for one file transfer), so a dense tableau with
+// Bland's anti-cycling rule is simple, robust, and fast enough.
 //
 // Problem form:   minimize    c . x
 //                 subject to  a_i . x  (<= | = | >=)  b_i   for each row i

@@ -1,9 +1,8 @@
 // Branch-and-bound for LPs with binary {0,1} variables.
 //
-// CYRUS's download selector (Algorithm 1) imposes integrality on one chunk's
-// CSP-selection variables at a time, so the binary set is small (= number of
-// CSPs) and depth-first branch-and-bound over the LP relaxation is exact and
-// fast.
+// Depth-first branch-and-bound over the LP relaxation. Exact, but
+// exponential in the number of binaries: it backs the one-shot
+// ExactMilpDownloadSelector ablation baseline, not the online selector.
 #ifndef SRC_OPT_MILP_H_
 #define SRC_OPT_MILP_H_
 

@@ -722,6 +722,36 @@ TEST(ClientTest, PutCreatesTheScatterCodecOncePerFile) {
   EXPECT_EQ(get->content, content);
 }
 
+// A selector that always fails, to exercise the reader's fallback walk.
+class FailingSelector : public DownloadSelector {
+ public:
+  std::string_view name() const override { return "failing"; }
+  Result<DownloadAssignment> Select(const DownloadProblem&) override {
+    return InternalError("selector unavailable");
+  }
+};
+
+TEST(ClientTest, SelectorErrorFallsBackAndIsCounted) {
+  obs::MetricsRegistry registry;
+  CyrusConfig config = SmallConfig();
+  config.metrics = &registry;
+  TestCloud cloud = MakeCloud(std::move(config));
+  const Bytes content = RandomContent(8 * 1024, 31);
+  ASSERT_TRUE(cloud.client->Put("fallback", content).ok());
+  cloud.client->set_download_selector(std::make_unique<FailingSelector>());
+  obs::Counter* errors = registry.GetCounter("cyrus_download_select_fallbacks_total",
+                                             {{"reason", "error"}});
+  obs::Counter* mixed_t = registry.GetCounter("cyrus_download_select_fallbacks_total",
+                                              {{"reason", "mixed_t"}});
+  const uint64_t before = errors->value();
+
+  auto get = cloud.client->Get("fallback");
+  ASSERT_TRUE(get.ok()) << get.status();
+  EXPECT_EQ(get->content, content);
+  EXPECT_EQ(errors->value() - before, 1u);
+  EXPECT_EQ(mixed_t->value(), 0u);
+}
+
 TEST(ClientTest, PipelineMetricsTrackSubmittedChunks) {
   obs::MetricsRegistry registry;
   CyrusConfig config = SmallConfig();
