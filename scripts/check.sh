@@ -30,7 +30,10 @@
 #                                   #   CSP isolation, breaker weighting /
 #                                   #   quarantine, legacy combinatorial
 #                                   #   upgrade, scrub bit-rot healing,
-#                                   #   the chunk read and write paths
+#                                   #   the chunk read and write paths,
+#                                   #   and the metadata store (object
+#                                   #   format, straggler generations,
+#                                   #   malformed metadata, List counts)
 #   scripts/check.sh --all          # every labeled suite
 #   scripts/check.sh --bench        # + bench binaries with hard bars
 #                                   #   (pipeline, degraded, repair, the

@@ -9,52 +9,10 @@
 
 #include "src/core/reliability.h"
 #include "src/crypto/naming.h"
-#include "src/meta/serialize.h"
-#include "src/rs/secret_sharing.h"
 #include "src/util/strings.h"
 
 namespace cyrus {
 namespace {
-
-// Wraps payload bytes in a length-prefixed envelope so the secret-sharing
-// padding can be trimmed without tracking the exact plaintext size.
-Bytes WrapEnvelope(ByteSpan payload) {
-  BinaryWriter w;
-  w.WriteU32(static_cast<uint32_t>(payload.size()));
-  Bytes out = w.TakeData();
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
-}
-
-Result<Bytes> UnwrapEnvelope(ByteSpan envelope) {
-  BinaryReader r(envelope);
-  CYRUS_ASSIGN_OR_RETURN(uint32_t len, r.ReadU32());
-  if (len > r.remaining()) {
-    return DataLossError("metadata envelope length exceeds payload");
-  }
-  return Bytes(envelope.begin() + 4, envelope.begin() + 4 + len);
-}
-
-// Metadata share object name: "<base>.<index>.<generation>".
-//
-// The index must be recoverable by other clients; unlike chunk shares,
-// metadata shares embed it in the name (confidentiality still requires
-// meta_t shares from distinct CSPs plus the user's key string).
-//
-// The generation tags which *rewrite* of the metadata a share belongs to:
-// a version's metadata is republished after share migration, and a CSP
-// that was unreachable during the republish still holds a share of the old
-// plaintext. Mixing generations would decode garbage, so readers group
-// shares by generation and decode within one.
-std::string MetaShareName(const std::string& base, uint32_t index,
-                          std::string_view generation) {
-  return StrCat(base, ".", index, ".", generation);
-}
-
-// Short content tag for a metadata envelope (8 hex chars).
-std::string MetaGeneration(ByteSpan envelope) {
-  return Sha1::Hash(envelope).ToHex().substr(0, 8);
-}
 
 // Observes the enclosing scope's wall time into a latency histogram on
 // every exit path, error returns included.
@@ -75,82 +33,10 @@ class LatencyRecorder {
   std::chrono::steady_clock::time_point start_;
 };
 
-// Parses "<base>.<index>.<generation>"; returns false for other names.
-bool ParseMetaShareName(std::string_view object, std::string* base, uint32_t* index,
-                        std::string* generation) {
-  const size_t gen_dot = object.rfind('.');
-  if (gen_dot == std::string_view::npos || gen_dot + 1 >= object.size()) {
-    return false;
-  }
-  const size_t idx_dot = object.rfind('.', gen_dot - 1);
-  if (idx_dot == std::string_view::npos || idx_dot + 1 >= gen_dot) {
-    return false;
-  }
-  uint32_t value = 0;
-  for (size_t i = idx_dot + 1; i < gen_dot; ++i) {
-    if (object[i] < '0' || object[i] > '9') {
-      return false;
-    }
-    value = value * 10 + static_cast<uint32_t>(object[i] - '0');
-  }
-  *base = std::string(object.substr(0, idx_dot));
-  *index = value;
-  *generation = std::string(object.substr(gen_dot + 1));
-  return true;
-}
-
-// Live (undeleted) heads of `name`.
-std::vector<const FileVersion*> LiveHeads(const VersionTree& tree,
-                                          std::string_view name) {
-  std::vector<const FileVersion*> live;
-  for (const FileVersion* head : tree.Heads(name)) {
-    if (!head->deleted) {
-      live.push_back(head);
-    }
-  }
-  return live;
-}
-
-// Live heads of `name` into *live, returning the newest-winner; fails with
-// NotFound when none exist. Shared by Get and GetRange.
-Result<const FileVersion*> NewestLiveHead(const VersionTree& tree,
-                                          std::string_view name,
-                                          std::vector<const FileVersion*>* live) {
-  *live = LiveHeads(tree, name);
-  if (live->empty()) {
-    return NotFoundError(StrCat("no live version of ", name));
-  }
-  const FileVersion* newest = live->front();
-  for (const FileVersion* head : *live) {
-    if (head->modified_time > newest->modified_time ||
-        (head->modified_time == newest->modified_time && head->id > newest->id)) {
-      newest = head;
-    }
-  }
-  return newest;
-}
-
-// The conflict several live heads of one name form (paper §5.4, both
-// Figure 8 cases), if there is more than one.
-std::optional<Conflict> ConflictAmong(const std::vector<const FileVersion*>& live,
-                                      std::string_view name) {
-  if (live.size() < 2) {
-    return std::nullopt;
-  }
-  bool all_roots = true;
-  std::vector<Sha1Digest> ids;
-  for (const FileVersion* head : live) {
-    all_roots &= IsNullDigest(head->prev_id);
-    ids.push_back(head->id);
-  }
-  return Conflict{all_roots ? ConflictType::kSameName : ConflictType::kDivergedVersions,
-                  std::string(name), std::move(ids)};
-}
-
 // Marks a multi-head name's result as conflicted.
 void AnnotateConflicts(const std::vector<const FileVersion*>& live,
                        std::string_view name, GetResult& result) {
-  if (std::optional<Conflict> conflict = ConflictAmong(live, name)) {
+  if (std::optional<Conflict> conflict = VersionTree::LiveHeadConflict(name, live)) {
     result.had_conflicts = true;
     result.conflicts.push_back(*std::move(conflict));
   }
@@ -239,6 +125,17 @@ CyrusClient::CyrusClient(CyrusConfig config, Chunker chunker)
     return journal_->AppendShare(intent, csp_name, object);
   };
   writer_ = std::make_unique<ChunkWriter>(std::move(writer_context));
+
+  MetadataStoreContext metadata_context;
+  metadata_context.registry = &registry_;
+  metadata_context.monitor = &monitor_;
+  metadata_context.key_string = config_.key_string;
+  metadata_context.meta_t = config_.meta_t;
+  metadata_context.retry = config_.transfer_retry;
+  metadata_context.sync_interval_s = config_.metadata_sync_interval_s;
+  metadata_context.now = [this] { return now(); };
+  metadata_context.on_transfer_failure = on_transfer_failure;
+  metadata_ = std::make_unique<MetadataStore>(std::move(metadata_context));
 
   RepairContext repair_context;
   repair_context.registry = &registry_;
@@ -414,10 +311,10 @@ Status CyrusClient::RemoveCsp(int csp) {
   }
   // Metadata is small: re-scatter every version to the remaining CSPs now.
   // Chunk shares migrate lazily on subsequent downloads (paper §5.5).
-  // Outside the topology lock: UploadMetadata may itself MarkCspFailed.
+  // Outside the topology lock: a failed publish may itself MarkCspFailed.
   TransferReport report;
   for (const FileVersion* version : tree_.AllVersions()) {
-    CYRUS_RETURN_IF_ERROR(UploadMetadata(*version, report));
+    CYRUS_RETURN_IF_ERROR(metadata_->Publish(*version, report));
   }
   return OkStatus();
 }
@@ -712,221 +609,25 @@ Status CyrusClient::GatherChunk(GatherSlot& slot) {
 }
 
 // ---------------------------------------------------------------------------
-// Metadata scatter / fetch / sync
+// Metadata sync and the local cache
 // ---------------------------------------------------------------------------
-
-Status CyrusClient::UploadMetadata(const FileVersion& version, TransferReport& report) {
-  const std::vector<int> active = registry_.ActiveIndices();
-  if (active.size() < config_.meta_t) {
-    return FailedPreconditionError(
-        StrCat("metadata needs ", config_.meta_t, " CSPs but only ", active.size(),
-               " are active"));
-  }
-  // Metadata shares go to every active CSP (paper footnote 3), secret-
-  // shared with threshold meta_t.
-  const uint32_t m = static_cast<uint32_t>(std::min<size_t>(active.size(), kMaxShares));
-  CYRUS_ASSIGN_OR_RETURN(
-      SecretSharingCodec codec,
-      SecretSharingCodec::Create(config_.key_string, config_.meta_t, m));
-  const Bytes envelope = WrapEnvelope(ToWireForm(version).Serialize());
-  CYRUS_ASSIGN_OR_RETURN(std::vector<Share> shares, codec.Encode(envelope));
-
-  const std::string base = MetadataName(version.id);
-  // The generation is hashed over the *padded* envelope (what a decoder
-  // reconstructs), so readers can verify a share group decoded cleanly.
-  Bytes padded_envelope = envelope;
-  padded_envelope.resize(ShareSize(envelope.size(), config_.meta_t) * config_.meta_t, 0);
-  const std::string generation = MetaGeneration(padded_envelope);
-  size_t uploaded = 0;
-  for (uint32_t i = 0; i < m; ++i) {
-    const int csp = active[i];
-    auto conn = registry_.connector(csp);
-    if (!conn.ok()) {
-      continue;
-    }
-    const std::string object = MetaShareName(base, shares[i].index, generation);
-    Status upload = UploadWithRetry(**conn, TransferKind::kPutMeta, csp, object,
-                                    shares[i].data, config_.transfer_retry, report);
-    if (!upload.ok()) {
-      if (IsCspHealthFailure(upload)) {
-        CYRUS_RETURN_IF_ERROR(NoteTransferFailure(csp, upload));
-      }
-      continue;  // e.g. quota: the CSP is full, not down
-    }
-    ++uploaded;
-    // Metadata for a version is mutable (share migration rewrites the
-    // ShareMap) and the active set changes over time, so a CSP may hold a
-    // share object from an earlier upload under a *different* index. A
-    // reader mixing that stale share with fresh ones would decode garbage;
-    // make each CSP hold exactly its assigned share.
-    auto existing = RetryWithBackoff(config_.transfer_retry,
-                                     [&] { return (*conn)->List(base); });
-    if (existing.ok()) {
-      for (const ObjectInfo& stale : *existing) {
-        if (stale.name != object) {
-          (void)(*conn)->Delete(stale.name);
-        }
-      }
-    }
-  }
-  if (uploaded < config_.meta_t) {
-    return UnavailableError(StrCat("metadata for ", version.file_name, " reached only ",
-                                   uploaded, " CSPs; need ", config_.meta_t));
-  }
-  known_meta_bases_.insert(base);
-  return OkStatus();
-}
-
-Result<FileVersion> CyrusClient::FetchMetadata(const std::string& base,
-                                               TransferReport& report) {
-  // Find shares of this base across active CSPs, grouped by generation: a
-  // CSP that slept through a republish still holds an old-generation share
-  // that must never be mixed with fresh ones.
-  std::map<std::string, std::map<uint32_t, int>> generations;  // gen -> idx -> csp
-  for (int csp : registry_.ActiveIndices()) {
-    auto conn = registry_.connector(csp);
-    if (!conn.ok()) {
-      continue;
-    }
-    auto listing = RetryWithBackoff(config_.transfer_retry,
-                                    [&] { return (*conn)->List(base); });
-    if (!listing.ok()) {
-      (void)NoteTransferFailure(csp, listing.status());
-      continue;
-    }
-    for (const ObjectInfo& object : *listing) {
-      std::string parsed_base;
-      uint32_t index = 0;
-      std::string generation;
-      if (ParseMetaShareName(object.name, &parsed_base, &index, &generation) &&
-          parsed_base == base) {
-        generations[generation].emplace(index, csp);
-      }
-    }
-  }
-  // Try generations by decreasing share availability; the current one is
-  // on every reachable CSP, stale ones survive only on stragglers.
-  std::vector<const std::pair<const std::string, std::map<uint32_t, int>>*> order;
-  for (const auto& entry : generations) {
-    order.push_back(&entry);
-  }
-  std::stable_sort(order.begin(), order.end(), [](const auto* a, const auto* b) {
-    return a->second.size() > b->second.size();
-  });
-
-  Bytes envelope;
-  bool decoded = false;
-  for (const auto* entry : order) {
-    const auto& [generation, index_to_csp] = *entry;
-    if (index_to_csp.size() < config_.meta_t) {
-      continue;
-    }
-    std::vector<Share> shares;
-    for (const auto& [index, csp] : index_to_csp) {
-      if (shares.size() >= config_.meta_t) {
-        break;
-      }
-      auto conn = registry_.connector(csp);
-      if (!conn.ok()) {
-        continue;
-      }
-      const std::string object = MetaShareName(base, index, generation);
-      auto data = DownloadWithRetry(**conn, TransferKind::kGetMeta, csp, object,
-                                    config_.transfer_retry, report);
-      if (!data.ok()) {
-        (void)NoteTransferFailure(csp, data.status());
-        continue;
-      }
-      shares.push_back(Share{index, *std::move(data)});
-    }
-    if (shares.size() < config_.meta_t) {
-      continue;
-    }
-    CYRUS_ASSIGN_OR_RETURN(
-        SecretSharingCodec decoder,
-        SecretSharingCodec::Create(config_.key_string, config_.meta_t, kMaxShares));
-    const size_t envelope_size = shares.front().data.size() * config_.meta_t;
-    auto decoded_envelope = decoder.Decode(shares, envelope_size);
-    if (!decoded_envelope.ok() ||
-        MetaGeneration(*decoded_envelope) != generation) {
-      continue;  // inconsistent shares within the group; try the next gen
-    }
-    envelope = *std::move(decoded_envelope);
-    decoded = true;
-    break;
-  }
-  if (!decoded) {
-    return UnavailableError(
-        StrCat("metadata ", base, ": no generation has ", config_.meta_t,
-               " consistent shares reachable"));
-  }
-  CYRUS_ASSIGN_OR_RETURN(Bytes payload, UnwrapEnvelope(envelope));
-  CYRUS_ASSIGN_OR_RETURN(FileVersion version, FileVersion::Deserialize(payload));
-  if (MetadataName(version.id) != base) {
-    return DataLossError(StrCat("metadata ", base, " decodes to mismatched version id"));
-  }
-  return ToLocalForm(std::move(version));
-}
-
-FileVersion CyrusClient::ToWireForm(const FileVersion& version) const {
-  // Rewrite local registry indices to stable connector names via the
-  // csp_directory, so any client can interpret the ShareMap (registry
-  // indices differ between devices and sessions).
-  FileVersion wire = version;
-  wire.csp_directory.clear();
-  std::map<int32_t, int32_t> local_to_dir;
-  for (ShareLocation& loc : wire.shares) {
-    auto it = local_to_dir.find(loc.csp);
-    if (it == local_to_dir.end()) {
-      auto name_or = registry_.name(loc.csp);
-      const std::string stable =
-          name_or.ok() ? *name_or : StrCat("<unknown-", loc.csp, ">");
-      it = local_to_dir
-               .emplace(loc.csp, static_cast<int32_t>(wire.csp_directory.size()))
-               .first;
-      wire.csp_directory.push_back(stable);
-    }
-    loc.csp = it->second;
-  }
-  return wire;
-}
-
-FileVersion CyrusClient::ToLocalForm(FileVersion version) const {
-  // Map the directory of stable connector names back to this client's
-  // registry indices; providers this client has no account at become -1
-  // (unreachable, candidates for lazy migration).
-  std::vector<int32_t> dir_to_local(version.csp_directory.size(), -1);
-  for (size_t k = 0; k < version.csp_directory.size(); ++k) {
-    auto index = registry_.IndexByName(version.csp_directory[k]);
-    if (index.ok()) {
-      dir_to_local[k] = *index;
-    }
-  }
-  for (ShareLocation& loc : version.shares) {
-    loc.csp = (loc.csp >= 0 && static_cast<size_t>(loc.csp) < dir_to_local.size())
-                  ? dir_to_local[loc.csp]
-                  : -1;
-  }
-  version.csp_directory.clear();  // back to local in-memory form
-  return version;
-}
 
 LocalCacheSnapshot CyrusClient::ExportCache() const {
   LocalCacheSnapshot snapshot;
   for (const FileVersion* version : tree_.AllVersions()) {
-    snapshot.versions.push_back(ToWireForm(*version));
+    snapshot.versions.push_back(metadata_->ToWireForm(*version));
   }
   snapshot.chunk_table = chunk_table_;
-  snapshot.known_meta_bases = known_meta_bases_;
+  snapshot.known_meta_bases = metadata_->known_bases();
   return snapshot;
 }
 
 Status CyrusClient::ImportCache(const LocalCacheSnapshot& snapshot) {
   tree_ = VersionTree();
   chunk_table_ = ChunkTable();
-  known_meta_bases_.clear();
+  metadata_->Reset();
   for (const FileVersion& wire : snapshot.versions) {
-    FileVersion version = ToLocalForm(wire);
+    FileVersion version = metadata_->ToLocalForm(wire);
     CYRUS_RETURN_IF_ERROR(version.Validate());
     CYRUS_RETURN_IF_ERROR(tree_.Insert(version));
     // The chunk table is rebuilt from the versions rather than trusted
@@ -934,7 +635,7 @@ Status CyrusClient::ImportCache(const LocalCacheSnapshot& snapshot) {
     // rebuild reproduces refcounts exactly.
     CYRUS_RETURN_IF_ERROR(RegisterVersionChunks(version));
   }
-  known_meta_bases_ = snapshot.known_meta_bases;
+  metadata_->Reset(snapshot.known_meta_bases);
   return OkStatus();
 }
 
@@ -962,63 +663,20 @@ Status CyrusClient::RegisterVersionChunks(const FileVersion& version) {
 }
 
 Result<std::vector<Conflict>> CyrusClient::SyncMetadata() {
-  // Sole-writer throttle: skip the O(total versions) discovery scan when a
-  // pass ran within the configured virtual-time interval.
-  const double now = now_.load(std::memory_order_relaxed);
-  if (config_.metadata_sync_interval_s > 0 && last_meta_sync_s_ >= 0 &&
-      now - last_meta_sync_s_ < config_.metadata_sync_interval_s) {
-    return std::vector<Conflict>{};
-  }
-  last_meta_sync_s_ = now;
-
-  // One listing pass over the active CSPs discovers every metadata base.
-  std::set<std::string> bases;
-  for (int csp : registry_.ActiveIndices()) {
-    auto conn = registry_.connector(csp);
-    if (!conn.ok()) {
-      continue;
-    }
-    auto listing = RetryWithBackoff(config_.transfer_retry,
-                                    [&] { return (*conn)->List("meta-"); });
-    if (!listing.ok()) {
-      (void)NoteTransferFailure(csp, listing.status());
-      continue;
-    }
-    monitor_.RecordProbe(csp, now_, true);
-    for (const ObjectInfo& object : *listing) {
-      std::string base;
-      uint32_t index = 0;
-      std::string generation;
-      if (ParseMetaShareName(object.name, &base, &index, &generation)) {
-        bases.insert(base);
-      }
-    }
-  }
-
-  TransferReport report;
   std::set<std::string> touched_names;
-  for (const std::string& base : bases) {
-    if (known_meta_bases_.count(base) > 0) {
-      continue;
+  for (const FileVersion& version : metadata_->Discover()) {
+    if (!tree_.Contains(version.id)) {
+      CYRUS_RETURN_IF_ERROR(tree_.Insert(version));
+      CYRUS_RETURN_IF_ERROR(RegisterVersionChunks(version));
+      touched_names.insert(version.file_name);
     }
-    auto version = FetchMetadata(base, report);
-    if (!version.ok()) {
-      continue;  // unreachable this round; retried on the next sync
-    }
-    CYRUS_RETURN_IF_ERROR(version->Validate());
-    if (!tree_.Contains(version->id)) {
-      CYRUS_RETURN_IF_ERROR(tree_.Insert(*version));
-      CYRUS_RETURN_IF_ERROR(RegisterVersionChunks(*version));
-      touched_names.insert(version->file_name);
-    }
-    known_meta_bases_.insert(base);
   }
-
-  // Report user-level conflicts: names with several live heads (paper
-  // Figure 8's two cases both surface this way).
+  // Report user-level conflicts: names the new versions left with several
+  // live heads (paper Figure 8's two cases both surface this way).
   std::vector<Conflict> conflicts;
   for (const std::string& name : touched_names) {
-    if (std::optional<Conflict> conflict = ConflictAmong(LiveHeads(tree_, name), name)) {
+    if (std::optional<Conflict> conflict =
+            VersionTree::LiveHeadConflict(name, tree_.LiveHeads(name))) {
       conflicts.push_back(*std::move(conflict));
     }
   }
@@ -1028,8 +686,7 @@ Result<std::vector<Conflict>> CyrusClient::SyncMetadata() {
 Status CyrusClient::Recover() {
   tree_ = VersionTree();
   chunk_table_ = ChunkTable();
-  known_meta_bases_.clear();
-  last_meta_sync_s_ = -1.0;  // force a full pass despite the throttle
+  metadata_->Reset();  // forces a full pass despite the throttle
   return SyncMetadata().status();
 }
 
@@ -1038,13 +695,7 @@ Status CyrusClient::Recover() {
 // ---------------------------------------------------------------------------
 
 Sha1Digest CyrusClient::ParentFor(std::string_view name) const {
-  const FileVersion* newest = nullptr;
-  for (const FileVersion* head : tree_.Heads(name)) {
-    if (newest == nullptr || head->modified_time > newest->modified_time ||
-        (head->modified_time == newest->modified_time && head->id > newest->id)) {
-      newest = head;
-    }
-  }
+  const FileVersion* newest = VersionTree::Newest(tree_.Heads(name));
   return newest != nullptr ? newest->id : Sha1Digest{};
 }
 
@@ -1379,11 +1030,11 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
   // republish this version without touching share data.
   if (journal_ != nullptr) {
     CYRUS_RETURN_IF_ERROR(
-        journal_->RecordMetadata(journal_id, ToWireForm(version).Serialize()));
+        journal_->RecordMetadata(journal_id, metadata_->ToWireForm(version).Serialize()));
   }
   obs::ScopedSpan publish_span = trace.Span("publish_meta");
   TransferReport meta_report;
-  CYRUS_RETURN_IF_ERROR(UploadMetadata(version, meta_report));
+  CYRUS_RETURN_IF_ERROR(metadata_->Publish(version, meta_report));
   publish_span.End();
   if (journal_ != nullptr) {
     CYRUS_RETURN_IF_ERROR(journal_->Commit(journal_id));
@@ -1420,9 +1071,11 @@ Result<GetResult> CyrusClient::Get(std::string_view name) {
     CYRUS_RETURN_IF_ERROR(SyncMetadata().status());
   }
 
-  std::vector<const FileVersion*> live;
-  CYRUS_ASSIGN_OR_RETURN(const FileVersion* newest,
-                         NewestLiveHead(tree_, name, &live));
+  const std::vector<const FileVersion*> live = tree_.LiveHeads(name);
+  const FileVersion* newest = VersionTree::Newest(live);
+  if (newest == nullptr) {
+    return NotFoundError(StrCat("no live version of ", name));
+  }
 
   CYRUS_ASSIGN_OR_RETURN(
       GetResult result,
@@ -1449,9 +1102,11 @@ Result<GetResult> CyrusClient::GetRange(std::string_view name, uint64_t offset,
     obs::ScopedSpan sync_span = trace.Span("sync_meta");
     CYRUS_RETURN_IF_ERROR(SyncMetadata().status());
   }
-  std::vector<const FileVersion*> live;
-  CYRUS_ASSIGN_OR_RETURN(const FileVersion* newest,
-                         NewestLiveHead(tree_, name, &live));
+  const std::vector<const FileVersion*> live = tree_.LiveHeads(name);
+  const FileVersion* newest = VersionTree::Newest(live);
+  if (newest == nullptr) {
+    return NotFoundError(StrCat("no live version of ", name));
+  }
   CYRUS_ASSIGN_OR_RETURN(
       GetResult result,
       GetRangeTraced(name, newest->id, offset, len, /*whole_file=*/false, trace));
@@ -1700,7 +1355,7 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
     shares_migrated_->Increment(result.migrated_shares);
     obs::ScopedSpan republish_span = trace.Span("republish_meta");
     TransferReport meta_report;
-    CYRUS_RETURN_IF_ERROR(UploadMetadata(*version, meta_report));
+    CYRUS_RETURN_IF_ERROR(metadata_->Publish(*version, meta_report));
     result.transfer.Append(meta_report);
   }
 
@@ -1944,7 +1599,7 @@ Result<PutResult> CyrusClient::ImportForeignObject(int csp, std::string_view obj
 Status CyrusClient::RebalanceMetadata() {
   TransferReport report;
   for (const FileVersion* version : tree_.AllVersions()) {
-    CYRUS_RETURN_IF_ERROR(UploadMetadata(*version, report));
+    CYRUS_RETURN_IF_ERROR(metadata_->Publish(*version, report));
   }
   return OkStatus();
 }
@@ -1981,7 +1636,7 @@ Result<ScrubReport> CyrusClient::ScrubOnce() {
     const Sha1Digest version_id = version->id;
     CYRUS_RETURN_IF_ERROR(AdoptTableLayouts(version_id, affected));
     TransferReport meta_report;
-    CYRUS_RETURN_IF_ERROR(UploadMetadata(*tree_.Find(version_id), meta_report));
+    CYRUS_RETURN_IF_ERROR(metadata_->Publish(*tree_.Find(version_id), meta_report));
     report.transfer.Append(meta_report);
   }
   return report;
@@ -2085,14 +1740,14 @@ Result<JournalRecoveryReport> CyrusClient::RecoverFromJournal() {
       // without touching share data.
       CYRUS_ASSIGN_OR_RETURN(FileVersion wire,
                              FileVersion::Deserialize(intent.meta_wire));
-      FileVersion version = ToLocalForm(std::move(wire));
+      FileVersion version = metadata_->ToLocalForm(std::move(wire));
       CYRUS_RETURN_IF_ERROR(version.Validate());
       if (!tree_.Contains(version.id)) {
         CYRUS_RETURN_IF_ERROR(tree_.Insert(version));
         CYRUS_RETURN_IF_ERROR(RegisterVersionChunks(version));
       }
       TransferReport transfer;
-      CYRUS_RETURN_IF_ERROR(UploadMetadata(*tree_.Find(version.id), transfer));
+      CYRUS_RETURN_IF_ERROR(metadata_->Publish(*tree_.Find(version.id), transfer));
       CYRUS_RETURN_IF_ERROR(journal_->Commit(intent.version_id));
       ++report.rolled_forward;
       continue;
@@ -2155,7 +1810,7 @@ Status CyrusClient::Delete(std::string_view name) {
   marker.size = 0;
   CYRUS_RETURN_IF_ERROR(tree_.Insert(marker));
   TransferReport report;
-  CYRUS_RETURN_IF_ERROR(UploadMetadata(marker, report));
+  CYRUS_RETURN_IF_ERROR(metadata_->Publish(marker, report));
   // Only after the marker is durable do the dead head's chunks lose their
   // references; zero-ref dedup chunks become reclaimable by the next scrub.
   {
@@ -2209,15 +1864,10 @@ Result<std::vector<FileListing>> CyrusClient::List(std::string_view directory_pr
     if (!StartsWith(name, directory_prefix)) {
       continue;
     }
-    const std::vector<const FileVersion*> live = LiveHeads(tree_, name);
-    if (live.empty()) {
+    const std::vector<const FileVersion*> live = tree_.LiveHeads(name);
+    const FileVersion* newest = VersionTree::Newest(live);
+    if (newest == nullptr) {
       continue;
-    }
-    const FileVersion* newest = live.front();
-    for (const FileVersion* head : live) {
-      if (head->modified_time > newest->modified_time) {
-        newest = head;
-      }
     }
     auto history = tree_.History(newest->id);
     out.push_back(FileListing{name, newest->size, newest->modified_time,
@@ -2227,21 +1877,15 @@ Result<std::vector<FileListing>> CyrusClient::List(std::string_view directory_pr
 }
 
 Result<std::vector<const FileVersion*>> CyrusClient::Versions(std::string_view name) {
-  const std::vector<const FileVersion*> heads = tree_.Heads(name);
-  if (heads.empty()) {
+  const FileVersion* newest = VersionTree::Newest(tree_.Heads(name));
+  if (newest == nullptr) {
     return NotFoundError(StrCat("no versions of ", name));
-  }
-  const FileVersion* newest = heads.front();
-  for (const FileVersion* head : heads) {
-    if (head->modified_time > newest->modified_time) {
-      newest = head;
-    }
   }
   return tree_.History(newest->id);
 }
 
 Status CyrusClient::ResolveConflict(std::string_view name, const Sha1Digest& winner) {
-  const std::vector<const FileVersion*> live = LiveHeads(tree_, name);
+  const std::vector<const FileVersion*> live = tree_.LiveHeads(name);
   if (live.size() < 2) {
     return FailedPreconditionError(StrCat(name, " has no conflict to resolve"));
   }
@@ -2268,7 +1912,7 @@ Status CyrusClient::ResolveConflict(std::string_view name, const Sha1Digest& win
     rename.modified_time = now_;
     CYRUS_RETURN_IF_ERROR(tree_.Insert(rename));
     CYRUS_RETURN_IF_ERROR(RegisterVersionChunks(rename));
-    CYRUS_RETURN_IF_ERROR(UploadMetadata(rename, report));
+    CYRUS_RETURN_IF_ERROR(metadata_->Publish(rename, report));
   }
   return OkStatus();
 }

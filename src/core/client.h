@@ -41,6 +41,7 @@
 #include "src/core/hash_ring.h"
 #include "src/core/hedged_fetch.h"
 #include "src/core/local_cache.h"
+#include "src/core/metadata_store.h"
 #include "src/core/put_journal.h"
 #include "src/core/transfer.h"
 #include "src/meta/chunk_table.h"
@@ -91,7 +92,7 @@ struct CyrusConfig {
   // per call. A sole-writer deployment (e.g. a gateway shard worker that
   // owns its CSP pool) can throttle that discovery scan since no foreign
   // writes can appear. 0 (the default) keeps the always-sync behavior;
-  // Recover() always forces a full pass regardless.
+  // Recover() and ImportCache() always force the next pass regardless.
   double metadata_sync_interval_s = 0.0;
 
   // Place at most one share of a chunk per platform cluster (§4.1).
@@ -569,18 +570,8 @@ class CyrusClient {
   std::vector<ShareLocation> ResolveChunkLocations(const FileVersion& version,
                                                    const Sha1Digest& chunk_id) const;
 
-  // Wire-form conversion: local registry indices <-> stable connector
-  // names via the version's csp_directory.
-  FileVersion ToWireForm(const FileVersion& version) const;
-  FileVersion ToLocalForm(FileVersion version) const;
-
-  // Metadata scatter/fetch (secret-shared to all active CSPs).
-  Status UploadMetadata(const FileVersion& version, TransferReport& report);
-  Result<FileVersion> FetchMetadata(const std::string& base_name,
-                                    TransferReport& report);
-
-  // Picks this Put's parent version for `name` (newest live head), or a
-  // null digest for new files.
+  // Picks this Put's parent version for `name` (the newest head, deleted
+  // or not), or a null digest for new files.
   Sha1Digest ParentFor(std::string_view name) const;
 
   Status RegisterVersionChunks(const FileVersion& version);
@@ -679,11 +670,8 @@ class CyrusClient {
   // Per-CSP circuit breakers (populated only when config.breaker.enabled);
   // guarded by topology_mutex_.
   std::map<int, std::shared_ptr<CircuitBreaker>> breakers_;
-  // Metadata object base names this client has already ingested.
-  std::set<std::string> known_meta_bases_;
-  // Virtual time of the last full SyncMetadata discovery pass (-1 = never);
-  // compared against metadata_sync_interval_s.
-  double last_meta_sync_s_ = -1.0;
+  // The metadata object format and its scatter, fetch and discovery.
+  std::unique_ptr<MetadataStore> metadata_;
   std::atomic<double> now_{0.0};
   // Gateway backpressure override of the pipeline window (0 = use config).
   std::atomic<uint32_t> pipeline_window_override_{0};

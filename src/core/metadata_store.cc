@@ -1,0 +1,273 @@
+#include "src/core/metadata_store.h"
+
+#include <algorithm>
+
+#include "src/core/chunk_reader.h"
+#include "src/crypto/naming.h"
+#include "src/crypto/sha1.h"
+#include "src/meta/serialize.h"
+#include "src/util/strings.h"
+
+namespace cyrus {
+namespace {
+
+// Short content tag of a padded envelope (8 hex chars).
+std::string GenerationOf(ByteSpan padded_envelope) {
+  return Sha1::Hash(padded_envelope).ToHex().substr(0, 8);
+}
+
+}  // namespace
+
+std::string MetadataStore::ObjectName(const MetaShareId& id) {
+  return StrCat(id.base, ".", id.index, ".", id.generation);
+}
+
+std::optional<MetaShareId> MetadataStore::ParseObjectName(std::string_view object) {
+  const size_t gen_dot = object.rfind('.');
+  if (gen_dot == std::string_view::npos || gen_dot + 1 >= object.size()) {
+    return std::nullopt;
+  }
+  const size_t idx_dot = object.rfind('.', gen_dot - 1);
+  if (idx_dot == std::string_view::npos || idx_dot == 0 || idx_dot + 1 >= gen_dot) {
+    return std::nullopt;
+  }
+  uint32_t value = 0;
+  for (size_t i = idx_dot + 1; i < gen_dot; ++i) {
+    if (object[i] < '0' || object[i] > '9') {
+      return std::nullopt;
+    }
+    value = value * 10 + static_cast<uint32_t>(object[i] - '0');
+  }
+  return MetaShareId{std::string(object.substr(0, idx_dot)), value,
+                     std::string(object.substr(gen_dot + 1))};
+}
+
+Result<SealedMetadata> MetadataStore::Seal(std::string_view key, uint32_t meta_t,
+                                           uint32_t m, ByteSpan payload) {
+  CYRUS_ASSIGN_OR_RETURN(SecretSharingCodec codec,
+                         SecretSharingCodec::Create(key, meta_t, m));
+  // A length prefix lets Open trim the secret-sharing padding without
+  // knowing the plaintext size.
+  BinaryWriter w;
+  w.WriteU32(static_cast<uint32_t>(payload.size()));
+  Bytes envelope = w.TakeData();
+  envelope.insert(envelope.end(), payload.begin(), payload.end());
+  SealedMetadata sealed;
+  CYRUS_ASSIGN_OR_RETURN(sealed.shares, codec.Encode(envelope));
+  envelope.resize(ShareSize(envelope.size(), meta_t) * meta_t, 0);
+  sealed.generation = GenerationOf(envelope);
+  return sealed;
+}
+
+Result<Bytes> MetadataStore::Open(std::string_view key, uint32_t meta_t,
+                                  const std::vector<Share>& shares,
+                                  std::string_view generation) {
+  if (shares.empty()) {
+    return InvalidArgumentError("no metadata shares to decode");
+  }
+  CYRUS_ASSIGN_OR_RETURN(SecretSharingCodec decoder,
+                         SecretSharingCodec::Create(key, meta_t, kMaxShares));
+  auto envelope = decoder.Decode(shares, shares.front().data.size() * meta_t);
+  if (!envelope.ok() || GenerationOf(*envelope) != generation) {
+    return DataLossError(StrCat("metadata shares do not reconstruct generation ",
+                                generation));
+  }
+  BinaryReader r(*envelope);
+  CYRUS_ASSIGN_OR_RETURN(uint32_t len, r.ReadU32());
+  if (len > r.remaining()) {
+    return DataLossError("metadata envelope length exceeds payload");
+  }
+  return Bytes(envelope->begin() + 4, envelope->begin() + 4 + len);
+}
+
+FileVersion MetadataStore::ToWireForm(const FileVersion& version) const {
+  FileVersion wire = version;
+  wire.csp_directory.clear();
+  std::map<int32_t, int32_t> local_to_dir;
+  for (ShareLocation& loc : wire.shares) {
+    auto it = local_to_dir.find(loc.csp);
+    if (it == local_to_dir.end()) {
+      auto name = context_.registry->name(loc.csp);
+      it = local_to_dir
+               .emplace(loc.csp, static_cast<int32_t>(wire.csp_directory.size()))
+               .first;
+      wire.csp_directory.push_back(name.ok() ? *name : StrCat("<unknown-", loc.csp, ">"));
+    }
+    loc.csp = it->second;
+  }
+  return wire;
+}
+
+FileVersion MetadataStore::ToLocalForm(FileVersion version) const {
+  std::vector<int32_t> dir_to_local(version.csp_directory.size(), -1);
+  for (size_t k = 0; k < version.csp_directory.size(); ++k) {
+    if (auto index = context_.registry->IndexByName(version.csp_directory[k]); index.ok()) {
+      dir_to_local[k] = *index;
+    }
+  }
+  for (ShareLocation& loc : version.shares) {
+    loc.csp = (loc.csp >= 0 && static_cast<size_t>(loc.csp) < dir_to_local.size())
+                  ? dir_to_local[loc.csp]
+                  : -1;
+  }
+  version.csp_directory.clear();
+  return version;
+}
+
+Status MetadataStore::Publish(const FileVersion& version, TransferReport& report) {
+  const uint32_t meta_t = context_.meta_t;
+  const std::vector<int> active = context_.registry->ActiveIndices();
+  if (active.size() < meta_t) {
+    return FailedPreconditionError(StrCat("metadata needs ", meta_t, " CSPs but only ",
+                                          active.size(), " are active"));
+  }
+  const uint32_t m = static_cast<uint32_t>(std::min<size_t>(active.size(), kMaxShares));
+  CYRUS_ASSIGN_OR_RETURN(SealedMetadata sealed,
+                         Seal(context_.key_string, meta_t, m, ToWireForm(version).Serialize()));
+  const std::string base = MetadataName(version.id);
+  const bool republish = known_.count(base) > 0;
+  size_t uploaded = 0;
+  for (uint32_t i = 0; i < m; ++i) {
+    const int csp = active[i];
+    auto conn = context_.registry->connector(csp);
+    if (!conn.ok()) {
+      continue;
+    }
+    const std::string object =
+        ObjectName(MetaShareId{base, sealed.shares[i].index, sealed.generation});
+    const Status upload = UploadWithRetry(**conn, TransferKind::kPutMeta, csp, object,
+                                          sealed.shares[i].data, context_.retry, report);
+    if (!upload.ok()) {
+      context_.on_transfer_failure(csp, upload);
+      continue;  // e.g. quota: the CSP is full, not down
+    }
+    ++uploaded;
+    if (!republish) {
+      continue;
+    }
+    // Make each CSP hold exactly its assigned share of this generation.
+    auto existing = RetryWithBackoff(context_.retry, [&] { return (*conn)->List(base); });
+    if (existing.ok()) {
+      for (const ObjectInfo& stale : *existing) {
+        if (stale.name != object) {
+          (void)(*conn)->Delete(stale.name);
+        }
+      }
+    }
+  }
+  if (uploaded < meta_t) {
+    return UnavailableError(StrCat("metadata for ", version.file_name, " reached only ",
+                                   uploaded, " CSPs; need ", meta_t));
+  }
+  known_.insert(base);
+  return OkStatus();
+}
+
+std::vector<FileVersion> MetadataStore::Discover() {
+  const double now = context_.now();
+  if (context_.sync_interval_s > 0 && last_pass_s_ >= 0 &&
+      now - last_pass_s_ < context_.sync_interval_s) {
+    return {};
+  }
+  last_pass_s_ = now;
+
+  std::map<std::string, Generations> unknown;  // base -> its share holders
+  for (int csp : context_.registry->ActiveIndices()) {
+    auto conn = context_.registry->connector(csp);
+    if (!conn.ok()) {
+      continue;
+    }
+    auto listing =
+        RetryWithBackoff(context_.retry, [&] { return (*conn)->List("meta-"); });
+    if (!listing.ok()) {
+      context_.on_transfer_failure(csp, listing.status());
+      continue;
+    }
+    context_.monitor->RecordProbe(csp, now, true);
+    for (const ObjectInfo& object : *listing) {
+      std::optional<MetaShareId> id = ParseObjectName(object.name);
+      if (id && known_.count(id->base) == 0) {
+        unknown[id->base][id->generation].emplace(id->index, csp);
+      }
+    }
+  }
+
+  TransferReport report;
+  std::vector<FileVersion> found;
+  for (const auto& [base, generations] : unknown) {
+    Result<FileVersion> version = Fetch(base, generations, report);
+    if (version.status().code() == StatusCode::kUnavailable) {
+      continue;  // no generation decodes yet; the next pass retries
+    }
+    // Ingested, or cleanly decoded into an invalid version that no later
+    // pass would read differently: either way this base is done.
+    known_.insert(base);
+    if (version.ok()) {
+      found.push_back(*std::move(version));
+    }
+  }
+  return found;
+}
+
+Result<FileVersion> MetadataStore::Fetch(const std::string& base,
+                                         const Generations& generations,
+                                         TransferReport& report) {
+  const uint32_t meta_t = context_.meta_t;
+  std::vector<const Generations::value_type*> order;
+  for (const auto& entry : generations) {
+    order.push_back(&entry);
+  }
+  std::stable_sort(order.begin(), order.end(), [](const auto* a, const auto* b) {
+    return a->second.size() > b->second.size();
+  });
+
+  for (const auto* entry : order) {
+    const auto& [generation, index_to_csp] = *entry;
+    if (index_to_csp.size() < meta_t) {
+      continue;
+    }
+    std::vector<Share> shares;
+    for (const auto& [index, csp] : index_to_csp) {
+      if (shares.size() >= meta_t) {
+        break;
+      }
+      auto conn = context_.registry->connector(csp);
+      if (!conn.ok()) {
+        continue;
+      }
+      auto data = DownloadWithRetry(**conn, TransferKind::kGetMeta, csp,
+                                    ObjectName(MetaShareId{base, index, generation}),
+                                    context_.retry, report);
+      if (!data.ok()) {
+        context_.on_transfer_failure(csp, data.status());
+        continue;
+      }
+      shares.push_back(Share{index, *std::move(data)});
+    }
+    if (shares.size() < meta_t) {
+      continue;
+    }
+    auto payload = Open(context_.key_string, meta_t, shares, generation);
+    if (!payload.ok()) {
+      continue;  // inconsistent shares within the group; try the next one
+    }
+    // The generation matched, so this is exactly what its writer
+    // published: a malformed version stays malformed.
+    CYRUS_ASSIGN_OR_RETURN(FileVersion version, FileVersion::Deserialize(*payload));
+    if (MetadataName(version.id) != base) {
+      return DataLossError(StrCat("metadata ", base, " decodes to mismatched version id"));
+    }
+    version = ToLocalForm(std::move(version));
+    CYRUS_RETURN_IF_ERROR(version.Validate());
+    return version;
+  }
+  return UnavailableError(StrCat("metadata ", base, ": no generation has ", meta_t,
+                                 " consistent shares reachable"));
+}
+
+void MetadataStore::Reset(std::set<std::string> known_bases) {
+  known_ = std::move(known_bases);
+  last_pass_s_ = -1.0;
+}
+
+}  // namespace cyrus

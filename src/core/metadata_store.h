@@ -1,0 +1,147 @@
+// MetadataStore: the one owner of the metadata object format and its I/O
+// (paper §5.2, §5.4).
+//
+// Each file version's metadata is serialized in wire form (share locations
+// name CSPs by stable connector id, not by this client's registry index),
+// wrapped in a length-prefixed envelope, and secret-shared with threshold
+// meta_t to every active CSP (paper footnote 3). Share i of a version is
+// stored as "<base>.<i>.<generation>": the base is MetadataName(version id),
+// the index must be readable by other clients (confidentiality still needs
+// meta_t shares from distinct CSPs plus the user's key), and the generation
+// is a content tag of the envelope. A version's metadata is rewritten after
+// share migration, scrub repair, rebalancing or CSP removal; a CSP that
+// missed such a republish keeps a share of the old plaintext, so readers
+// group shares by generation and decode within one, never across.
+//
+// Changes by other devices are found by looking for new metadata objects:
+// a discovery pass lists "meta-" once per active CSP, maps every base it
+// has not ingested yet to its generations and their share holders, and
+// fetches and decodes those bases from that map alone.
+//
+// The store runs on the client's driver thread; it borrows the registry
+// and monitor (both thread-safe) from the owning client.
+#ifndef SRC_CORE_METADATA_STORE_H_
+#define SRC_CORE_METADATA_STORE_H_
+
+#include <functional>
+#include <map>
+#include <optional>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "src/cloud/availability.h"
+#include "src/cloud/registry.h"
+#include "src/core/transfer.h"
+#include "src/meta/metadata.h"
+#include "src/rs/secret_sharing.h"
+#include "src/util/result.h"
+#include "src/util/retry.h"
+
+namespace cyrus {
+
+// Everything the store borrows from the owning client. Raw pointers: the
+// client owns the store and every pointee.
+struct MetadataStoreContext {
+  CspRegistry* registry = nullptr;
+  AvailabilityMonitor* monitor = nullptr;
+  // The user's key: keys the metadata dispersal like it keys chunk data.
+  std::string key_string;
+  uint32_t meta_t = 2;
+  RetryOptions retry;
+  // Minimum virtual-time gap between discovery passes; 0 = every pass
+  // runs (CyrusConfig::metadata_sync_interval_s).
+  double sync_interval_s = 0.0;
+  std::function<double()> now;
+  // Health routing for failed transfers.
+  std::function<void(int csp, const Status&)> on_transfer_failure;
+};
+
+// One metadata share object, as named at a CSP.
+struct MetaShareId {
+  std::string base;        // MetadataName(version id)
+  uint32_t index = 0;      // secret-sharing share index
+  std::string generation;  // content tag of the envelope it belongs to
+};
+
+// A version's metadata, secret-shared and tagged.
+struct SealedMetadata {
+  std::string generation;
+  std::vector<Share> shares;
+};
+
+class MetadataStore {
+ public:
+  explicit MetadataStore(MetadataStoreContext context) : context_(std::move(context)) {}
+
+  // --- The object format ---
+
+  static std::string ObjectName(const MetaShareId& id);
+  // Parses "<base>.<index>.<generation>"; nullopt for any other name.
+  static std::optional<MetaShareId> ParseObjectName(std::string_view object);
+
+  // Envelopes `payload` and secret-shares it into `m` shares under
+  // (key, meta_t). The generation is hashed over the padded envelope, which
+  // is what a decoder reconstructs, so Open can check a share group decoded
+  // cleanly.
+  static Result<SealedMetadata> Seal(std::string_view key, uint32_t meta_t, uint32_t m,
+                                     ByteSpan payload);
+  // Decodes `shares` (at least meta_t, all of one generation) back into the
+  // payload. kDataLoss when they do not reconstruct `generation`: the
+  // shares are inconsistent, or were made under another key.
+  static Result<Bytes> Open(std::string_view key, uint32_t meta_t,
+                            const std::vector<Share>& shares, std::string_view generation);
+
+  // --- Wire form ---
+
+  // Local registry indices <-> stable connector names via the version's
+  // csp_directory, so any client can interpret the ShareMap. Providers this
+  // client has no account at map to -1 (unreachable, candidates for lazy
+  // migration).
+  FileVersion ToWireForm(const FileVersion& version) const;
+  FileVersion ToLocalForm(FileVersion version) const;
+
+  // --- I/O ---
+
+  // Secret-shares `version`'s metadata to every active CSP. Fails when
+  // fewer than meta_t CSPs took a share. Only a republish of a base this
+  // store already knows lists it to delete stale shares: the active set or
+  // the plaintext may have changed since, and a reader must not find a
+  // share of another index or generation beside the fresh one. A first
+  // publish has nothing stale to clean; the put journal rolls back a
+  // crashed first attempt.
+  Status Publish(const FileVersion& version, TransferReport& report);
+
+  // One discovery pass: lists "meta-" once per active CSP and fetches every
+  // base not ingested yet from that listing. Returns the versions that
+  // decoded (local form, validated); their bases become known. A base that
+  // no generation can decode yet is retried by the next pass; one that
+  // decodes cleanly but is not a valid version is skipped for good. Passes
+  // closer together than sync_interval_s return nothing.
+  std::vector<FileVersion> Discover();
+
+  // Bases ingested, published or rejected so far (the local cache's
+  // snapshot).
+  const std::set<std::string>& known_bases() const { return known_; }
+  // Replaces the known bases, and lets the next discovery pass run
+  // regardless of the interval.
+  void Reset(std::set<std::string> known_bases = {});
+
+ private:
+  // generation -> share index -> holding CSP, for one base.
+  using Generations = std::map<std::string, std::map<uint32_t, int>>;
+
+  // Decodes one base from the holders the discovery pass listed, trying
+  // generations by decreasing share count: the current one is on every
+  // reachable CSP, stale ones survive only on stragglers.
+  Result<FileVersion> Fetch(const std::string& base, const Generations& generations,
+                            TransferReport& report);
+
+  MetadataStoreContext context_;
+  std::set<std::string> known_;
+  double last_pass_s_ = -1.0;  // virtual time of the last discovery pass
+};
+
+}  // namespace cyrus
+
+#endif  // SRC_CORE_METADATA_STORE_H_

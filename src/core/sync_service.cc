@@ -101,12 +101,7 @@ Result<SyncStats> SyncService::RunOnce() {
   // 3. Detect conflicts across all names and optionally resolve them by
   //    keeping the newest live head (losers are renamed, not dropped).
   for (const std::string& name : client_->tree().FileNames()) {
-    std::vector<const FileVersion*> live;
-    for (const FileVersion* head : client_->tree().Heads(name)) {
-      if (!head->deleted) {
-        live.push_back(head);
-      }
-    }
+    const std::vector<const FileVersion*> live = client_->tree().LiveHeads(name);
     if (live.size() < 2) {
       continue;
     }
@@ -114,14 +109,8 @@ Result<SyncStats> SyncService::RunOnce() {
     if (options_.conflict_policy != ConflictPolicy::kAutoResolve) {
       continue;
     }
-    const FileVersion* newest = live.front();
-    for (const FileVersion* head : live) {
-      if (head->modified_time > newest->modified_time ||
-          (head->modified_time == newest->modified_time && head->id > newest->id)) {
-        newest = head;
-      }
-    }
-    CYRUS_RETURN_IF_ERROR(client_->ResolveConflict(name, newest->id));
+    CYRUS_RETURN_IF_ERROR(
+        client_->ResolveConflict(name, VersionTree::Newest(live)->id));
     ++stats.conflicts_resolved;
   }
   (void)sync_conflicts;  // the full rescan above covers these
@@ -137,12 +126,13 @@ Result<SyncStats> SyncService::RunOnce() {
       continue;  // local change takes precedence until the next pass
     }
     // Skip the download when the local copy already matches the head.
-    auto latest = client_->tree().Latest(listing.name);
-    if (!latest.ok()) {
+    const std::vector<const FileVersion*> live = client_->tree().LiveHeads(listing.name);
+    if (live.size() != 1) {
       continue;  // conflicted and policy is report-only
     }
+    const Sha1Digest latest_content = live.front()->content_id;
     if (it != workspace_->files_.end() && !it->second.tombstone &&
-        it->second.synced_content_id == (*latest)->content_id) {
+        it->second.synced_content_id == latest_content) {
       continue;
     }
     CYRUS_ASSIGN_OR_RETURN(GetResult get, client_->Get(listing.name));
@@ -152,7 +142,7 @@ Result<SyncStats> SyncService::RunOnce() {
     file.dirty = false;
     file.tombstone = false;
     file.ever_synced = true;
-    file.synced_content_id = (*latest)->content_id;
+    file.synced_content_id = latest_content;
     ++stats.downloads;
   }
   // Remote deletions: synced local files whose name vanished from the

@@ -19,9 +19,7 @@ Status VersionTree::Insert(const FileVersion& version) {
   }
   nodes_.emplace(version.id, version);
   by_name_.emplace(version.file_name, version.id);
-  if (IsNullDigest(version.prev_id)) {
-    roots_.emplace(version.file_name, version.id);
-  } else {
+  if (!IsNullDigest(version.prev_id)) {
     children_.emplace(version.prev_id, version.id);
   }
   return OkStatus();
@@ -32,15 +30,6 @@ bool VersionTree::Contains(const Sha1Digest& id) const { return nodes_.count(id)
 const FileVersion* VersionTree::Find(const Sha1Digest& id) const {
   auto it = nodes_.find(id);
   return it == nodes_.end() ? nullptr : &it->second;
-}
-
-std::vector<const FileVersion*> VersionTree::Children(const Sha1Digest& id) const {
-  std::vector<const FileVersion*> out;
-  auto [begin, end] = children_.equal_range(id);
-  for (auto it = begin; it != end; ++it) {
-    out.push_back(Find(it->second));
-  }
-  return out;
 }
 
 std::vector<const FileVersion*> VersionTree::Heads(std::string_view file_name) const {
@@ -63,20 +52,36 @@ std::vector<const FileVersion*> VersionTree::Heads(std::string_view file_name) c
   return out;
 }
 
-Result<const FileVersion*> VersionTree::Latest(std::string_view file_name) const {
-  std::vector<const FileVersion*> live;
-  for (const FileVersion* head : Heads(file_name)) {
-    if (!head->deleted) {
-      live.push_back(head);
+std::vector<const FileVersion*> VersionTree::LiveHeads(std::string_view file_name) const {
+  std::vector<const FileVersion*> live = Heads(file_name);
+  std::erase_if(live, [](const FileVersion* head) { return head->deleted; });
+  return live;
+}
+
+const FileVersion* VersionTree::Newest(const std::vector<const FileVersion*>& heads) {
+  const FileVersion* newest = nullptr;
+  for (const FileVersion* head : heads) {
+    if (newest == nullptr || head->modified_time > newest->modified_time ||
+        (head->modified_time == newest->modified_time && head->id > newest->id)) {
+      newest = head;
     }
   }
-  if (live.empty()) {
-    return NotFoundError(StrCat("no live version of ", file_name));
+  return newest;
+}
+
+std::optional<Conflict> VersionTree::LiveHeadConflict(
+    std::string_view file_name, const std::vector<const FileVersion*>& live_heads) {
+  if (live_heads.size() < 2) {
+    return std::nullopt;
   }
-  if (live.size() > 1) {
-    return ConflictError(StrCat(file_name, " has ", live.size(), " conflicting heads"));
+  bool all_roots = true;
+  std::vector<Sha1Digest> ids;
+  for (const FileVersion* head : live_heads) {
+    all_roots &= IsNullDigest(head->prev_id);
+    ids.push_back(head->id);
   }
-  return live.front();
+  return Conflict{all_roots ? ConflictType::kSameName : ConflictType::kDivergedVersions,
+                  std::string(file_name), std::move(ids)};
 }
 
 Result<std::vector<const FileVersion*>> VersionTree::History(const Sha1Digest& id) const {
@@ -95,85 +100,6 @@ Result<std::vector<const FileVersion*>> VersionTree::History(const Sha1Digest& i
       break;
     }
     node = Find(node->prev_id);
-  }
-  return out;
-}
-
-std::vector<Conflict> VersionTree::DetectConflicts() const {
-  std::vector<Conflict> out;
-
-  // Type 1: multiple parentless versions sharing a file name.
-  for (auto it = roots_.begin(); it != roots_.end();) {
-    auto range_end = roots_.upper_bound(it->first);
-    std::vector<Sha1Digest> ids;
-    for (auto jt = it; jt != range_end; ++jt) {
-      ids.push_back(jt->second);
-    }
-    if (ids.size() > 1) {
-      out.push_back(Conflict{ConflictType::kSameName, it->first, std::move(ids)});
-    }
-    it = range_end;
-  }
-
-  // Type 2: any version with multiple children.
-  for (auto it = children_.begin(); it != children_.end();) {
-    auto range_end = children_.upper_bound(it->first);
-    std::vector<Sha1Digest> ids;
-    for (auto jt = it; jt != range_end; ++jt) {
-      ids.push_back(jt->second);
-    }
-    if (ids.size() > 1) {
-      const FileVersion* parent = Find(it->first);
-      out.push_back(Conflict{ConflictType::kDivergedVersions,
-                             parent != nullptr ? parent->file_name : "<unknown>",
-                             std::move(ids)});
-    }
-    it = range_end;
-  }
-  return out;
-}
-
-std::vector<Conflict> VersionTree::DetectConflictsFor(const Sha1Digest& id) const {
-  std::vector<Conflict> out;
-  const FileVersion* node = Find(id);
-  if (node == nullptr) {
-    return out;
-  }
-
-  if (IsNullDigest(node->prev_id)) {
-    // Type 1: another root with the same name but different id?
-    std::vector<Sha1Digest> ids;
-    auto [begin, end] = roots_.equal_range(node->file_name);
-    for (auto it = begin; it != end; ++it) {
-      ids.push_back(it->second);
-    }
-    if (ids.size() > 1) {
-      out.push_back(Conflict{ConflictType::kSameName, node->file_name, std::move(ids)});
-    }
-  }
-
-  // Type 2: walk up from the new node; any ancestor with several children
-  // indicates divergence (paper §5.4: "traverse the tree upwards").
-  const FileVersion* cursor = node;
-  std::set<Sha1Digest> seen;
-  while (cursor != nullptr && seen.insert(cursor->id).second) {
-    if (!IsNullDigest(cursor->prev_id)) {
-      const FileVersion* parent = Find(cursor->prev_id);
-      if (parent != nullptr) {
-        std::vector<const FileVersion*> siblings = Children(parent->id);
-        if (siblings.size() > 1) {
-          std::vector<Sha1Digest> ids;
-          for (const FileVersion* s : siblings) {
-            ids.push_back(s->id);
-          }
-          out.push_back(
-              Conflict{ConflictType::kDivergedVersions, parent->file_name, std::move(ids)});
-        }
-      }
-      cursor = parent;
-    } else {
-      break;
-    }
   }
   return out;
 }

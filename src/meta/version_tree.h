@@ -2,16 +2,18 @@
 //
 // All versions of all files form a forest under a dummy root: new files are
 // first-level nodes, edits hang off their parent version. Because clients
-// upload without locking, two situations create conflicts, detected by
-// traversal after download:
-//   1. same-name conflict: two parentless versions share a file name but
-//      have different content ids;
-//   2. diverged-version conflict: one version has multiple children (two
-//      clients edited the same parent concurrently).
+// upload without locking, a file name can end up with several live
+// (undeleted, childless) heads. That is a conflict, of one of two kinds:
+//   1. same-name conflict: every live head is parentless - independent
+//      creations of one name;
+//   2. diverged-version conflict: otherwise - concurrent edits of a common
+//      history.
+// A resolved conflict has one live head again, so it stops being reported.
 #ifndef SRC_META_VERSION_TREE_H_
 #define SRC_META_VERSION_TREE_H_
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,28 +45,26 @@ class VersionTree {
   const FileVersion* Find(const Sha1Digest& id) const;
   size_t size() const { return nodes_.size(); }
 
-  // Children of a version (versions naming it as parent).
-  std::vector<const FileVersion*> Children(const Sha1Digest& id) const;
-
   // Leaf versions for a file name: versions with no children, following
   // either creation roots or edit chains. Deleted leaves are included
   // (the caller decides how to treat deletion markers).
   std::vector<const FileVersion*> Heads(std::string_view file_name) const;
 
-  // The single live head of a file.
-  //   kNotFound  - no version, or every head is deleted;
-  //   kConflict  - multiple live heads (caller should surface conflicts).
-  Result<const FileVersion*> Latest(std::string_view file_name) const;
+  // Heads() without deletion markers, in id order.
+  std::vector<const FileVersion*> LiveHeads(std::string_view file_name) const;
+
+  // The head a reader sees: the latest modified_time, a tie going to the
+  // larger id. Null when `heads` is empty.
+  static const FileVersion* Newest(const std::vector<const FileVersion*>& heads);
+
+  // The conflict `live_heads` (LiveHeads(file_name)) form, if there are
+  // several: kSameName when all are parentless, kDivergedVersions
+  // otherwise.
+  static std::optional<Conflict> LiveHeadConflict(
+      std::string_view file_name, const std::vector<const FileVersion*>& live_heads);
 
   // Version chain from `id` back to its creation (newest first).
   Result<std::vector<const FileVersion*>> History(const Sha1Digest& id) const;
-
-  // Every conflict in the tree (paper's distributed conflict detection).
-  std::vector<Conflict> DetectConflicts() const;
-
-  // Conflicts involving one newly-inserted version id only - what a client
-  // checks when a new metadata object arrives during sync (Algorithm 3).
-  std::vector<Conflict> DetectConflictsFor(const Sha1Digest& id) const;
 
   // Distinct file names, ascending; names whose every head is deleted are
   // excluded unless include_deleted.
@@ -87,8 +87,7 @@ class VersionTree {
 
  private:
   std::map<Sha1Digest, FileVersion> nodes_;
-  std::multimap<Sha1Digest, Sha1Digest> children_;          // parent -> child
-  std::multimap<std::string, Sha1Digest, std::less<>> roots_;  // name -> parentless
+  std::multimap<Sha1Digest, Sha1Digest> children_;  // parent -> child
   // name -> every version of that name. Heads()/FileNames() walk this index
   // instead of scanning nodes_ (a shard serving many files pays O(file's
   // versions), not O(tree)).

@@ -1,6 +1,7 @@
 // End-to-end tests of CyrusClient against simulated heterogeneous CSPs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 
@@ -423,6 +424,38 @@ TEST(ClientTest, SameNameCreationConflict) {
   EXPECT_TRUE(get->had_conflicts);
   ASSERT_EQ(get->conflicts.size(), 1u);
   EXPECT_EQ(get->conflicts[0].type, ConflictType::kSameName);
+}
+
+TEST(ClientTest, ListAndVersionsAgreeWithGetOnTiedHeads) {
+  // Two devices create one name at the same virtual time. Every view of
+  // the name must pick the same head as Get: the modified_time tie goes to
+  // the larger version id.
+  TestCloud cloud = MakeCloud();
+  TestCloud device2 = MakeCloud(SmallConfig("device-2"), cloud.csps);
+  cloud.client->set_time(1.0);
+  device2.client->set_time(1.0);
+  auto put1 = cloud.client->Put("tie.txt", RandomContent(1000, 90));
+  auto put2 = device2.client->Put("tie.txt", RandomContent(3000, 91));
+  ASSERT_TRUE(put1.ok() && put2.ok());
+  const Sha1Digest winner = std::max(put1->version_id, put2->version_id);
+
+  for (CyrusClient* client : {cloud.client.get(), device2.client.get()}) {
+    auto get = client->Get("tie.txt");
+    ASSERT_TRUE(get.ok()) << get.status();
+    EXPECT_TRUE(get->had_conflicts);
+    EXPECT_EQ(get->version_id, winner);
+
+    auto listing = client->List("");
+    ASSERT_TRUE(listing.ok()) << listing.status();
+    ASSERT_EQ(listing->size(), 1u);
+    EXPECT_EQ((*listing)[0].size, get->content.size());
+    EXPECT_TRUE((*listing)[0].conflicted);
+
+    auto versions = client->Versions("tie.txt");
+    ASSERT_TRUE(versions.ok()) << versions.status();
+    ASSERT_FALSE(versions->empty());
+    EXPECT_EQ((*versions)[0]->id, get->version_id);
+  }
 }
 
 TEST(ClientTest, DownloadSurvivesFewerThanNMinusTFailures) {

@@ -319,15 +319,41 @@ TEST(VersionTreeTest, MismatchedDuplicateRejected) {
   EXPECT_EQ(tree.Insert(v).code(), StatusCode::kAlreadyExists);
 }
 
-TEST(VersionTreeTest, LatestFollowsEditChain) {
+TEST(VersionTreeTest, NewestLiveHeadFollowsEditChain) {
   VersionTree tree;
   const FileVersion v1 = MakeVersion("a.txt", "v1");
   const FileVersion v2 = MakeVersion("a.txt", "v2", v1.id);
   ASSERT_TRUE(tree.Insert(v1).ok());
   ASSERT_TRUE(tree.Insert(v2).ok());
-  auto latest = tree.Latest("a.txt");
-  ASSERT_TRUE(latest.ok());
-  EXPECT_EQ((*latest)->id, v2.id);
+  const auto live = tree.LiveHeads("a.txt");
+  ASSERT_EQ(live.size(), 1u);
+  EXPECT_EQ(VersionTree::Newest(live)->id, v2.id);
+  EXPECT_FALSE(VersionTree::LiveHeadConflict("a.txt", live).has_value());
+}
+
+TEST(VersionTreeTest, NewestBreaksModifiedTimeTiesByLargerId) {
+  VersionTree tree;
+  FileVersion a = MakeVersion("a.txt", "device-1");
+  FileVersion b = MakeVersion("a.txt", "device-2");
+  a.modified_time = b.modified_time = 7.0;
+  ASSERT_TRUE(tree.Insert(a).ok());
+  ASSERT_TRUE(tree.Insert(b).ok());
+  const Sha1Digest larger = std::max(a.id, b.id);
+  EXPECT_EQ(VersionTree::Newest(tree.LiveHeads("a.txt"))->id, larger);
+  // Insertion order does not matter.
+  VersionTree reversed;
+  ASSERT_TRUE(reversed.Insert(b).ok());
+  ASSERT_TRUE(reversed.Insert(a).ok());
+  EXPECT_EQ(VersionTree::Newest(reversed.LiveHeads("a.txt"))->id, larger);
+  // A later modified_time wins regardless of id.
+  FileVersion later = MakeVersion("b.txt", "later");
+  FileVersion earlier = MakeVersion("b.txt", "earlier");
+  later.modified_time = 8.0;
+  earlier.modified_time = 1.0;
+  ASSERT_TRUE(tree.Insert(later).ok());
+  ASSERT_TRUE(tree.Insert(earlier).ok());
+  EXPECT_EQ(VersionTree::Newest(tree.LiveHeads("b.txt"))->id, later.id);
+  EXPECT_EQ(VersionTree::Newest({}), nullptr);
 }
 
 TEST(VersionTreeTest, HistoryWalksBack) {
@@ -350,12 +376,13 @@ TEST(VersionTreeTest, SameNameConflictDetected) {
   VersionTree tree;
   ASSERT_TRUE(tree.Insert(MakeVersion("a.txt", "client1-content")).ok());
   ASSERT_TRUE(tree.Insert(MakeVersion("a.txt", "client2-content")).ok());
-  const auto conflicts = tree.DetectConflicts();
-  ASSERT_EQ(conflicts.size(), 1u);
-  EXPECT_EQ(conflicts[0].type, ConflictType::kSameName);
-  EXPECT_EQ(conflicts[0].file_name, "a.txt");
-  EXPECT_EQ(conflicts[0].versions.size(), 2u);
-  EXPECT_EQ(tree.Latest("a.txt").status().code(), StatusCode::kConflict);
+  const auto live = tree.LiveHeads("a.txt");
+  ASSERT_EQ(live.size(), 2u);
+  const auto conflict = VersionTree::LiveHeadConflict("a.txt", live);
+  ASSERT_TRUE(conflict.has_value());
+  EXPECT_EQ(conflict->type, ConflictType::kSameName);
+  EXPECT_EQ(conflict->file_name, "a.txt");
+  EXPECT_EQ(conflict->versions.size(), 2u);
 }
 
 TEST(VersionTreeTest, DivergedVersionsConflictDetected) {
@@ -367,12 +394,15 @@ TEST(VersionTreeTest, DivergedVersionsConflictDetected) {
   for (const auto& v : {base, edit1, edit2}) {
     ASSERT_TRUE(tree.Insert(v).ok());
   }
-  const auto conflicts = tree.DetectConflicts();
-  ASSERT_EQ(conflicts.size(), 1u);
-  EXPECT_EQ(conflicts[0].type, ConflictType::kDivergedVersions);
+  const auto conflict = VersionTree::LiveHeadConflict("a.txt", tree.LiveHeads("a.txt"));
+  ASSERT_TRUE(conflict.has_value());
+  EXPECT_EQ(conflict->type, ConflictType::kDivergedVersions);
+  EXPECT_EQ(conflict->versions.size(), 2u);
 }
 
-TEST(VersionTreeTest, DetectConflictsForWalksUpward) {
+TEST(VersionTreeTest, DivergedHeadsConflictAtAnyDepth) {
+  // The divergence at `base` surfaces even after one branch moved on: the
+  // live heads are edit1 and edit3.
   VersionTree tree;
   const FileVersion base = MakeVersion("a.txt", "base");
   const FileVersion edit1 = MakeVersion("a.txt", "edit1", base.id);
@@ -381,10 +411,28 @@ TEST(VersionTreeTest, DetectConflictsForWalksUpward) {
   for (const auto& v : {base, edit1, edit2, edit3}) {
     ASSERT_TRUE(tree.Insert(v).ok());
   }
-  // From the grandchild, the upward walk still finds the divergence at base.
-  const auto conflicts = tree.DetectConflictsFor(edit3.id);
-  ASSERT_EQ(conflicts.size(), 1u);
-  EXPECT_EQ(conflicts[0].type, ConflictType::kDivergedVersions);
+  const auto conflict = VersionTree::LiveHeadConflict("a.txt", tree.LiveHeads("a.txt"));
+  ASSERT_TRUE(conflict.has_value());
+  EXPECT_EQ(conflict->type, ConflictType::kDivergedVersions);
+  EXPECT_EQ(std::set<Sha1Digest>(conflict->versions.begin(), conflict->versions.end()),
+            (std::set<Sha1Digest>{edit1.id, edit3.id}));
+}
+
+TEST(VersionTreeTest, ResolvedConflictIsNoLongerReported) {
+  // Resolving renames the loser: a child under another name ends the
+  // loser's life as a head of "a.txt", so the name has one live head.
+  VersionTree tree;
+  const FileVersion base = MakeVersion("a.txt", "base");
+  const FileVersion edit1 = MakeVersion("a.txt", "edit1", base.id);
+  const FileVersion edit2 = MakeVersion("a.txt", "edit2", base.id);
+  const FileVersion rename = MakeVersion("a.txt.conflict", "edit1-renamed", edit1.id);
+  for (const auto& v : {base, edit1, edit2, rename}) {
+    ASSERT_TRUE(tree.Insert(v).ok());
+  }
+  const auto live = tree.LiveHeads("a.txt");
+  ASSERT_EQ(live.size(), 1u);
+  EXPECT_EQ(live.front()->id, edit2.id);
+  EXPECT_FALSE(VersionTree::LiveHeadConflict("a.txt", live).has_value());
 }
 
 TEST(VersionTreeTest, NoConflictOnLinearHistory) {
@@ -393,8 +441,8 @@ TEST(VersionTreeTest, NoConflictOnLinearHistory) {
   const FileVersion v2 = MakeVersion("a.txt", "v2", v1.id);
   ASSERT_TRUE(tree.Insert(v1).ok());
   ASSERT_TRUE(tree.Insert(v2).ok());
-  EXPECT_TRUE(tree.DetectConflicts().empty());
-  EXPECT_TRUE(tree.DetectConflictsFor(v2.id).empty());
+  EXPECT_FALSE(
+      VersionTree::LiveHeadConflict("a.txt", tree.LiveHeads("a.txt")).has_value());
 }
 
 TEST(VersionTreeTest, DeletionMarkerHidesFile) {
@@ -407,7 +455,8 @@ TEST(VersionTreeTest, DeletionMarkerHidesFile) {
   marker.size = 0;
   ASSERT_TRUE(tree.Insert(v1).ok());
   ASSERT_TRUE(tree.Insert(marker).ok());
-  EXPECT_EQ(tree.Latest("a.txt").status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(tree.LiveHeads("a.txt").empty());
+  EXPECT_EQ(tree.Heads("a.txt").size(), 1u);
   EXPECT_TRUE(tree.FileNames().empty());
   EXPECT_EQ(tree.FileNames(/*include_deleted=*/true).size(), 1u);
   // Undelete path: history from the marker still reaches v1.
@@ -887,7 +936,9 @@ TEST(VersionTreeTest, RandomizedForestInvariants) {
     }
     for (const auto& [name, chain] : chains) {
       for (const FileVersion* head : tree.Heads(name)) {
-        EXPECT_TRUE(tree.Children(head->id).empty());
+        for (const FileVersion& v : versions) {
+          EXPECT_NE(v.prev_id, head->id) << "a head has a child";
+        }
       }
       EXPECT_FALSE(tree.Heads(name).empty());
     }

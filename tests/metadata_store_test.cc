@@ -1,0 +1,351 @@
+// The metadata object format and the store's I/O: share naming, envelope
+// round trips, straggler generations, malformed metadata read back from a
+// CSP, and how many List calls publish and discovery make.
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <set>
+
+#include "src/cloud/simulated_csp.h"
+#include "src/core/client.h"
+#include "src/core/metadata_store.h"
+#include "src/crypto/naming.h"
+#include "src/util/rng.h"
+#include "src/util/strings.h"
+
+namespace cyrus {
+namespace {
+
+constexpr int kNumCsps = 5;
+constexpr char kKey[] = "metadata store test key";
+
+CyrusConfig Config(std::string client_id) {
+  CyrusConfig config;
+  config.client_id = std::move(client_id);
+  config.key_string = kKey;
+  config.t = 2;
+  config.meta_t = 2;
+  config.epsilon = 1e-4;
+  config.chunker = ChunkerOptions::ForTesting();
+  config.cluster_aware = false;
+  config.transfer_concurrency = 1;
+  return config;
+}
+
+std::vector<std::shared_ptr<SimulatedCsp>> MakeCsps(int count) {
+  std::vector<std::shared_ptr<SimulatedCsp>> csps;
+  for (int i = 0; i < count; ++i) {
+    SimulatedCspOptions o;
+    o.id = "csp" + std::to_string(i);
+    o.naming = (i % 2 == 0) ? NamingPolicy::kNameKeyed : NamingPolicy::kIdKeyed;
+    csps.push_back(std::make_shared<SimulatedCsp>(o));
+  }
+  return csps;
+}
+
+std::unique_ptr<CyrusClient> MakeClient(
+    const std::string& client_id, const std::vector<std::shared_ptr<SimulatedCsp>>& csps) {
+  auto client = CyrusClient::Create(Config(client_id));
+  EXPECT_TRUE(client.ok()) << client.status();
+  for (const auto& csp : csps) {
+    CspProfile profile;
+    profile.download_bytes_per_sec = 4e6;
+    profile.upload_bytes_per_sec = 2e6;
+    auto added = (*client)->AddCsp(csp, profile, Credentials{"token"});
+    EXPECT_TRUE(added.ok()) << added.status();
+  }
+  return std::move(client).value();
+}
+
+Bytes RandomContent(size_t size, uint64_t seed) {
+  Rng rng(seed);
+  Bytes data(size);
+  for (auto& b : data) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  return data;
+}
+
+uint64_t TotalLists(const std::vector<std::shared_ptr<SimulatedCsp>>& csps) {
+  uint64_t lists = 0;
+  for (const auto& csp : csps) {
+    lists += csp->counters().lists;
+  }
+  return lists;
+}
+
+// Distinct metadata share objects a CSP holds for one base (an id-keyed
+// CSP lists a re-uploaded name once per copy).
+std::set<std::string> SharesOf(SimulatedCsp& csp, const std::string& base) {
+  std::set<std::string> names;
+  auto listing = csp.List(base);
+  EXPECT_TRUE(listing.ok()) << listing.status();
+  for (const ObjectInfo& object : *listing) {
+    names.insert(object.name);
+  }
+  return names;
+}
+
+TEST(MetadataStoreTest, ObjectNamesRoundTrip) {
+  const MetaShareId id{"meta-0123abcd", 17, "89abcdef"};
+  const std::string name = MetadataStore::ObjectName(id);
+  EXPECT_EQ(name, "meta-0123abcd.17.89abcdef");
+  const std::optional<MetaShareId> parsed = MetadataStore::ParseObjectName(name);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->base, id.base);
+  EXPECT_EQ(parsed->index, id.index);
+  EXPECT_EQ(parsed->generation, id.generation);
+
+  // The base may itself contain dots; index and generation are the last two
+  // fields.
+  const auto dotted = MetadataStore::ParseObjectName("a.b.3.ff");
+  ASSERT_TRUE(dotted.has_value());
+  EXPECT_EQ(dotted->base, "a.b");
+  EXPECT_EQ(dotted->index, 3u);
+  EXPECT_EQ(dotted->generation, "ff");
+
+  for (const char* bad : {"meta-abc", "meta-abc.1", "meta-abc.1.", "meta-abc.x1.ff",
+                          "meta-abc..ff", ".1.ff", "", "."}) {
+    EXPECT_FALSE(MetadataStore::ParseObjectName(bad).has_value()) << bad;
+  }
+}
+
+TEST(MetadataStoreTest, SealOpenRoundTripsAnyMetaTSubset) {
+  for (uint32_t meta_t : {1u, 2u, 3u}) {
+    for (size_t size : {0, 1, 5, 100, 4097}) {
+      const Bytes payload = RandomContent(size, 100 + size + meta_t);
+      auto sealed = MetadataStore::Seal(kKey, meta_t, 5, payload);
+      ASSERT_TRUE(sealed.ok()) << sealed.status();
+      ASSERT_EQ(sealed->shares.size(), 5u);
+      EXPECT_EQ(sealed->generation.size(), 8u);
+      // Sealing is deterministic: the same plaintext is the same generation.
+      auto again = MetadataStore::Seal(kKey, meta_t, 5, payload);
+      ASSERT_TRUE(again.ok());
+      EXPECT_EQ(again->generation, sealed->generation);
+      // Any meta_t shares open it.
+      for (size_t first = 0; first + meta_t <= 5; ++first) {
+        std::vector<Share> subset(sealed->shares.begin() + first,
+                                  sealed->shares.begin() + first + meta_t);
+        auto opened = MetadataStore::Open(kKey, meta_t, subset, sealed->generation);
+        ASSERT_TRUE(opened.ok()) << opened.status();
+        EXPECT_EQ(*opened, payload);
+      }
+    }
+  }
+}
+
+TEST(MetadataStoreTest, OpenRejectsWrongKeyAndMixedGenerations) {
+  const Bytes old_payload = RandomContent(300, 1);
+  const Bytes new_payload = RandomContent(300, 2);
+  auto old_sealed = MetadataStore::Seal(kKey, 2, 5, old_payload);
+  auto new_sealed = MetadataStore::Seal(kKey, 2, 5, new_payload);
+  ASSERT_TRUE(old_sealed.ok() && new_sealed.ok());
+  EXPECT_NE(old_sealed->generation, new_sealed->generation);
+
+  const std::vector<Share> fresh = {new_sealed->shares[0], new_sealed->shares[1]};
+  EXPECT_EQ(MetadataStore::Open("another key", 2, fresh, new_sealed->generation)
+                .status()
+                .code(),
+            StatusCode::kDataLoss);
+  // One share of each generation reconstructs neither.
+  const std::vector<Share> mixed = {new_sealed->shares[0], old_sealed->shares[1]};
+  for (const std::string& generation : {old_sealed->generation, new_sealed->generation}) {
+    EXPECT_EQ(MetadataStore::Open(kKey, 2, mixed, generation).status().code(),
+              StatusCode::kDataLoss);
+  }
+}
+
+TEST(MetadataStoreTest, StragglerKeepsOldGenerationAndIsNeverMixed) {
+  auto csps = MakeCsps(kNumCsps);
+  auto writer = MakeClient("writer", csps);
+  const Bytes content = RandomContent(10 * 1024, 3);
+  auto put = writer->Put("doc", content);
+  ASSERT_TRUE(put.ok()) << put.status();
+  const std::string base = MetadataName(put->version_id);
+
+  const Bytes original = writer->tree().Find(put->version_id)->Serialize();
+
+  // csp4 sleeps through the republish that lazy migration off the removed
+  // csp0 triggers, so it keeps a share of the old generation.
+  ASSERT_TRUE(writer->RemoveCsp(0).ok());
+  csps[4]->set_available(false);
+  auto migrated = writer->Get("doc");
+  ASSERT_TRUE(migrated.ok()) << migrated.status();
+  ASSERT_GT(migrated->migrated_shares, 0u);
+  csps[4]->set_available(true);
+  const Bytes republished = writer->tree().Find(put->version_id)->Serialize();
+  ASSERT_NE(republished, original);
+
+  std::set<std::string> generations;
+  for (int i : {0, 1, 2, 3, 4}) {
+    for (const std::string& name : SharesOf(*csps[i], base)) {
+      generations.insert(MetadataStore::ParseObjectName(name)->generation);
+    }
+  }
+  ASSERT_EQ(generations.size(), 2u) << "csp0 and csp4 should hold the old generation";
+
+  // A fresh device over every account, registered in the writer's order,
+  // sees the old generation on csp0 and csp4 (meta_t shares: decodable)
+  // and the new one on csp1-csp3. It must ingest the new one.
+  auto fresh = MakeClient("fresh", csps);
+  ASSERT_TRUE(fresh->Recover().ok());
+  const FileVersion* version = fresh->tree().Find(put->version_id);
+  ASSERT_NE(version, nullptr);
+  EXPECT_EQ(version->Serialize(), republished) << "decoded the stale generation";
+  auto get = fresh->Get("doc");
+  ASSERT_TRUE(get.ok()) << get.status();
+  EXPECT_EQ(get->content, content);
+
+  // A device that reaches one share of each generation has meta_t shares
+  // but no decodable generation: the file stays invisible, never garbage.
+  auto partial = MakeClient("partial", {csps[3], csps[4]});
+  ASSERT_TRUE(partial->Recover().ok());
+  EXPECT_EQ(partial->tree().size(), 0u);
+  EXPECT_EQ(partial->Get("doc").status().code(), StatusCode::kNotFound);
+}
+
+TEST(MetadataStoreTest, InvalidVersionIsSkippedAndNotFetchedAgain) {
+  auto csps = MakeCsps(kNumCsps);
+  auto writer = MakeClient("writer", csps);
+  const Bytes good = RandomContent(4 * 1024, 4);
+  ASSERT_TRUE(writer->Put("good", good).ok());
+
+  // A base that decodes under the user key into a version that fails
+  // Validate(): 5 bytes, no chunks.
+  FileVersion bad;
+  bad.file_name = "bad";
+  bad.content_id = Sha1::Hash(Bytes{1, 2, 3, 4, 5});
+  bad.id = ComputeVersionId(bad.content_id, Sha1Digest{}, bad.file_name);
+  bad.client_id = "mallory";
+  bad.size = 5;
+  ASSERT_FALSE(bad.Validate().ok());
+  auto sealed = MetadataStore::Seal(kKey, 2, kNumCsps, bad.Serialize());
+  ASSERT_TRUE(sealed.ok()) << sealed.status();
+  for (int i = 0; i < kNumCsps; ++i) {
+    const std::string object = MetadataStore::ObjectName(
+        MetaShareId{MetadataName(bad.id), sealed->shares[i].index, sealed->generation});
+    ASSERT_TRUE(csps[i]->Upload(object, sealed->shares[i].data).ok());
+  }
+
+  auto reader = MakeClient("reader", csps);
+  auto get = reader->Get("good");
+  ASSERT_TRUE(get.ok()) << get.status();
+  EXPECT_EQ(get->content, good);
+  auto listing = reader->List("");
+  ASSERT_TRUE(listing.ok()) << listing.status();
+  ASSERT_EQ(listing->size(), 1u);
+  EXPECT_EQ((*listing)[0].name, "good");
+  EXPECT_FALSE(reader->tree().Contains(bad.id));
+
+  // Later passes list but download nothing: the bad base is not refetched.
+  uint64_t downloads = 0;
+  for (const auto& csp : csps) {
+    downloads += csp->counters().downloads;
+  }
+  ASSERT_TRUE(reader->SyncMetadata().ok());
+  ASSERT_TRUE(reader->SyncMetadata().ok());
+  for (const auto& csp : csps) {
+    downloads -= csp->counters().downloads;
+  }
+  EXPECT_EQ(downloads, 0u);
+}
+
+TEST(MetadataStoreTest, FirstPublishListsNothing) {
+  auto csps = MakeCsps(kNumCsps);
+  auto client = MakeClient("writer", csps);
+  for (int i = 0; i < 3; ++i) {
+    const uint64_t before = TotalLists(csps);
+    ASSERT_TRUE(client->Put(StrCat("file-", i), RandomContent(4096, 10 + i)).ok());
+    EXPECT_EQ(TotalLists(csps) - before, 0u) << "Put " << i;
+  }
+}
+
+TEST(MetadataStoreTest, AnotherKeysFirstPublishOfTheSameBaseLeavesOursIntact) {
+  // Users sharing CSP accounts under convergent dedup store identical
+  // shares for identical content, and publish the same metadata base for
+  // the same name (version ids hash content, parent and name). A first
+  // publish must not delete the other user's metadata shares.
+  auto csps = MakeCsps(kNumCsps);
+  auto make_user = [&](const std::string& client_id, const std::string& key) {
+    CyrusConfig config = Config(client_id);
+    config.key_string = key;
+    config.dedup_mode = DedupMode::kConvergent;
+    config.dedup_salt = "deployment salt";
+    auto client = CyrusClient::Create(std::move(config));
+    EXPECT_TRUE(client.ok()) << client.status();
+    for (const auto& csp : csps) {
+      EXPECT_TRUE((*client)->AddCsp(csp, CspProfile{}, Credentials{"token"}).ok());
+    }
+    return std::move(client).value();
+  };
+  const Bytes content = RandomContent(4096, 6);
+  auto put = make_user("alice", kKey)->Put("same.bin", content);
+  ASSERT_TRUE(put.ok()) << put.status();
+  auto bob_put = make_user("bob", "bob's key")->Put("same.bin", content);
+  ASSERT_TRUE(bob_put.ok()) << bob_put.status();
+  ASSERT_EQ(bob_put->version_id, put->version_id);
+
+  auto fresh = make_user("alice-2", kKey);
+  ASSERT_TRUE(fresh->Recover().ok());
+  auto get = fresh->Get("same.bin");
+  ASSERT_TRUE(get.ok()) << get.status();
+  EXPECT_EQ(get->content, content);
+}
+
+TEST(MetadataStoreTest, RepublishListsOncePerReceivingCspAndDeletesStaleShares) {
+  auto csps = MakeCsps(kNumCsps);
+  auto client = MakeClient("writer", csps);
+  auto put = client->Put("doc", RandomContent(8 * 1024, 20));
+  ASSERT_TRUE(put.ok()) << put.status();
+  const std::string base = MetadataName(put->version_id);
+
+  // Rebalancing onto a new account: every CSP receives a share, and each
+  // lists the base exactly once.
+  auto newcomer = std::make_shared<SimulatedCsp>(SimulatedCspOptions{"newcomer"});
+  ASSERT_TRUE(client->AddCsp(newcomer, CspProfile{}, Credentials{"token"}).ok());
+  csps.push_back(newcomer);
+  for (const auto& csp : csps) {
+    csp->ResetCounters();
+  }
+  ASSERT_TRUE(client->RebalanceMetadata().ok());
+  for (const auto& csp : csps) {
+    EXPECT_EQ(csp->counters().lists, 1u) << csp->id();
+    EXPECT_EQ(SharesOf(*csp, base).size(), 1u) << csp->id();
+  }
+
+  // Removing csp0 shifts every remaining CSP onto another share index: the
+  // republish lists once per remaining CSP and deletes each stale index.
+  for (const auto& csp : csps) {
+    csp->ResetCounters();
+  }
+  ASSERT_TRUE(client->RemoveCsp(0).ok());
+  EXPECT_EQ(csps[0]->counters().lists, 0u);
+  for (size_t i = 1; i < csps.size(); ++i) {
+    EXPECT_EQ(csps[i]->counters().lists, 1u) << csps[i]->id();
+    EXPECT_GT(csps[i]->counters().deletes, 0u) << csps[i]->id();
+    EXPECT_EQ(SharesOf(*csps[i], base).size(), 1u) << csps[i]->id();
+  }
+}
+
+TEST(MetadataStoreTest, DiscoveryListsOncePerActiveCspWhateverItIngests) {
+  auto csps = MakeCsps(kNumCsps);
+  auto writer = MakeClient("writer", csps);
+  auto reader = MakeClient("reader", csps);
+  size_t expected_versions = 0;
+  for (int k : {1, 4, 0}) {
+    for (int i = 0; i < k; ++i) {
+      ASSERT_TRUE(writer
+                      ->Put(StrCat("batch-", expected_versions, "-", i),
+                            RandomContent(2048, 30 + expected_versions + i))
+                      .ok());
+    }
+    expected_versions += k;
+    const uint64_t before = TotalLists(csps);
+    ASSERT_TRUE(reader->SyncMetadata().ok());
+    EXPECT_EQ(TotalLists(csps) - before, static_cast<uint64_t>(kNumCsps)) << k;
+    EXPECT_EQ(reader->tree().size(), expected_versions);
+  }
+}
+
+}  // namespace
+}  // namespace cyrus
