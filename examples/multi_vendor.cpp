@@ -113,19 +113,23 @@ int main() {
     std::fprintf(stderr, "put failed: %s\n", put.status().ToString().c_str());
     return 1;
   }
+  size_t inspected = 0;
   size_t violations = 0;
-  for (const FileVersion* version : client->tree().AllVersions()) {
-    for (const ChunkRecord& chunk : version->chunks) {
-      std::set<int> used_clusters;
-      for (const ShareLocation& loc : version->SharesOfChunk(chunk.id)) {
-        if (!used_clusters.insert(cluster_ids[loc.csp]).second) {
-          ++violations;
-        }
+  const ChunkTable& table = client->chunk_table();
+  for (const Sha1Digest& id : table.AllChunkIds()) {
+    std::set<int> used_clusters;
+    for (const ChunkShare& share : table.Find(id)->shares) {
+      ++inspected;
+      if (!used_clusters.insert(cluster_ids[share.csp]).second) {
+        ++violations;
       }
     }
   }
-  std::printf("stored %zu chunk(s); platform co-location violations: %zu\n",
-              put->total_chunks, violations);
+  std::printf("stored %zu chunk(s) as %zu shares; platform co-location violations: %zu\n",
+              put->total_chunks, inspected, violations);
+  if (inspected == 0 || violations > 0) {
+    return 1;
+  }
 
   // --- The shared platform goes down entirely; data survives. ---
   std::printf("\nmega-cloud platform outage (3 providers at once)...\n");

@@ -176,16 +176,6 @@ CircuitBreaker::State CircuitBreaker::state() const {
   return state_;
 }
 
-void CircuitBreaker::ForceHalfOpen() {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (state_ == State::kOpen) {
-      TransitionLocked(State::kHalfOpen);
-    }
-  }
-  DrainTransitions();
-}
-
 void CircuitBreaker::ForceOpen() {
   {
     std::unique_lock<std::mutex> lock(mutex_);

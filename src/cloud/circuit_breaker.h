@@ -89,10 +89,6 @@ class CircuitBreaker {
   // race on different threads.
   void set_on_transition(std::function<void(State, State)> cb);
 
-  // Forces the breaker into half-open immediately (scrub-driven reprobe:
-  // the repair engine has independent evidence the CSP may be back).
-  void ForceHalfOpen();
-
   // Forces the breaker open immediately (with a fresh cooldown), firing
   // the transition callback so placement evicts the CSP. The integrity
   // path's quarantine primitive: a CSP serving corrupted bytes answers

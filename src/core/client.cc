@@ -48,10 +48,8 @@ CyrusClient::CyrusClient(CyrusConfig config, Chunker chunker)
     : config_(std::move(config)),
       deriver_(config_.dedup_salt, config_.key_string),
       chunker_(std::move(chunker)),
-      ring_(config_.ring_virtual_points),
-      chunk_cache_(ChunkCacheOptions{config_.chunk_cache_bytes,
-                                     config_.chunk_cache_shards,
-                                     config_.metrics}),
+      chunk_cache_(ChunkCacheOptions{.byte_budget = config_.chunk_cache_bytes,
+                                     .metrics = config_.metrics}),
       selector_(std::make_unique<OptimalDownloadSelector>()) {
   if (config_.transfer_concurrency > 1) {
     pool_ = std::make_unique<ThreadPool>(config_.transfer_concurrency);
@@ -129,6 +127,7 @@ CyrusClient::CyrusClient(CyrusConfig config, Chunker chunker)
   MetadataStoreContext metadata_context;
   metadata_context.registry = &registry_;
   metadata_context.monitor = &monitor_;
+  metadata_context.chunk_table = &chunk_table_;
   metadata_context.key_string = config_.key_string;
   metadata_context.meta_t = config_.meta_t;
   metadata_context.retry = config_.transfer_retry;
@@ -312,11 +311,7 @@ Status CyrusClient::RemoveCsp(int csp) {
   // Metadata is small: re-scatter every version to the remaining CSPs now.
   // Chunk shares migrate lazily on subsequent downloads (paper §5.5).
   // Outside the topology lock: a failed publish may itself MarkCspFailed.
-  TransferReport report;
-  for (const FileVersion* version : tree_.AllVersions()) {
-    CYRUS_RETURN_IF_ERROR(metadata_->Publish(*version, report));
-  }
-  return OkStatus();
+  return RebalanceMetadata();
 }
 
 Status CyrusClient::MarkCspFailed(int csp) {
@@ -478,54 +473,19 @@ void CyrusClient::set_download_selector(std::unique_ptr<DownloadSelector> select
 // Gather and lazy migration
 // ---------------------------------------------------------------------------
 
-Status CyrusClient::AdoptTableLayouts(const Sha1Digest& version_id,
-                                      const std::set<Sha1Digest>& chunk_ids) {
-  const FileVersion* version = tree_.Find(version_id);
-  if (version == nullptr) {
-    return NotFoundError(StrCat("unknown version ", version_id.ToHex()));
-  }
-  std::vector<ShareLocation> merged;
-  for (const ShareLocation& loc : version->shares) {
-    if (chunk_ids.count(loc.chunk_id) == 0 || !chunk_table_.Contains(loc.chunk_id)) {
-      merged.push_back(loc);
-    }
-  }
-  std::map<Sha1Digest, std::vector<ShareDigest>> digests;
-  for (const Sha1Digest& chunk_id : chunk_ids) {
-    const ChunkEntry* entry = chunk_table_.Find(chunk_id);
-    if (entry == nullptr) {
-      continue;
-    }
-    for (const ChunkShare& share : entry->shares) {
-      merged.push_back(ShareLocation{chunk_id, share.share_index, share.csp});
-      if (share.has_digest()) {
-        digests[chunk_id].push_back(ShareDigest{share.share_index, share.digest});
-      }
-    }
-  }
-  CYRUS_RETURN_IF_ERROR(tree_.UpdateShareLocations(version_id, std::move(merged)));
-  for (auto& [chunk_id, chunk_digests] : digests) {
-    CYRUS_RETURN_IF_ERROR(
-        tree_.UpdateChunkShareDigests(version_id, chunk_id, std::move(chunk_digests)));
-  }
-  return OkStatus();
-}
-
 std::vector<ShareLocation> CyrusClient::ResolveChunkLocations(
-    const FileVersion& version, const Sha1Digest& chunk_id) const {
+    const Sha1Digest& chunk_id) const {
   std::vector<ShareLocation> locations;
   if (const ChunkEntry* entry = chunk_table_.Find(chunk_id); entry != nullptr) {
     for (const ChunkShare& s : entry->shares) {
       locations.push_back(ShareLocation{chunk_id, s.share_index, s.csp});
     }
-  } else {
-    locations = version.SharesOfChunk(chunk_id);
   }
   return locations;
 }
 
-// A covering chunk of a pipelined gather: filled on a worker, folded into
-// the version (and the cache) by the driver's ordered completion.
+// A covering chunk of a pipelined gather: filled on a worker, booked (and
+// cached) by the driver's ordered completion.
 struct CyrusClient::GatherSlot {
   ChunkRecord chunk;
   std::shared_ptr<Bytes> buffer;  // range reads: cache-owned plaintext
@@ -589,8 +549,7 @@ Status CyrusClient::GatherChunk(GatherSlot& slot) {
   // Digest bookkeeping: when the read healed or corrected shares, or the
   // record predates per-share digests, derive the authoritative digest set
   // from the verified plaintext. The chunk table is updated here; the
-  // driver folds `upgraded` into the version's ChunkRecord and republishes
-  // the metadata.
+  // driver republishes the metadata that references the chunk.
   if (config_.verify_share_digests &&
       (chunk.share_digests.empty() || slot.read.healed > 0 || slot.read.corrected)) {
     std::set<uint32_t> indices;
@@ -627,26 +586,35 @@ Status CyrusClient::ImportCache(const LocalCacheSnapshot& snapshot) {
   chunk_table_ = ChunkTable();
   metadata_->Reset();
   for (const FileVersion& wire : snapshot.versions) {
-    FileVersion version = metadata_->ToLocalForm(wire);
-    CYRUS_RETURN_IF_ERROR(version.Validate());
-    CYRUS_RETURN_IF_ERROR(tree_.Insert(version));
+    CYRUS_RETURN_IF_ERROR(wire.Validate());
     // The chunk table is rebuilt from the versions rather than trusted
     // from the snapshot: its share locations are registry-local and the
     // rebuild reproduces refcounts exactly.
+    FileVersion version = metadata_->ToLocalForm(wire);
     CYRUS_RETURN_IF_ERROR(RegisterVersionChunks(version));
+    CYRUS_RETURN_IF_ERROR(tree_.Insert(version));
   }
   metadata_->Reset(snapshot.known_meta_bases);
   return OkStatus();
 }
 
-Status CyrusClient::RegisterVersionChunks(const FileVersion& version) {
+Status CyrusClient::RegisterVersionChunks(FileVersion& version) {
   std::set<Sha1Digest> seen;
   for (const ChunkRecord& chunk : version.chunks) {
     if (!seen.insert(chunk.id).second) {
       continue;  // duplicate chunk within the file: count once per version
     }
-    if (chunk_table_.Contains(chunk.id)) {
+    if (const ChunkEntry* entry = chunk_table_.Find(chunk.id); entry != nullptr) {
       CYRUS_RETURN_IF_ERROR(chunk_table_.AddRef(chunk.id));
+      // The tracked layout stands; the incoming record only lends a digest
+      // to a tracked share that has none.
+      for (const ChunkShare& share : entry->shares) {
+        const Sha1Digest* digest = chunk.FindShareDigest(share.share_index);
+        if (!share.has_digest() && digest != nullptr) {
+          CYRUS_RETURN_IF_ERROR(
+              chunk_table_.SetShareDigest(chunk.id, share.share_index, *digest));
+        }
+      }
       continue;
     }
     // Synced copies carry the dedup fields so Get can unwrap the content
@@ -659,15 +627,19 @@ Status CyrusClient::RegisterVersionChunks(const FileVersion& version) {
     CYRUS_RETURN_IF_ERROR(
         chunk_table_.Insert(chunk.id, EntryFromRecord(chunk, std::move(shares))));
   }
+  version.shares.clear();
+  for (ChunkRecord& chunk : version.chunks) {
+    chunk.share_digests.clear();
+  }
   return OkStatus();
 }
 
 Result<std::vector<Conflict>> CyrusClient::SyncMetadata() {
   std::set<std::string> touched_names;
-  for (const FileVersion& version : metadata_->Discover()) {
+  for (FileVersion& version : metadata_->Discover()) {
     if (!tree_.Contains(version.id)) {
-      CYRUS_RETURN_IF_ERROR(tree_.Insert(version));
       CYRUS_RETURN_IF_ERROR(RegisterVersionChunks(version));
+      CYRUS_RETURN_IF_ERROR(tree_.Insert(version));
       touched_names.insert(version.file_name);
     }
   }
@@ -847,28 +819,22 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
   std::list<ScatterSlot> slots;
   OrderedPipeline::Options window;
   window.max_in_flight = pipeline_window();
-  window.max_in_flight_bytes = config_.pipeline_window_bytes;
   OrderedPipeline pipeline(pool_.get(), window);
 
   const bool convergent = convergent_writes();
   const uint32_t quorum = PutQuorum(n);
-  std::set<Sha1Digest> shares_recorded;
+  std::set<Sha1Digest> recorded;
   // Every completion ends here once the chunk-table entry is final: the
-  // version gains a ChunkRecord (with the entry's share digests), and the
-  // chunk's first record lists its share locations.
+  // version gains a ChunkRecord. Its share locations and digests stay in
+  // the table, which the published metadata is projected from.
   auto record_chunk = [&](const Sha1Digest& id, uint64_t offset) -> Status {
     const ChunkEntry* entry = chunk_table_.Find(id);
     if (entry == nullptr) {
       return InternalError(StrCat("chunk ", id.ToHex(), " missing from chunk table"));
     }
-    ChunkRecord record = RecordFromEntry(id, *entry);
-    record.offset = offset;
-    version.chunks.push_back(std::move(record));
-    if (shares_recorded.insert(id).second) {
-      for (const ChunkShare& s : entry->shares) {
-        version.shares.push_back(ShareLocation{id, s.share_index, s.csp});
-      }
-    }
+    version.chunks.push_back(ChunkRecord{id, offset, entry->size, entry->t, entry->n,
+                                         entry->dedup, entry->wrapped_key, {}});
+    recorded.insert(id);
     return OkStatus();
   };
   // New chunks submitted but whose completion has not been delivered yet.
@@ -935,7 +901,7 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
       };
     }
     auto on_complete = [this, slot, n, quorum, convergent, chunk_bytes, &result,
-                        &shares_recorded, &record_chunk, &inflight, &journal_id,
+                        &recorded, &record_chunk, &inflight, &journal_id,
                         &trace]() -> Status {
       if (slot->dedup) {
         // Deduplicated: reuse the stored shares (Algorithm 2's "if chunk
@@ -945,7 +911,7 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
         // A chunk this version already references takes no second ref; a
         // missing one fails in record_chunk.
         const ChunkEntry* existing = chunk_table_.Find(slot->chunk_id);
-        if (existing == nullptr || shares_recorded.count(slot->chunk_id) > 0) {
+        if (existing == nullptr || recorded.count(slot->chunk_id) > 0) {
           return record_chunk(slot->chunk_id, slot->span.offset);
         }
         CYRUS_RETURN_IF_ERROR(chunk_table_.AddRef(slot->chunk_id));
@@ -1002,8 +968,7 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
           std::move(slot->shares).value(), /*replace=*/false, result));
       return record_chunk(slot->chunk_id, slot->span.offset);
     };
-    pipeline_status = pipeline.Submit(slot->dedup ? 0 : span.size,
-                                      std::move(work), std::move(on_complete));
+    pipeline_status = pipeline.Submit(std::move(work), std::move(on_complete));
     if (!pipeline_status.ok()) {
       break;  // an earlier chunk failed; stop feeding, join what's running
     }
@@ -1018,7 +983,8 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
   CYRUS_RETURN_IF_ERROR(pipeline_status);
   result.uploaded_share_bytes = result.transfer.TotalBytes(TransferKind::kPut);
 
-  CYRUS_RETURN_IF_ERROR(version.Validate());
+  const FileVersion wire = metadata_->ToWireForm(version);
+  CYRUS_RETURN_IF_ERROR(wire.Validate());
   CYRUS_RETURN_IF_ERROR(tree_.Insert(version));
 
   // Metadata publishes only after every chunk's shares are durable
@@ -1029,8 +995,7 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
   // only written once every chunk's quorum is durable, so recovery can
   // republish this version without touching share data.
   if (journal_ != nullptr) {
-    CYRUS_RETURN_IF_ERROR(
-        journal_->RecordMetadata(journal_id, metadata_->ToWireForm(version).Serialize()));
+    CYRUS_RETURN_IF_ERROR(journal_->RecordMetadata(journal_id, wire.Serialize()));
   }
   obs::ScopedSpan publish_span = trace.Span("publish_meta");
   TransferReport meta_report;
@@ -1225,7 +1190,6 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
   // still tries every active holder.
   DownloadProblem problem;
   problem.t = config_.t;
-  problem.client_bandwidth = config_.client_downlink_bytes_per_sec;
   for (size_t i = 0; i < registry_.size(); ++i) {
     auto profile = registry_.profile(static_cast<int>(i));
     problem.csp_bandwidth.push_back(profile.ok() ? profile->download_bytes_per_sec
@@ -1239,9 +1203,8 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
     }
     DownloadChunk dc;
     dc.share_bytes = static_cast<double>(ShareSize(chunk->size, chunk->t));
-    const std::vector<ShareLocation> locations = ResolveChunkLocations(*version, id);
     std::set<int> active_holders;
-    for (const ShareLocation& loc : locations) {
+    for (const ShareLocation& loc : ResolveChunkLocations(id)) {
       if (registry_.IsActive(loc.csp)) {
         active_holders.insert(loc.csp);
       }
@@ -1263,28 +1226,21 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
   // a fresh cache-owned buffer (inserted on completion, overlap copied to
   // the result); the whole-file path keeps the zero-copy decode straight
   // into the result slice and does NOT populate the cache - one large
-  // download must not flush a streaming working set. Fragment scheduling:
-  // a range Get caps the window at max_resident_chunks decoded buffers so
-  // memory stays bounded regardless of span length.
+  // download must not flush a streaming working set.
   obs::ScopedSpan gather_span = trace.Span("gather");
   std::list<GatherSlot> slots;  // stable addresses; outlives the pipeline
   OrderedPipeline::Options window;
   window.max_in_flight = pipeline_window();
-  if (!whole_file && config_.max_resident_chunks > 0) {
-    window.max_in_flight = std::min<size_t>(window.max_in_flight,
-                                            config_.max_resident_chunks);
-  }
-  window.max_in_flight_bytes = config_.pipeline_window_bytes;
   OrderedPipeline pipeline(pool_.get(), window);
 
   Status pipeline_status;
-  size_t republish = 0;  // chunks whose version record changed
+  std::set<Sha1Digest> relaid;  // chunks whose layout or digests changed
   for (size_t i = 0; i < to_gather.size(); ++i) {
     slots.emplace_back();
     GatherSlot* slot = &slots.back();
     slot->chunk = *by_id.at(to_gather[i]);
-    // A record synced from v1/v2 metadata carries no digests; the chunk
-    // table may have them, and workers must not read it, so merge here.
+    // Workers must not read the chunk table, so the record takes the
+    // chunk's digests here.
     AugmentRecordDigests(slot->chunk);
     if (whole_file) {
       slot->dst = MutableByteSpan(result.content.data() + slot->chunk.offset,
@@ -1293,13 +1249,12 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
       slot->buffer = std::make_shared<Bytes>(slot->chunk.size);
       slot->dst = MutableByteSpan(*slot->buffer);
     }
-    slot->locations = ResolveChunkLocations(*version, slot->chunk.id);
+    slot->locations = ResolveChunkLocations(slot->chunk.id);
     slot->selected = selections[i];
 
     auto work = [this, slot] { slot->status = GatherChunk(*slot); };
-    auto on_complete = [this, slot, &version, &version_id, &result, &gather_span,
-                        &resident, &dup_ids, &copy_overlap, &republish,
-                        whole_file]() -> Status {
+    auto on_complete = [this, slot, &result, &gather_span, &resident, &dup_ids,
+                        &copy_overlap, &relaid, whole_file]() -> Status {
       result.transfer.Append(slot->read.report);
       result.hedged_downloads += slot->read.hedged_downloads;
       result.integrity_rejected_shares += slot->read.integrity_rejected;
@@ -1308,18 +1263,17 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
       ++result.chunks_decoded;
       gather_span.AddBytes(slot->chunk.size);
 
-      // Persist this chunk's migrations and new digests into the version's
-      // ShareMap and ChunkRecord, so the republished metadata (once, after
-      // the drain) locates and authenticates the stored shares.
+      // The chunk table already holds this chunk's migrations and new
+      // digests; the metadata that references it is republished once,
+      // after the drain, so other devices locate and authenticate the
+      // stored shares.
       if (slot->migrated > 0 || !slot->upgraded.empty()) {
         result.migrated_shares += slot->migrated;
         if (!slot->upgraded.empty() && slot->chunk.share_digests.empty()) {
           ++result.digest_upgraded_chunks;
           integrity_records_upgraded_->Increment();
         }
-        ++republish;
-        CYRUS_RETURN_IF_ERROR(AdoptTableLayouts(version_id, {slot->chunk.id}));
-        version = tree_.Find(version_id);  // re-resolve after mutation
+        relaid.insert(slot->chunk.id);
         const ChunkEntry* moved = chunk_table_.Find(slot->chunk.id);
         if (moved != nullptr && slot->chunk.dedup && config_.share_index != nullptr) {
           (void)config_.share_index->ReplaceShares(slot->chunk.id, moved->shares);
@@ -1336,8 +1290,7 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
       }
       return OkStatus();
     };
-    pipeline_status = pipeline.Submit(slot->chunk.size, std::move(work),
-                                      std::move(on_complete));
+    pipeline_status = pipeline.Submit(std::move(work), std::move(on_complete));
     if (!pipeline_status.ok()) {
       break;
     }
@@ -1351,12 +1304,10 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
   }
   CYRUS_RETURN_IF_ERROR(pipeline_status);
   gather_span.End();
-  if (republish > 0) {
+  if (!relaid.empty()) {
     shares_migrated_->Increment(result.migrated_shares);
     obs::ScopedSpan republish_span = trace.Span("republish_meta");
-    TransferReport meta_report;
-    CYRUS_RETURN_IF_ERROR(metadata_->Publish(*version, meta_report));
-    result.transfer.Append(meta_report);
+    CYRUS_RETURN_IF_ERROR(RepublishVersions(&relaid, result.transfer));
   }
 
   // Duplicate fill: every covering record after the first for its id. The
@@ -1468,7 +1419,7 @@ void CyrusClient::MaybeScheduleReadahead(const std::string& name,
       ++readahead_active_;
     }
     picked.insert(chunk.id);
-    Pick pick{chunk, ResolveChunkLocations(version, chunk.id), std::move(prefetch)};
+    Pick pick{chunk, ResolveChunkLocations(chunk.id), std::move(prefetch)};
     AugmentRecordDigests(pick.chunk);
     // Fastest links first, read in order: a prefetch that waits on the
     // slowest CSP arrives after the reader does. (The foreground gather
@@ -1598,8 +1549,23 @@ Result<PutResult> CyrusClient::ImportForeignObject(int csp, std::string_view obj
 
 Status CyrusClient::RebalanceMetadata() {
   TransferReport report;
+  return RepublishVersions(nullptr, report);
+}
+
+Status CyrusClient::RepublishVersions(const std::set<Sha1Digest>* chunk_ids,
+                                      TransferReport& report) {
   for (const FileVersion* version : tree_.AllVersions()) {
-    CYRUS_RETURN_IF_ERROR(metadata_->Publish(*version, report));
+    bool affected = chunk_ids == nullptr;
+    bool tracked = true;
+    for (const ChunkRecord& chunk : version->chunks) {
+      affected |= chunk_ids != nullptr && chunk_ids->count(chunk.id) > 0;
+      tracked &= chunk_table_.Contains(chunk.id);
+    }
+    // A version with a chunk scrub reclaimed has no layout left to
+    // project; its last published metadata stays as it is.
+    if (affected && tracked) {
+      CYRUS_RETURN_IF_ERROR(metadata_->Publish(*version, report));
+    }
   }
   return OkStatus();
 }
@@ -1615,30 +1581,14 @@ Result<ScrubReport> CyrusClient::ScrubOnce() {
     return report;
   }
   obs::ScopedSpan republish_span = trace.Span("republish_meta");
-  // The engine rewrote the chunk table; fold each repaired chunk's new
-  // locations - and each touched chunk's per-share digests (integrity
-  // heals and legacy upgrades) - into every version referencing it and
-  // republish that version's metadata so other clients find the rebuilt
-  // shares (the same contract lazy migration honors in GetVersion).
+  // The engine rewrote the chunk table: republish every version that
+  // references a repaired chunk or one with new per-share digests
+  // (integrity heals and legacy upgrades), so other clients find the
+  // rebuilt shares (the same contract lazy migration honors in Get).
   std::set<Sha1Digest> touched(report.repaired_chunks.begin(),
                                report.repaired_chunks.end());
   touched.insert(report.upgraded_chunks.begin(), report.upgraded_chunks.end());
-  for (const FileVersion* version : tree_.AllVersions()) {
-    std::set<Sha1Digest> affected;
-    for (const ChunkRecord& chunk : version->chunks) {
-      if (touched.count(chunk.id) > 0) {
-        affected.insert(chunk.id);
-      }
-    }
-    if (affected.empty()) {
-      continue;
-    }
-    const Sha1Digest version_id = version->id;
-    CYRUS_RETURN_IF_ERROR(AdoptTableLayouts(version_id, affected));
-    TransferReport meta_report;
-    CYRUS_RETURN_IF_ERROR(metadata_->Publish(*tree_.Find(version_id), meta_report));
-    report.transfer.Append(meta_report);
-  }
+  CYRUS_RETURN_IF_ERROR(RepublishVersions(&touched, report.transfer));
   return report;
 }
 
@@ -1740,11 +1690,11 @@ Result<JournalRecoveryReport> CyrusClient::RecoverFromJournal() {
       // without touching share data.
       CYRUS_ASSIGN_OR_RETURN(FileVersion wire,
                              FileVersion::Deserialize(intent.meta_wire));
+      CYRUS_RETURN_IF_ERROR(wire.Validate());
       FileVersion version = metadata_->ToLocalForm(std::move(wire));
-      CYRUS_RETURN_IF_ERROR(version.Validate());
       if (!tree_.Contains(version.id)) {
-        CYRUS_RETURN_IF_ERROR(tree_.Insert(version));
         CYRUS_RETURN_IF_ERROR(RegisterVersionChunks(version));
+        CYRUS_RETURN_IF_ERROR(tree_.Insert(version));
       }
       TransferReport transfer;
       CYRUS_RETURN_IF_ERROR(metadata_->Publish(*tree_.Find(version.id), transfer));
@@ -1910,8 +1860,8 @@ Status CyrusClient::ResolveConflict(std::string_view name, const Sha1Digest& win
     rename.file_name = StrCat(name, ".conflict-", head->id.ToHex().substr(0, 8));
     rename.id = ComputeVersionId(rename.content_id, rename.prev_id, rename.file_name);
     rename.modified_time = now_;
-    CYRUS_RETURN_IF_ERROR(tree_.Insert(rename));
     CYRUS_RETURN_IF_ERROR(RegisterVersionChunks(rename));
+    CYRUS_RETURN_IF_ERROR(tree_.Insert(rename));
     CYRUS_RETURN_IF_ERROR(metadata_->Publish(rename, report));
   }
   return OkStatus();

@@ -102,13 +102,6 @@ struct CyrusConfig {
   // Dropbox; tests shrink these).
   ChunkerOptions chunker;
 
-  // Client NIC caps in bytes/second for the download optimizer's model;
-  // <= 0 means uncapped.
-  double client_downlink_bytes_per_sec = 0.0;
-  double client_uplink_bytes_per_sec = 0.0;
-
-  uint32_t ring_virtual_points = 64;
-
   // Concurrent connector calls per scatter/gather phase (the prototype's
   // dedicated transfer threads, paper §5.3). 1 = fully synchronous.
   uint32_t transfer_concurrency = 4;
@@ -121,9 +114,6 @@ struct CyrusConfig {
   // pre-pipeline behavior). Must be >= 1. Memory held by in-flight share
   // buffers is O(window), not O(file).
   uint32_t pipeline_window_chunks = 4;
-  // Cap on summed plaintext bytes of in-flight chunks; 0 = unbounded. A
-  // single chunk larger than the cap still passes through alone.
-  uint64_t pipeline_window_bytes = 0;
 
   // Transient-failure retry for share and metadata transfers (capped
   // exponential backoff + jitter). max_attempts = 1 disables retries.
@@ -191,7 +181,6 @@ struct CyrusConfig {
   // populate it, so one large download cannot flush a streaming working
   // set. 0 disables caching entirely.
   uint64_t chunk_cache_bytes = 64ull << 20;
-  size_t chunk_cache_shards = 8;
 
   // Sequential-read detector: when consecutive GetRange calls are
   // contiguous, prefetch the chunks just past the reader into the chunk
@@ -200,13 +189,6 @@ struct CyrusConfig {
   // at least one chunk and at most this many. A seek resets the run and
   // cancels (credits) prefetches not yet started. 0 disables readahead.
   uint32_t readahead_chunks = 4;
-
-  // Fragment scheduling for memory-constrained serving: a range Get admits
-  // at most this many decoded chunks into its pipeline window at once,
-  // streaming them into the result in order instead of buffering the whole
-  // span. 0 = use the pipeline window unchanged. Whole-file Gets decode in
-  // place and keep the plain window.
-  uint32_t max_resident_chunks = 0;
 
   // Observability sinks. Pipeline counters/histograms go to `metrics`;
   // each Put/Get/ScrubOnce also records a stage timeline (chunking ->
@@ -319,7 +301,8 @@ class CyrusClient {
   Result<std::vector<FileListing>> List(std::string_view directory_prefix);
 
   // Version history of the file's newest head (newest first). Works for
-  // deleted files too, enabling undelete via GetVersion (paper §5.4).
+  // deleted files too, enabling undelete via GetVersion (paper §5.4). Like
+  // tree(), the versions carry no share rows; see chunk_table().
   Result<std::vector<const FileVersion*>> Versions(std::string_view name);
 
   // Imports a file the user already stores in plaintext at one provider
@@ -331,7 +314,8 @@ class CyrusClient {
                                         std::string_view target_name,
                                         bool delete_original = false);
 
-  // Re-scatters every metadata object over the *current* active CSP set.
+  // Re-scatters every metadata object over the *current* active CSP set
+  // (a version with a chunk that scrub reclaimed keeps its last one).
   // Useful after AddCsp when the user wants newly added accounts to raise
   // metadata reliability immediately (paper §5.5: "shares of the file
   // metadata can be stored at the new CSP ... if the user wishes").
@@ -341,10 +325,9 @@ class CyrusClient {
 
   // One scrub pass: probes share health at every active CSP (one List
   // each), repairs degraded chunks worst-first within the configured
-  // bandwidth budget, then folds the new share locations into every
-  // affected version's ShareMap and republishes its metadata so other
-  // clients find them. Run this periodically; lazy migration still covers
-  // whatever a pass defers.
+  // bandwidth budget, then republishes the metadata of every version that
+  // references a repaired chunk, so other clients find the new shares. Run
+  // this periodically; lazy migration still covers whatever a pass defers.
   Result<ScrubReport> ScrubOnce();
 
   // Health of every tracked chunk, degraded first, without repairing.
@@ -406,6 +389,8 @@ class CyrusClient {
 
   // --- Introspection (benchmarks, tests, UI) ---
 
+  // Versions here and from Versions() carry no ShareMap rows or share
+  // digests: chunk_table() holds every chunk's share locations and digests.
   const VersionTree& tree() const { return tree_; }
   const ChunkTable& chunk_table() const { return chunk_table_; }
   const CspRegistry& registry() const { return registry_; }
@@ -532,8 +517,7 @@ class CyrusClient {
   // read healed or corrected shares, or the record predates digests, it
   // derives the authoritative digest set into slot.upgraded. Runs on a
   // pipeline worker: the driver resolves slot.locations beforehand and
-  // folds the chunk's table layout into the version afterwards, so this
-  // never reads the mutable FileVersion.
+  // republishes the affected metadata afterwards.
   Status GatherChunk(GatherSlot& slot);
 
   // Routes a failed transfer into the health machinery: with breakers on,
@@ -551,30 +535,30 @@ class CyrusClient {
   // workers (same locking as NoteTransferFailure).
   Status NoteIntegrityFailure(int csp);
 
-  // Merges chunk-table share digests into a version-sourced ChunkRecord
-  // copy that predates them (or was synced from v1/v2 metadata), so gather
-  // workers can authenticate without reading the mutable chunk table.
-  // Driver-thread only.
+  // Copies the chunk table's share digests into a copy of a version's
+  // ChunkRecord, so gather workers can authenticate without reading the
+  // mutable chunk table. Driver-thread only.
   void AugmentRecordDigests(ChunkRecord& record) const;
 
-  // Replaces the ShareMap rows and share digests `version_id` records for
-  // `chunk_ids` with the chunk table's, after lazy migration or a scrub
-  // moved shares or gave them digests. Chunks the table no longer tracks
-  // keep their rows. Driver-thread only.
-  Status AdoptTableLayouts(const Sha1Digest& version_id,
-                           const std::set<Sha1Digest>& chunk_ids);
+  // Current share locations of a chunk, from the chunk table; none for a
+  // chunk it no longer tracks. Driver-thread only.
+  std::vector<ShareLocation> ResolveChunkLocations(const Sha1Digest& chunk_id) const;
 
-  // Current share locations of a chunk: the global chunk table wins (it
-  // sees migrations from other files); falls back to the version's
-  // ShareMap. Driver-thread only.
-  std::vector<ShareLocation> ResolveChunkLocations(const FileVersion& version,
-                                                   const Sha1Digest& chunk_id) const;
+  // Republishes every version that references one of `chunk_ids` (every
+  // version when null), skipping those with a chunk the table no longer
+  // tracks. Driver-thread only.
+  Status RepublishVersions(const std::set<Sha1Digest>* chunk_ids, TransferReport& report);
 
   // Picks this Put's parent version for `name` (the newest head, deleted
   // or not), or a null digest for new files.
   Sha1Digest ParentFor(std::string_view name) const;
 
-  Status RegisterVersionChunks(const FileVersion& version);
+  // The one ingest step for a version about to enter the tree: takes a
+  // reference on each distinct chunk and moves the version's ShareMap rows
+  // and share digests into the chunk table, leaving `version` without
+  // them. A chunk the table already tracks keeps its layout; an incoming
+  // digest only fills a tracked share that has none.
+  Status RegisterVersionChunks(FileVersion& version);
 
   // Drops one reference per unique chunk, locally and (for convergent
   // chunks) in the shared ShareIndex. Run after a version stops being a

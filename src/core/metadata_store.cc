@@ -82,18 +82,39 @@ Result<Bytes> MetadataStore::Open(std::string_view key, uint32_t meta_t,
 
 FileVersion MetadataStore::ToWireForm(const FileVersion& version) const {
   FileVersion wire = version;
+  wire.shares.clear();
   wire.csp_directory.clear();
   std::map<int32_t, int32_t> local_to_dir;
-  for (ShareLocation& loc : wire.shares) {
-    auto it = local_to_dir.find(loc.csp);
+  auto directory_index = [&](int32_t csp) {
+    auto it = local_to_dir.find(csp);
     if (it == local_to_dir.end()) {
-      auto name = context_.registry->name(loc.csp);
-      it = local_to_dir
-               .emplace(loc.csp, static_cast<int32_t>(wire.csp_directory.size()))
-               .first;
-      wire.csp_directory.push_back(name.ok() ? *name : StrCat("<unknown-", loc.csp, ">"));
+      auto name = context_.registry->name(csp);
+      it = local_to_dir.emplace(csp, static_cast<int32_t>(wire.csp_directory.size())).first;
+      wire.csp_directory.push_back(name.ok() ? *name : StrCat("<unknown-", csp, ">"));
     }
-    loc.csp = it->second;
+    return it->second;
+  };
+  // Rows and digests go out in share-index order, so one layout always
+  // projects the same bytes, whatever order the table learned it in.
+  std::set<Sha1Digest> listed;
+  for (ChunkRecord& chunk : wire.chunks) {
+    chunk.share_digests.clear();
+    const ChunkEntry* entry = context_.chunk_table->Find(chunk.id);
+    if (entry == nullptr) {
+      continue;
+    }
+    std::vector<ChunkShare> shares = entry->shares;
+    std::stable_sort(shares.begin(), shares.end(),
+                     [](const ChunkShare& a, const ChunkShare& b) {
+                       return a.share_index < b.share_index;
+                     });
+    AdoptShareDigests(shares, chunk);
+    if (listed.insert(chunk.id).second) {
+      for (const ChunkShare& share : shares) {
+        wire.shares.push_back(
+            ShareLocation{chunk.id, share.share_index, directory_index(share.csp)});
+      }
+    }
   }
   return wire;
 }
@@ -122,8 +143,10 @@ Status MetadataStore::Publish(const FileVersion& version, TransferReport& report
                                           active.size(), " are active"));
   }
   const uint32_t m = static_cast<uint32_t>(std::min<size_t>(active.size(), kMaxShares));
+  const FileVersion wire = ToWireForm(version);
+  CYRUS_RETURN_IF_ERROR(wire.Validate());
   CYRUS_ASSIGN_OR_RETURN(SealedMetadata sealed,
-                         Seal(context_.key_string, meta_t, m, ToWireForm(version).Serialize()));
+                         Seal(context_.key_string, meta_t, m, wire.Serialize()));
   const std::string base = MetadataName(version.id);
   const bool republish = known_.count(base) > 0;
   size_t uploaded = 0;

@@ -1,10 +1,13 @@
 // MetadataStore: the one owner of the metadata object format and its I/O
 // (paper §5.2, §5.4).
 //
-// Each file version's metadata is serialized in wire form (share locations
-// name CSPs by stable connector id, not by this client's registry index),
-// wrapped in a length-prefixed envelope, and secret-shared with threshold
-// meta_t to every active CSP (paper footnote 3). Share i of a version is
+// Each file version's metadata is serialized in wire form, wrapped in a
+// length-prefixed envelope, and secret-shared with threshold meta_t to
+// every active CSP (paper footnote 3). The wire form's ShareMap rows and
+// per-share digests are projected from the chunk table, the one owner of
+// share layouts, every time a version is published, journaled or exported;
+// rows name CSPs by stable connector id, not by this client's registry
+// index. Share i of a version is
 // stored as "<base>.<i>.<generation>": the base is MetadataName(version id),
 // the index must be readable by other clients (confidentiality still needs
 // meta_t shares from distinct CSPs plus the user's key), and the generation
@@ -33,6 +36,7 @@
 #include "src/cloud/availability.h"
 #include "src/cloud/registry.h"
 #include "src/core/transfer.h"
+#include "src/meta/chunk_table.h"
 #include "src/meta/metadata.h"
 #include "src/rs/secret_sharing.h"
 #include "src/util/result.h"
@@ -45,6 +49,8 @@ namespace cyrus {
 struct MetadataStoreContext {
   CspRegistry* registry = nullptr;
   AvailabilityMonitor* monitor = nullptr;
+  // Where every chunk's shares live and their digests.
+  const ChunkTable* chunk_table = nullptr;
   // The user's key: keys the metadata dispersal like it keys chunk data.
   std::string key_string;
   uint32_t meta_t = 2;
@@ -94,16 +100,22 @@ class MetadataStore {
 
   // --- Wire form ---
 
-  // Local registry indices <-> stable connector names via the version's
-  // csp_directory, so any client can interpret the ShareMap. Providers this
-  // client has no account at map to -1 (unreachable, candidates for lazy
-  // migration).
+  // The metadata of a local version: its ShareMap rows and every
+  // ChunkRecord's share digests are the chunk table's current layout, and
+  // rows name CSPs through the csp_directory of stable connector names, so
+  // any client can interpret them. A chunk the table no longer tracks
+  // (reclaimed by scrub) projects no rows.
   FileVersion ToWireForm(const FileVersion& version) const;
+  // The inverse mapping of csp_directory entries to local registry
+  // indices; providers this client has no account at map to -1
+  // (unreachable, candidates for lazy migration). The rows and digests
+  // stay for the caller to move into its chunk table.
   FileVersion ToLocalForm(FileVersion version) const;
 
   // --- I/O ---
 
-  // Secret-shares `version`'s metadata to every active CSP. Fails when
+  // Secret-shares `version`'s wire form to every active CSP. Fails when
+  // the wire form does not validate (a chunk with fewer than t rows) or
   // fewer than meta_t CSPs took a share. Only a republish of a base this
   // store already knows lists it to delete stale shares: the active set or
   // the plaintext may have changed since, and a reader must not find a

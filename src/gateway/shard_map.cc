@@ -103,16 +103,6 @@ Result<int> ShardMap::ShardFor(std::string_view path) const {
   return ring_->OwnerOf(PathPoint(path));
 }
 
-std::vector<std::string> ShardMap::ResidentPaths(int shard) const {
-  std::vector<std::string> out;
-  for (const auto& [path, home] : residency_) {
-    if (home == shard) {
-      out.push_back(path);
-    }
-  }
-  return out;
-}
-
 Bytes ShardMap::Serialize() const {
   BinaryWriter w;
   w.WriteU32(kMagic);

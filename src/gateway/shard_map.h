@@ -72,9 +72,6 @@ class ShardMap {
   // Current ring owner of `path` without touching residency.
   Result<int> ShardFor(std::string_view path) const;
 
-  // Paths currently resident on `shard`, in lexicographic order.
-  std::vector<std::string> ResidentPaths(int shard) const;
-
   size_t num_shards() const { return shard_ids_.size(); }
   std::vector<int> ShardIds() const { return shard_ids_; }
 

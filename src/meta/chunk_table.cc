@@ -149,50 +149,6 @@ Status ChunkTable::RemoveShare(const Sha1Digest& chunk_id, int32_t csp,
                               share_index, " on CSP ", csp));
 }
 
-Status ChunkTable::Absorb(ChunkTable other) {
-  // Validate every colliding entry before mutating anything, so a mismatch
-  // leaves both tables untouched.
-  for (const auto& [id, incoming] : other.entries_) {
-    auto it = entries_.find(id);
-    if (it == entries_.end()) {
-      continue;
-    }
-    const ChunkEntry& mine = it->second;
-    if (mine.size != incoming.size || mine.t != incoming.t || mine.n != incoming.n) {
-      return DataLossError(StrCat("chunk ", id.ToHex(),
-                                  " has divergent parameters across shards"));
-    }
-  }
-  for (auto& [id, incoming] : other.entries_) {
-    auto it = entries_.find(id);
-    if (it == entries_.end()) {
-      entries_.emplace(id, std::move(incoming));
-      continue;
-    }
-    ChunkEntry& mine = it->second;
-    mine.refcount += incoming.refcount;
-    for (const ChunkShare& share : incoming.shares) {
-      bool known = false;
-      for (ChunkShare& existing : mine.shares) {
-        if (existing.share_index == share.share_index && existing.csp == share.csp) {
-          known = true;
-          // Both sides describe the same stored object; adopt the digest
-          // from whichever shard learned it.
-          if (!existing.has_digest() && share.has_digest()) {
-            existing.digest = share.digest;
-          }
-          break;
-        }
-      }
-      if (!known) {
-        mine.shares.push_back(share);
-      }
-    }
-  }
-  other.entries_.clear();
-  return OkStatus();
-}
-
 std::vector<Sha1Digest> ChunkTable::AllChunkIds() const {
   std::vector<Sha1Digest> out;
   out.reserve(entries_.size());

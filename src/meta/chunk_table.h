@@ -4,6 +4,13 @@
 // chunk, the uploader consults the table; a hit means zero new bytes leave
 // the client (Algorithm 2, "if chunk is not stored").
 //
+// It is also the only owner of share layouts: reads, lazy migration,
+// repair and scrub read and rewrite a chunk's share locations and digests
+// here alone, and the ShareMap rows and share digests of published
+// metadata are projected from it (src/core/metadata_store.h). Incoming
+// metadata hands its rows over once, on ingest; versions in the local
+// tree carry none.
+//
 // Threading discipline (deliberately no internal lock): structural
 // mutation - Insert, AddRef, Release - happens only on the client's driver
 // thread, inside ordered pipeline completions. Pipeline workers may call
@@ -101,29 +108,6 @@ class ChunkTable {
   // on dead CSPs once the chunk is back at full redundancy. kNotFound if
   // the (csp, index) pair is not recorded.
   Status RemoveShare(const Sha1Digest& chunk_id, int32_t csp, uint32_t share_index);
-
-  // Shard split: moves every entry for which `keep_predicate` returns false
-  // into the returned table, leaving the rest in place. Used when a
-  // metadata shard splits and the departing keyspace takes its chunk
-  // bookkeeping along.
-  template <typename Pred>
-  ChunkTable ExtractIf(Pred&& departs) {
-    ChunkTable out;
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (departs(it->first, it->second)) {
-        out.entries_.insert(entries_.extract(it++));
-      } else {
-        ++it;
-      }
-    }
-    return out;
-  }
-
-  // Shard merge: folds `other` in. An entry present in both tables must
-  // agree on (size, t, n) - the tables describe the same content-addressed
-  // chunk - and the merged entry sums refcounts and unions share locations
-  // (kDataLoss on a parameter mismatch, which means divergent metadata).
-  Status Absorb(ChunkTable other);
 
   // Chunk ids in table order (scrub scans the whole table).
   std::vector<Sha1Digest> AllChunkIds() const;

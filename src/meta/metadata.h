@@ -59,7 +59,8 @@ struct ChunkRecord {
   // Per-share digests (wire v3): readers authenticate each downloaded share
   // against its entry *before* decode. Empty for legacy v1/v2 metadata -
   // those fall back to the post-decode combinatorial identification path
-  // and get upgraded in place on first repair.
+  // and get upgraded in place on first repair. Like the ShareMap, only the
+  // wire form carries them; a client's chunk table holds the live set.
   std::vector<ShareDigest> share_digests;
 
   // nullptr when no digest is recorded for the index.
@@ -72,8 +73,9 @@ struct ChunkRecord {
 // In memory, `csp` is the *local* registry index of the provider holding
 // the share (-1 when the provider is unknown to this client). Registry
 // indices are client-local, so on the wire each metadata object carries a
-// `csp_directory` of stable connector ids and `csp` indexes into it; the
-// client translates in both directions (see CyrusClient's metadata I/O).
+// `csp_directory` of stable connector ids and `csp` indexes into it;
+// MetadataStore builds the rows from the chunk table and translates in
+// both directions (src/core/metadata_store.h).
 struct ShareLocation {
   Sha1Digest chunk_id;
   uint32_t share_index = 0;
@@ -97,6 +99,9 @@ struct FileVersion {
   double modified_time = 0.0;
   uint64_t size = 0;
   std::vector<ChunkRecord> chunks;
+  // The ShareMap. Filled in wire form only: versions in a client's
+  // VersionTree leave it (and every share_digests list) empty, because the
+  // chunk table owns share layouts.
   std::vector<ShareLocation> shares;
   // Stable connector ids naming the CSPs that `shares[].csp` refers to in
   // *serialized* metadata (entry k names csp value k). Local in-memory
@@ -110,8 +115,9 @@ struct FileVersion {
   // Share locations for one chunk, in share-index order.
   std::vector<ShareLocation> SharesOfChunk(const Sha1Digest& chunk_id) const;
 
-  // Internal consistency: every chunk has >= t shares listed, chunk offsets
-  // tile [0, size), and t <= n for every chunk.
+  // Internal consistency of a wire-form version: every chunk has >= t
+  // shares listed, chunk offsets tile [0, size), and t <= n for every
+  // chunk.
   Status Validate() const;
 };
 

@@ -123,35 +123,6 @@ std::vector<std::string> VersionTree::FileNames(bool include_deleted) const {
   return out;
 }
 
-Status VersionTree::UpdateShareLocations(const Sha1Digest& id,
-                                         std::vector<ShareLocation> shares) {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) {
-    return NotFoundError(StrCat("unknown version ", id.ToHex()));
-  }
-  it->second.shares = std::move(shares);
-  return OkStatus();
-}
-
-Status VersionTree::UpdateChunkShareDigests(const Sha1Digest& id,
-                                            const Sha1Digest& chunk_id,
-                                            std::vector<ShareDigest> digests) {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) {
-    return NotFoundError(StrCat("unknown version ", id.ToHex()));
-  }
-  // Every ChunkMap row with this id gets the digest set: duplicates within
-  // a file reference the same stored shares.
-  for (ChunkRecord& chunk : it->second.chunks) {
-    if (chunk.id == chunk_id) {
-      for (const ShareDigest& sd : digests) {
-        chunk.SetShareDigest(sd.share_index, sd.digest);
-      }
-    }
-  }
-  return OkStatus();
-}
-
 std::vector<const FileVersion*> VersionTree::AllVersions() const {
   std::vector<const FileVersion*> out;
   out.reserve(nodes_.size());

@@ -34,6 +34,8 @@ struct Conflict {
   std::vector<Sha1Digest> versions;
 };
 
+// Versions never change after Insert; share layouts live in the chunk
+// table.
 class VersionTree {
  public:
   // Inserts a version node. Inserting an id already present is a no-op if
@@ -72,18 +74,6 @@ class VersionTree {
 
   // All versions (arbitrary order), for sync-service diffing.
   std::vector<const FileVersion*> AllVersions() const;
-
-  // Replaces a version's ShareMap (lazy share migration, paper §5.5).
-  // Version ids hash file *content*, so relocating shares does not change
-  // the id. kNotFound if the version is absent.
-  Status UpdateShareLocations(const Sha1Digest& id, std::vector<ShareLocation> shares);
-
-  // Records per-share digests on every ChunkMap row of `id` that references
-  // `chunk_id` (a gather's legacy upgrade, or a scrub heal minting fresh
-  // digests). Unknown share indices are appended; known ones overwritten.
-  // kNotFound if the version is absent.
-  Status UpdateChunkShareDigests(const Sha1Digest& id, const Sha1Digest& chunk_id,
-                                 std::vector<ShareDigest> digests);
 
  private:
   std::map<Sha1Digest, FileVersion> nodes_;

@@ -134,15 +134,6 @@ Status SecretSharingCodec::EncodeInto(ByteSpan chunk,
   return OkStatus();
 }
 
-Result<Share> SecretSharingCodec::EncodeShare(ByteSpan chunk, uint32_t index) const {
-  Share share;
-  share.index = index;
-  share.data.resize(ShareSize(chunk.size(), t_));
-  CYRUS_RETURN_IF_ERROR(EncodeShareInto(
-      chunk, index, MutableByteSpan(share.data.data(), share.data.size())));
-  return share;
-}
-
 Status SecretSharingCodec::EncodeShareInto(ByteSpan chunk, uint32_t index,
                                            MutableByteSpan dst) const {
   if (index >= n_) {

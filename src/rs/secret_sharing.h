@@ -63,12 +63,6 @@ class SecretSharingCodec {
   // shares straight into pooled upload buffers with this.
   Status EncodeShareInto(ByteSpan chunk, uint32_t index, MutableByteSpan dst) const;
 
-  // Regenerates the single share with the given index (< n) without
-  // materializing the others - used for lazy share migration (paper §5.5):
-  // after a CSP disappears, the client rebuilds just the lost share from
-  // the reconstructed chunk.
-  Result<Share> EncodeShare(ByteSpan chunk, uint32_t index) const;
-
   // Reconstructs the original chunk from any >= t shares. `chunk_size` is
   // the original length (tracked in the ChunkMap); it trims the padding.
   // Fails with kDataLoss if fewer than t distinct shares are given, and

@@ -203,7 +203,6 @@ void OrderedPipeline::DeliverReady(std::unique_lock<std::mutex>& lock) {
     Entry entry = std::move(window_.front());
     window_.pop_front();
     ++base_sequence_;
-    in_flight_bytes_ -= entry.cost_bytes;
     PipelineDepthGauge()->Add(-1.0);
     const bool run_callback = first_error_.ok();
     lock.unlock();
@@ -219,24 +218,13 @@ void OrderedPipeline::DeliverReady(std::unique_lock<std::mutex>& lock) {
   }
 }
 
-Status OrderedPipeline::Submit(uint64_t cost_bytes, std::function<void()> work,
+Status OrderedPipeline::Submit(std::function<void()> work,
                                std::function<Status()> on_complete) {
   std::unique_lock<std::mutex> lock(mutex_);
   DeliverReady(lock);
 
-  // Window admission: block until both the task and byte budgets have
-  // room. An empty window always admits, so one oversized task passes
-  // through instead of deadlocking.
-  const auto window_full = [this, cost_bytes] {
-    if (window_.empty()) {
-      return false;
-    }
-    if (window_.size() >= options_.max_in_flight) {
-      return true;
-    }
-    return options_.max_in_flight_bytes > 0 &&
-           in_flight_bytes_ + cost_bytes > options_.max_in_flight_bytes;
-  };
+  // Window admission: block until the window has room.
+  const auto window_full = [this] { return window_.size() >= options_.max_in_flight; };
   if (window_full()) {
     PipelineStallsCounter()->Increment();
     const auto stall_start = std::chrono::steady_clock::now();
@@ -258,8 +246,7 @@ Status OrderedPipeline::Submit(uint64_t cost_bytes, std::function<void()> work,
   }
 
   const size_t sequence = next_sequence_++;
-  window_.push_back(Entry{std::move(on_complete), cost_bytes, /*work_done=*/false});
-  in_flight_bytes_ += cost_bytes;
+  window_.push_back(Entry{std::move(on_complete), /*work_done=*/false});
   max_depth_seen_ = std::max(max_depth_seen_, window_.size());
   PipelineDepthGauge()->Add(1.0);
   PipelineTasksCounter()->Increment();

@@ -126,7 +126,7 @@ class ThreadPool {
 // is fed through.
 //
 // Contract:
-//   - Submit() blocks while the window (task count or byte cost) is full;
+//   - Submit() blocks while the window is full;
 //     the blocked time is surfaced as cyrus_pipeline_stall_* metrics.
 //   - `work` runs on the pool (or inline when the pool is null).
 //   - `on_complete` runs on the driver thread - the one calling Submit()
@@ -141,10 +141,6 @@ class OrderedPipeline {
     // Maximum tasks admitted but not yet completion-delivered. 1 degrades
     // to fully sequential execution (the pre-pipeline behavior).
     size_t max_in_flight = 4;
-    // Cap on the summed cost_bytes of in-flight tasks; 0 = unbounded. A
-    // single task larger than the cap is still admitted when it is alone,
-    // so oversized items pass through rather than deadlock.
-    uint64_t max_in_flight_bytes = 0;
   };
 
   // `pool` may be null: work then runs inline in Submit (still ordered).
@@ -159,8 +155,7 @@ class OrderedPipeline {
 
   // Admits one task, blocking until the window has room. Completions of
   // finished predecessors are delivered from inside this call.
-  Status Submit(uint64_t cost_bytes, std::function<void()> work,
-                std::function<Status()> on_complete);
+  Status Submit(std::function<void()> work, std::function<Status()> on_complete);
 
   // Waits for all in-flight work and delivers the remaining completions
   // in order. Returns the first error any on_complete produced.
@@ -174,7 +169,6 @@ class OrderedPipeline {
  private:
   struct Entry {
     std::function<Status()> on_complete;
-    uint64_t cost_bytes = 0;
     bool work_done = false;
   };
 
@@ -191,7 +185,6 @@ class OrderedPipeline {
   std::deque<Entry> window_;   // window_[0] is the oldest undelivered task
   size_t base_sequence_ = 0;   // sequence number of window_[0]
   size_t next_sequence_ = 0;
-  uint64_t in_flight_bytes_ = 0;
   Status first_error_;
   double stall_ms_ = 0.0;
   size_t max_depth_seen_ = 0;

@@ -500,8 +500,15 @@ TEST(ClientTest, LazyMigrationAfterCspRemoval) {
   EXPECT_GT(get->migrated_shares, 0u);
 
   // Every migrated share carries the digest of the bytes its CSP stores, in
-  // the chunk table and in the republished version record.
-  const FileVersion* version = cloud.client->tree().Find(get->version_id);
+  // the chunk table and in the republished version record (the wire form,
+  // projected from the table).
+  const LocalCacheSnapshot exported = cloud.client->ExportCache();
+  const FileVersion* version = nullptr;
+  for (const FileVersion& wire : exported.versions) {
+    if (wire.id == get->version_id) {
+      version = &wire;
+    }
+  }
   ASSERT_NE(version, nullptr);
   size_t migrated = 0;
   for (const Sha1Digest& id : cloud.client->chunk_table().AllChunkIds()) {
@@ -573,16 +580,18 @@ TEST(ClientTest, ClusterAwarePlacementRespectsClusters) {
   ASSERT_TRUE(put.ok()) << put.status();
 
   // No chunk may have shares on both CSP 0 and CSP 1.
-  for (const FileVersion* v : cloud.client->tree().AllVersions()) {
-    for (const ChunkRecord& chunk : v->chunks) {
-      bool on0 = false, on1 = false;
-      for (const ShareLocation& loc : v->SharesOfChunk(chunk.id)) {
-        on0 |= loc.csp == 0;
-        on1 |= loc.csp == 1;
-      }
-      EXPECT_FALSE(on0 && on1) << "chunk on both CSPs of platform 0";
+  const ChunkTable& table = cloud.client->chunk_table();
+  size_t inspected = 0;
+  for (const Sha1Digest& id : table.AllChunkIds()) {
+    bool on0 = false, on1 = false;
+    for (const ChunkShare& share : table.Find(id)->shares) {
+      on0 |= share.csp == 0;
+      on1 |= share.csp == 1;
+      ++inspected;
     }
+    EXPECT_FALSE(on0 && on1) << "chunk on both CSPs of platform 0";
   }
+  EXPECT_GT(inspected, 0u);
 }
 
 TEST(ClientTest, UploadFailureFallsBackToAnotherCsp) {
@@ -633,15 +642,17 @@ TEST(ClientTest, NoChunkStoresTwoSharesOnOneCsp) {
   const Bytes content = RandomContent(48 * 1024, 61);
   auto put = cloud.client->Put("doc", content);
   ASSERT_TRUE(put.ok()) << put.status();
-  for (const FileVersion* v : cloud.client->tree().AllVersions()) {
-    for (const ChunkRecord& chunk : v->chunks) {
-      std::set<int> csps;
-      for (const ShareLocation& loc : v->SharesOfChunk(chunk.id)) {
-        EXPECT_TRUE(csps.insert(loc.csp).second)
-            << "chunk " << chunk.id.ToHex() << " has two shares on CSP " << loc.csp;
-      }
+  const ChunkTable& table = cloud.client->chunk_table();
+  size_t inspected = 0;
+  for (const Sha1Digest& id : table.AllChunkIds()) {
+    std::set<int> csps;
+    for (const ChunkShare& share : table.Find(id)->shares) {
+      EXPECT_TRUE(csps.insert(share.csp).second)
+          << "chunk " << id.ToHex() << " has two shares on CSP " << share.csp;
+      ++inspected;
     }
   }
+  EXPECT_GT(inspected, 0u);
 }
 
 TEST(ClientTest, CorruptedShareDetectedCorrectedAndRepaired) {
@@ -704,6 +715,57 @@ TEST(ClientTest, ImportMissingObjectFails) {
   TestCloud cloud = MakeCloud();
   EXPECT_EQ(cloud.client->ImportForeignObject(0, "ghost", "g").status().code(),
             StatusCode::kNotFound);
+}
+
+// (connector name, share index) of every share the table lists for a chunk.
+std::set<std::pair<std::string, uint32_t>> TableLayout(const CyrusClient& client,
+                                                       const Sha1Digest& chunk_id) {
+  std::set<std::pair<std::string, uint32_t>> layout;
+  if (const ChunkEntry* entry = client.chunk_table().Find(chunk_id)) {
+    for (const ChunkShare& share : entry->shares) {
+      layout.emplace(*client.registry().name(share.csp), share.share_index);
+    }
+  }
+  return layout;
+}
+
+// Two files share one chunk; lazy migration while reading one of them
+// moves a share. Every version's published metadata must carry the moved
+// layout - not just the version that was read - so a fresh device learns
+// where the shares are now.
+TEST(ClientTest, RepublishCarriesTheTableLayoutOfASharedChunk) {
+  TestCloud cloud = MakeCloud();
+  const Bytes content = RandomContent(120, 71);
+  auto put_a = cloud.client->Put("a", content);
+  ASSERT_TRUE(put_a.ok()) << put_a.status();
+  ASSERT_EQ(put_a->total_chunks, 1u);
+  ASSERT_TRUE(cloud.client->Put("b", content).ok());
+  ASSERT_EQ(cloud.client->chunk_table().size(), 1u);
+  const Sha1Digest chunk_id = cloud.client->chunk_table().AllChunkIds().front();
+
+  const int holder = cloud.client->chunk_table().Find(chunk_id)->shares.front().csp;
+  ASSERT_TRUE(cloud.client->MarkCspFailed(holder).ok());
+  auto get = cloud.client->Get("b");
+  ASSERT_TRUE(get.ok()) << get.status();
+  EXPECT_EQ(get->content, content);
+  ASSERT_GT(get->migrated_shares, 0u);
+
+  const auto table_layout = TableLayout(*cloud.client, chunk_id);
+  size_t versions = 0;
+  for (const FileVersion& wire : cloud.client->ExportCache().versions) {
+    std::set<std::pair<std::string, uint32_t>> rows;
+    for (const ShareLocation& loc : wire.SharesOfChunk(chunk_id)) {
+      rows.emplace(wire.csp_directory.at(loc.csp), loc.share_index);
+    }
+    EXPECT_EQ(rows, table_layout) << "version of " << wire.file_name;
+    ++versions;
+  }
+  EXPECT_EQ(versions, 2u);
+
+  ASSERT_TRUE(cloud.client->RebalanceMetadata().ok());
+  TestCloud fresh = MakeCloud(SmallConfig("fresh-device"), cloud.csps);
+  ASSERT_TRUE(fresh.client->Recover().ok());
+  EXPECT_EQ(TableLayout(*fresh.client, chunk_id), table_layout);
 }
 
 TEST(ClientTest, RebalanceMetadataCoversNewCsp) {

@@ -523,6 +523,37 @@ TEST(DedupE2ETest, DeleteThenScrubReclaimsPhysicalShares) {
   EXPECT_EQ(get->content, keep);
 }
 
+// Once scrub reclaims a deleted file's chunks, the chunk table holds no
+// layout for them: the old version fails to read with kDataLoss, and a
+// metadata rebalance leaves that version's last published metadata alone
+// instead of failing.
+TEST(DedupE2ETest, ReclaimedHistoryIsUnreadableAndSkippedByRebalance) {
+  auto index_or = ShareIndex::Open(ShareIndexOptions{});
+  ASSERT_TRUE(index_or.ok());
+  ShareIndex& index = **index_or;
+  TestCloud cloud = MakeCloud(ConvergentConfig("gc", &index));
+
+  const Bytes keep = RandomContent(16 * 1024, 23);
+  const Bytes drop = RandomContent(16 * 1024, 24);
+  ASSERT_TRUE(cloud.client->Put("keep.bin", keep).ok());
+  auto dropped = cloud.client->Put("drop.bin", drop);
+  ASSERT_TRUE(dropped.ok()) << dropped.status();
+  ASSERT_TRUE(cloud.client->Delete("drop.bin").ok());
+  auto scrub = cloud.client->ScrubOnce();
+  ASSERT_TRUE(scrub.ok()) << scrub.status();
+  ASSERT_GT(scrub->stats.chunks_reclaimed, 0u);
+  for (const ChunkRecord& chunk : cloud.client->tree().Find(dropped->version_id)->chunks) {
+    EXPECT_FALSE(cloud.client->chunk_table().Contains(chunk.id));
+  }
+
+  EXPECT_EQ(cloud.client->GetVersion("drop.bin", dropped->version_id).status().code(),
+            StatusCode::kDataLoss);
+  ASSERT_TRUE(cloud.client->RebalanceMetadata().ok());
+  auto get = cloud.client->Get("keep.bin");
+  ASSERT_TRUE(get.ok()) << get.status();
+  EXPECT_EQ(get->content, keep);
+}
+
 TEST(DedupE2ETest, OverwriteReleasesSupersededChunks) {
   auto index_or = ShareIndex::Open(ShareIndexOptions{});
   ASSERT_TRUE(index_or.ok());

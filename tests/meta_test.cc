@@ -465,17 +465,6 @@ TEST(VersionTreeTest, DeletionMarkerHidesFile) {
   EXPECT_EQ((*history)[1]->id, v1.id);
 }
 
-TEST(VersionTreeTest, UpdateShareLocations) {
-  VersionTree tree;
-  const FileVersion v = MakeVersion("a.txt", "v1");
-  ASSERT_TRUE(tree.Insert(v).ok());
-  std::vector<ShareLocation> moved = v.shares;
-  moved[0].csp = 9;
-  ASSERT_TRUE(tree.UpdateShareLocations(v.id, moved).ok());
-  EXPECT_EQ(tree.Find(v.id)->shares[0].csp, 9);
-  EXPECT_EQ(tree.UpdateShareLocations(Id("missing"), {}).code(), StatusCode::kNotFound);
-}
-
 TEST(VersionTreeTest, FileNamesSortedAndLive) {
   VersionTree tree;
   ASSERT_TRUE(tree.Insert(MakeVersion("b.txt", "b1")).ok());
@@ -672,32 +661,6 @@ TEST(ChunkTableTest, ShareDigestsRoundTrip) {
   EXPECT_EQ(moved.digest, Id("sd-4"));
 }
 
-// VersionTree::UpdateChunkShareDigests patches every ChunkMap row holding
-// the chunk (duplicate content within one file shares its stored shares).
-TEST(VersionTreeTest, UpdateChunkShareDigests) {
-  VersionTree tree;
-  FileVersion v = MakeVersion("dup.bin", "dup");
-  ChunkRecord twin = v.chunks[0];  // same chunk id, second row
-  twin.offset = v.chunks[0].size;
-  v.chunks.push_back(twin);
-  v.size = v.chunks[0].size * 2;
-  ASSERT_TRUE(tree.Insert(v).ok());
-
-  ASSERT_TRUE(tree.UpdateChunkShareDigests(
-                      v.id, v.chunks[0].id,
-                      {ShareDigest{0, Id("u-0")}, ShareDigest{2, Id("u-2")}})
-                  .ok());
-  const FileVersion* stored = tree.Find(v.id);
-  ASSERT_NE(stored, nullptr);
-  for (const ChunkRecord& chunk : stored->chunks) {
-    ASSERT_EQ(chunk.share_digests.size(), 2u);
-    EXPECT_EQ(*chunk.FindShareDigest(0), Id("u-0"));
-    EXPECT_EQ(*chunk.FindShareDigest(2), Id("u-2"));
-  }
-  EXPECT_EQ(tree.UpdateChunkShareDigests(Id("missing"), v.chunks[0].id, {}).code(),
-            StatusCode::kNotFound);
-}
-
 TEST(ChunkTableTest, TotalUniqueBytes) {
   ChunkTable table;
   ChunkEntry a;
@@ -711,65 +674,6 @@ TEST(ChunkTableTest, TotalUniqueBytes) {
 
 
 // --- shard split/merge bookkeeping (gateway metadata tier) ---------------
-
-TEST(ChunkTableTest, ExtractIfMovesDepartingEntries) {
-  ChunkTable table;
-  ChunkEntry small;
-  small.size = 100;
-  ChunkEntry large;
-  large.size = 9000;
-  ASSERT_TRUE(table.Insert(Id("keep-1"), small).ok());
-  ASSERT_TRUE(table.Insert(Id("keep-2"), small).ok());
-  ASSERT_TRUE(table.Insert(Id("depart"), large).ok());
-
-  ChunkTable departed = table.ExtractIf(
-      [](const Sha1Digest&, const ChunkEntry& entry) { return entry.size > 1000; });
-
-  EXPECT_EQ(table.size(), 2u);
-  EXPECT_EQ(departed.size(), 1u);
-  EXPECT_FALSE(table.Contains(Id("depart")));
-  EXPECT_TRUE(departed.Contains(Id("depart")));
-  // Entries moved wholesale: refcounts and shares survive the extraction.
-  EXPECT_EQ(departed.Find(Id("depart"))->size, 9000u);
-}
-
-TEST(ChunkTableTest, AbsorbMergesDisjointAndSharedEntries) {
-  ChunkTable a;
-  ChunkTable b;
-  ChunkEntry entry;
-  entry.size = 512;
-  entry.t = 2;
-  entry.n = 3;
-  entry.shares = {{0, 0}, {1, 1}};
-  ASSERT_TRUE(a.Insert(Id("only-a"), entry).ok());
-  ASSERT_TRUE(a.Insert(Id("both"), entry).ok());
-  ChunkEntry other = entry;
-  other.shares = {{1, 1}, {2, 2}};  // one duplicate, one new location
-  ASSERT_TRUE(b.Insert(Id("both"), other).ok());
-  ASSERT_TRUE(b.AddRef(Id("both")).ok());
-  ASSERT_TRUE(b.Insert(Id("only-b"), entry).ok());
-
-  ASSERT_TRUE(a.Absorb(std::move(b)).ok());
-  EXPECT_EQ(a.size(), 3u);
-  const ChunkEntry* both = a.Find(Id("both"));
-  ASSERT_NE(both, nullptr);
-  EXPECT_EQ(both->refcount, 3u);           // 1 + 2
-  EXPECT_EQ(both->shares.size(), 3u);      // union, duplicate dropped
-}
-
-TEST(ChunkTableTest, AbsorbRejectsDivergentEntries) {
-  ChunkTable a;
-  ChunkTable b;
-  ChunkEntry mine;
-  mine.size = 512;
-  ChunkEntry theirs;
-  theirs.size = 1024;  // same chunk id, different size: corruption
-  ASSERT_TRUE(a.Insert(Id("clash"), mine).ok());
-  ASSERT_TRUE(b.Insert(Id("clash"), theirs).ok());
-  EXPECT_EQ(a.Absorb(std::move(b)).code(), StatusCode::kDataLoss);
-  // The failed merge left the receiver untouched.
-  EXPECT_EQ(a.Find(Id("clash"))->size, 512u);
-}
 
 TEST(ShardMapTest, RoutesAreDeterministicAndCoverAllShards) {
   ShardMap map;

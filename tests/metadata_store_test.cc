@@ -74,6 +74,17 @@ uint64_t TotalLists(const std::vector<std::shared_ptr<SimulatedCsp>>& csps) {
   return lists;
 }
 
+// The serialized metadata `client` publishes for version `id` (its wire
+// form, projected from the chunk table); empty when the version is unknown.
+Bytes WireOf(const CyrusClient& client, const Sha1Digest& id) {
+  for (const FileVersion& wire : client.ExportCache().versions) {
+    if (wire.id == id) {
+      return wire.Serialize();
+    }
+  }
+  return {};
+}
+
 // Distinct metadata share objects a CSP holds for one base (an id-keyed
 // CSP lists a re-uploaded name once per copy).
 std::set<std::string> SharesOf(SimulatedCsp& csp, const std::string& base) {
@@ -163,7 +174,7 @@ TEST(MetadataStoreTest, StragglerKeepsOldGenerationAndIsNeverMixed) {
   ASSERT_TRUE(put.ok()) << put.status();
   const std::string base = MetadataName(put->version_id);
 
-  const Bytes original = writer->tree().Find(put->version_id)->Serialize();
+  const Bytes original = WireOf(*writer, put->version_id);
 
   // csp4 sleeps through the republish that lazy migration off the removed
   // csp0 triggers, so it keeps a share of the old generation.
@@ -173,7 +184,7 @@ TEST(MetadataStoreTest, StragglerKeepsOldGenerationAndIsNeverMixed) {
   ASSERT_TRUE(migrated.ok()) << migrated.status();
   ASSERT_GT(migrated->migrated_shares, 0u);
   csps[4]->set_available(true);
-  const Bytes republished = writer->tree().Find(put->version_id)->Serialize();
+  const Bytes republished = WireOf(*writer, put->version_id);
   ASSERT_NE(republished, original);
 
   std::set<std::string> generations;
@@ -189,9 +200,8 @@ TEST(MetadataStoreTest, StragglerKeepsOldGenerationAndIsNeverMixed) {
   // and the new one on csp1-csp3. It must ingest the new one.
   auto fresh = MakeClient("fresh", csps);
   ASSERT_TRUE(fresh->Recover().ok());
-  const FileVersion* version = fresh->tree().Find(put->version_id);
-  ASSERT_NE(version, nullptr);
-  EXPECT_EQ(version->Serialize(), republished) << "decoded the stale generation";
+  ASSERT_TRUE(fresh->tree().Contains(put->version_id));
+  EXPECT_EQ(WireOf(*fresh, put->version_id), republished) << "decoded the stale generation";
   auto get = fresh->Get("doc");
   ASSERT_TRUE(get.ok()) << get.status();
   EXPECT_EQ(get->content, content);
@@ -248,6 +258,74 @@ TEST(MetadataStoreTest, InvalidVersionIsSkippedAndNotFetchedAgain) {
     downloads -= csp->counters().downloads;
   }
   EXPECT_EQ(downloads, 0u);
+}
+
+// The published ShareMap rows and share digests are the chunk table's at
+// publish time: a republish after a share moved carries the move, and a
+// version whose chunk the table no longer tracks does not publish.
+TEST(MetadataStoreTest, PublishProjectsTheChunkTableLayout) {
+  auto csps = MakeCsps(kNumCsps);
+  CspRegistry registry;
+  for (const auto& csp : csps) {
+    ASSERT_TRUE(csp->Authenticate(Credentials{"token"}).ok());
+    registry.Add(csp, CspProfile{});
+  }
+  AvailabilityMonitor monitor;
+  ChunkTable writer_table;
+  ChunkTable reader_table;
+  MetadataStoreContext context;
+  context.registry = &registry;
+  context.monitor = &monitor;
+  context.key_string = kKey;
+  context.meta_t = 2;
+  context.now = [] { return 0.0; };
+  context.on_transfer_failure = [](int, const Status&) {};
+  context.chunk_table = &writer_table;
+  MetadataStore writer(context);
+  context.chunk_table = &reader_table;
+  MetadataStore reader(context);
+
+  const Sha1Digest chunk_id = Sha1::Hash(std::string_view("chunk"));
+  ChunkEntry entry;
+  entry.size = 100;
+  entry.t = 2;
+  entry.n = 3;
+  for (uint32_t i = 0; i < 3; ++i) {
+    entry.shares.push_back(ChunkShare{i, static_cast<int32_t>(i),
+                                      Sha1::Hash(StrCat("share-", i))});
+  }
+  ASSERT_TRUE(writer_table.Insert(chunk_id, entry).ok());
+  FileVersion version;
+  version.content_id = Sha1::Hash(std::string_view("content"));
+  version.file_name = "doc";
+  version.id = ComputeVersionId(version.content_id, Sha1Digest{}, version.file_name);
+  version.size = 100;
+  version.chunks.push_back(ChunkRecord{chunk_id, 0, 100, 2, 3, false, {}, {}});
+
+  TransferReport report;
+  ASSERT_TRUE(writer.Publish(version, report).ok());
+  const Sha1Digest moved_digest = Sha1::Hash(std::string_view("share-5"));
+  ASSERT_TRUE(writer_table.MoveShare(chunk_id, 0, 0, 4, 5, moved_digest).ok());
+  ASSERT_TRUE(writer.Publish(version, report).ok());
+
+  const std::vector<FileVersion> found = reader.Discover();
+  ASSERT_EQ(found.size(), 1u);
+  std::set<std::pair<int32_t, uint32_t>> rows;
+  for (const ShareLocation& loc : found[0].SharesOfChunk(chunk_id)) {
+    rows.emplace(loc.csp, loc.share_index);
+  }
+  EXPECT_EQ(rows, (std::set<std::pair<int32_t, uint32_t>>{{1, 1}, {2, 2}, {4, 5}}));
+  const ChunkRecord& record = found[0].chunks.at(0);
+  EXPECT_EQ(record.FindShareDigest(0), nullptr);
+  ASSERT_NE(record.FindShareDigest(5), nullptr);
+  EXPECT_EQ(*record.FindShareDigest(5), moved_digest);
+  ASSERT_NE(record.FindShareDigest(1), nullptr);
+  EXPECT_EQ(*record.FindShareDigest(1), Sha1::Hash(std::string_view("share-1")));
+
+  ASSERT_TRUE(writer_table.Release(chunk_id).ok());
+  ASSERT_TRUE(writer_table.Evict(chunk_id).ok());
+  EXPECT_TRUE(writer.ToWireForm(version).shares.empty());
+  EXPECT_FALSE(writer.Publish(version, report).ok());
 }
 
 TEST(MetadataStoreTest, FirstPublishListsNothing) {

@@ -331,14 +331,16 @@ TEST(RepairTest, RebuiltSharesCarryDigests) {
         (*second)->AddCsp(cloud.faults[i], CspProfile{}, Credentials{"token"}).ok());
   }
   ASSERT_TRUE((*second)->Recover().ok());
-  for (const FileVersion* version : (*second)->tree().AllVersions()) {
-    for (const ChunkRecord& chunk : version->chunks) {
-      for (const ShareLocation& loc : version->SharesOfChunk(chunk.id)) {
-        EXPECT_NE(chunk.FindShareDigest(loc.share_index), nullptr)
-            << "chunk " << chunk.id.ToHex() << " share " << loc.share_index;
-      }
+  const ChunkTable& recovered = (*second)->chunk_table();
+  size_t recovered_shares = 0;
+  for (const Sha1Digest& id : recovered.AllChunkIds()) {
+    for (const ChunkShare& share : recovered.Find(id)->shares) {
+      ++recovered_shares;
+      EXPECT_TRUE(share.has_digest())
+          << "chunk " << id.ToHex() << " share " << share.share_index;
     }
   }
+  EXPECT_GT(recovered_shares, 0u);
 
   // Nothing looks legacy to the integrity sweep, so it upgrades nothing.
   RepairEngineOptions options = cloud.client->repair_engine().options();

@@ -125,7 +125,6 @@ TEST(OrderedPipelineTest, CompletionsDeliverInSubmissionOrder) {
   for (int i = 0; i < 32; ++i) {
     ASSERT_TRUE(pipeline
                     .Submit(
-                        1,
                         [i] {
                           // Earlier tasks sleep longer, so raw completion
                           // order is roughly *reversed*; delivery must
@@ -156,7 +155,6 @@ TEST(OrderedPipelineTest, WindowBoundsInFlightTasks) {
   for (int i = 0; i < 40; ++i) {
     ASSERT_TRUE(pipeline
                     .Submit(
-                        1,
                         [&] {
                           const int now = inside.fetch_add(1) + 1;
                           int expected = max_inside.load();
@@ -174,29 +172,6 @@ TEST(OrderedPipelineTest, WindowBoundsInFlightTasks) {
   EXPECT_LE(pipeline.max_depth_seen(), 3u);
 }
 
-TEST(OrderedPipelineTest, ByteBudgetAdmitsOversizedItemWhenAlone) {
-  ThreadPool pool(2);
-  OrderedPipeline::Options options;
-  options.max_in_flight = 8;
-  options.max_in_flight_bytes = 100;
-  OrderedPipeline pipeline(&pool, options);
-  int completions = 0;
-  // 500 > 100: must pass through alone rather than deadlock; the small
-  // followers then fit again.
-  for (uint64_t cost : {uint64_t{500}, uint64_t{40}, uint64_t{40}, uint64_t{40}}) {
-    ASSERT_TRUE(pipeline
-                    .Submit(
-                        cost, [] {},
-                        [&completions] {
-                          ++completions;
-                          return OkStatus();
-                        })
-                    .ok());
-  }
-  ASSERT_TRUE(pipeline.Drain().ok());
-  EXPECT_EQ(completions, 4);
-}
-
 TEST(OrderedPipelineTest, FirstErrorLatchesAndSkipsLaterCompletions) {
   ThreadPool pool(4);
   OrderedPipeline::Options options;
@@ -205,14 +180,13 @@ TEST(OrderedPipelineTest, FirstErrorLatchesAndSkipsLaterCompletions) {
   std::atomic<int> later_completions{0};
   // A fast worker lets Submit deliver the task's own completion before it
   // returns, so even the first Submit may surface the latched error.
-  const Status first = pipeline.Submit(
-      1, [] {}, [] { return InternalError("chunk 0 failed"); });
+  const Status first = pipeline.Submit([] {}, [] { return InternalError("chunk 0 failed"); });
   EXPECT_TRUE(first.ok() || first.code() == StatusCode::kInternal) << first;
   // Later submissions may observe the latched error (Submit surfaces it)
   // or slip in before delivery; either way their completions never run.
   for (int i = 0; i < 6; ++i) {
     (void)pipeline.Submit(
-        1, [] {},
+        [] {},
         [&later_completions] {
           later_completions.fetch_add(1);
           return OkStatus();
@@ -231,7 +205,7 @@ TEST(OrderedPipelineTest, NullPoolRunsInlineAndOrdered) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(pipeline
                     .Submit(
-                        1, [] {},
+                        [] {},
                         [i, &delivered] {
                           delivered.push_back(i);
                           return OkStatus();
@@ -253,7 +227,6 @@ TEST(OrderedPipelineTest, WindowOfOneIsFullySequential) {
   for (int i = 0; i < 16; ++i) {
     ASSERT_TRUE(pipeline
                     .Submit(
-                        1,
                         [&] {
                           if (inside.fetch_add(1) != 0) {
                             overlap = true;  // read post-drain only
