@@ -50,7 +50,8 @@
 #                                   #   + buffer-pool checkout + chunk
 #                                   #   cache and readahead join + integrity
 #                                   #   gather/heal + chunk writer uploads +
-#                                   #   scrub repair + codec stress loop in
+#                                   #   scrub repair + codec stress loop +
+#                                   #   hedged fetcher and put journal in
 #                                   #   build-tsan/
 #
 # Flags compose: `scripts/check.sh --stress --bench`. The fast tier always
@@ -182,13 +183,14 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   echo "== tsan: stress battery + gateway concurrency under ThreadSanitizer =="
   configure build-tsan -DENABLE_TSAN=ON
   # The chunk writer's first upload pass runs ParallelFor from pipeline
-  # workers, and scrub repair writes through the same writer.
-  cmake --build build-tsan --parallel --target pipeline_stress_test thread_pool_test degraded_test gateway_test dedup_test buffer_pool_test chunk_cache_test integrity_test chunk_reader_test chunk_writer_test repair_test codec_stress_test
+  # workers, and scrub repair writes through the same writer. The hedged
+  # fetcher's backups race their primaries on a thread pool.
+  cmake --build build-tsan --parallel --target pipeline_stress_test thread_pool_test degraded_test gateway_test dedup_test buffer_pool_test chunk_cache_test integrity_test chunk_reader_test chunk_writer_test repair_test codec_stress_test robustness_test
   (cd build-tsan && ./tests/thread_pool_test && ./tests/pipeline_stress_test && ./tests/degraded_test &&
     ./tests/gateway_test && ./tests/dedup_test &&
     ./tests/buffer_pool_test && ./tests/chunk_cache_test &&
     ./tests/integrity_test && ./tests/chunk_reader_test && ./tests/chunk_writer_test &&
-    ./tests/repair_test && ./tests/codec_stress_test)
+    ./tests/repair_test && ./tests/codec_stress_test && ./tests/robustness_test)
 fi
 
 echo "OK"

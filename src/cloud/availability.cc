@@ -124,6 +124,17 @@ std::map<int, uint64_t> AvailabilityMonitor::IntegrityFailureCounts() const {
   return counts;
 }
 
+bool IsCspHealthFailure(const Status& status) {
+  switch (status.code()) {
+    case StatusCode::kUnavailable:
+    case StatusCode::kDeadlineExceeded:
+    case StatusCode::kPermissionDenied:
+      return true;
+    default:
+      return false;
+  }
+}
+
 const std::vector<double>& PaperAnnualDowntimeHours() {
   // CloudHarmony-style annual downtime for the four commercial providers
   // (paper: "downtime varies from 1.37 to 18.53 hours per year"). The two

@@ -83,6 +83,11 @@ class AvailabilityMonitor {
   std::map<int, History> history_;
 };
 
+// Whether a status indicts the provider (as opposed to the request):
+// kUnavailable, kDeadlineExceeded and kPermissionDenied do; application
+// outcomes such as kNotFound mean the provider answered.
+bool IsCspHealthFailure(const Status& status);
+
 // Hours-per-year downtime of the four commercial CSPs the paper's Figure 13
 // simulation draws on (CloudHarmony monitoring, 1.37 to 18.53 h/yr).
 const std::vector<double>& PaperAnnualDowntimeHours();

@@ -179,9 +179,7 @@ Status ChunkReader::Read(const ChunkRecord& chunk,
     }
     ++result.shares_downloaded;
     result.bytes_moved += got.data->size();
-    const Sha1Digest* want = context_.verify_share_digests
-                                 ? chunk.FindShareDigest(loc.share_index)
-                                 : nullptr;
+    const Sha1Digest* want = chunk.FindShareDigest(loc.share_index);
     if (want != nullptr && Sha1::Hash(*got.data) != *want) {
       ++result.integrity_rejected;
       result.corrupt.push_back(loc);

@@ -63,9 +63,6 @@ struct ChunkReaderContext {
   ThreadPool* pool = nullptr;
   HedgedFetcher* fetcher = nullptr;
   BufferPool* buffers = nullptr;
-  // Authenticate shares against their recorded digests; off, every read
-  // takes the chunk-id check instead.
-  bool verify_share_digests = true;
   std::function<double()> now;
   // RS key of one chunk: the user key, or a convergent chunk's unwrapped
   // content key.

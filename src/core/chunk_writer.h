@@ -8,9 +8,8 @@
 // upload, and uploads - a scatter's first pass concurrently on the transfer
 // pool. A failed share moves to up to three further ring picks, never onto
 // a CSP already holding a share of the chunk; failures go through
-// on_transfer_failure, so the circuit breaker (or the legacy indictment)
-// decides when a CSP leaves placement. Placed shares come back with the
-// SHA-1 of their bytes.
+// on_transfer_failure, so the client's one health path decides when a CSP
+// leaves placement. Placed shares come back with the SHA-1 of their bytes.
 //
 // Writes touch only thread-safe components (registry, ring, monitor,
 // pools), so they run on pipeline workers and the driver alike. Recording
@@ -49,8 +48,6 @@ struct ChunkWriterContext {
   BufferPool* buffers = nullptr;
   // At most one share of a chunk per platform cluster (§4.1).
   bool cluster_aware = false;
-  // Hash every placed share; off, returned shares carry no digest.
-  bool record_digests = true;
   std::function<double()> now;
   RetryOptions retry;
   // Health routing for failed uploads.
@@ -97,8 +94,7 @@ class ChunkWriter {
 
   // The returned row for share `index` stored on `csp`.
   ChunkShare Placed(uint32_t index, int csp, ByteSpan share) const {
-    return ChunkShare{index, csp,
-                      context_.record_digests ? Sha1::Hash(share) : Sha1Digest{}};
+    return ChunkShare{index, csp, Sha1::Hash(share)};
   }
 
   ChunkWriterContext context_;

@@ -14,6 +14,10 @@
 namespace cyrus {
 namespace {
 
+// Digest mismatches from one CSP before it is marked failed: one could be
+// rot in a single object; three mark a provider that lies.
+constexpr uint64_t kIntegrityQuarantineThreshold = 3;
+
 // Observes the enclosing scope's wall time into a latency histogram on
 // every exit path, error returns included.
 class LatencyRecorder {
@@ -79,7 +83,6 @@ CyrusClient::CyrusClient(CyrusConfig config, Chunker chunker)
   reader_context.pool = pool_.get();
   reader_context.fetcher = fetcher_.get();
   reader_context.buffers = &codec_buffers_;
-  reader_context.verify_share_digests = config_.verify_share_digests;
   reader_context.now = [this] { return now(); };
   // Dedup chunks were dispersed under their content key; unwrap it with
   // the user key (reads never touch the deployment salt or the index).
@@ -106,7 +109,6 @@ CyrusClient::CyrusClient(CyrusConfig config, Chunker chunker)
   writer_context.pool = pool_.get();
   writer_context.buffers = &codec_buffers_;
   writer_context.cluster_aware = config_.cluster_aware;
-  writer_context.record_digests = config_.verify_share_digests;
   writer_context.now = [this] { return now(); };
   writer_context.retry = config_.transfer_retry;
   writer_context.on_transfer_failure = on_transfer_failure;
@@ -254,20 +256,6 @@ Result<int> CyrusClient::AddCsp(std::shared_ptr<CloudConnector> connector,
     return InvalidArgumentError("connector must not be null");
   }
   const std::string name(connector->id());
-  std::shared_ptr<CircuitBreaker> breaker;
-  if (config_.breaker.enabled) {
-    CircuitBreakerOptions opts = config_.breaker;
-    if (opts.metrics == nullptr) {
-      opts.metrics = metrics_;
-    }
-    // Per-CSP seed derivation keeps cooldown jitter decorrelated between
-    // breakers even when every breaker shares one configured seed.
-    opts.seed ^= std::hash<std::string>{}(name);
-    breaker = std::make_shared<CircuitBreaker>(name, opts,
-                                               [this] { return now(); });
-    connector = std::make_shared<CircuitBreakerConnector>(std::move(connector),
-                                                          breaker);
-  }
   CYRUS_RETURN_IF_ERROR(connector->Authenticate(credentials));
   // Authenticate ran outside the lock (it is a connector call); the
   // registry+ring registration below is the atomic part.
@@ -278,19 +266,6 @@ Result<int> CyrusClient::AddCsp(std::shared_ptr<CloudConnector> connector,
     // Roll the registry entry back to keep ring and registry consistent.
     (void)registry_.SetState(index, CspState::kRemoved);
     return ring_status;
-  }
-  if (breaker != nullptr) {
-    breakers_[index] = breaker;
-    // The breaker's verdicts drive registry/ring placement: a trip evicts
-    // the CSP exactly like the legacy indictment, a close re-admits it.
-    breaker->set_on_transition(
-        [this, index](CircuitBreaker::State /*from*/, CircuitBreaker::State to) {
-          if (to == CircuitBreaker::State::kOpen) {
-            (void)MarkCspFailed(index);
-          } else if (to == CircuitBreaker::State::kClosed) {
-            (void)MarkCspRecovered(index);
-          }
-        });
   }
   monitor_.RecordProbe(index, now_, true);
   return index;
@@ -342,11 +317,6 @@ Status CyrusClient::MarkCspRecovered(int csp) {
   CYRUS_ASSIGN_OR_RETURN(std::string name, registry_.name(csp));
   CYRUS_ASSIGN_OR_RETURN(CspProfile profile, registry_.profile(csp));
   CYRUS_RETURN_IF_ERROR(ring_.AddCsp(csp, name, profile.cluster));
-  if (auto it = breakers_.find(csp); it != breakers_.end()) {
-    // Callback-suppressed reset: we hold the topology mutex the transition
-    // callback would re-take, and the registry is already being fixed here.
-    it->second->ForceClose();
-  }
   // ShareLocations naming this CSP predate the outage; the provider may
   // have lost objects while down, so they must be re-verified by a scrub
   // pass before the reliability accounting trusts them again.
@@ -356,13 +326,6 @@ Status CyrusClient::MarkCspRecovered(int csp) {
 
 Status CyrusClient::NoteTransferFailure(int csp, const Status& status) {
   if (!IsCspHealthFailure(status)) {
-    return OkStatus();
-  }
-  if (config_.breaker.enabled) {
-    // The breaker decorator already saw the failure and decides when the
-    // CSP leaves placement; only the availability history needs the sample.
-    std::lock_guard<std::mutex> topology(topology_mutex_);
-    monitor_.RecordProbe(csp, now_, false);
     return OkStatus();
   }
   return MarkCspFailed(csp);
@@ -386,28 +349,7 @@ Status CyrusClient::NoteIntegrityFailure(int csp) {
     monitor_.RecordProbe(csp, now_, false);
     ledger = monitor_.IntegrityFailureCount(csp);
   }
-  if (config_.breaker.enabled) {
-    // A provider returning corrupted bytes while answering promptly never
-    // times out, so the breaker decorator saw a *success*; replay the
-    // failure into it with the configured weight so a lying CSP trips the
-    // breaker faster than a merely flaky one.
-    if (auto breaker = breaker_for(csp); breaker != nullptr) {
-      const uint32_t weight = std::max<uint32_t>(config_.integrity_failure_weight, 1);
-      for (uint32_t i = 0; i < weight; ++i) {
-        breaker->RecordFailure();
-      }
-      // Consecutive counting alone cannot accumulate integrity evidence:
-      // every corrupt download is a transfer-level success that resets the
-      // streak before this replay. The monitor's cumulative ledger can -
-      // once the weighted total crosses the trip bar, quarantine outright.
-      if (ledger * weight >= config_.breaker.failure_threshold) {
-        breaker->ForceOpen();
-      }
-    }
-    return OkStatus();
-  }
-  if (config_.integrity_quarantine_threshold > 0 &&
-      monitor_.IntegrityFailureCount(csp) >= config_.integrity_quarantine_threshold) {
+  if (ledger >= kIntegrityQuarantineThreshold) {
     return MarkCspFailed(csp);
   }
   return OkStatus();
@@ -426,12 +368,6 @@ uint32_t CyrusClient::PutQuorum(uint32_t n) const {
   const uint32_t budget =
       std::min(n, static_cast<uint32_t>(config_.put_failure_budget));
   return std::max(config_.t, n - budget);
-}
-
-std::shared_ptr<CircuitBreaker> CyrusClient::breaker_for(int csp) {
-  std::lock_guard<std::mutex> topology(topology_mutex_);
-  auto it = breakers_.find(csp);
-  return it != breakers_.end() ? it->second : nullptr;
 }
 
 Status CyrusClient::AssignClusters(const std::vector<int>& cluster_per_csp) {
@@ -550,8 +486,7 @@ Status CyrusClient::GatherChunk(GatherSlot& slot) {
   // record predates per-share digests, derive the authoritative digest set
   // from the verified plaintext. The chunk table is updated here; the
   // driver republishes the metadata that references the chunk.
-  if (config_.verify_share_digests &&
-      (chunk.share_digests.empty() || slot.read.healed > 0 || slot.read.corrected)) {
+  if (chunk.share_digests.empty() || slot.read.healed > 0 || slot.read.corrected) {
     std::set<uint32_t> indices;
     for (const ShareLocation& loc : updated) {
       indices.insert(loc.share_index);
@@ -1572,10 +1507,6 @@ Status CyrusClient::RepublishVersions(const std::set<Sha1Digest>* chunk_ids,
 
 Result<ScrubReport> CyrusClient::ScrubOnce() {
   obs::TraceBuilder trace(traces_, "ScrubOnce", "");
-  // Give tripped breakers their half-open probe before scrubbing, so a CSP
-  // that recovered during the cooldown rejoins placement and this very
-  // scrub pass can complete degraded writes onto it.
-  CYRUS_RETURN_IF_ERROR(ProbeRecoveredCsps());
   CYRUS_ASSIGN_OR_RETURN(ScrubReport report, repair_->ScrubOnce(&trace));
   if (report.repaired_chunks.empty() && report.upgraded_chunks.empty()) {
     return report;
@@ -1593,44 +1524,6 @@ Result<ScrubReport> CyrusClient::ScrubOnce() {
 }
 
 std::vector<ChunkHealth> CyrusClient::ScrubScan() { return repair_->Scan(); }
-
-Status CyrusClient::ProbeRecoveredCsps() {
-  if (!config_.breaker.enabled) {
-    return OkStatus();
-  }
-  const size_t csp_count = registry_.size();
-  for (size_t i = 0; i < csp_count; ++i) {
-    const int csp = static_cast<int>(i);
-    std::shared_ptr<CircuitBreaker> breaker;
-    {
-      std::lock_guard<std::mutex> topology(topology_mutex_);
-      auto state = registry_.state(csp);
-      if (!state.ok() || *state != CspState::kFailed) {
-        continue;
-      }
-      auto it = breakers_.find(csp);
-      if (it == breakers_.end()) {
-        continue;
-      }
-      breaker = it->second;
-    }
-    auto conn = registry_.connector(csp);
-    if (!conn.ok()) {
-      continue;
-    }
-    // One cheap call through the breaker-wrapped connector: once the
-    // cooldown has elapsed the breaker admits it as the half-open probe,
-    // and a success closes the breaker, whose transition callback marks
-    // the CSP recovered in registry and ring.
-    auto listing = (*conn)->List("");
-    if (listing.ok() && breaker->state() == CircuitBreaker::State::kClosed) {
-      // Normally the transition callback already re-admitted the CSP; this
-      // covers a breaker that was closed while the registry stayed failed.
-      (void)MarkCspRecovered(csp);
-    }
-  }
-  return OkStatus();
-}
 
 Result<JournalRecoveryReport> CyrusClient::RecoverFromJournal() {
   JournalRecoveryReport report;

@@ -31,7 +31,6 @@
 
 #include "src/chunker/chunker.h"
 #include "src/cloud/availability.h"
-#include "src/cloud/circuit_breaker.h"
 #include "src/cloud/registry.h"
 #include "src/crypto/convergent.h"
 #include "src/dedup/share_index.h"
@@ -134,29 +133,6 @@ struct CyrusConfig {
   // for straggling primaries (see src/core/hedged_fetch.h). Disabled by
   // default; enabling allocates a dedicated hedge thread pool.
   HedgeOptions hedge;
-
-  // Per-CSP circuit breakers (closed/open/half-open) replacing the ad-hoc
-  // first-error MarkCspFailed indictment when enabled. Breaker verdicts
-  // feed the hash ring and download selector through the same registry
-  // state transitions the legacy path used.
-  CircuitBreakerOptions breaker;
-
-  // End-to-end share integrity. When on (the default), every share whose
-  // ChunkRecord carries a per-share digest is authenticated *before* decode;
-  // a mismatch is a typed kIntegrity failure that is failover-eligible (the
-  // gather discards the poisoned share and tops up from alternate CSPs), so
-  // Get succeeds whenever any t clean shares exist. Off reproduces the
-  // pre-digest client exactly: Put records no digests and Get authenticates
-  // nothing (useful for writing legacy-format metadata in tests).
-  bool verify_share_digests = true;
-  // A CSP returning corrupted bytes is worse than one timing out: each
-  // integrity failure counts as this many breaker failures, so a
-  // repeatedly-lying provider trips its breaker sooner than a flaky one.
-  uint32_t integrity_failure_weight = 3;
-  // Without breakers: integrity failures from one CSP before it is marked
-  // failed outright (quarantined from placement and selection until a scrub
-  // re-verifies it). 0 disables the quarantine.
-  uint32_t integrity_quarantine_threshold = 3;
 
   // Crash-safe Put: path of the local write-intent journal. Empty (the
   // default) disables journaling; RecoverFromJournal() is then a no-op.
@@ -272,7 +248,12 @@ class CyrusClient {
   // immediately; chunk shares migrate lazily on subsequent downloads.
   Status RemoveCsp(int csp);
 
-  // Failure handling (upload errors call this internally too).
+  // The one CSP health path (paper §5.5). MarkCspFailed takes a CSP out
+  // of placement and download selection; transfers call it for a health
+  // failure that survived retries, and the integrity quarantine for a
+  // repeat liar. MarkCspRecovered is the only way back in: it re-admits
+  // the CSP and flags it for the next scrub's reprobe. Both are no-ops
+  // from any other state.
   Status MarkCspFailed(int csp);
   Status MarkCspRecovered(int csp);
 
@@ -352,14 +333,6 @@ class CyrusClient {
   // configured or nothing is pending.
   Result<JournalRecoveryReport> RecoverFromJournal();
 
-  // With circuit breakers enabled, probes every failed CSP through its
-  // breaker (one List each): once the open cooldown has elapsed the
-  // breaker admits the probe half-open, and enough successes close it,
-  // which marks the CSP recovered. ScrubOnce runs this first, so periodic
-  // scrubbing doubles as the outage-recovery detector. No-op without
-  // breakers.
-  Status ProbeRecoveredCsps();
-
   // --- Multi-client synchronization ---
 
   // Pulls metadata objects this client has not seen and returns the
@@ -412,9 +385,6 @@ class CyrusClient {
   // The write-intent journal (null unless config.journal_path is set).
   const PutJournal* journal() const { return journal_.get(); }
 
-  // The circuit breaker guarding `csp`, or null when breakers are off.
-  std::shared_ptr<CircuitBreaker> breaker_for(int csp);
-
   // Replaces the downlink selector (benchmarks swap in random/round-robin).
   void set_download_selector(std::unique_ptr<DownloadSelector> selector);
 
@@ -434,7 +404,7 @@ class CyrusClient {
   }
 
   // Virtual clock for modified times and availability probes. Atomic:
-  // breaker and repair-engine `now` callbacks read it from pool and
+  // reader, writer and repair-engine `now` callbacks read it from pool and
   // hedge-pool threads while tests advance it on the driver.
   void set_time(double now) { now_.store(now, std::memory_order_relaxed); }
   double now() const { return now_.load(std::memory_order_relaxed); }
@@ -520,19 +490,15 @@ class CyrusClient {
   // republishes the affected metadata afterwards.
   Status GatherChunk(GatherSlot& slot);
 
-  // Routes a failed transfer into the health machinery: with breakers on,
-  // the connector decorator already counted the failure (the breaker trips
-  // the topology change through its callback), so only the availability
-  // monitor is fed; without them this is the legacy immediate
-  // MarkCspFailed. No-op for statuses that do not indict the provider.
+  // Routes a transfer that failed after its retries into the health
+  // path: a status that indicts the provider (IsCspHealthFailure) marks
+  // the CSP failed at once; any other status is a no-op.
   Status NoteTransferFailure(int csp, const Status& status);
 
-  // Routes a share-digest mismatch into the health machinery: the
-  // availability monitor's integrity ledger always records it; with
-  // breakers on the failure is replayed integrity_failure_weight times into
-  // the CSP's breaker, without them the CSP is marked failed once its
-  // ledger reaches integrity_quarantine_threshold. Safe from pipeline
-  // workers (same locking as NoteTransferFailure).
+  // Routes a share-digest mismatch into the health path: the availability
+  // monitor's integrity ledger records it, and the CSP is marked failed
+  // once its ledger reaches kIntegrityQuarantineThreshold (3). Safe
+  // from pipeline workers (same locking as NoteTransferFailure).
   Status NoteIntegrityFailure(int csp);
 
   // Copies the chunk table's share digests into a copy of a version's
@@ -651,9 +617,6 @@ class CyrusClient {
   std::unique_ptr<RepairEngine> repair_;
   // Crash-safe Put write-intent journal (null when journal_path is empty).
   std::unique_ptr<PutJournal> journal_;
-  // Per-CSP circuit breakers (populated only when config.breaker.enabled);
-  // guarded by topology_mutex_.
-  std::map<int, std::shared_ptr<CircuitBreaker>> breakers_;
   // The metadata object format and its scatter, fetch and discovery.
   std::unique_ptr<MetadataStore> metadata_;
   std::atomic<double> now_{0.0};

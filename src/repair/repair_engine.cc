@@ -197,13 +197,6 @@ RepairEngine::ProbeSnapshot RepairEngine::ProbeInternal(RepairStats& delta) {
   return snapshot;
 }
 
-RepairEngine::ProbeSnapshot RepairEngine::Probe() {
-  RepairStats delta;
-  ProbeSnapshot snapshot = ProbeInternal(delta);
-  Fold(delta);
-  return snapshot;
-}
-
 // ---------------------------------------------------------------------------
 // Scan
 // ---------------------------------------------------------------------------

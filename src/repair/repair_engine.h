@@ -136,8 +136,8 @@ struct RepairContext {
   // correction, in-place heals, pooled buffers).
   ChunkReader* reader = nullptr;
   // The client's chunk write path: repair rebuilds place and upload fresh
-  // shares through it (ring placement, failover, breaker-routed failures,
-  // share digests).
+  // shares through it (ring placement, failover, failures routed to the
+  // client's health path, share digests).
   ChunkWriter* writer = nullptr;
   CspRegistry* registry = nullptr;
   ChunkTable* chunk_table = nullptr;
@@ -159,16 +159,6 @@ struct RepairContext {
 class RepairEngine {
  public:
   RepairEngine(RepairContext context, RepairEngineOptions options);
-
-  // Which share objects exist on which active CSP (one List per CSP).
-  struct ProbeSnapshot {
-    // Active CSP index -> names of every object it holds.
-    std::map<int, std::set<std::string, std::less<>>> objects_by_csp;
-    // Active CSPs whose List failed even after retries; they are marked
-    // failed before the scan classifies shares.
-    std::vector<int> unreachable;
-  };
-  ProbeSnapshot Probe();
 
   // Probe + classify without repairing; degraded chunks first, worst
   // first. Cheap enough to drive dashboards ("how far below n is my cold
@@ -201,13 +191,22 @@ class RepairEngine {
   void set_options(RepairEngineOptions options) { options_ = options; }
 
  private:
+  // Which share objects exist on which active CSP (one List per CSP).
+  struct ProbeSnapshot {
+    // Active CSP index -> names of every object it holds.
+    std::map<int, std::set<std::string, std::less<>>> objects_by_csp;
+    // Active CSPs whose List failed even after retries; they are marked
+    // failed before the scan classifies shares.
+    std::vector<int> unreachable;
+  };
+
   // The pass's restoration target for a chunk: Eq. (1)'s n clamped to what
   // the active CSP set can actually hold (one share per CSP / cluster),
   // never below the chunk's t when that many CSPs exist.
   uint32_t TargetN(const ChunkEntry& entry) const;
 
-  // Probe/scan with stats accumulated into `delta` (public Probe/Scan wrap
-  // these and fold into the lifetime counters).
+  // Probe/scan with stats accumulated into `delta` (Scan and ScrubOnce
+  // wrap these and fold into the lifetime counters).
   ProbeSnapshot ProbeInternal(RepairStats& delta);
   std::vector<ChunkHealth> ScanInternal(
       const ProbeSnapshot& snapshot, RepairStats& delta,

@@ -8,8 +8,8 @@
 //     scrub pass after recovery drives the debt gauge back to zero;
 //   - hedged Get: a provider sleeping tens of milliseconds per call never
 //     puts a pipelined Get on its tail once backup downloads are enabled;
-//   - circuit breaker: consecutive failures trip a CSP out of placement,
-//     and the scrub-driven half-open probe re-admits it after recovery;
+//   - CSP outage: a failed provider leaves placement at once and stays out
+//     across scrubs until MarkCspRecovered re-admits it for reprobe;
 //   - crash-safe Put: an interrupted Put is rolled forward (shares were
 //     durable) or its orphan shares are deleted from every provider.
 #include <gtest/gtest.h>
@@ -39,9 +39,12 @@ Bytes RandomContent(Rng& rng, size_t size) {
 }
 
 struct ChaosCloud {
+  // Declared first so it is destroyed last: the fault injectors and the
+  // client (whose hedge pool may still be finishing an abandoned download)
+  // record into it until they are gone.
+  std::unique_ptr<obs::MetricsRegistry> metrics;
   std::vector<std::shared_ptr<FaultInjectingConnector>> faults;
   std::unique_ptr<CyrusClient> client;
-  std::unique_ptr<obs::MetricsRegistry> metrics;
 };
 
 // Base config: t=2, test chunker (~1 KB chunks), private metrics registry.
@@ -229,51 +232,55 @@ TEST(DegradedChaosTest, HedgedGetUnderSlowCsp) {
             0u);
 }
 
-// Circuit breaker lifecycle: consecutive failures trip the CSP out of
-// placement, cooldown expiry plus the scrub-driven half-open probe
-// re-admits it once the provider is healthy again.
-TEST(DegradedChaosTest, CircuitBreakerTripsAndRecoversViaScrubProbe) {
+// The one health path: a CSP whose failure survives retries leaves
+// placement at once, and a provider coming back does not re-admit it by
+// itself - scrubbing leaves it failed until MarkCspRecovered, which flags
+// it for the next scrub's reprobe.
+TEST(DegradedChaosTest, FailedCspStaysOutUntilRecovered) {
   const uint64_t seed = 0xDE64AD04;
   Rng rng(seed);
-  CyrusConfig config = ChaosConfig(nullptr, seed);
-  config.breaker.enabled = true;
-  config.breaker.failure_threshold = 2;
-  config.breaker.open_cooldown_seconds = 30.0;
-  config.breaker.half_open_successes = 1;
   ChaosCloud cloud = MakeChaosCloud(
-      std::move(config), /*num_csps=*/4, seed, /*tweak=*/{},
+      ChaosConfig(nullptr, seed), /*num_csps=*/4, seed, /*tweak=*/{},
       [](int i, CspProfile& profile) {
         // The doomed CSP is the selector's first choice, so the Get is
-        // guaranteed to hit it and feed the breaker real failures.
+        // guaranteed to hit it while it is down.
         profile.download_bytes_per_sec = (i == 0) ? 50e6 : 8e6;
       });
+  auto state_of_csp0 = [&] {
+    auto state = cloud.client->registry().state(0);
+    EXPECT_TRUE(state.ok()) << state.status();
+    return state.ok() ? *state : CspState::kRemoved;
+  };
 
   const Bytes content = RandomContent(rng, 8 * 1024);
-  auto put = cloud.client->Put("breaker-file", content);
+  auto put = cloud.client->Put("outage-file", content);
   ASSERT_TRUE(put.ok()) << put.status();
+  EXPECT_EQ(state_of_csp0(), CspState::kActive);
 
-  auto breaker = cloud.client->breaker_for(0);
-  ASSERT_NE(breaker, nullptr);
-  EXPECT_EQ(breaker->state(), CircuitBreaker::State::kClosed);
-
-  // Provider dies; the gather path's failures trip the breaker, whose
-  // transition callback evicts the CSP from placement.
+  // Provider dies; the gather fails over to the other holders and the
+  // failed downloads mark the CSP failed.
   cloud.faults[0]->set_permanently_down(true);
-  auto get = cloud.client->Get("breaker-file");
+  auto get = cloud.client->Get("outage-file");
   ASSERT_TRUE(get.ok()) << get.status();
   EXPECT_EQ(get->content, content);
-  EXPECT_EQ(breaker->state(), CircuitBreaker::State::kOpen);
+  EXPECT_EQ(state_of_csp0(), CspState::kFailed);
 
-  // Provider recovers; after the cooldown the scrub's probe half-opens the
-  // breaker, the probe List succeeds, and the close callback re-admits the
-  // CSP - no manual MarkCspRecovered anywhere.
+  // Provider recovers, time passes, a scrub runs: the CSP stays failed.
   cloud.faults[0]->set_permanently_down(false);
   cloud.client->set_time(cloud.client->now() + 60.0);
   auto scrub = cloud.client->ScrubOnce();
   ASSERT_TRUE(scrub.ok()) << scrub.status();
-  EXPECT_EQ(breaker->state(), CircuitBreaker::State::kClosed);
+  EXPECT_EQ(state_of_csp0(), CspState::kFailed);
 
-  auto get_after = cloud.client->Get("breaker-file");
+  // Re-admission is explicit, and the next scrub re-verifies the CSP.
+  ASSERT_TRUE(cloud.client->MarkCspRecovered(0).ok());
+  EXPECT_EQ(state_of_csp0(), CspState::kActive);
+  EXPECT_EQ(cloud.client->csps_pending_reprobe(), std::vector<int>{0});
+  auto reprobe = cloud.client->ScrubOnce();
+  ASSERT_TRUE(reprobe.ok()) << reprobe.status();
+  EXPECT_TRUE(cloud.client->csps_pending_reprobe().empty());
+
+  auto get_after = cloud.client->Get("outage-file");
   ASSERT_TRUE(get_after.ok()) << get_after.status();
   EXPECT_EQ(get_after->content, content);
 }

@@ -7,8 +7,7 @@
 //     Get still returns intact content from the clean providers and the
 //     poisoned shares surface as typed integrity rejections, never as
 //     plaintext corruption;
-//   - integrity failures weigh heavier than timeouts in the circuit
-//     breaker, and without breakers a repeat offender is quarantined;
+//   - a repeat offender is quarantined after its third rejected share;
 //   - legacy (pre-digest) metadata takes the combinatorial decode once,
 //     identifies the rotted share, heals it in place, and upgrades the
 //     record so every later read authenticates cheaply;
@@ -44,9 +43,12 @@ Bytes RandomContent(Rng& rng, size_t size) {
 }
 
 struct Cloud {
+  // Declared first so it is destroyed last: the fault injectors and the
+  // client (whose hedge pool may still be finishing an abandoned download)
+  // record into it until they are gone.
+  std::unique_ptr<obs::MetricsRegistry> metrics;
   std::vector<std::shared_ptr<FaultInjectingConnector>> faults;
   std::unique_ptr<CyrusClient> client;
-  std::unique_ptr<obs::MetricsRegistry> metrics;
 };
 
 CyrusConfig BaseConfig(uint64_t seed) {
@@ -191,45 +193,12 @@ TEST(ShareIntegrityTest, FullyCorruptingCspIsIsolated) {
   EXPECT_GT(cloud.faults[0]->counters().downloads_corrupted, 0u);
 }
 
-// Integrity failures weigh integrity_failure_weight x into the breaker: a
-// single multi-chunk Get against a lying CSP trips a breaker sized to
-// absorb that many plain timeouts.
-TEST(ShareIntegrityTest, BreakerWeightsIntegrityFailuresHeavier) {
-  const uint64_t seed = 0x17E60003;
-  CyrusConfig config = BaseConfig(seed);
-  config.breaker.enabled = true;
-  config.breaker.failure_threshold = 6;  // 6 timeouts, but only 2 lies
-  config.integrity_failure_weight = 3;
-  Rng rng(seed);
-  Cloud cloud = MakeCloud(std::move(config), /*num_csps=*/5, seed,
-                          [](int i, FaultInjectionOptions& f) {
-                            if (i == 0) {
-                              f.download_corrupt_prob = 1.0;
-                            }
-                          });
-
-  const Bytes content = RandomContent(rng, 8 * 1024);  // several chunks
-  auto put = cloud.client->Put("weighted", content);
-  ASSERT_TRUE(put.ok()) << put.status();
-
-  auto get = cloud.client->Get("weighted");
-  ASSERT_TRUE(get.ok()) << get.status();
-  EXPECT_EQ(get->content, content);
-  ASSERT_GE(get->integrity_rejected_shares, 2u);
-
-  auto breaker = cloud.client->breaker_for(0);
-  ASSERT_NE(breaker, nullptr);
-  EXPECT_EQ(breaker->state(), CircuitBreaker::State::kOpen);
-}
-
-// Without breakers, a CSP crossing integrity_quarantine_threshold is marked
-// failed outright - out of placement and selection until re-verified.
-TEST(ShareIntegrityTest, RepeatOffenderQuarantinedWithoutBreakers) {
+// A CSP whose third share fails its digest check is marked failed outright -
+// out of placement and selection until re-admitted.
+TEST(ShareIntegrityTest, RepeatOffenderQuarantined) {
   const uint64_t seed = 0x17E60004;
-  CyrusConfig config = BaseConfig(seed);
-  config.integrity_quarantine_threshold = 3;
   Rng rng(seed);
-  Cloud cloud = MakeCloud(std::move(config), /*num_csps=*/5, seed,
+  Cloud cloud = MakeCloud(BaseConfig(seed), /*num_csps=*/5, seed,
                           [](int i, FaultInjectionOptions& f) {
                             if (i == 0) {
                               f.download_corrupt_prob = 1.0;
@@ -258,16 +227,29 @@ TEST(ShareIntegrityTest, LegacyMetadataCombinatorialUpgrade) {
   const uint64_t seed = 0x17E60005;
   Rng rng(seed);
 
-  auto make_config = [&](bool verify) {
-    CyrusConfig config = BaseConfig(seed);
-    config.verify_share_digests = verify;
-    return config;
-  };
-  // The legacy writer: records no digests, exactly the pre-digest client.
-  Cloud cloud = MakeCloud(make_config(false), /*num_csps=*/5, seed);
+  Cloud cloud = MakeCloud(BaseConfig(seed), /*num_csps=*/5, seed);
   const Bytes content = RandomContent(rng, 3 * 1024);
   auto put = cloud.client->Put("legacy-file", content);
   ASSERT_TRUE(put.ok()) << put.status();
+
+  // The legacy writer: the same state with every share digest stripped,
+  // imported into a fresh session and republished - exactly the metadata
+  // a pre-digest client published.
+  LocalCacheSnapshot snapshot = cloud.client->ExportCache();
+  for (FileVersion& version : snapshot.versions) {
+    for (ChunkRecord& chunk : version.chunks) {
+      chunk.share_digests.clear();
+    }
+  }
+  auto legacy = CyrusClient::Create(BaseConfig(seed));
+  ASSERT_TRUE(legacy.ok()) << legacy.status();
+  for (auto& fault : cloud.faults) {
+    CspProfile profile;
+    ASSERT_TRUE((*legacy)->AddCsp(fault, profile, Credentials{"token"}).ok());
+  }
+  ASSERT_TRUE((*legacy)->ImportCache(snapshot).ok());
+  ASSERT_TRUE((*legacy)->RebalanceMetadata().ok());
+  cloud.client = std::move(legacy).value();
   for (const Sha1Digest& chunk_id : cloud.client->chunk_table().AllChunkIds()) {
     const ChunkEntry* entry = cloud.client->chunk_table().Find(chunk_id);
     ASSERT_NE(entry, nullptr);
@@ -283,7 +265,7 @@ TEST(ShareIntegrityTest, LegacyMetadataCombinatorialUpgrade) {
   // decode integrity path runs the exhaustive t-subset decode, names the
   // rotted share, heals it, and derives the full digest set.
   cloud.client.reset();
-  auto reader = CyrusClient::Create(make_config(true));
+  auto reader = CyrusClient::Create(BaseConfig(seed));
   ASSERT_TRUE(reader.ok()) << reader.status();
   for (auto& fault : cloud.faults) {
     CspProfile profile;
@@ -304,7 +286,7 @@ TEST(ShareIntegrityTest, LegacyMetadataCombinatorialUpgrade) {
     }
   }
   reader->reset();
-  auto second = CyrusClient::Create(make_config(true));
+  auto second = CyrusClient::Create(BaseConfig(seed));
   ASSERT_TRUE(second.ok()) << second.status();
   for (auto& fault : cloud.faults) {
     CspProfile profile;

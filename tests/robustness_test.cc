@@ -1,21 +1,17 @@
-// Fast unit tests for the degraded-mode building blocks: the per-CSP
-// circuit breaker (state machine + connector decorator), the hedged
-// fetcher, and the crash-safe Put write-intent journal. The end-to-end
-// chaos battery lives in tests/degraded_test.cc (ctest label `chaos`).
+// Fast unit tests for the degraded-mode building blocks: the health-failure
+// classification behind MarkCspFailed, the hedged fetcher, and the
+// crash-safe Put write-intent journal. The end-to-end chaos battery lives
+// in tests/degraded_test.cc (ctest label `chaos`).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "src/cloud/circuit_breaker.h"
-#include "src/cloud/fault_injection.h"
-#include "src/cloud/simulated_csp.h"
+#include "src/cloud/availability.h"
 #include "src/core/hedged_fetch.h"
 #include "src/core/put_journal.h"
 #include "src/obs/metrics.h"
@@ -24,165 +20,6 @@
 
 namespace cyrus {
 namespace {
-
-using State = CircuitBreaker::State;
-
-struct BreakerHarness {
-  double now = 0.0;
-  obs::MetricsRegistry metrics;
-  std::unique_ptr<CircuitBreaker> breaker;
-
-  explicit BreakerHarness(CircuitBreakerOptions options) {
-    options.metrics = &metrics;
-    breaker = std::make_unique<CircuitBreaker>("test-csp", options,
-                                               [this] { return now; });
-  }
-};
-
-TEST(CircuitBreakerTest, TripsAfterConsecutiveFailures) {
-  CircuitBreakerOptions options;
-  options.failure_threshold = 3;
-  BreakerHarness h(options);
-
-  EXPECT_TRUE(h.breaker->AllowRequest());
-  h.breaker->RecordFailure();
-  h.breaker->RecordFailure();
-  EXPECT_EQ(h.breaker->state(), State::kClosed);
-  h.breaker->RecordFailure();
-  EXPECT_EQ(h.breaker->state(), State::kOpen);
-  EXPECT_FALSE(h.breaker->AllowRequest());
-}
-
-TEST(CircuitBreakerTest, SuccessResetsTheFailureStreak) {
-  CircuitBreakerOptions options;
-  options.failure_threshold = 2;
-  BreakerHarness h(options);
-
-  h.breaker->RecordFailure();
-  h.breaker->RecordSuccess();  // streak broken
-  h.breaker->RecordFailure();
-  EXPECT_EQ(h.breaker->state(), State::kClosed);
-}
-
-TEST(CircuitBreakerTest, CooldownAdmitsExactlyOneProbe) {
-  CircuitBreakerOptions options;
-  options.failure_threshold = 1;
-  options.open_cooldown_seconds = 30.0;
-  BreakerHarness h(options);
-
-  h.breaker->RecordFailure();
-  EXPECT_EQ(h.breaker->state(), State::kOpen);
-  h.now = 29.0;
-  EXPECT_FALSE(h.breaker->AllowRequest());  // cooling down
-
-  h.now = 31.0;
-  EXPECT_TRUE(h.breaker->AllowRequest());   // the probe slot
-  EXPECT_EQ(h.breaker->state(), State::kHalfOpen);
-  EXPECT_FALSE(h.breaker->AllowRequest());  // slot already taken
-
-  h.breaker->RecordSuccess();
-  EXPECT_EQ(h.breaker->state(), State::kClosed);
-  EXPECT_TRUE(h.breaker->AllowRequest());
-}
-
-TEST(CircuitBreakerTest, HalfOpenFailureReopensWithFreshCooldown) {
-  CircuitBreakerOptions options;
-  options.failure_threshold = 1;
-  options.open_cooldown_seconds = 10.0;
-  BreakerHarness h(options);
-
-  h.breaker->RecordFailure();
-  h.now = 11.0;
-  ASSERT_TRUE(h.breaker->AllowRequest());
-  h.breaker->RecordFailure();  // the probe failed
-  EXPECT_EQ(h.breaker->state(), State::kOpen);
-  EXPECT_FALSE(h.breaker->AllowRequest());  // fresh cooldown from t=11
-  h.now = 22.0;
-  EXPECT_TRUE(h.breaker->AllowRequest());
-}
-
-TEST(CircuitBreakerTest, RequiresConfiguredHalfOpenSuccesses) {
-  CircuitBreakerOptions options;
-  options.failure_threshold = 1;
-  options.open_cooldown_seconds = 1.0;
-  options.half_open_successes = 2;
-  BreakerHarness h(options);
-
-  h.breaker->RecordFailure();
-  h.now = 2.0;
-  ASSERT_TRUE(h.breaker->AllowRequest());
-  h.breaker->RecordSuccess();
-  EXPECT_EQ(h.breaker->state(), State::kHalfOpen);  // one down, one to go
-  ASSERT_TRUE(h.breaker->AllowRequest());
-  h.breaker->RecordSuccess();
-  EXPECT_EQ(h.breaker->state(), State::kClosed);
-}
-
-TEST(CircuitBreakerTest, TransitionCallbackSeesEveryEdgeButNotForceClose) {
-  CircuitBreakerOptions options;
-  options.failure_threshold = 1;
-  options.open_cooldown_seconds = 1.0;
-  BreakerHarness h(options);
-  std::vector<std::pair<State, State>> edges;
-  h.breaker->set_on_transition(
-      [&](State from, State to) { edges.emplace_back(from, to); });
-
-  h.breaker->RecordFailure();                    // closed -> open
-  h.now = 2.0;
-  ASSERT_TRUE(h.breaker->AllowRequest());        // open -> half-open
-  h.breaker->RecordSuccess();                    // half-open -> closed
-  ASSERT_EQ(edges.size(), 3u);
-  EXPECT_EQ(edges[0], std::make_pair(State::kClosed, State::kOpen));
-  EXPECT_EQ(edges[1], std::make_pair(State::kOpen, State::kHalfOpen));
-  EXPECT_EQ(edges[2], std::make_pair(State::kHalfOpen, State::kClosed));
-
-  h.breaker->RecordFailure();  // closed -> open (edge #4)
-  ASSERT_EQ(edges.size(), 4u);
-  h.breaker->ForceClose();     // silent: registry is being fixed by caller
-  EXPECT_EQ(h.breaker->state(), State::kClosed);
-  EXPECT_EQ(edges.size(), 4u);
-}
-
-TEST(CircuitBreakerConnectorTest, OpenBreakerFastFailsWithoutTouchingInner) {
-  obs::MetricsRegistry metrics;
-  SimulatedCspOptions csp_options;
-  csp_options.id = "breaker-csp";
-  FaultInjectionOptions fault_options;
-  fault_options.metrics = &metrics;
-  auto fault = std::make_shared<FaultInjectingConnector>(
-      std::make_shared<SimulatedCsp>(csp_options), fault_options);
-  CircuitBreakerOptions breaker_options;
-  breaker_options.failure_threshold = 1;
-  breaker_options.metrics = &metrics;
-  double now = 0.0;
-  auto breaker = std::make_shared<CircuitBreaker>("breaker-csp", breaker_options,
-                                                  [&now] { return now; });
-  CircuitBreakerConnector connector(fault, breaker);
-  ASSERT_TRUE(connector.Authenticate(Credentials{"token"}).ok());
-
-  const Bytes payload = {1, 2, 3};
-  ASSERT_TRUE(connector.Upload("obj", payload).ok());
-
-  // kNotFound is the provider answering: it must NOT trip the breaker.
-  EXPECT_EQ(connector.Download("missing").status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(breaker->state(), State::kClosed);
-
-  // A health failure trips the threshold-1 breaker...
-  fault->set_permanently_down(true);
-  EXPECT_EQ(connector.Download("obj").status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(breaker->state(), State::kOpen);
-
-  // ...and subsequent calls fast-fail without reaching the injector.
-  const uint64_t calls_before = fault->counters().calls;
-  EXPECT_EQ(connector.Download("obj").status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(connector.Upload("obj2", payload).code(), StatusCode::kUnavailable);
-  EXPECT_EQ(fault->counters().calls, calls_before);
-  EXPECT_GT(metrics
-                .GetCounter("cyrus_breaker_fast_failures_total",
-                            {{"csp", "breaker-csp"}}, "")
-                ->value(),
-            0u);
-}
 
 TEST(IsCspHealthFailureTest, ClassifiesProviderVsRequestFailures) {
   EXPECT_TRUE(IsCspHealthFailure(UnavailableError("down")));
