@@ -667,7 +667,25 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
   PutResult result;
   result.content_bytes = content.size();
 
-  const Sha1Digest content_hash = Sha1::Hash(content);
+  // Phase 1: content above the chunker's parallel threshold is hashed by
+  // one pool task while the chunker's segment tasks find its Rabin cuts;
+  // smaller content does both inline.
+  const bool parallel = chunker_.Segments(content.size(), pool_.get()) > 1;
+  Sha1Digest content_hash;
+  obs::ScopedSpan chunking_span = trace.Span("chunking");
+  chunking_span.AddBytes(content.size());
+  ThreadPool::TaskGroup content_hashing;
+  if (parallel) {
+    pool_->Submit(content_hashing, [&] { content_hash = Sha1::Hash(content); });
+  } else {
+    content_hash = Sha1::Hash(content);
+  }
+  const std::vector<ChunkSpan> chunk_spans = chunker_.Split(content, pool_.get());
+  if (parallel) {
+    pool_->WaitGroup(content_hashing);
+  }
+  chunking_span.End();
+
   const Sha1Digest parent = ParentFor(name);
   if (!IsNullDigest(parent)) {
     const FileVersion* head = tree_.Find(parent);
@@ -721,10 +739,20 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
   version.modified_time = now_;
   version.size = content.size();
 
-  obs::ScopedSpan chunking_span = trace.Span("chunking");
-  chunking_span.AddBytes(content.size());
-  const std::vector<ChunkSpan> chunk_spans = chunker_.Split(content);
-  chunking_span.End();
+  // Phase 2: chunk ids. A pooled Put hashes every chunk up front, one
+  // pool task each; inline, the submit loop hashes each chunk just before
+  // submitting it, so hashing chunk i+1 overlaps chunk i's encode. Either
+  // way every dedup decision and chunk-table mutation stays on this
+  // thread, in file order.
+  std::vector<Sha1Digest> chunk_ids;
+  if (parallel) {
+    obs::ScopedSpan hash_span = trace.Span("hash_chunks");
+    hash_span.AddBytes(content.size());
+    chunk_ids.resize(chunk_spans.size());
+    pool_->ParallelFor(chunk_spans.size(), [&](size_t i) {
+      chunk_ids[i] = Sha1::Hash(content.subspan(chunk_spans[i].offset, chunk_spans[i].size));
+    });
+  }
 
   // One codec serves every chunk of this Put: the dispersal matrix depends
   // only on (key, t, n), so constructing it per chunk was pure waste.
@@ -779,9 +807,17 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
   // too - their local chunk-table insert also lands in on_complete.
   std::set<Sha1Digest> inflight;
   Status pipeline_status;
-  for (const ChunkSpan& span : chunk_spans) {
+  for (size_t i = 0; i < chunk_spans.size(); ++i) {
+    const ChunkSpan& span = chunk_spans[i];
     const ByteSpan chunk_bytes = content.subspan(span.offset, span.size);
-    const Sha1Digest chunk_id = Sha1::Hash(chunk_bytes);
+    Sha1Digest chunk_id;
+    if (parallel) {
+      chunk_id = chunk_ids[i];
+    } else {
+      obs::ScopedSpan hash_span = trace.Span("hash_chunks");
+      hash_span.AddBytes(span.size);
+      chunk_id = Sha1::Hash(chunk_bytes);
+    }
     ++result.total_chunks;
 
     slots.emplace_back();

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "src/chunker/chunker.h"
 #include "src/chunker/rabin.h"
 #include "src/crypto/sha1.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 
 namespace cyrus {
 namespace {
@@ -357,6 +359,147 @@ TEST(ChunkerOracleTest, RandomBuffersMatchReference) {
     const NamedOptions& set = sets[1 + seed % (sets.size() - 1)];
     ExpectMatchesReference(set.options, data, set.name + " seed " + std::to_string(seed));
   }
+}
+
+// --- Parallel split: segments cut on a pool, stitched in file order ---
+
+// The reference split of data[0, length) is the reference split of the
+// whole buffer cut short at `length`: every per-byte decision depends only
+// on bytes at or before it, so chunks ending by `length` are unchanged and
+// the chunk spanning it becomes the tail.
+std::vector<ChunkSpan> TruncatedReference(const std::vector<ChunkSpan>& reference,
+                                          size_t length) {
+  std::vector<ChunkSpan> chunks;
+  for (const ChunkSpan& span : reference) {
+    if (span.offset >= length) {
+      break;
+    }
+    chunks.push_back(ChunkSpan{span.offset, std::min(span.size, length - span.offset)});
+  }
+  return chunks;
+}
+
+// A repeating pattern with at least one boundary candidate per period, the
+// period shorter than min_chunk_size. A chunk started anywhere ends on the
+// first candidate past its minimum, so chains started at different offsets
+// land on different candidates and need not meet: a segment worker starts
+// out of phase with the true chain, and stitching has to re-cut serially
+// until the two line up or the segment is passed.
+Bytes PeriodicData(const ChunkerOptions& o, size_t size) {
+  const size_t period = std::max<size_t>(1, o.min_chunk_size * 3 / 4);
+  for (uint64_t seed = 1;; ++seed) {
+    const Bytes pattern = RandomData(period, 9000 + seed);
+    // The fingerprint is periodic once a whole window has rolled in; scan
+    // one full period from there for a candidate.
+    RabinFingerprint rf(o.window_size);
+    bool has_candidate = false;
+    for (size_t i = 0; i < o.window_size + period && !has_candidate; ++i) {
+      const uint64_t fp = rf.Roll(pattern[i % period]);
+      has_candidate = i >= o.window_size && fp % o.modulus == o.residue;
+    }
+    if (has_candidate) {
+      Bytes data(size);
+      for (size_t i = 0; i < size; ++i) {
+        data[i] = pattern[i % period];
+      }
+      return data;
+    }
+  }
+}
+
+void ExpectSameSpans(const std::vector<ChunkSpan>& got, const std::vector<ChunkSpan>& want,
+                     const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].offset, want[i].offset) << what << " chunk " << i;
+    ASSERT_EQ(got[i].size, want[i].size) << what << " chunk " << i;
+  }
+}
+
+TEST(ChunkerOracleTest, ParallelSplitMatchesReference) {
+  ThreadPool pool1(1);
+  ThreadPool pool2(2);
+  ThreadPool pool4(4);
+  const std::vector<std::pair<std::string, ThreadPool*>> pools = {
+      {"null pool", nullptr}, {"1 thread", &pool1}, {"2 threads", &pool2},
+      {"4 threads", &pool4}};
+  for (const NamedOptions& set : OracleOptionSets()) {
+    const ChunkerOptions& o = set.options;
+    auto chunker = Chunker::Create(o);
+    ASSERT_TRUE(chunker.ok()) << chunker.status();
+    // Two segments of `unit` bytes: the smallest length a 2-thread pool
+    // cuts in parallel whatever max_chunk_size is.
+    const size_t align = o.max_chunk_size;
+    const size_t unit = (Chunker::kMinSegmentBytes + align - 1) / align * align;
+    const size_t w = o.window_size;
+    // Lengths at the two-segment boundary (+-1, +-window) and one that
+    // gives a 4-thread pool three segments. Each split of these sizes
+    // costs tens of milliseconds, so the lengths rotate across buffer
+    // kinds (every set still sees all of them), and the pools that run
+    // inline are checked on each kind's first length only.
+    struct Case {
+      std::string kind;
+      std::vector<size_t> lengths;
+    };
+    const Case cases[] = {{"random", {2 * unit - w, 2 * unit + 1}},
+                          {"zeros", {2 * unit - 1, 2 * unit + w}},
+                          {"periodic", {3 * unit, 2 * unit}}};
+    for (const Case& c : cases) {
+      const size_t size = *std::max_element(c.lengths.begin(), c.lengths.end());
+      const Bytes data = c.kind == "random"  ? RandomData(size, 4242)
+                         : c.kind == "zeros" ? Bytes(size, 0)
+                                             : PeriodicData(o, size);
+      const std::vector<ChunkSpan> reference = ReferenceSplit(o, data);
+      for (size_t length : c.lengths) {
+        const ByteSpan prefix = ByteSpan(data).subspan(0, length);
+        const std::string what = set.name + " " + c.kind + " len " + std::to_string(length);
+        const std::vector<ChunkSpan> want = TruncatedReference(reference, length);
+        ExpectSameSpans(chunker->Split(prefix), want, what + " serial");
+        for (const auto& [pool_name, pool] : pools) {
+          if (chunker->Segments(length, pool) > 1 || length == c.lengths.front()) {
+            ExpectSameSpans(chunker->Split(prefix, pool), want, what + " " + pool_name);
+          }
+        }
+      }
+    }
+    EXPECT_EQ(chunker->Segments(2 * unit, &pool2), 2u) << set.name;
+    EXPECT_EQ(chunker->Segments(3 * unit, &pool4), 3u) << set.name;
+  }
+}
+
+TEST(ChunkerTest, ParallelSplitMatchesSplit) {
+  // The oracle above covers every option set; this one is small enough to
+  // run under ThreadSanitizer: four segment tasks on four threads, two on
+  // two.
+  auto chunker = Chunker::Create(ChunkerOptions::ForTesting());
+  ASSERT_TRUE(chunker.ok()) << chunker.status();
+  const Bytes data = RandomData(4 * Chunker::kMinSegmentBytes, 77);
+  const std::vector<ChunkSpan> want = chunker->Split(data);
+  for (size_t threads : {2, 4}) {
+    ThreadPool pool(threads);
+    ASSERT_EQ(chunker->Segments(data.size(), &pool), threads);
+    ExpectSameSpans(chunker->Split(data, &pool), want, std::to_string(threads) + " threads");
+  }
+}
+
+TEST(ChunkerTest, SegmentsFollowPoolAndSize) {
+  const ChunkerOptions o = ChunkerOptions::ForTesting();
+  auto chunker = Chunker::Create(o);
+  ASSERT_TRUE(chunker.ok()) << chunker.status();
+  ThreadPool pool(4);
+  const size_t min = Chunker::kMinSegmentBytes;
+  EXPECT_EQ(chunker->Segments(64 * min, nullptr), 1u);
+  EXPECT_EQ(chunker->Segments(0, &pool), 1u);
+  EXPECT_EQ(chunker->Segments(2 * min - 1, &pool), 1u);
+  EXPECT_EQ(chunker->Segments(2 * min, &pool), 2u);
+  EXPECT_EQ(chunker->Segments(64 * min, &pool), 4u);
+  // Segment starts are multiples of max_chunk_size: with a maximum as
+  // large as the content, there is a single segment.
+  ChunkerOptions huge_max = o;
+  huge_max.max_chunk_size = 64 * min;
+  auto aligned = Chunker::Create(huge_max);
+  ASSERT_TRUE(aligned.ok()) << aligned.status();
+  EXPECT_EQ(aligned->Segments(64 * min, &pool), 1u);
 }
 
 TEST(RabinTest, ExpireAndAppendComposeToRoll) {

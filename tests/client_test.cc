@@ -4,13 +4,17 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <tuple>
 
+#include "src/chunker/chunker.h"
 #include "src/cloud/simulated_csp.h"
 #include "src/core/client.h"
 #include "src/crypto/naming.h"
+#include "src/crypto/sha1.h"
 #include "src/meta/metadata.h"
 #include "src/util/rng.h"
 #include "src/util/strings.h"
+#include "src/util/thread_pool.h"
 
 namespace cyrus {
 namespace {
@@ -879,6 +883,119 @@ TEST(ClientTest, WindowOfOneMatchesSequentialSemantics) {
   auto get = cloud.client->Get("doubled");
   ASSERT_TRUE(get.ok()) << get.status();
   EXPECT_EQ(get->content, doubled);
+}
+
+// --- Puts large enough to be chunked and hashed on the transfer pool ---
+
+// Two minimum segments: the default 4-thread pool cuts this in two, with
+// the seam at the middle. A 64 KiB-average chunker keeps it ~130 chunks.
+constexpr size_t kSegmentedBytes = 2 * Chunker::kMinSegmentBytes;
+
+CyrusConfig SegmentedConfig() {
+  CyrusConfig config = SmallConfig();
+  config.chunker.modulus = 64 * 1024;
+  config.chunker.min_chunk_size = 16 * 1024;
+  config.chunker.max_chunk_size = 256 * 1024;
+  return config;
+}
+
+size_t SegmentsFor(const CyrusConfig& config, size_t size) {
+  ThreadPool pool(config.transfer_concurrency);
+  return Chunker::Create(config.chunker).value().Segments(size, &pool);
+}
+
+uint64_t TotalUploads(const TestCloud& cloud) {
+  uint64_t uploads = 0;
+  for (const auto& csp : cloud.csps) {
+    uploads += csp->counters().uploads;
+  }
+  return uploads;
+}
+
+std::vector<std::tuple<Sha1Digest, uint64_t, uint64_t>> ChunkList(const CyrusClient& client,
+                                                                  const Sha1Digest& version) {
+  std::vector<std::tuple<Sha1Digest, uint64_t, uint64_t>> chunks;
+  const FileVersion* found = client.tree().Find(version);
+  EXPECT_NE(found, nullptr);
+  if (found != nullptr) {
+    for (const ChunkRecord& chunk : found->chunks) {
+      chunks.emplace_back(chunk.id, chunk.offset, chunk.size);
+    }
+  }
+  return chunks;
+}
+
+TEST(ClientTest, UnchangedRePutOfSegmentedFileUploadsNothing) {
+  const CyrusConfig config = SegmentedConfig();
+  ASSERT_EQ(SegmentsFor(config, kSegmentedBytes), 2u);
+  TestCloud cloud = MakeCloud(config);
+  const Bytes content = RandomContent(kSegmentedBytes, 201);
+  auto first = cloud.client->Put("big", content);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_GT(first->new_chunks, 1u);
+  const uint64_t uploads = TotalUploads(cloud);
+
+  auto again = cloud.client->Put("big", content);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_TRUE(again->unchanged);
+  EXPECT_EQ(again->version_id, first->version_id);
+  EXPECT_EQ(TotalUploads(cloud), uploads);
+}
+
+TEST(ClientTest, SegmentedPutDedupsAChunkRepeatedAcrossTheSeam) {
+  const CyrusConfig config = SegmentedConfig();
+  ASSERT_EQ(SegmentsFor(config, kSegmentedBytes), 2u);
+  TestCloud cloud = MakeCloud(config);
+  // One 1 MiB block, once on each side of the seam between the segments:
+  // the chunks inside both copies are identical, and the second copy's
+  // must dedup against the first's although another task cut them.
+  Bytes content = RandomContent(kSegmentedBytes, 202);
+  const Bytes block = RandomContent(1 << 20, 203);
+  const size_t seam = kSegmentedBytes / 2;
+  std::copy(block.begin(), block.end(), content.begin() + seam - (3 << 19));
+  std::copy(block.begin(), block.end(), content.begin() + seam + (1 << 19));
+
+  auto put = cloud.client->Put("repeats", content);
+  ASSERT_TRUE(put.ok()) << put.status();
+
+  // A serial Split and per-chunk SHA-1 give the same chunks and dedup.
+  const std::vector<ChunkSpan> spans = Chunker::Create(config.chunker).value().Split(content);
+  std::vector<std::tuple<Sha1Digest, uint64_t, uint64_t>> want;
+  std::set<Sha1Digest> seen;
+  uint64_t repeats = 0;
+  for (const ChunkSpan& span : spans) {
+    const Sha1Digest id = Sha1::Hash(ByteSpan(content).subspan(span.offset, span.size));
+    want.emplace_back(id, span.offset, span.size);
+    repeats += seen.insert(id).second ? 0 : 1;
+  }
+  ASSERT_GT(repeats, 0u);
+  EXPECT_EQ(put->total_chunks, spans.size());
+  EXPECT_EQ(put->dedup_chunks, repeats);
+  EXPECT_EQ(ChunkList(*cloud.client, put->version_id), want);
+
+  auto get = cloud.client->Get("repeats");
+  ASSERT_TRUE(get.ok()) << get.status();
+  EXPECT_EQ(get->content, content);
+}
+
+TEST(ClientTest, SerialClientPutsTheSameVersionAsAPooledOne) {
+  const CyrusConfig pooled_config = SegmentedConfig();
+  CyrusConfig serial_config = SegmentedConfig();
+  serial_config.transfer_concurrency = 1;  // no pool: chunked and hashed inline
+  const Bytes content = RandomContent(kSegmentedBytes + 12345, 204);
+  ASSERT_GT(SegmentsFor(pooled_config, content.size()), 1u);
+
+  TestCloud pooled = MakeCloud(pooled_config);
+  TestCloud serial = MakeCloud(serial_config);
+  auto pooled_put = pooled.client->Put("same", content);
+  ASSERT_TRUE(pooled_put.ok()) << pooled_put.status();
+  auto serial_put = serial.client->Put("same", content);
+  ASSERT_TRUE(serial_put.ok()) << serial_put.status();
+
+  EXPECT_EQ(pooled_put->version_id, serial_put->version_id);
+  EXPECT_EQ(pooled_put->total_chunks, serial_put->total_chunks);
+  EXPECT_EQ(ChunkList(*pooled.client, pooled_put->version_id),
+            ChunkList(*serial.client, serial_put->version_id));
 }
 
 TEST(ClientTest, RejectsZeroPipelineWindow) {

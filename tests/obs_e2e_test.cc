@@ -174,7 +174,8 @@ TEST(ObsEndToEndTest, PutGetScrubExportAConsistentStory) {
   // Traces carry the stage timeline of each pipeline.
   obs::Trace trace;
   ASSERT_TRUE(cloud.traces.Latest("Put", &trace));
-  for (const char* stage : {"chunking", "encode", "place", "upload", "publish_meta"}) {
+  for (const char* stage : {"chunking", "hash_chunks", "encode", "place", "upload",
+                            "publish_meta"}) {
     EXPECT_NE(trace.FindSpan(stage), nullptr) << stage;
   }
   ASSERT_TRUE(cloud.traces.Latest("Get", &trace));
