@@ -27,13 +27,18 @@
 #   scripts/check.sh --integrity    # + share-integrity tier (`ctest -L
 #                                   #   integrity`, also in the fast tier):
 #                                   #   per-share authentication, corrupt-
-#                                   #   CSP isolation, breaker weighting /
-#                                   #   quarantine, legacy combinatorial
+#                                   #   CSP isolation and quarantine,
+#                                   #   legacy combinatorial
 #                                   #   upgrade, scrub bit-rot healing,
 #                                   #   the chunk read and write paths,
 #                                   #   and the metadata store (object
 #                                   #   format, straggler generations,
 #                                   #   malformed metadata, List counts)
+#   scripts/check.sh --perfbench    # + end-to-end benchmark smoke test
+#                                   #   (perfbench/smoke_test.py): every
+#                                   #   workload at tiny scale, untraced
+#                                   #   and traced, every Get byte-checked
+#                                   #   and the traced replay matched
 #   scripts/check.sh --all          # every labeled suite
 #   scripts/check.sh --bench        # + bench binaries with hard bars
 #                                   #   (pipeline, degraded, repair, the
@@ -71,6 +76,7 @@ RUN_STREAM=0
 RUN_INTEGRITY=0
 RUN_BENCH=0
 RUN_TSAN=0
+RUN_PERFBENCH=0
 
 for arg in "$@"; do
   case "$arg" in
@@ -84,6 +90,7 @@ for arg in "$@"; do
     --all)     RUN_STRESS=1; RUN_SOAK=1; RUN_METRICS=1; RUN_CHAOS=1; RUN_CODEC=1; RUN_STREAM=1; RUN_INTEGRITY=1 ;;
     --bench)   RUN_BENCH=1 ;;
     --tsan)    RUN_TSAN=1 ;;
+    --perfbench) RUN_PERFBENCH=1 ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
 done
@@ -149,6 +156,13 @@ fi
 if [[ "$RUN_INTEGRITY" == 1 ]]; then
   echo "== integrity: share authentication + corrupt-CSP isolation + scrub =="
   ctest --test-dir build -L integrity --output-on-failure
+fi
+
+if [[ "$RUN_PERFBENCH" == 1 ]]; then
+  echo "== perfbench: every workload at tiny scale, results checked =="
+  # A Put that plans its chunks wrongly reads back wrong bytes or breaks
+  # the traced replay's chunk count, and fails here.
+  python3 perfbench/smoke_test.py
 fi
 
 if [[ "$RUN_BENCH" == 1 ]]; then

@@ -1,6 +1,7 @@
 #include "src/chunker/chunker.h"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "src/util/strings.h"
 #include "src/util/thread_pool.h"
@@ -89,6 +90,12 @@ void Chunker::Cut(ByteSpan data, size_t begin, size_t stop,
   }
 }
 
+ChunkSpan Chunker::CutAt(ByteSpan data, size_t start) const {
+  std::vector<ChunkSpan> one;
+  Cut(data, start, start + 1, one);
+  return one.front();
+}
+
 std::vector<ChunkSpan> Chunker::Split(ByteSpan data) const {
   std::vector<ChunkSpan> chunks;
   Cut(data, 0, data.size(), chunks);
@@ -141,6 +148,135 @@ std::vector<ChunkSpan> Chunker::Split(ByteSpan data, ThreadPool* pool) const {
     }
   }
   return chunks;
+}
+
+// --- ChunkPlanner -----------------------------------------------------------
+
+ChunkPlanner::ChunkPlanner(const Chunker& chunker, ByteSpan content, ThreadPool* pool,
+                           std::vector<PlannedChunk> parent, obs::TraceBuilder* trace)
+    : chunker_(chunker),
+      content_(content),
+      trace_(trace),
+      pool_(chunker.Segments(content.size(), pool) > 1 ? pool : nullptr),
+      parent_(pool_ == nullptr ? std::move(parent) : std::vector<PlannedChunk>{}) {}
+
+obs::ScopedSpan ChunkPlanner::Span(const char* name, uint64_t bytes) {
+  if (trace_ == nullptr) {
+    return obs::ScopedSpan();
+  }
+  obs::ScopedSpan span = trace_->Span(name);
+  span.AddBytes(bytes);
+  return span;
+}
+
+Sha1Digest ChunkPlanner::HashChunk(ChunkSpan span) {
+  obs::ScopedSpan traced = Span("hash_chunks", span.size);
+  return Sha1::Hash(content_.subspan(span.offset, span.size));
+}
+
+Sha1Digest ChunkPlanner::HashContent() {
+  if (pool_ == nullptr) {
+    obs::ScopedSpan traced = Span("hash_content", content_.size());
+    return Sha1::Hash(content_);
+  }
+  obs::ScopedSpan traced = Span("chunking", content_.size());
+  Sha1Digest hash;
+  ThreadPool::TaskGroup hashing;
+  pool_->Submit(hashing, [&] { hash = Sha1::Hash(content_); });
+  for (const ChunkSpan& span : chunker_.Split(content_, pool_)) {
+    planned_.push_back(PlannedChunk{span, Sha1Digest{}});
+  }
+  pool_->WaitGroup(hashing);
+  cut_bytes_ = content_.size();
+  return hash;
+}
+
+std::optional<PlannedChunk> ChunkPlanner::Next() {
+  if (pool_ != nullptr) {
+    if (!planned_hashed_) {
+      obs::ScopedSpan traced = Span("hash_chunks", content_.size());
+      pool_->ParallelFor(planned_.size(), [&](size_t i) {
+        planned_[i].id = Sha1::Hash(content_.subspan(planned_[i].span.offset,
+                                                     planned_[i].span.size));
+      });
+      planned_hashed_ = true;
+    }
+    if (next_planned_ == planned_.size()) {
+      return std::nullopt;
+    }
+    return planned_[next_planned_++];
+  }
+
+  const size_t start = frontier_;
+  if (start >= content_.size()) {
+    return std::nullopt;
+  }
+  // Adopt the parent chunk expected here when its bytes are unchanged.
+  PlannedChunk candidate{};
+  if (const PlannedChunk* parent = ParentAt(start);
+      parent != nullptr && parent->span.size <= content_.size() - start) {
+    candidate.span = ChunkSpan{start, parent->span.size};
+    candidate.id = HashChunk(candidate.span);
+    const bool ends_at_eof = start + parent->span.size == content_.size();
+    if (candidate.id == parent->id && (parent != &parent_.back() || ends_at_eof)) {
+      ++adopted_;
+      frontier_ = start + parent->span.size;
+      return candidate;
+    }
+  }
+  // Otherwise cut one chunk with Rabin; a cut the candidate's size already
+  // has its hash.
+  PlannedChunk chunk;
+  {
+    obs::ScopedSpan traced = Span("chunking", 0);
+    chunk.span = chunker_.CutAt(content_, start);
+    traced.AddBytes(chunk.span.size);
+  }
+  cut_bytes_ += chunk.span.size;
+  chunk.id = chunk.span.size == candidate.span.size ? candidate.id : HashChunk(chunk.span);
+  Resync(chunk);
+  frontier_ = start + chunk.span.size;
+  return chunk;
+}
+
+const PlannedChunk* ChunkPlanner::ParentAt(size_t offset) const {
+  const int64_t at = static_cast<int64_t>(offset) - delta_;
+  if (at < 0) {
+    return nullptr;
+  }
+  auto it = std::lower_bound(parent_.begin(), parent_.end(), static_cast<size_t>(at),
+                             [](const PlannedChunk& chunk, size_t value) {
+                               return chunk.span.offset < value;
+                             });
+  return it != parent_.end() && it->span.offset == static_cast<size_t>(at) ? &*it : nullptr;
+}
+
+void ChunkPlanner::Resync(const PlannedChunk& chunk) {
+  if (parent_.empty()) {
+    return;
+  }
+  if (parent_ends_by_id_.empty()) {
+    parent_ends_by_id_.reserve(parent_.size());
+    for (const PlannedChunk& parent : parent_) {
+      parent_ends_by_id_.emplace_back(parent.id, static_cast<int64_t>(End(parent.span)));
+    }
+    std::sort(parent_ends_by_id_.begin(), parent_ends_by_id_.end());
+  }
+  // A chunk the parent repeats lines up with the copy ending nearest where
+  // the current delta expects it.
+  const int64_t end = static_cast<int64_t>(End(chunk.span));
+  const int64_t expected = end - delta_;
+  std::optional<int64_t> best;
+  for (auto it = std::lower_bound(parent_ends_by_id_.begin(), parent_ends_by_id_.end(),
+                                  std::make_pair(chunk.id, INT64_MIN));
+       it != parent_ends_by_id_.end() && it->first == chunk.id; ++it) {
+    if (!best || std::abs(it->second - expected) < std::abs(*best - expected)) {
+      best = it->second;
+    }
+  }
+  if (best) {
+    delta_ = end - *best;
+  }
 }
 
 }  // namespace cyrus

@@ -31,13 +31,33 @@
 // would). Segment starts are multiples of max_chunk_size, so on content with
 // no boundaries at all (long zero runs) the forced max-size cuts of the true
 // chain land exactly on each segment start and stitching re-cuts nothing.
+//
+// ChunkPlanner is Put's prefix: the content's SHA-1, then each chunk's span
+// and id (the SHA-1 of its bytes), always exactly Split's spans. Given the
+// chunks of the version being replaced, it adopts them instead of cutting:
+// walking the new content from offset 0 with a running length change
+// delta, at each true cut c it hashes the bytes [c, c+s) of the parent
+// chunk (p, s, id) starting at p = c - delta, if any. A hash equal to id
+// adopts the chunk, unless it was the parent's last chunk and c+s is not the
+// new end (that chunk ended at the parent's EOF, not at a Rabin cut).
+// Anything else cuts one chunk with Rabin from c (reusing the hash when the
+// cut has size s), and a freshly cut chunk whose id is a parent chunk's
+// resets delta to line the two up. Adoption is exact by the same reset: a
+// non-last chunk's end depends only on its own bytes, so equal bytes from a
+// true cut end at the same place. delta is only a hint; a wrong one costs
+// a hash, never a wrong cut. The parent's chunks must have been cut with
+// the same options, which the caller vouches for.
 #ifndef SRC_CHUNKER_CHUNKER_H_
 #define SRC_CHUNKER_CHUNKER_H_
 
 #include <cstdint>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/chunker/rabin.h"
+#include "src/crypto/sha1.h"
+#include "src/obs/trace.h"
 #include "src/util/bytes.h"
 #include "src/util/result.h"
 
@@ -96,6 +116,10 @@ class Chunker {
   // (always so for a null pool).
   size_t Segments(size_t size, const ThreadPool* pool) const;
 
+  // The chunk Split(data) cuts at `start`, given that one of its chunks
+  // starts there.
+  ChunkSpan CutAt(ByteSpan data, size_t start) const;
+
   const ChunkerOptions& options() const { return options_; }
 
  private:
@@ -114,6 +138,69 @@ class Chunker {
 
   ChunkerOptions options_;
   RabinFingerprint rabin_;  // only its tables are used; Split is const
+};
+
+// A chunk and its id, the SHA-1 of its bytes.
+struct PlannedChunk {
+  ChunkSpan span;
+  Sha1Digest id;
+};
+
+// Plans one Put's chunks (see the header comment). Not thread-safe; the
+// pooled path runs its own tasks on the pool.
+class ChunkPlanner {
+ public:
+  // `parent` is the replaced version's chunks in file order, or empty. The
+  // planner adopts from it only for content split inline; content above
+  // the segment threshold is cut on the pool in full. `trace` (nullable)
+  // receives the stage spans: "hash_content" or "chunking" for
+  // HashContent, then "chunking" for each Rabin cut and "hash_chunks" for
+  // chunk ids, each carrying the bytes it scanned.
+  ChunkPlanner(const Chunker& chunker, ByteSpan content, ThreadPool* pool,
+               std::vector<PlannedChunk> parent = {}, obs::TraceBuilder* trace = nullptr);
+
+  // The content's SHA-1. Call once, before Next. Pooled content is hashed
+  // by one pool task while the segment tasks cut it. Inline content is
+  // only hashed: nothing is cut before the first Next, so a caller that
+  // stops here (an unchanged re-Put) runs no Rabin.
+  Sha1Digest HashContent();
+
+  // The next chunk in file order, or nullopt past the end. Pooled, the
+  // first call hashes every chunk, one pool task each. Inline, each call
+  // adopts or cuts one chunk and hashes it, so a caller that pipelines
+  // chunk i overlaps its work with planning chunk i+1.
+  std::optional<PlannedChunk> Next();
+
+  // Chunks taken from the parent without a Rabin cut, so far.
+  size_t adopted_chunks() const { return adopted_; }
+  // Bytes of the chunks Rabin cut so far (the whole content when pooled).
+  uint64_t cut_bytes() const { return cut_bytes_; }
+
+ private:
+  obs::ScopedSpan Span(const char* name, uint64_t bytes);
+  Sha1Digest HashChunk(ChunkSpan span);
+  // The parent chunk expected to start at `offset` under the current
+  // delta, or null.
+  const PlannedChunk* ParentAt(size_t offset) const;
+  // After a fresh cut: if `chunk`'s id is a parent chunk's, lines delta up
+  // so the next cut maps to the end of the nearest such chunk.
+  void Resync(const PlannedChunk& chunk);
+
+  const Chunker& chunker_;
+  const ByteSpan content_;
+  obs::TraceBuilder* const trace_;
+  ThreadPool* const pool_;  // null when the content is split inline
+  const std::vector<PlannedChunk> parent_;
+  // Each parent chunk's (id, end offset), sorted; built at the first
+  // fresh cut.
+  std::vector<std::pair<Sha1Digest, int64_t>> parent_ends_by_id_;
+  int64_t delta_ = 0;  // new offset minus parent offset at the frontier
+  size_t frontier_ = 0;  // inline: where the next chunk starts
+  std::vector<PlannedChunk> planned_;  // pooled: every chunk, cut up front
+  bool planned_hashed_ = false;
+  size_t next_planned_ = 0;
+  size_t adopted_ = 0;
+  uint64_t cut_bytes_ = 0;
 };
 
 }  // namespace cyrus

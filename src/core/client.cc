@@ -165,6 +165,9 @@ CyrusClient::CyrusClient(CyrusConfig config, Chunker chunker)
                                            "Chunks encoded and uploaded by Put");
   chunks_deduped_ = metrics_->GetCounter("cyrus_client_chunks_deduped_total", {},
                                          "Put chunks served from the chunk table");
+  chunks_adopted_ = metrics_->GetCounter(
+      "cyrus_put_adopted_chunks_total", {},
+      "Put chunks taken from the replaced version by their ids, without a Rabin cut");
   chunks_gathered_ = metrics_->GetCounter("cyrus_client_chunks_gathered_total", {},
                                           "Chunks downloaded and decoded by Get");
   shares_migrated_ = metrics_->GetCounter("cyrus_client_shares_migrated_total", {},
@@ -506,10 +509,21 @@ Status CyrusClient::GatherChunk(GatherSlot& slot) {
 // Metadata sync and the local cache
 // ---------------------------------------------------------------------------
 
+bool CyrusClient::AllChunksTracked(const FileVersion& version) const {
+  return std::all_of(version.chunks.begin(), version.chunks.end(),
+                     [this](const ChunkRecord& chunk) {
+                       return chunk_table_.Contains(chunk.id);
+                     });
+}
+
 LocalCacheSnapshot CyrusClient::ExportCache() const {
   LocalCacheSnapshot snapshot;
   for (const FileVersion* version : tree_.AllVersions()) {
-    snapshot.versions.push_back(metadata_->ToWireForm(*version));
+    // A version with a chunk scrub reclaimed has no layout left to
+    // project, and a snapshot must import whole.
+    if (AllChunksTracked(*version)) {
+      snapshot.versions.push_back(metadata_->ToWireForm(*version));
+    }
   }
   snapshot.chunk_table = chunk_table_;
   snapshot.known_meta_bases = metadata_->known_bases();
@@ -519,6 +533,7 @@ LocalCacheSnapshot CyrusClient::ExportCache() const {
 Status CyrusClient::ImportCache(const LocalCacheSnapshot& snapshot) {
   tree_ = VersionTree();
   chunk_table_ = ChunkTable();
+  put_heads_.clear();
   metadata_->Reset();
   for (const FileVersion& wire : snapshot.versions) {
     CYRUS_RETURN_IF_ERROR(wire.Validate());
@@ -593,6 +608,7 @@ Result<std::vector<Conflict>> CyrusClient::SyncMetadata() {
 Status CyrusClient::Recover() {
   tree_ = VersionTree();
   chunk_table_ = ChunkTable();
+  put_heads_.clear();
   metadata_->Reset();  // forces a full pass despite the throttle
   return SyncMetadata().status();
 }
@@ -604,6 +620,21 @@ Status CyrusClient::Recover() {
 Sha1Digest CyrusClient::ParentFor(std::string_view name) const {
   const FileVersion* newest = VersionTree::Newest(tree_.Heads(name));
   return newest != nullptr ? newest->id : Sha1Digest{};
+}
+
+std::vector<PlannedChunk> CyrusClient::AdoptableChunks(std::string_view name,
+                                                       const Sha1Digest& parent) const {
+  std::vector<PlannedChunk> chunks;
+  auto it = put_heads_.find(name);
+  const FileVersion* head = tree_.Find(parent);
+  if (it == put_heads_.end() || it->second != parent || head == nullptr) {
+    return chunks;
+  }
+  chunks.reserve(head->chunks.size());
+  for (const ChunkRecord& chunk : head->chunks) {
+    chunks.push_back(PlannedChunk{ChunkSpan{chunk.offset, chunk.size}, chunk.id});
+  }
+  return chunks;
 }
 
 Result<SecretSharingCodec> CyrusClient::ConvergentCodec(const Sha1Digest& chunk_id,
@@ -667,26 +698,11 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
   PutResult result;
   result.content_bytes = content.size();
 
-  // Phase 1: content above the chunker's parallel threshold is hashed by
-  // one pool task while the chunker's segment tasks find its Rabin cuts;
-  // smaller content does both inline.
-  const bool parallel = chunker_.Segments(content.size(), pool_.get()) > 1;
-  Sha1Digest content_hash;
-  obs::ScopedSpan chunking_span = trace.Span("chunking");
-  chunking_span.AddBytes(content.size());
-  ThreadPool::TaskGroup content_hashing;
-  if (parallel) {
-    pool_->Submit(content_hashing, [&] { content_hash = Sha1::Hash(content); });
-  } else {
-    content_hash = Sha1::Hash(content);
-  }
-  const std::vector<ChunkSpan> chunk_spans = chunker_.Split(content, pool_.get());
-  if (parallel) {
-    pool_->WaitGroup(content_hashing);
-  }
-  chunking_span.End();
-
+  // The plan yields each chunk's span and id; before any cut, the content
+  // hash settles whether there is anything to write.
   const Sha1Digest parent = ParentFor(name);
+  ChunkPlanner planner(chunker_, content, pool_.get(), AdoptableChunks(name, parent), &trace);
+  const Sha1Digest content_hash = planner.HashContent();
   if (!IsNullDigest(parent)) {
     const FileVersion* head = tree_.Find(parent);
     if (head != nullptr && !head->deleted && head->content_id == content_hash) {
@@ -738,21 +754,6 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
   version.file_name = std::string(name);
   version.modified_time = now_;
   version.size = content.size();
-
-  // Phase 2: chunk ids. A pooled Put hashes every chunk up front, one
-  // pool task each; inline, the submit loop hashes each chunk just before
-  // submitting it, so hashing chunk i+1 overlaps chunk i's encode. Either
-  // way every dedup decision and chunk-table mutation stays on this
-  // thread, in file order.
-  std::vector<Sha1Digest> chunk_ids;
-  if (parallel) {
-    obs::ScopedSpan hash_span = trace.Span("hash_chunks");
-    hash_span.AddBytes(content.size());
-    chunk_ids.resize(chunk_spans.size());
-    pool_->ParallelFor(chunk_spans.size(), [&](size_t i) {
-      chunk_ids[i] = Sha1::Hash(content.subspan(chunk_spans[i].offset, chunk_spans[i].size));
-    });
-  }
 
   // One codec serves every chunk of this Put: the dispersal matrix depends
   // only on (key, t, n), so constructing it per chunk was pure waste.
@@ -807,17 +808,13 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
   // too - their local chunk-table insert also lands in on_complete.
   std::set<Sha1Digest> inflight;
   Status pipeline_status;
-  for (size_t i = 0; i < chunk_spans.size(); ++i) {
-    const ChunkSpan& span = chunk_spans[i];
+  // Every dedup decision and chunk-table mutation stays on this thread, in
+  // file order; an inline plan cuts and hashes chunk i+1 while chunk i
+  // encodes on the pool.
+  while (std::optional<PlannedChunk> planned = planner.Next()) {
+    const ChunkSpan span = planned->span;
+    const Sha1Digest chunk_id = planned->id;
     const ByteSpan chunk_bytes = content.subspan(span.offset, span.size);
-    Sha1Digest chunk_id;
-    if (parallel) {
-      chunk_id = chunk_ids[i];
-    } else {
-      obs::ScopedSpan hash_span = trace.Span("hash_chunks");
-      hash_span.AddBytes(span.size);
-      chunk_id = Sha1::Hash(chunk_bytes);
-    }
     ++result.total_chunks;
 
     slots.emplace_back();
@@ -952,6 +949,8 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
     }
   }
   CYRUS_RETURN_IF_ERROR(pipeline_status);
+  result.adopted_chunks = planner.adopted_chunks();
+  chunks_adopted_->Increment(result.adopted_chunks);
   result.uploaded_share_bytes = result.transfer.TotalBytes(TransferKind::kPut);
 
   const FileVersion wire = metadata_->ToWireForm(version);
@@ -993,6 +992,7 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
       }
     }
   }
+  put_heads_[version.file_name] = version.id;
   result.transfer.Append(meta_report);
   RecordTransferMetrics(result.transfer, metrics_);
   return result;
@@ -1527,14 +1527,12 @@ Status CyrusClient::RepublishVersions(const std::set<Sha1Digest>* chunk_ids,
                                       TransferReport& report) {
   for (const FileVersion* version : tree_.AllVersions()) {
     bool affected = chunk_ids == nullptr;
-    bool tracked = true;
     for (const ChunkRecord& chunk : version->chunks) {
       affected |= chunk_ids != nullptr && chunk_ids->count(chunk.id) > 0;
-      tracked &= chunk_table_.Contains(chunk.id);
     }
     // A version with a chunk scrub reclaimed has no layout left to
     // project; its last published metadata stays as it is.
-    if (affected && tracked) {
+    if (affected && AllChunksTracked(*version)) {
       CYRUS_RETURN_IF_ERROR(metadata_->Publish(*version, report));
     }
   }
@@ -1688,6 +1686,7 @@ Status CyrusClient::Delete(std::string_view name) {
   marker.modified_time = now_;
   marker.size = 0;
   CYRUS_RETURN_IF_ERROR(tree_.Insert(marker));
+  put_heads_.erase(marker.file_name);
   TransferReport report;
   CYRUS_RETURN_IF_ERROR(metadata_->Publish(marker, report));
   // Only after the marker is durable do the dead head's chunks lose their

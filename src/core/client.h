@@ -192,6 +192,7 @@ struct PutResult {
   uint64_t content_bytes = 0;
   uint64_t uploaded_share_bytes = 0;
   bool unchanged = false;    // content identical to the current head
+  size_t adopted_chunks = 0;  // taken from the replaced version without a Rabin cut
   size_t degraded_chunks = 0;  // committed at quorum but short of target n
   size_t missing_shares = 0;   // shares owed to the background repair queue
   TransferReport transfer;
@@ -346,7 +347,9 @@ class CyrusClient {
   // --- Local metadata cache (paper §5.2) ---
 
   // Snapshot of the synced state (version tree in portable wire form,
-  // chunk table, ingested metadata names) for SaveLocalCache().
+  // chunk table, ingested metadata names) for SaveLocalCache(). Versions
+  // with a chunk scrub reclaimed are left out, as RepublishVersions skips
+  // them.
   LocalCacheSnapshot ExportCache() const;
 
   // Installs a snapshot saved earlier, replacing local state; callers then
@@ -510,6 +513,11 @@ class CyrusClient {
   // chunk it no longer tracks. Driver-thread only.
   std::vector<ShareLocation> ResolveChunkLocations(const Sha1Digest& chunk_id) const;
 
+  // True when the chunk table still tracks every chunk of `version`: scrub
+  // reclaims the chunks of superseded versions, whose layouts are then
+  // gone, so neither a republish nor a snapshot can carry them.
+  bool AllChunksTracked(const FileVersion& version) const;
+
   // Republishes every version that references one of `chunk_ids` (every
   // version when null), skipping those with a chunk the table no longer
   // tracks. Driver-thread only.
@@ -518,6 +526,12 @@ class CyrusClient {
   // Picks this Put's parent version for `name` (the newest head, deleted
   // or not), or a null digest for new files.
   Sha1Digest ParentFor(std::string_view name) const;
+
+  // The chunks of `parent` that Put's planner may adopt: all of them when
+  // this client object Put `parent` as `name` (so chunker_ cut them), none
+  // otherwise.
+  std::vector<PlannedChunk> AdoptableChunks(std::string_view name,
+                                            const Sha1Digest& parent) const;
 
   // The one ingest step for a version about to enter the tree: takes a
   // reference on each distinct chunk and moves the version's ShareMap rows
@@ -545,6 +559,11 @@ class CyrusClient {
   // synced convergent chunks need the unwrap half even in kOff mode.
   ConvergentKeyDeriver deriver_;
   Chunker chunker_;
+  // Per name, the version this client object last Put: the only parents
+  // chunker_ is known to have cut, since options may differ across
+  // restarts and clients. One entry per name; Delete erases it, and
+  // ImportCache and Recover clear it.
+  std::map<std::string, Sha1Digest, std::less<>> put_heads_;
   CspRegistry registry_;
   HashRing ring_;
   VersionTree tree_;
@@ -631,6 +650,7 @@ class CyrusClient {
   obs::Counter* gets_total_ = nullptr;
   obs::Counter* chunks_scattered_ = nullptr;
   obs::Counter* chunks_deduped_ = nullptr;
+  obs::Counter* chunks_adopted_ = nullptr;
   obs::Counter* chunks_gathered_ = nullptr;
   obs::Counter* shares_migrated_ = nullptr;
   obs::Counter* codec_creates_ = nullptr;

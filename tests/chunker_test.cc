@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
+#include <string>
 
 #include "src/chunker/chunker.h"
 #include "src/chunker/rabin.h"
@@ -500,6 +502,236 @@ TEST(ChunkerTest, SegmentsFollowPoolAndSize) {
   auto aligned = Chunker::Create(huge_max);
   ASSERT_TRUE(aligned.ok()) << aligned.status();
   EXPECT_EQ(aligned->Segments(64 * min, &pool), 1u);
+}
+
+// --- Planner: Put's chunks, adopted from a parent where unchanged ---
+
+// What the planner must yield: Split's spans, each with the SHA-1 of its
+// bytes.
+std::vector<PlannedChunk> ReferencePlan(const Chunker& chunker, ByteSpan data) {
+  std::vector<PlannedChunk> plan;
+  for (const ChunkSpan& span : chunker.Split(data)) {
+    plan.push_back(PlannedChunk{span, Sha1::Hash(data.subspan(span.offset, span.size))});
+  }
+  return plan;
+}
+
+struct Planned {
+  Sha1Digest content_hash;
+  std::vector<PlannedChunk> chunks;
+  size_t adopted = 0;
+  uint64_t cut_bytes = 0;
+};
+
+Planned Plan(const Chunker& chunker, ByteSpan data, std::vector<PlannedChunk> parent,
+             ThreadPool* pool = nullptr) {
+  ChunkPlanner planner(chunker, data, pool, std::move(parent));
+  Planned out;
+  out.content_hash = planner.HashContent();
+  while (std::optional<PlannedChunk> chunk = planner.Next()) {
+    out.chunks.push_back(*chunk);
+  }
+  out.adopted = planner.adopted_chunks();
+  out.cut_bytes = planner.cut_bytes();
+  return out;
+}
+
+void ExpectSamePlan(const std::vector<PlannedChunk>& got,
+                    const std::vector<PlannedChunk>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].span.offset, want[i].span.offset) << what << " chunk " << i;
+    ASSERT_EQ(got[i].span.size, want[i].span.size) << what << " chunk " << i;
+    ASSERT_EQ(got[i].id, want[i].id) << what << " chunk " << i;
+  }
+}
+
+// One random edit of `data`, aimed at the seams of its chunks `plan` about
+// half the time. Returns a description for failure messages.
+std::string RandomEdit(Rng& rng, const ChunkerOptions& o, const std::vector<PlannedChunk>& plan,
+                       Bytes& data) {
+  auto random_bytes = [&](size_t n) {
+    Bytes bytes(n);
+    for (auto& b : bytes) {
+      b = static_cast<uint8_t>(rng.Next());
+    }
+    return bytes;
+  };
+  // A position near a seam (a chunk start, or the end), or anywhere.
+  auto position = [&]() -> size_t {
+    if (!plan.empty() && rng.NextBelow(2) == 0) {
+      const ChunkSpan& span = plan[rng.NextBelow(plan.size())].span;
+      const size_t seam = rng.NextBelow(2) == 0 ? span.offset : span.offset + span.size;
+      const size_t jitter = rng.NextBelow(3);
+      return std::min(data.size(), rng.NextBelow(2) == 0 ? seam + jitter
+                                                         : seam - std::min(seam, jitter));
+    }
+    return rng.NextBelow(data.size() + 1);
+  };
+  const size_t small = 1 + rng.NextBelow(o.min_chunk_size);
+  switch (rng.NextBelow(8)) {
+    case 0: {  // in-place overwrite
+      const size_t at = position();
+      const Bytes bytes = random_bytes(std::min(small, data.size() - at));
+      std::copy(bytes.begin(), bytes.end(), data.begin() + at);
+      return "overwrite " + std::to_string(bytes.size()) + " at " + std::to_string(at);
+    }
+    case 1: {  // insert
+      const size_t at = position();
+      const Bytes bytes = random_bytes(small);
+      data.insert(data.begin() + at, bytes.begin(), bytes.end());
+      return "insert " + std::to_string(small) + " at " + std::to_string(at);
+    }
+    case 2: {  // delete
+      const size_t at = position();
+      const size_t n = std::min(small, data.size() - at);
+      data.erase(data.begin() + at, data.begin() + at + n);
+      return "delete " + std::to_string(n) + " at " + std::to_string(at);
+    }
+    case 3: {  // append, often after a last chunk cut short of the minimum
+      if (rng.NextBelow(2) == 0 && plan.size() > 1) {
+        const ChunkSpan& span = plan[rng.NextBelow(plan.size())].span;
+        data.resize(std::min(data.size(), span.offset + 1 + rng.NextBelow(o.min_chunk_size - 1)));
+      }
+      const Bytes bytes = random_bytes(small);
+      data.insert(data.end(), bytes.begin(), bytes.end());
+      return "append " + std::to_string(small) + " to " + std::to_string(data.size() - small);
+    }
+    case 4: {  // truncate
+      const size_t at = position();
+      data.resize(at);
+      return "truncate at " + std::to_string(at);
+    }
+    case 5: {  // remove a boundary: change the byte a cut was found on
+      if (plan.size() < 2) {
+        return "no-op";
+      }
+      const ChunkSpan& span = plan[rng.NextBelow(plan.size() - 1)].span;
+      data[span.offset + span.size - 1] ^= 0x5a;
+      return "unmark the cut at " + std::to_string(span.offset + span.size);
+    }
+    case 6: {  // create a boundary: copy a cut's window into another chunk
+      if (plan.size() < 3) {
+        return "no-op";
+      }
+      const ChunkSpan& from = plan[rng.NextBelow(plan.size() - 1)].span;
+      const ChunkSpan& into = plan[rng.NextBelow(plan.size())].span;
+      if (from.size < o.window_size || into.size < o.min_chunk_size) {
+        return "no-op";
+      }
+      const size_t src = from.offset + from.size - o.window_size;
+      const size_t dst = into.offset + rng.NextBelow(into.size - o.window_size + 1);
+      const Bytes window(data.begin() + src, data.begin() + src + o.window_size);
+      std::copy(window.begin(), window.end(), data.begin() + dst);
+      return "mark a cut at " + std::to_string(dst + o.window_size);
+    }
+    default: {  // repeat a chunk elsewhere in the file
+      if (plan.empty()) {
+        return "no-op";
+      }
+      const ChunkSpan& span = plan[rng.NextBelow(plan.size())].span;
+      const Bytes chunk(data.begin() + span.offset, data.begin() + span.offset + span.size);
+      const size_t at = plan[rng.NextBelow(plan.size())].span.offset;
+      data.insert(data.begin() + at, chunk.begin(), chunk.end());
+      return "repeat chunk at " + std::to_string(span.offset) + " at " + std::to_string(at);
+    }
+  }
+}
+
+TEST(ChunkerOracleTest, PlannerMatchesSplitOnRandomEditScripts) {
+  for (const NamedOptions& set : OracleOptionSets()) {
+    if (set.options.max_chunk_size > 64 * 1024) {
+      continue;  // the scripts need many chunks per small buffer
+    }
+    const ChunkerOptions& o = set.options;
+    auto chunker = Chunker::Create(o);
+    ASSERT_TRUE(chunker.ok()) << chunker.status();
+    size_t adopted = 0;
+    for (uint64_t seed = 1; seed <= 60; ++seed) {
+      Rng rng(seed * 7919 + o.modulus);
+      Bytes data = RandomData(8 * o.max_chunk_size + rng.NextBelow(o.max_chunk_size), seed);
+      std::vector<PlannedChunk> parent = ReferencePlan(*chunker, data);
+      std::string script;
+      for (int step = 0; step < 8; ++step) {
+        const std::string edit = RandomEdit(rng, o, parent, data);
+        script += "; " + edit;
+        const std::string what = set.name + " seed " + std::to_string(seed) + script;
+        const std::vector<PlannedChunk> want = ReferencePlan(*chunker, data);
+        const Planned got = Plan(*chunker, data, parent);
+        EXPECT_EQ(got.content_hash, Sha1::Hash(data)) << what;
+        ExpectSamePlan(got.chunks, want, what);
+        adopted += got.adopted;
+        parent = want;
+      }
+    }
+    EXPECT_GT(adopted, 0u) << set.name;
+  }
+}
+
+TEST(ChunkerOracleTest, PlannerMatchesSplitFromAnyParent) {
+  // The planner never trusts the parent beyond a hash match and the
+  // last-chunk rule: a parent of unrelated content, of the same content cut
+  // short, or listing one chunk over and over still yields Split's chunks.
+  const ChunkerOptions o = ChunkerOptions::ForTesting();
+  auto chunker = Chunker::Create(o);
+  ASSERT_TRUE(chunker.ok()) << chunker.status();
+  const Bytes data = RandomData(40 * 1024, 31);
+  const std::vector<PlannedChunk> want = ReferencePlan(*chunker, data);
+  const Bytes other = RandomData(40 * 1024, 32);
+  const std::vector<PlannedChunk> unrelated = ReferencePlan(*chunker, other);
+  ExpectSamePlan(Plan(*chunker, data, unrelated).chunks, want, "unrelated parent");
+  for (size_t length : {want[3].span.offset, want[3].span.offset + 1, data.size() - 1}) {
+    const std::vector<PlannedChunk> prefix =
+        ReferencePlan(*chunker, ByteSpan(data).subspan(0, length));
+    ExpectSamePlan(Plan(*chunker, data, prefix).chunks, want,
+                   "prefix parent " + std::to_string(length));
+  }
+  std::vector<PlannedChunk> repeated;
+  for (const PlannedChunk& chunk : want) {
+    repeated.push_back(PlannedChunk{chunk.span, want[0].id});
+  }
+  ExpectSamePlan(Plan(*chunker, data, repeated).chunks, want, "one id repeated");
+}
+
+TEST(ChunkerTest, PlannerAdoptsAroundAnInPlaceEdit) {
+  const ChunkerOptions o = ChunkerOptions::ForTesting();
+  auto chunker = Chunker::Create(o);
+  ASSERT_TRUE(chunker.ok()) << chunker.status();
+  Bytes data = RandomData(64 * 1024, 41);
+  const std::vector<PlannedChunk> parent = ReferencePlan(*chunker, data);
+  for (size_t i = 0; i < 64; ++i) {
+    data[32 * 1024 + i] ^= 0xff;
+  }
+  const Planned got = Plan(*chunker, data, parent);
+  ExpectSamePlan(got.chunks, ReferencePlan(*chunker, data), "in-place edit");
+  // Only the chunks around the edit are cut.
+  EXPECT_GE(got.adopted + 3, got.chunks.size());
+  EXPECT_LE(got.cut_bytes, 3 * o.max_chunk_size);
+
+  // Without a parent every chunk is cut; unchanged content hashed but never
+  // pulled cuts nothing.
+  const Planned fresh = Plan(*chunker, data, {});
+  EXPECT_EQ(fresh.adopted, 0u);
+  EXPECT_EQ(fresh.cut_bytes, data.size());
+  ChunkPlanner unchanged(*chunker, data, nullptr, parent);
+  EXPECT_EQ(unchanged.HashContent(), Sha1::Hash(data));
+  EXPECT_EQ(unchanged.cut_bytes(), 0u);
+}
+
+TEST(ChunkerTest, PooledPlannerMatchesSplitAndCutsInFull) {
+  // Content above the segment threshold is cut on the pool whatever the
+  // parent; small enough to run under ThreadSanitizer.
+  auto chunker = Chunker::Create(ChunkerOptions::ForTesting());
+  ASSERT_TRUE(chunker.ok()) << chunker.status();
+  const Bytes data = RandomData(2 * Chunker::kMinSegmentBytes, 51);
+  const std::vector<PlannedChunk> want = ReferencePlan(*chunker, data);
+  ThreadPool pool(2);
+  ASSERT_EQ(chunker->Segments(data.size(), &pool), 2u);
+  const Planned got = Plan(*chunker, data, want, &pool);
+  EXPECT_EQ(got.content_hash, Sha1::Hash(data));
+  ExpectSamePlan(got.chunks, want, "pooled");
+  EXPECT_EQ(got.adopted, 0u);
+  EXPECT_EQ(got.cut_bytes, data.size());
 }
 
 TEST(RabinTest, ExpireAndAppendComposeToRoll) {

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <tuple>
@@ -996,6 +998,123 @@ TEST(ClientTest, SerialClientPutsTheSameVersionAsAPooledOne) {
   EXPECT_EQ(pooled_put->total_chunks, serial_put->total_chunks);
   EXPECT_EQ(ChunkList(*pooled.client, pooled_put->version_id),
             ChunkList(*serial.client, serial_put->version_id));
+}
+
+std::vector<std::shared_ptr<SimulatedCsp>> NameKeyedCsps() {
+  std::vector<std::shared_ptr<SimulatedCsp>> csps;
+  for (int i = 0; i < kNumCsps; ++i) {
+    SimulatedCspOptions o;
+    o.id = "csp" + std::to_string(i);
+    o.naming = NamingPolicy::kNameKeyed;
+    csps.push_back(std::make_shared<SimulatedCsp>(o));
+  }
+  return csps;
+}
+
+// The shares a client uploaded so far, as (object name, bytes) per CSP.
+std::vector<std::map<std::string, Bytes>> StoredShares(const TestCloud& cloud) {
+  std::vector<std::map<std::string, Bytes>> stored;
+  for (const auto& csp : cloud.csps) {
+    std::map<std::string, Bytes>& objects = stored.emplace_back();
+    auto listing = csp->List("");
+    EXPECT_TRUE(listing.ok()) << listing.status();
+    for (const ObjectInfo& object : *listing) {
+      if (object.name.rfind("meta-", 0) != 0) {
+        objects[object.name] = csp->Download(object.name).value();
+      }
+    }
+  }
+  return stored;
+}
+
+TEST(ClientTest, AdoptingPutMatchesAClientThatSplitsInFull) {
+  // Edits, an insert and an append, each Put by a client that adopts its
+  // own parent's chunks and by one fed the same parent through ImportCache
+  // (so it splits in full). Every version, chunk list and uploaded share
+  // must agree.
+  Bytes content = RandomContent(48 * 1024, 301);
+  // Name-keyed CSPs store each share under its own name, so the two
+  // clouds' objects compare by name.
+  TestCloud adopting = MakeCloud(SmallConfig("device-1"), NameKeyedCsps());
+  ASSERT_TRUE(adopting.client->Put("doc", content).ok());
+  const std::vector<std::pair<std::string, std::function<void(Bytes&)>>> edits = {
+      {"in-place edit", [](Bytes& b) { b[b.size() / 2] ^= 0xff; }},
+      {"insert", [](Bytes& b) {
+         const Bytes bytes = RandomContent(333, 302);
+         b.insert(b.begin() + b.size() / 3, bytes.begin(), bytes.end());
+       }},
+      {"append", [](Bytes& b) {
+         const Bytes bytes = RandomContent(5000, 303);
+         b.insert(b.end(), bytes.begin(), bytes.end());
+       }},
+  };
+  for (const auto& [what, edit] : edits) {
+    TestCloud splitting = MakeCloud(SmallConfig("device-1"), NameKeyedCsps());
+    ASSERT_TRUE(splitting.client->ImportCache(adopting.client->ExportCache()).ok()) << what;
+    edit(content);
+    auto adopted = adopting.client->Put("doc", content);
+    ASSERT_TRUE(adopted.ok()) << what << ": " << adopted.status();
+    auto split = splitting.client->Put("doc", content);
+    ASSERT_TRUE(split.ok()) << what << ": " << split.status();
+
+    EXPECT_GT(adopted->adopted_chunks, 0u) << what;
+    EXPECT_EQ(split->adopted_chunks, 0u) << what;
+    EXPECT_EQ(adopted->version_id, split->version_id) << what;
+    EXPECT_EQ(adopted->total_chunks, split->total_chunks) << what;
+    EXPECT_EQ(adopted->new_chunks, split->new_chunks) << what;
+    EXPECT_EQ(ChunkList(*adopting.client, adopted->version_id),
+              ChunkList(*splitting.client, split->version_id))
+        << what;
+    EXPECT_EQ(adopted->uploaded_share_bytes, split->uploaded_share_bytes) << what;
+    // Only the new chunks' shares were uploaded, and byte for byte the same.
+    const auto stored = StoredShares(adopting);
+    const auto split_stored = StoredShares(splitting);
+    for (size_t i = 0; i < split_stored.size(); ++i) {
+      for (const auto& [name, bytes] : split_stored[i]) {
+        auto it = stored[i].find(name);
+        ASSERT_NE(it, stored[i].end()) << what << ": " << name;
+        EXPECT_EQ(it->second, bytes) << what << ": " << name;
+      }
+    }
+    auto get = adopting.client->Get("doc");
+    ASSERT_TRUE(get.ok()) << what << ": " << get.status();
+    EXPECT_EQ(get->content, content) << what;
+  }
+  EXPECT_GT(adopting.client->metrics()
+                .GetCounter("cyrus_put_adopted_chunks_total")
+                ->value(),
+            0u);
+}
+
+TEST(ClientTest, OtherChunkerOptionsSplitInFull) {
+  // A second client under the same client_id but other chunker options
+  // shares the CSPs and syncs the first client's version: it must not adopt
+  // those chunks, and cuts exactly its own Split.
+  TestCloud first = MakeCloud(SmallConfig("device-1"));
+  Bytes content = RandomContent(48 * 1024, 311);
+  ASSERT_TRUE(first.client->Put("doc", content).ok());
+
+  CyrusConfig config = SmallConfig("device-1");
+  config.chunker.modulus = 2048;
+  config.chunker.min_chunk_size = 256;
+  TestCloud second = MakeCloud(config, first.csps);
+  ASSERT_TRUE(second.client->SyncMetadata().ok());
+  content[100] ^= 0xff;
+  auto put = second.client->Put("doc", content);
+  ASSERT_TRUE(put.ok()) << put.status();
+  EXPECT_EQ(put->adopted_chunks, 0u);
+
+  std::vector<std::tuple<Sha1Digest, uint64_t, uint64_t>> want;
+  for (const ChunkSpan& span : Chunker::Create(config.chunker).value().Split(content)) {
+    want.emplace_back(Sha1::Hash(ByteSpan(content).subspan(span.offset, span.size)),
+                      span.offset, span.size);
+  }
+  EXPECT_EQ(ChunkList(*second.client, put->version_id), want);
+  // Its next edit adopts from its own version.
+  content[content.size() - 100] ^= 0xff;
+  auto next = second.client->Put("doc", content);
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_GT(next->adopted_chunks, 0u);
 }
 
 TEST(ClientTest, RejectsZeroPipelineWindow) {

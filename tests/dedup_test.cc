@@ -575,6 +575,38 @@ TEST(DedupE2ETest, OverwriteReleasesSupersededChunks) {
   EXPECT_EQ(get->content, v2);
 }
 
+// After scrub reclaims an overwritten version's chunks, the snapshot leaves
+// that version out (as a rebalance skips it) and imports whole into a
+// fresh client, which reads the live version back.
+TEST(DedupE2ETest, SnapshotRoundTripsAfterScrubReclaims) {
+  auto index_or = ShareIndex::Open(ShareIndexOptions{});
+  ASSERT_TRUE(index_or.ok());
+  ShareIndex& index = **index_or;
+  auto csps = MakeCsps();
+  TestCloud cloud = MakeCloud(ConvergentConfig("snap", &index), csps);
+
+  const Bytes v1 = RandomContent(16 * 1024, 35);
+  const Bytes v2 = RandomContent(16 * 1024, 36);
+  auto first = cloud.client->Put("doc.bin", v1);
+  ASSERT_TRUE(first.ok()) << first.status();
+  auto second = cloud.client->Put("doc.bin", v2);
+  ASSERT_TRUE(second.ok()) << second.status();
+  auto scrub = cloud.client->ScrubOnce();
+  ASSERT_TRUE(scrub.ok()) << scrub.status();
+  ASSERT_GT(scrub->stats.chunks_reclaimed, 0u);
+
+  const LocalCacheSnapshot snapshot = cloud.client->ExportCache();
+  TestCloud fresh = MakeCloud(ConvergentConfig("snap", &index), csps);
+  const Status imported = fresh.client->ImportCache(snapshot);
+  ASSERT_TRUE(imported.ok()) << imported;
+  ASSERT_EQ(snapshot.versions.size(), 1u);
+  EXPECT_EQ(snapshot.versions[0].id, second->version_id);
+  auto get = fresh.client->Get("doc.bin");
+  ASSERT_TRUE(get.ok()) << get.status();
+  EXPECT_EQ(get->content, v2);
+  EXPECT_EQ(get->version_id, second->version_id);
+}
+
 TEST(DedupE2ETest, ReAdoptionAfterRemoteReclaimRescatters) {
   auto index_or = ShareIndex::Open(ShareIndexOptions{});
   ASSERT_TRUE(index_or.ok());
