@@ -12,13 +12,14 @@
 #include "src/opt/download_selector.h"
 #include "src/util/rng.h"
 #include "src/util/strings.h"
+#include "src/util/thread_pool.h"
 
 namespace {
 
 using namespace cyrus;
 
-Bytes MakeData(size_t size) {
-  Rng rng(11);
+Bytes MakeData(size_t size, uint64_t seed = 11) {
+  Rng rng(seed);
   Bytes data(size);
   for (auto& b : data) {
     b = static_cast<uint8_t>(rng.Next());
@@ -73,6 +74,42 @@ BENCHMARK(BM_RabinChunking)
     ->Arg(64 << 10)
     ->Arg(1 << 20)
     ->Arg(4 << 20)
+    ->Unit(benchmark::kMillisecond);
+
+// Chunker::Split(data, pool) at the default options over four 64 MiB
+// random buffers, the bulk workload's file size. CPU time is the whole
+// process's, so bytes_per_second is per CPU-second: the 4-thread row
+// against the 1-thread row (which splits inline) is what cutting in
+// segments costs, mostly the chunk straddling each segment end, scanned
+// twice. That cost depends on where the cuts fall, so one buffer is not
+// enough to show it.
+void BM_RabinChunkingPooled(benchmark::State& state) {
+  std::vector<Bytes> buffers;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    buffers.push_back(MakeData(64 << 20, seed));
+  }
+  auto chunker = Chunker::Create(ChunkerOptions{});
+  ThreadPool pool(static_cast<size_t>(state.range(0)));
+  size_t chunks = 0;
+  for (auto _ : state) {
+    chunks = 0;
+    for (const Bytes& data : buffers) {
+      const std::vector<ChunkSpan> spans = chunker->Split(data, &pool);
+      chunks += spans.size();
+      benchmark::DoNotOptimize(spans.data());
+    }
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * buffers.size() *
+                          buffers.front().size());
+  state.counters["chunks"] = static_cast<double>(chunks);
+  state.counters["segments"] =
+      static_cast<double>(chunker->Segments(buffers.front().size(), &pool));
+}
+BENCHMARK(BM_RabinChunkingPooled)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_HashRingSelect(benchmark::State& state) {

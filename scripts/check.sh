@@ -50,6 +50,14 @@
 #                                   #   selector quality bar vs the exact
 #                                   #   MILP), then a strict delta
 #                                   #   gate vs bench/baselines/
+#   scripts/check.sh --asan         # ASan+UBSan build of the byte-
+#                                   #   crunching kernels in build-asan/:
+#                                   #   chunker_test in full (the lane
+#                                   #   warm-ups index raw bytes near a
+#                                   #   scan's limit, where an out-of-
+#                                   #   bounds read is silent in Release),
+#                                   #   crypto_test, codec_property_test
+#                                   #   and secret_sharing_test
 #   scripts/check.sh --tsan         # ThreadSanitizer build of the stress
 #                                   #   battery + gateway concurrency tests
 #                                   #   + buffer-pool checkout + chunk
@@ -76,6 +84,7 @@ RUN_STREAM=0
 RUN_INTEGRITY=0
 RUN_BENCH=0
 RUN_TSAN=0
+RUN_ASAN=0
 RUN_PERFBENCH=0
 
 for arg in "$@"; do
@@ -90,6 +99,7 @@ for arg in "$@"; do
     --all)     RUN_STRESS=1; RUN_SOAK=1; RUN_METRICS=1; RUN_CHAOS=1; RUN_CODEC=1; RUN_STREAM=1; RUN_INTEGRITY=1 ;;
     --bench)   RUN_BENCH=1 ;;
     --tsan)    RUN_TSAN=1 ;;
+    --asan)    RUN_ASAN=1 ;;
     --perfbench) RUN_PERFBENCH=1 ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
@@ -210,6 +220,16 @@ if [[ "$RUN_TSAN" == 1 ]]; then
     ./tests/integrity_test && ./tests/chunk_reader_test && ./tests/chunk_writer_test &&
     ./tests/repair_test && ./tests/codec_stress_test && ./tests/robustness_test &&
     ./tests/chunker_test --gtest_filter='-ChunkerOracleTest.*' && ./tests/client_test)
+fi
+
+if [[ "$RUN_ASAN" == 1 ]]; then
+  echo "== asan: chunker, SHA-1 and codec kernels under ASan+UBSan =="
+  configure build-asan -DENABLE_SANITIZERS=ON
+  cmake --build build-asan --parallel --target chunker_test crypto_test codec_property_test secret_sharing_test
+  # UBSan only reports by default; make a report fail the tier.
+  (cd build-asan && export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 &&
+    ./tests/chunker_test && ./tests/crypto_test && ./tests/codec_property_test &&
+    ./tests/secret_sharing_test)
 fi
 
 echo "OK"

@@ -9,6 +9,96 @@
 namespace cyrus {
 namespace {
 
+// The fingerprint of the `window` bytes ending at `end`, from an empty
+// window.
+uint64_t Warm(const uint8_t* bytes, size_t end, size_t window, const RabinFingerprint& rabin) {
+  uint64_t fp = 0;
+  for (size_t i = end - window; i < end; ++i) {
+    fp = rabin.Append(fp, bytes[i]);
+  }
+  return fp;
+}
+
+// Slides `fp`, the fingerprint of the window ending at `i`, one byte on.
+uint64_t Slide(const uint8_t* bytes, uint64_t fp, size_t i, size_t window,
+               const RabinFingerprint& rabin) {
+  return rabin.Append(rabin.Expire(fp, bytes[i - window]), bytes[i]);
+}
+
+// Rolls `fp`, the fingerprint of the window ending at `end`, through the
+// ends (end, last]; returns the first whose window is a boundary, or
+// last + 1.
+template <typename AtBoundary>
+size_t RollToBoundary(const uint8_t* bytes, uint64_t fp, size_t end, size_t last,
+                      size_t window, const RabinFingerprint& rabin, AtBoundary at_boundary) {
+  for (size_t i = end; i < last; ++i) {
+    fp = Slide(bytes, fp, i, window, rabin);
+    if (at_boundary(fp)) {
+      return i + 1;
+    }
+  }
+  return last + 1;
+}
+
+// The first end e in [first, limit] whose trailing window is a boundary,
+// or `limit` if none is; requires first >= window. Each group of
+// kLanes * kBlock ends is scanned as kLanes chains warmed from their own
+// windows (exact: see the header comment), so the table lookups of one
+// chain overlap the others'. The first hit in block order wins. Ends past
+// the last whole group take the serial loop.
+template <typename AtBoundary>
+size_t FirstEnd(const uint8_t* bytes, size_t first, size_t limit, size_t window,
+                const RabinFingerprint& rabin, AtBoundary at_boundary) {
+  constexpr size_t kLanes = Chunker::kLanes;
+  constexpr size_t kBlock = Chunker::kBlock;
+  static_assert(kLanes == 4, "the group loop steps four named lanes");
+  constexpr size_t kGroup = kLanes * kBlock;
+  size_t base = first;
+  for (; limit + 1 - base >= kGroup; base += kGroup) {
+    // Lane k's window ends at base + k * kBlock + j after step j.
+    uint64_t fp0 = Warm(bytes, base, window, rabin);
+    uint64_t fp1 = Warm(bytes, base + kBlock, window, rabin);
+    uint64_t fp2 = Warm(bytes, base + 2 * kBlock, window, rabin);
+    uint64_t fp3 = Warm(bytes, base + 3 * kBlock, window, rabin);
+    bool hit = at_boundary(fp0) | at_boundary(fp1) | at_boundary(fp2) | at_boundary(fp3);
+    size_t j = 0;
+    while (!hit && ++j < kBlock) {
+      const size_t i = base + j - 1;
+      fp0 = Slide(bytes, fp0, i, window, rabin);
+      fp1 = Slide(bytes, fp1, i + kBlock, window, rabin);
+      fp2 = Slide(bytes, fp2, i + 2 * kBlock, window, rabin);
+      fp3 = Slide(bytes, fp3, i + 3 * kBlock, window, rabin);
+      hit = at_boundary(fp0) | at_boundary(fp1) | at_boundary(fp2) | at_boundary(fp3);
+    }
+    if (!hit) {
+      continue;
+    }
+    // Lanes before the first that hit at step j may still hit later in
+    // their own blocks, which come first in file order.
+    const uint64_t fps[kLanes] = {fp0, fp1, fp2, fp3};
+    for (size_t k = 0;; ++k) {
+      const size_t end = base + k * kBlock + j;
+      if (at_boundary(fps[k])) {
+        return end;
+      }
+      const size_t last = base + (k + 1) * kBlock - 1;
+      if (const size_t found =
+              RollToBoundary(bytes, fps[k], end, last, window, rabin, at_boundary);
+          found <= last) {
+        return found;
+      }
+    }
+  }
+  if (base > limit) {
+    return limit;
+  }
+  const uint64_t fp = Warm(bytes, base, window, rabin);
+  if (at_boundary(fp)) {
+    return base;
+  }
+  return std::min(limit, RollToBoundary(bytes, fp, base, limit, window, rabin, at_boundary));
+}
+
 // Split's loop, specialised on the boundary test so the common
 // power-of-two modulus compiles to a mask with no per-byte branch on it.
 // Chunks start at `begin` and chain until one starts at or past `stop`;
@@ -18,9 +108,7 @@ template <typename AtBoundary>
 void CutImpl(ByteSpan data, size_t begin, size_t stop, const ChunkerOptions& options,
              const RabinFingerprint& rabin, AtBoundary at_boundary,
              std::vector<ChunkSpan>& chunks) {
-  const uint8_t* const bytes = data.data();
   const size_t size = data.size();
-  const size_t window = options.window_size;
   size_t start = begin;
   while (start < stop) {
     if (size - start <= options.min_chunk_size) {
@@ -32,24 +120,10 @@ void CutImpl(ByteSpan data, size_t begin, size_t stop, const ChunkerOptions& opt
     // (chunk identity depends only on the chunk's own content, which is
     // what lets two files sharing a middle section produce identical chunk
     // ids there), so bytes before that cannot reach the fingerprint.
-    const size_t first_end = start + options.min_chunk_size;
-    uint64_t fp = 0;
-    for (size_t i = first_end - window; i < first_end; ++i) {
-      fp = rabin.Append(fp, bytes[i]);
-    }
-    const size_t limit = std::min(size, start + options.max_chunk_size);
-    size_t end = limit;
-    if (at_boundary(fp)) {
-      end = first_end;
-    } else {
-      for (size_t i = first_end; i < limit; ++i) {
-        fp = rabin.Append(rabin.Expire(fp, bytes[i - window]), bytes[i]);
-        if (at_boundary(fp)) {
-          end = i + 1;
-          break;
-        }
-      }
-    }
+    const size_t end =
+        FirstEnd(data.data(), start + options.min_chunk_size,
+                 std::min(size, start + options.max_chunk_size), options.window_size, rabin,
+                 at_boundary);
     chunks.push_back(ChunkSpan{start, end - start});
     start = end;
   }

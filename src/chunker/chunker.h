@@ -17,6 +17,21 @@
 // boundary, so skipped bytes cannot affect the fingerprint; boundaries are
 // identical to rolling every byte.
 //
+// The scan for a chunk's end runs several fingerprint chains at once, since
+// one chain is bound by the latency of its table lookups (each byte waits
+// on the previous byte's). This is exact for the same reason the skip is:
+// the fingerprint is fully reduced mod P, so the fingerprint at end e is a
+// function of the window bytes [e - window, e) alone, whichever byte the
+// scan started from. A chunk's search range [start + min, limit] therefore
+// splits into blocks of kBlock ends that are scanned as independent chains.
+// The range is taken kLanes blocks (one group) at a time: each lane warms
+// its own window from the `window` bytes before its block, the lanes step
+// together, and one OR of their boundary tests per step looks for a hit.
+// Hits are rare (one per `modulus` bytes); on one, the earliest hit in
+// block order is the cut, which may mean finishing an earlier lane's block
+// alone. Ends past the last whole group are scanned serially. The warm-ups
+// cost window / kBlock of a byte per end.
+//
 // The same reset makes the next cut a function of the chunk's start alone,
 // which is what lets Split(data, pool) cut a large buffer in parallel. The
 // buffer is divided into segments; each pool task runs Split's loop from
@@ -101,6 +116,11 @@ class Chunker {
   // fork-join and a re-scan of the chunk straddling its end, which a large
   // segment amortizes.
   static constexpr size_t kMinSegmentBytes = 4 * 1024 * 1024;
+
+  // The boundary scan's lanes (see the header comment): a chunk's search
+  // range is scanned kLanes blocks of kBlock ends at a time.
+  static constexpr size_t kLanes = 4;
+  static constexpr size_t kBlock = 1024;
 
   // Splits `data` into consecutive chunks covering the whole buffer.
   // An empty input yields no chunks.

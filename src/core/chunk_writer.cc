@@ -96,11 +96,13 @@ Result<std::vector<ChunkShare>> ChunkWriter::Scatter(const SecretSharingCodec& c
     upload_span.AddBytes(span.size());
   }
   // First pass: every placed share uploads concurrently on the transfer
-  // pool (the prototype's per-connector threads, §5.3). Targets are
-  // distinct, and connectors are thread-safe. Transient errors are retried
-  // in place before the failover below re-places the share.
+  // pool (the prototype's per-connector threads, §5.3), and is hashed by
+  // the same task. Targets are distinct, and connectors are thread-safe.
+  // Transient errors are retried in place before the failover below
+  // re-places the share.
   std::vector<Status> first(placed, InternalError("no upload attempted"));
   std::vector<TransferReport> first_reports(placed);
+  std::vector<Sha1Digest> digests(placed);
   auto upload = [&](size_t i) {
     const std::string object = ShareName(chunk_id, static_cast<uint32_t>(i), codec.t());
     auto conn = context_.registry->connector(targets[i]);
@@ -112,6 +114,9 @@ Result<std::vector<ChunkShare>> ChunkWriter::Scatter(const SecretSharingCodec& c
     }
     first[i] = UploadWithRetry(**conn, TransferKind::kPut, targets[i], object, spans[i],
                                context_.retry, first_reports[i]);
+    if (first[i].ok()) {
+      digests[i] = Sha1::Hash(spans[i]);
+    }
   };
   if (context_.pool != nullptr && placed > 1) {
     context_.pool->ParallelFor(placed, upload);
@@ -136,6 +141,7 @@ Result<std::vector<ChunkShare>> ChunkWriter::Scatter(const SecretSharingCodec& c
     int target = targets[i];
     if (first[i].ok()) {
       context_.monitor->RecordProbe(target, context_.now(), true);
+      shares.push_back(ChunkShare{i, target, digests[i]});
     } else {
       context_.on_transfer_failure(target, first[i]);
       std::vector<int> exclude = held;
@@ -146,8 +152,8 @@ Result<std::vector<ChunkShare>> ChunkWriter::Scatter(const SecretSharingCodec& c
         continue;
       }
       held.push_back(target);
+      shares.push_back(Placed(i, target, spans[i]));
     }
-    shares.push_back(Placed(i, target, spans[i]));
   }
   if (shares.size() < quorum) {
     return UnavailableError(StrCat("only ", shares.size(), " of ", n,

@@ -9,7 +9,8 @@
 // pool. A failed share moves to up to three further ring picks, never onto
 // a CSP already holding a share of the chunk; failures go through
 // on_transfer_failure, so the client's one health path decides when a CSP
-// leaves placement. Placed shares come back with the SHA-1 of their bytes.
+// leaves placement. Placed shares come back with the SHA-1 of their bytes,
+// which a scatter's first pass computes inside each share's upload task.
 //
 // Writes touch only thread-safe components (registry, ring, monitor,
 // pools), so they run on pipeline workers and the driver alike. Recording

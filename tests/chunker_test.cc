@@ -363,6 +363,137 @@ TEST(ChunkerOracleTest, RandomBuffersMatchReference) {
   }
 }
 
+// --- Lane seams: CutAt from every start around one planted boundary ---
+//
+// The boundary scan steps Chunker::kLanes chains over blocks of
+// Chunker::kBlock ends. Sweeping a chunk's start across a quiet stretch
+// that ends in one boundary moves that boundary across every offset of a
+// lane group: each lane's first and last end, and the seams between lanes.
+// Scan ranges short enough to take only the serial remainder, and a
+// boundary at the scan's limit, get a test of their own.
+
+// The chunk the per-byte definition cuts at `start`: roll every byte from
+// an empty window, test with `%`.
+ChunkSpan ReferenceCut(const ChunkerOptions& o, ByteSpan data, size_t start) {
+  RabinFingerprint rf(o.window_size);
+  for (size_t i = start; i < data.size(); ++i) {
+    const uint64_t fp = rf.Roll(data[i]);
+    const size_t in_chunk = i + 1 - start;
+    if ((in_chunk >= o.min_chunk_size && fp % o.modulus == o.residue) ||
+        in_chunk >= o.max_chunk_size) {
+      return ChunkSpan{start, in_chunk};
+    }
+  }
+  return ChunkSpan{start, data.size() - start};
+}
+
+// Random bytes in which no window ending in [first, first + quiet) is a
+// boundary, and `hit` is the first boundary end after that.
+struct PlantedBoundary {
+  Bytes data;
+  size_t hit = 0;
+};
+
+PlantedBoundary QuietThenBoundary(const ChunkerOptions& o, size_t first, size_t quiet) {
+  const size_t w = o.window_size;
+  for (uint64_t seed = 1;; ++seed) {
+    PlantedBoundary planted{RandomData(first + quiet + 4 * o.modulus + o.max_chunk_size,
+                                       5150 + seed)};
+    Bytes& data = planted.data;
+    RabinFingerprint rf(w);
+    auto boundary_at = [&](size_t end) {
+      rf.Reset();
+      for (size_t i = end - w; i < end; ++i) {
+        rf.Roll(data[i]);
+      }
+      return rf.fingerprint() % o.modulus == o.residue;
+    };
+    // Redraw the newest byte of a boundary window; no earlier window
+    // holds it, so the ends already passed stay quiet.
+    Rng rng(seed);
+    for (size_t end = first; end < first + quiet; ++end) {
+      while (boundary_at(end)) {
+        data[end - 1] = static_cast<uint8_t>(rng.Next());
+      }
+    }
+    rf.Reset();
+    for (size_t i = first + quiet - w; i < data.size(); ++i) {
+      const uint64_t fp = rf.Roll(data[i]);
+      if (i + 1 >= first + quiet && fp % o.modulus == o.residue) {
+        planted.hit = i + 1;
+        return planted;
+      }
+    }
+  }
+}
+
+TEST(ChunkerOracleTest, CutAtMatchesReferenceAcrossLaneSeams) {
+  constexpr size_t kGroup = Chunker::kLanes * Chunker::kBlock;
+  for (const NamedOptions& set : OracleOptionSets()) {
+    const ChunkerOptions& o = set.options;
+    auto chunker = Chunker::Create(o);
+    ASSERT_TRUE(chunker.ok()) << chunker.status();
+    // The boundary lands at scan offsets 0 .. 2 * kGroup + window: every
+    // offset of two groups, then the start of a third group or, where
+    // max - min is shorter, the serial remainder.
+    const size_t sweep = 2 * kGroup + o.window_size;
+    const PlantedBoundary planted = QuietThenBoundary(o, o.min_chunk_size, sweep + 1);
+    const ByteSpan data = planted.data;
+    const size_t hit = planted.hit;
+    for (size_t offset = 0; offset <= sweep; ++offset) {
+      const size_t start = hit - o.min_chunk_size - offset;
+      const size_t limit = std::min(data.size(), start + o.max_chunk_size);
+      const ChunkSpan got = chunker->CutAt(data, start);
+      const std::string what = set.name + " boundary at scan offset " + std::to_string(offset);
+      ASSERT_EQ(got.offset, start) << what;
+      ASSERT_EQ(got.offset + got.size, std::min(hit, limit)) << what;
+      if (offset % 97 == 0 || offset % Chunker::kBlock <= 1 ||
+          offset % Chunker::kBlock == Chunker::kBlock - 1) {
+        const ChunkSpan want = ReferenceCut(o, data, start);
+        ASSERT_EQ(got.size, want.size) << what;
+      }
+    }
+  }
+}
+
+TEST(ChunkerOracleTest, CutAtMatchesReferenceOnShortScansAndHitsAtLimit) {
+  constexpr size_t kBlock = Chunker::kBlock;
+  constexpr size_t kGroup = Chunker::kLanes * kBlock;
+  for (const NamedOptions& set : OracleOptionSets()) {
+    const ChunkerOptions& o = set.options;
+    auto chunker = Chunker::Create(o);
+    ASSERT_TRUE(chunker.ok()) << chunker.status();
+    const size_t w = o.window_size;
+    const PlantedBoundary planted = QuietThenBoundary(o, o.min_chunk_size, 2 * kGroup + 2);
+    // Scan ranges of `ends` ends, the last one the boundary, cut at the
+    // buffer's end (the limit) one byte before the boundary, at it and one
+    // byte past it. Ranges shorter than a group run only the serial
+    // remainder. Each length is checked on an exact-size copy, where a
+    // read past the limit leaves the allocation (caught under ASan), and
+    // on a view of the longer buffer, where a scan that runs past the
+    // limit finds the boundary just beyond it.
+    const size_t ends_list[] = {1,          2,          w,          kBlock - 1, kBlock,
+                                kBlock + 1, kGroup - 1, kGroup,     kGroup + 1, 2 * kGroup,
+                                2 * kGroup + 1};
+    const size_t hit = planted.hit;
+    for (const size_t ends : ends_list) {
+      const size_t start = hit - o.min_chunk_size - (ends - 1);
+      for (const int past : {-1, 0, 1}) {
+        const size_t length = hit + past;
+        const Bytes copy(planted.data.begin(), planted.data.begin() + length);
+        const std::string what = set.name + " " + std::to_string(ends) + " ends, length " +
+                                 std::to_string(past) + " from the boundary";
+        for (const ByteSpan data : {ByteSpan(copy), ByteSpan(planted.data).subspan(0, length)}) {
+          const ChunkSpan got = chunker->CutAt(data, start);
+          const ChunkSpan want = ReferenceCut(o, data, start);
+          ASSERT_EQ(got.offset, want.offset) << what;
+          ASSERT_EQ(got.size, want.size) << what;
+        }
+      }
+    }
+  }
+}
+
 // --- Parallel split: segments cut on a pool, stitched in file order ---
 
 // The reference split of data[0, length) is the reference split of the
