@@ -50,6 +50,62 @@ void BM_Sha1Scalar(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha1Scalar)->Arg(64 << 10)->Arg(4 << 20)->Unit(benchmark::kMicrosecond);
 
+// Sha1::HashMany over a batch of independent inputs (a chunk's shares, a
+// group of chunk ids), in aggregate bytes per second. The label names the
+// path the batch takes: the 8-lane kernel needs AVX-512VL and at least
+// kSha1MinLanes inputs, and anything less is the single-stream hasher.
+void RunSha1Many(benchmark::State& state, const std::vector<ByteSpan>& inputs) {
+  std::vector<Sha1Digest> out(inputs.size());
+  size_t bytes = 0;
+  for (ByteSpan input : inputs) {
+    bytes += input.size();
+  }
+  for (auto _ : state) {
+    Sha1::HashMany(inputs, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
+  const bool lanes = Sha1MultiLaneSupported() && inputs.size() >= kSha1MinLanes;
+  state.SetLabel(lanes                  ? "dispatched: avx512vl x8"
+                 : Sha1ShaNiSupported() ? "dispatched: sha-ni"
+                                        : "dispatched: scalar");
+}
+
+void BM_Sha1Many(benchmark::State& state) {
+  constexpr size_t kInput = 2 << 20;
+  const size_t count = static_cast<size_t>(state.range(0));
+  const Bytes data = MakeData(count * kInput);
+  std::vector<ByteSpan> inputs;
+  for (size_t i = 0; i < count; ++i) {
+    inputs.push_back(ByteSpan(data).subspan(i * kInput, kInput));
+  }
+  RunSha1Many(state, inputs);
+}
+BENCHMARK(BM_Sha1Many)->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(8)->Arg(16)->Unit(
+    benchmark::kMicrosecond);
+
+// Chunk-id shaped: 24 inputs from 100 B to 2 MiB, so lanes refill at
+// different steps and the batch ends on the single-stream path.
+void BM_Sha1ManyMixed(benchmark::State& state) {
+  Rng rng(13);
+  std::vector<size_t> lengths;
+  size_t total = 0;
+  for (int i = 0; i < 24; ++i) {
+    lengths.push_back(100 + rng.NextBelow(2 << 20));
+    total += lengths.back();
+  }
+  const Bytes data = MakeData(total);
+  std::vector<ByteSpan> inputs;
+  size_t offset = 0;
+  for (size_t len : lengths) {
+    inputs.push_back(ByteSpan(data).subspan(offset, len));
+    offset += len;
+  }
+  RunSha1Many(state, inputs);
+}
+BENCHMARK(BM_Sha1ManyMixed)->Unit(benchmark::kMicrosecond);
+
 // Chunker::Split over 16 MiB at a given average chunk size (min = avg/4,
 // max = 4 x avg); the 4 MiB row is the production default.
 void BM_RabinChunking(benchmark::State& state) {

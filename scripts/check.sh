@@ -56,8 +56,12 @@
 #                                   #   warm-ups index raw bytes near a
 #                                   #   scan's limit, where an out-of-
 #                                   #   bounds read is silent in Release),
-#                                   #   crypto_test, codec_property_test
-#                                   #   and secret_sharing_test
+#                                   #   crypto_test, codec_property_test,
+#                                   #   secret_sharing_test, and
+#                                   #   client_test (its Puts run the
+#                                   #   multi-lane SHA-1 kernel, with its
+#                                   #   idle and refilled lanes, through
+#                                   #   Scatter and the pooled planner)
 #   scripts/check.sh --tsan         # ThreadSanitizer build of the stress
 #                                   #   battery + gateway concurrency tests
 #                                   #   + buffer-pool checkout + chunk
@@ -225,11 +229,11 @@ fi
 if [[ "$RUN_ASAN" == 1 ]]; then
   echo "== asan: chunker, SHA-1 and codec kernels under ASan+UBSan =="
   configure build-asan -DENABLE_SANITIZERS=ON
-  cmake --build build-asan --parallel --target chunker_test crypto_test codec_property_test secret_sharing_test
+  cmake --build build-asan --parallel --target chunker_test crypto_test codec_property_test secret_sharing_test client_test
   # UBSan only reports by default; make a report fail the tier.
   (cd build-asan && export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 &&
     ./tests/chunker_test && ./tests/crypto_test && ./tests/codec_property_test &&
-    ./tests/secret_sharing_test)
+    ./tests/secret_sharing_test && ./tests/client_test)
 fi
 
 echo "OK"

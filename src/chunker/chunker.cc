@@ -269,9 +269,21 @@ std::optional<PlannedChunk> ChunkPlanner::Next() {
   if (pool_ != nullptr) {
     if (!planned_hashed_) {
       obs::ScopedSpan traced = Span("hash_chunks", content_.size());
-      pool_->ParallelFor(planned_.size(), [&](size_t i) {
-        planned_[i].id = Sha1::Hash(content_.subspan(planned_[i].span.offset,
-                                                     planned_[i].span.size));
+      // One multi-lane batch per pool thread, each of at least kSha1Lanes
+      // chunks. Chunk g, g + groups, ... go to group g, so every group
+      // mixes the lengths of the whole file and the lanes stay busy.
+      const size_t groups =
+          std::max<size_t>(1, std::min(pool_->num_threads(), planned_.size() / kSha1Lanes));
+      pool_->ParallelFor(groups, [&](size_t g) {
+        std::vector<ByteSpan> chunks;
+        for (size_t i = g; i < planned_.size(); i += groups) {
+          chunks.push_back(content_.subspan(planned_[i].span.offset, planned_[i].span.size));
+        }
+        std::vector<Sha1Digest> ids(chunks.size());
+        Sha1::HashMany(chunks, ids);
+        for (size_t k = 0; k < ids.size(); ++k) {
+          planned_[g + k * groups].id = ids[k];
+        }
       });
       planned_hashed_ = true;
     }

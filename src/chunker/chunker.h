@@ -186,9 +186,11 @@ class ChunkPlanner {
   Sha1Digest HashContent();
 
   // The next chunk in file order, or nullopt past the end. Pooled, the
-  // first call hashes every chunk, one pool task each. Inline, each call
-  // adopts or cuts one chunk and hashes it, so a caller that pipelines
-  // chunk i overlaps its work with planning chunk i+1.
+  // first call hashes every chunk id with Sha1::HashMany: at most one task
+  // per pool thread, each over every k-th chunk and, where there are that
+  // many, at least kSha1Lanes of them. Inline, each call adopts or cuts one
+  // chunk and hashes it, so a caller that pipelines chunk i overlaps its
+  // work with planning chunk i+1.
   std::optional<PlannedChunk> Next();
 
   // Chunks taken from the parent without a Rabin cut, so far.

@@ -96,13 +96,11 @@ Result<std::vector<ChunkShare>> ChunkWriter::Scatter(const SecretSharingCodec& c
     upload_span.AddBytes(span.size());
   }
   // First pass: every placed share uploads concurrently on the transfer
-  // pool (the prototype's per-connector threads, §5.3), and is hashed by
-  // the same task. Targets are distinct, and connectors are thread-safe.
-  // Transient errors are retried in place before the failover below
-  // re-places the share.
+  // pool (the prototype's per-connector threads, §5.3). Targets are
+  // distinct, and connectors are thread-safe. Transient errors are retried
+  // in place before the failover below re-places the share.
   std::vector<Status> first(placed, InternalError("no upload attempted"));
   std::vector<TransferReport> first_reports(placed);
-  std::vector<Sha1Digest> digests(placed);
   auto upload = [&](size_t i) {
     const std::string object = ShareName(chunk_id, static_cast<uint32_t>(i), codec.t());
     auto conn = context_.registry->connector(targets[i]);
@@ -114,16 +112,25 @@ Result<std::vector<ChunkShare>> ChunkWriter::Scatter(const SecretSharingCodec& c
     }
     first[i] = UploadWithRetry(**conn, TransferKind::kPut, targets[i], object, spans[i],
                                context_.retry, first_reports[i]);
-    if (first[i].ok()) {
-      digests[i] = Sha1::Hash(spans[i]);
-    }
   };
+  ThreadPool::TaskGroup uploads;
   if (context_.pool != nullptr && placed > 1) {
-    context_.pool->ParallelFor(placed, upload);
+    for (uint32_t i = 0; i < placed; ++i) {
+      context_.pool->Submit(uploads, [&upload, i] { upload(i); });
+    }
   } else {
     for (uint32_t i = 0; i < placed; ++i) {
       upload(i);
     }
+  }
+  // Meanwhile this thread hashes every placed share in one multi-lane
+  // pass; uploads and hashing only read the share bytes. A failover below
+  // uploads the same bytes, so its digest is this one too.
+  std::vector<ByteSpan> placed_spans(spans.begin(), spans.begin() + placed);
+  std::vector<Sha1Digest> digests(placed);
+  Sha1::HashMany(placed_spans, digests);
+  if (context_.pool != nullptr) {
+    context_.pool->WaitGroup(uploads);
   }
 
   // Then, in index order, bookkeeping and failover. A failover avoids every
@@ -152,7 +159,7 @@ Result<std::vector<ChunkShare>> ChunkWriter::Scatter(const SecretSharingCodec& c
         continue;
       }
       held.push_back(target);
-      shares.push_back(Placed(i, target, spans[i]));
+      shares.push_back(ChunkShare{i, target, digests[i]});
     }
   }
   if (shares.size() < quorum) {
@@ -182,7 +189,7 @@ Result<std::vector<ChunkShare>> ChunkWriter::Extend(const SecretSharingCodec& co
     if (csp < 0) {
       break;  // no CSP left; the rest waits until CSPs return
     }
-    shares.push_back(Placed(index, csp, share));
+    shares.push_back(ChunkShare{index, csp, Sha1::Hash(share)});
   }
   return shares;
 }

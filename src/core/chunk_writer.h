@@ -9,8 +9,10 @@
 // pool. A failed share moves to up to three further ring picks, never onto
 // a CSP already holding a share of the chunk; failures go through
 // on_transfer_failure, so the client's one health path decides when a CSP
-// leaves placement. Placed shares come back with the SHA-1 of their bytes,
-// which a scatter's first pass computes inside each share's upload task.
+// leaves placement. Placed shares come back with the SHA-1 of their bytes.
+// A scatter hashes all its shares with one Sha1::HashMany on the calling
+// thread while the first-pass uploads run on the pool; a failed-over share
+// keeps that digest, since it uploads the same bytes.
 //
 // Writes touch only thread-safe components (registry, ring, monitor,
 // pools), so they run on pipeline workers and the driver alike. Recording
@@ -92,11 +94,6 @@ class ChunkWriter {
   Result<int> PlaceOne(const Sha1Digest& chunk_id, uint32_t index, uint32_t t,
                        ByteSpan share, std::vector<int>& exclude,
                        const std::string& intent, TransferReport& report);
-
-  // The returned row for share `index` stored on `csp`.
-  ChunkShare Placed(uint32_t index, int csp, ByteSpan share) const {
-    return ChunkShare{index, csp, Sha1::Hash(share)};
-  }
 
   ChunkWriterContext context_;
 };

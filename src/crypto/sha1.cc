@@ -1,7 +1,9 @@
 #include "src/crypto/sha1.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "src/util/hex.h"
@@ -85,6 +87,111 @@ CYRUS_SHA_NI void BlocksShaNi(uint32_t state[5], const uint8_t* blocks, size_t c
 
 #undef CYRUS_SHA_NI
 
+#define CYRUS_SHA_X8 __attribute__((target("avx512f,avx512vl")))
+
+// The eight big-endian words at byte `offset` of each lane's blocks, one
+// vector per word with lane k's copy in element k: eight byte-swapped row
+// loads, then an 8x8 transpose of 32-bit elements.
+CYRUS_SHA_X8 __attribute__((always_inline)) inline void LoadWordsX8(
+    const uint8_t* const blocks[kSha1Lanes], size_t offset, __m256i* w) {
+  const __m256i kByteSwap =
+      _mm256_setr_epi8(3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12, 3, 2, 1, 0, 7, 6,
+                       5, 4, 11, 10, 9, 8, 15, 14, 13, 12);
+  __m256i r[8];
+#pragma GCC unroll 8
+  for (int k = 0; k < 8; ++k) {
+    r[k] = _mm256_shuffle_epi8(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(blocks[k] + offset)), kByteSwap);
+  }
+  // Pairs of lanes interleave words, then quads; each 128-bit half then
+  // holds one word (low halves words 0-3, high halves words 4-7) for four
+  // lanes, and the cross-half permute joins lanes 0-3 with lanes 4-7.
+  __m256i t[8];
+#pragma GCC unroll 4
+  for (int k = 0; k < 8; k += 2) {
+    t[k] = _mm256_unpacklo_epi32(r[k], r[k + 1]);
+    t[k + 1] = _mm256_unpackhi_epi32(r[k], r[k + 1]);
+  }
+  __m256i u[8];
+#pragma GCC unroll 2
+  for (int k = 0; k < 8; k += 4) {
+    u[k] = _mm256_unpacklo_epi64(t[k], t[k + 2]);
+    u[k + 1] = _mm256_unpackhi_epi64(t[k], t[k + 2]);
+    u[k + 2] = _mm256_unpacklo_epi64(t[k + 1], t[k + 3]);
+    u[k + 3] = _mm256_unpackhi_epi64(t[k + 1], t[k + 3]);
+  }
+#pragma GCC unroll 4
+  for (int j = 0; j < 4; ++j) {
+    w[j] = _mm256_permute2x128_si256(u[j], u[j + 4], 0x20);
+    w[j + 4] = _mm256_permute2x128_si256(u[j], u[j + 4], 0x31);
+  }
+}
+
+// The scalar loop of Sha1BlocksScalar with every variable widened to eight
+// lanes. vpternlogd computes each round function in one instruction (0xCA
+// is Ch, 0x96 parity, 0xE8 majority) and the schedule's three-way XOR.
+CYRUS_SHA_X8 void BlocksMultiLane(uint32_t state[5][kSha1Lanes],
+                                  const uint8_t* const blocks[kSha1Lanes], size_t count) {
+  __m256i h[5];
+  for (int j = 0; j < 5; ++j) {
+    h[j] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(state[j]));
+  }
+  for (size_t offset = 0; count > 0; --count, offset += 64) {
+    __m256i w[16];
+    LoadWordsX8(blocks, offset, w);
+    LoadWordsX8(blocks, offset + 32, w + 8);
+    __m256i a = h[0], b = h[1], c = h[2], d = h[3], e = h[4];
+#pragma GCC unroll 80
+    for (int i = 0; i < 80; ++i) {
+      if (i >= 16) {
+        // W[i-16] leads: its register dies here, so the destructive
+        // ternlog needs no copy.
+        w[i & 15] = _mm256_rol_epi32(
+            _mm256_xor_si256(_mm256_ternarylogic_epi32(w[i & 15], w[(i - 14) & 15],
+                                                       w[(i - 8) & 15], 0x96),
+                             w[(i - 3) & 15]),
+            1);
+      }
+      __m256i f;
+      uint32_t k;
+      if (i < 20) {
+        f = _mm256_ternarylogic_epi32(b, c, d, 0xCA);
+        k = 0x5A827999u;
+      } else if (i < 40) {
+        f = _mm256_ternarylogic_epi32(b, c, d, 0x96);
+        k = 0x6ED9EBA1u;
+      } else if (i < 60) {
+        f = _mm256_ternarylogic_epi32(b, c, d, 0xE8);
+        k = 0x8F1BBCDCu;
+      } else {
+        f = _mm256_ternarylogic_epi32(b, c, d, 0x96);
+        k = 0xCA62C1D6u;
+      }
+      const __m256i kw =
+          _mm256_add_epi32(w[i & 15], _mm256_set1_epi32(static_cast<int>(k)));
+      // Everything but rol5(a) depends on older rounds, so each round
+      // adds one rotate and one add to the chain through `a`.
+      const __m256i temp =
+          _mm256_add_epi32(_mm256_rol_epi32(a, 5), _mm256_add_epi32(f, _mm256_add_epi32(e, kw)));
+      e = d;
+      d = c;
+      c = _mm256_rol_epi32(b, 30);
+      b = a;
+      a = temp;
+    }
+    h[0] = _mm256_add_epi32(h[0], a);
+    h[1] = _mm256_add_epi32(h[1], b);
+    h[2] = _mm256_add_epi32(h[2], c);
+    h[3] = _mm256_add_epi32(h[3], d);
+    h[4] = _mm256_add_epi32(h[4], e);
+  }
+  for (int j = 0; j < 5; ++j) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(state[j]), h[j]);
+  }
+}
+
+#undef CYRUS_SHA_X8
+
 #endif  // CYRUS_SHA1_X86
 
 using BlocksFn = void (*)(uint32_t state[5], const uint8_t* blocks, size_t count);
@@ -94,6 +201,15 @@ BlocksFn DispatchedBlocks() {
   static const BlocksFn fn = Sha1ShaNiSupported() ? Sha1BlocksShaNi : Sha1BlocksScalar;
   return fn;
 }
+
+// Whether HashMany runs lanes; chosen on first use like DispatchedBlocks.
+bool MultiLaneEnabled() {
+  static const bool enabled = Sha1MultiLaneSupported();
+  return enabled;
+}
+
+constexpr std::array<uint32_t, 5> kInitialState = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu,
+                                                   0x10325476u, 0xC3D2E1F0u};
 
 }  // namespace
 
@@ -158,6 +274,29 @@ bool Sha1ShaNiSupported() {
 #endif
 }
 
+void Sha1BlocksMultiLane(uint32_t state[5][kSha1Lanes],
+                         const uint8_t* const blocks[kSha1Lanes], size_t count) {
+#if CYRUS_SHA1_X86
+  BlocksMultiLane(state, blocks, count);
+#else
+  for (size_t k = 0; k < kSha1Lanes; ++k) {
+    uint32_t lane[5] = {state[0][k], state[1][k], state[2][k], state[3][k], state[4][k]};
+    Sha1BlocksScalar(lane, blocks[k], count);
+    for (int j = 0; j < 5; ++j) {
+      state[j][k] = lane[j];
+    }
+  }
+#endif
+}
+
+bool Sha1MultiLaneSupported() {
+#if CYRUS_SHA1_X86
+  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vl");
+#else
+  return false;
+#endif
+}
+
 std::string Sha1Digest::ToHex() const { return HexEncode(bytes); }
 
 uint64_t Sha1Digest::Prefix64() const {
@@ -168,7 +307,9 @@ uint64_t Sha1Digest::Prefix64() const {
   return v;
 }
 
-Sha1::Sha1() : h_{0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u, 0xC3D2E1F0u} {}
+Sha1::Sha1() : h_(kInitialState) {}
+
+Sha1::Sha1(const std::array<uint32_t, 5>& h, uint64_t bytes) : h_(h), total_bytes_(bytes) {}
 
 void Sha1::Update(ByteSpan data) {
   assert(!finished_);
@@ -228,6 +369,85 @@ Sha1Digest Sha1::Hash(ByteSpan data) {
   Sha1 h;
   h.Update(data);
   return h.Finish();
+}
+
+void Sha1::HashMany(std::span<const ByteSpan> inputs, std::span<Sha1Digest> out) {
+  assert(inputs.size() == out.size());
+  size_t next = 0;  // the first input no lane has taken
+  if (MultiLaneEnabled()) {
+    // Lanes [0, busy) hash input `input`, of which the whole blocks before
+    // `done` are in the lane's column of `state`.
+    struct Lane {
+      size_t input = 0;
+      size_t done = 0;
+    };
+    std::array<Lane, kSha1Lanes> lanes;
+    uint32_t state[5][kSha1Lanes] = {};
+    auto whole = [&](const Lane& lane) { return inputs[lane.input].size() / 64 * 64; };
+    // Gives lane k the next input with a whole block; shorter inputs on
+    // the way are hashed directly. False when none is left.
+    auto refill = [&](size_t k) {
+      for (; next < inputs.size() && inputs[next].size() < 64; ++next) {
+        out[next] = Hash(inputs[next]);
+      }
+      if (next == inputs.size()) {
+        return false;
+      }
+      lanes[k] = Lane{next++, 0};
+      for (size_t j = 0; j < 5; ++j) {
+        state[j][k] = kInitialState[j];
+      }
+      return true;
+    };
+    // Hashes lane k's tail and padding on the single-stream path.
+    auto finish = [&](size_t k) {
+      const Lane& lane = lanes[k];
+      Sha1 h({state[0][k], state[1][k], state[2][k], state[3][k], state[4][k]}, lane.done);
+      h.Update(inputs[lane.input].subspan(lane.done));
+      out[lane.input] = h.Finish();
+    };
+
+    size_t busy = 0;
+    while (busy < kSha1Lanes && refill(busy)) {
+      ++busy;
+    }
+    while (busy >= kSha1MinLanes) {
+      const uint8_t* blocks[kSha1Lanes] = {};
+      size_t step = std::numeric_limits<size_t>::max();
+      for (size_t k = 0; k < busy; ++k) {
+        blocks[k] = inputs[lanes[k].input].data() + lanes[k].done;
+        step = std::min(step, (whole(lanes[k]) - lanes[k].done) / 64);
+      }
+      // Idle lanes re-read lane 0's blocks; their state is never used.
+      std::fill(blocks + busy, blocks + kSha1Lanes, blocks[0]);
+      Sha1BlocksMultiLane(state, blocks, step);
+      for (size_t k = 0; k < busy;) {
+        lanes[k].done += step * 64;
+        if (lanes[k].done < whole(lanes[k])) {
+          ++k;
+          continue;
+        }
+        finish(k);
+        if (refill(k)) {
+          ++k;
+          continue;
+        }
+        // No input left: the last busy lane moves into slot k and is
+        // advanced there.
+        --busy;
+        lanes[k] = lanes[busy];
+        for (size_t j = 0; j < 5; ++j) {
+          state[j][k] = state[j][busy];
+        }
+      }
+    }
+    for (size_t k = 0; k < busy; ++k) {
+      finish(k);
+    }
+  }
+  for (; next < inputs.size(); ++next) {
+    out[next] = Hash(inputs[next]);
+  }
 }
 
 }  // namespace cyrus

@@ -865,6 +865,41 @@ TEST(ChunkerTest, PooledPlannerMatchesSplitAndCutsInFull) {
   EXPECT_EQ(got.cut_bytes, data.size());
 }
 
+TEST(ChunkerTest, PooledPlannerIdsMatchPerChunkSha1) {
+  // The pooled planner hashes ids in strided multi-lane groups. Small
+  // enough to run under ThreadSanitizer.
+  ThreadPool pool(2);
+  auto ids_match = [&](const ChunkerOptions& options, size_t size, uint64_t seed,
+                       size_t min_chunks, size_t max_chunks) {
+    auto chunker = Chunker::Create(options);
+    ASSERT_TRUE(chunker.ok()) << chunker.status();
+    const Bytes data = RandomData(size, seed);
+    ASSERT_EQ(chunker->Segments(data.size(), &pool), 2u);
+    const Planned got = Plan(*chunker, data, {}, &pool);
+    ASSERT_GE(got.chunks.size(), min_chunks);
+    ASSERT_LE(got.chunks.size(), max_chunks);
+    for (size_t i = 0; i < got.chunks.size(); ++i) {
+      const ChunkSpan& span = got.chunks[i].span;
+      ASSERT_EQ(got.chunks[i].id, Sha1::Hash(ByteSpan(data).subspan(span.offset, span.size)))
+          << "chunk " << i << " of " << got.chunks.size();
+    }
+  };
+  // Thousands of chunks: two groups, each far above kSha1Lanes, with
+  // lengths from min to max so lanes refill at every step.
+  ids_match(ChunkerOptions::ForTesting(), 2 * Chunker::kMinSegmentBytes, 61, 16 * kSha1Lanes,
+            SIZE_MAX);
+  // Two chunks: one group under kSha1MinLanes, hashed single-stream.
+  ChunkerOptions two = ChunkerOptions::ForTesting();
+  two.min_chunk_size = two.max_chunk_size = Chunker::kMinSegmentBytes;
+  ids_match(two, 2 * Chunker::kMinSegmentBytes, 62, 2, 2);
+  // Ten equal chunks and an 8-byte tail: one group of eleven. The first
+  // eight lanes finish together, two long chunks refill, and the group
+  // ends with two busy lanes on the single-stream path.
+  ChunkerOptions eleven = two;
+  eleven.min_chunk_size = eleven.max_chunk_size = Chunker::kMinSegmentBytes / 5;
+  ids_match(eleven, 2 * Chunker::kMinSegmentBytes, 63, 11, 11);
+}
+
 TEST(RabinTest, ExpireAndAppendComposeToRoll) {
   const size_t window = 48;
   RabinFingerprint rf(window);

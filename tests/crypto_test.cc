@@ -2,6 +2,8 @@
 
 #include <cstring>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/crypto/naming.h"
 #include "src/crypto/sha1.h"
@@ -212,6 +214,139 @@ TEST(Sha1DifferentialTest, SixtyFourMebibyteBuffer) {
   EXPECT_EQ(Sha1::Hash(data), scalar);
   SKIP_WITHOUT_SHA_NI();
   EXPECT_EQ(DigestWith(Sha1BlocksShaNi, data), scalar);
+}
+
+// --- Multi-lane SHA-1 vs single-stream differential --------------------
+//
+// HashMany must equal Hash input by input whatever the lane schedule: how
+// many inputs, how long, where they start, and whether lanes share bytes.
+// On a CPU without AVX-512VL it is a loop of Hash and these still hold.
+
+#define SKIP_WITHOUT_MULTI_LANE()                                 \
+  if (!Sha1MultiLaneSupported()) {                                \
+    GTEST_SKIP() << "CPU lacks AVX-512F/VL (multi-lane SHA-1)";   \
+  }
+
+void ExpectHashManyMatches(const std::vector<ByteSpan>& inputs, const std::string& what) {
+  std::vector<Sha1Digest> got(inputs.size());
+  Sha1::HashMany(inputs, got);
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    ASSERT_EQ(got[i], Sha1::Hash(inputs[i]))
+        << what << ": input " << i << " of " << inputs.size() << ", " << inputs[i].size()
+        << " bytes";
+  }
+}
+
+TEST(Sha1MultiLaneTest, ZeroToSeventeenInputs) {
+  const Bytes pool = RandomBytes(64 << 10, 10);
+  Rng rng(0x5b1);
+  for (size_t count = 0; count <= 17; ++count) {
+    std::vector<ByteSpan> inputs;
+    for (size_t i = 0; i < count; ++i) {
+      const size_t len = rng.NextBelow(4096 + 1);
+      inputs.push_back(ByteSpan(pool).subspan(rng.NextBelow(pool.size() - len + 1), len));
+    }
+    ExpectHashManyMatches(inputs, std::to_string(count) + " inputs");
+  }
+}
+
+TEST(Sha1MultiLaneTest, EqualLengthsLikeAChunksShares) {
+  const Bytes pool = RandomBytes(2 << 20, 11);  // 16 inputs of 64 KiB + 32
+  for (size_t count : {3, 4, 6, 8, 9, 16}) {
+    for (size_t len : {64, 640, 4096, 65536 + 32}) {
+      std::vector<ByteSpan> inputs;
+      for (size_t i = 0; i < count; ++i) {
+        inputs.push_back(ByteSpan(pool).subspan(i * len, len));
+      }
+      ExpectHashManyMatches(inputs, std::to_string(count) + " x " + std::to_string(len));
+    }
+  }
+}
+
+TEST(Sha1MultiLaneTest, UnequalLengthsForceRefills) {
+  const Bytes pool = RandomBytes(1 << 20, 12);
+  // Block-boundary lengths between long inputs: lanes run out at different
+  // steps, and inputs with no whole block never take a lane.
+  const size_t kEdges[] = {0, 1, 55, 56, 63, 64, 65, 119, 120};
+  std::vector<ByteSpan> inputs;
+  size_t offset = 0;
+  for (size_t round = 0; round < 3; ++round) {
+    for (size_t edge : kEdges) {
+      const size_t long_len = 4096 * (round + 1) + 7 * edge;
+      inputs.push_back(ByteSpan(pool).subspan(offset, edge));
+      inputs.push_back(ByteSpan(pool).subspan(offset + edge, long_len));
+      offset += edge + long_len;
+    }
+  }
+  ExpectHashManyMatches(inputs, "edges between long inputs");
+  std::vector<ByteSpan> edges_only;
+  for (size_t edge : kEdges) {
+    edges_only.push_back(ByteSpan(pool).subspan(edge, edge));
+  }
+  ExpectHashManyMatches(edges_only, "edges only");
+
+  // Random batches: lengths spread over four orders of magnitude.
+  Rng rng(0x5b2);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<ByteSpan> batch(rng.NextBelow(24));
+    for (ByteSpan& input : batch) {
+      const size_t len = rng.NextBool(0.3) ? rng.NextBelow(130) : rng.NextBelow(20000);
+      input = ByteSpan(pool).subspan(rng.NextBelow(pool.size() - len + 1), len);
+    }
+    ExpectHashManyMatches(batch, "trial " + std::to_string(trial));
+  }
+}
+
+TEST(Sha1MultiLaneTest, OneBufferInSeveralLanes) {
+  const Bytes data = RandomBytes(10000, 13);
+  const Bytes other = RandomBytes(3000, 14);
+  std::vector<ByteSpan> inputs(9, ByteSpan(data));
+  inputs.insert(inputs.begin() + 4, ByteSpan(other));
+  ExpectHashManyMatches(inputs, "shared buffer");
+}
+
+TEST(Sha1MultiLaneTest, MisalignedStarts) {
+  const Bytes pool = RandomBytes(64 * 5000, 15);
+  std::vector<ByteSpan> inputs;
+  for (size_t misalign = 1; misalign < 64; misalign += 3) {
+    inputs.push_back(ByteSpan(pool).subspan(misalign * 4096 + misalign, 2000 + misalign));
+  }
+  ExpectHashManyMatches(inputs, "misaligned");
+}
+
+TEST(Sha1MultiLaneTest, FourTwoMebibyteInputs) {
+  const Bytes data = RandomBytes(8u << 20, 16);
+  std::vector<ByteSpan> inputs;
+  for (size_t i = 0; i < 4; ++i) {
+    inputs.push_back(ByteSpan(data).subspan(i * (2u << 20), 2u << 20));
+  }
+  ExpectHashManyMatches(inputs, "4 x 2 MiB");
+}
+
+TEST(Sha1MultiLaneTest, BlockFunctionMatchesScalarLaneByLane) {
+  SKIP_WITHOUT_MULTI_LANE();
+  Rng rng(0x5b3);
+  const Bytes pool = RandomBytes(64 * 1024 + 64, 17);
+  for (int trial = 0; trial < 500; ++trial) {
+    const size_t count = rng.NextBelow(64 + 1);
+    const uint8_t* blocks[kSha1Lanes];
+    uint32_t lanes[5][kSha1Lanes];
+    uint32_t scalar[kSha1Lanes][5];
+    for (size_t k = 0; k < kSha1Lanes; ++k) {
+      blocks[k] = pool.data() + rng.NextBelow(pool.size() - 64 * count + 1);
+      for (size_t j = 0; j < 5; ++j) {
+        lanes[j][k] = scalar[k][j] = static_cast<uint32_t>(rng.Next());
+      }
+    }
+    Sha1BlocksMultiLane(lanes, blocks, count);
+    for (size_t k = 0; k < kSha1Lanes; ++k) {
+      Sha1BlocksScalar(scalar[k], blocks[k], count);
+      for (size_t j = 0; j < 5; ++j) {
+        ASSERT_EQ(lanes[j][k], scalar[k][j])
+            << "lane " << k << " word " << j << " count " << count << " trial " << trial;
+      }
+    }
+  }
 }
 
 // --- Share naming ---

@@ -156,6 +156,77 @@ TEST(ShareIntegrityTest, PutRecordsDigestsAndCleanGetAuthenticates) {
   EXPECT_EQ(get->digest_upgraded_chunks, 0u);
 }
 
+// A share whose first upload fails is re-uploaded to another CSP with the
+// digest its scatter computed up front. That digest must match the bytes at
+// the new CSP, and a Get that can only decode through that share accepts it.
+TEST(ShareIntegrityTest, FailedOverShareKeepsItsDigest) {
+  const uint64_t seed = 0x17E60008;
+  constexpr int kCsps = 7;
+  CyrusConfig config = BaseConfig(seed);
+  config.chunker = ChunkerOptions{};  // the content below is one chunk
+  config.default_failure_prob = 0.01;  // n below the CSP count leaves room
+  config.epsilon = 1e-6;               // to fail over
+  Rng rng(seed);
+  const Bytes content = RandomContent(rng, 10 * 1024);
+
+  // The ring places a chunk by its id and the CSP ids alone, so a twin
+  // cloud shows which CSP share 1 lands on.
+  Cloud twin = MakeCloud(config, kCsps, seed);
+  ASSERT_TRUE(twin.client->Put("twin", content).ok());
+  ASSERT_EQ(twin.client->chunk_table().size(), 1u);
+  const Sha1Digest chunk_id = twin.client->chunk_table().AllChunkIds().front();
+  const ChunkEntry* twin_entry = twin.client->chunk_table().Find(chunk_id);
+  ASSERT_NE(twin_entry, nullptr);
+  ASSERT_LT(twin_entry->shares.size(), static_cast<size_t>(kCsps));
+  ASSERT_GT(twin_entry->shares.size(), 1u);
+  const int down = twin_entry->shares[1].csp;
+
+  Cloud cloud = MakeCloud(config, kCsps, seed);
+  cloud.faults[down]->set_permanently_down(true);
+  auto put = cloud.client->Put("failed-over", content);
+  ASSERT_TRUE(put.ok()) << put.status();
+  bool upload_failed = false;
+  for (const TransferRecord& record : put->transfer.records) {
+    upload_failed |= record.csp == down && !record.success &&
+                     record.object_name == ShareName(chunk_id, 1, config.t);
+  }
+  ASSERT_TRUE(upload_failed) << "share 1's first upload never reached CSP " << down;
+
+  const ChunkEntry* entry = cloud.client->chunk_table().Find(chunk_id);
+  ASSERT_NE(entry, nullptr);
+  const ChunkShare* moved = nullptr;
+  for (const ChunkShare& share : entry->shares) {
+    if (share.share_index == 1) {
+      moved = &share;
+    }
+  }
+  ASSERT_NE(moved, nullptr);
+  ASSERT_NE(moved->csp, down);
+  ASSERT_TRUE(moved->has_digest());
+  auto stored = cloud.faults[moved->csp]->Download(ShareName(chunk_id, 1, entry->t));
+  ASSERT_TRUE(stored.ok()) << stored.status();
+  EXPECT_EQ(moved->digest, Sha1::Hash(*stored));
+
+  // Leave only the moved share and one other up: with t = 2 the Get must
+  // download and verify the moved share to decode.
+  int spare = -1;
+  for (const ChunkShare& share : entry->shares) {
+    if (share.csp == moved->csp) {
+      continue;
+    }
+    if (spare < 0) {
+      spare = share.csp;
+    } else {
+      cloud.faults[share.csp]->set_permanently_down(true);
+    }
+  }
+  ASSERT_GE(spare, 0);
+  auto get = cloud.client->Get("failed-over");
+  ASSERT_TRUE(get.ok()) << get.status();
+  EXPECT_EQ(get->content, content);
+  EXPECT_EQ(get->integrity_rejected_shares, 0u);
+}
+
 // Tentpole bar: one of five CSPs corrupts 100% of its downloads. Every Get
 // must return intact plaintext (availability 1.0 at the content level) with
 // the poisoned shares rejected *before* decode, and the per-CSP integrity
