@@ -6,6 +6,10 @@
 // these cover everything else on the Put/Get path).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "src/chunker/chunker.h"
 #include "src/core/hash_ring.h"
 #include "src/crypto/sha1.h"
@@ -105,6 +109,65 @@ void BM_Sha1ManyMixed(benchmark::State& state) {
   RunSha1Many(state, inputs);
 }
 BENCHMARK(BM_Sha1ManyMixed)->Unit(benchmark::kMicrosecond);
+
+// Get-side share verification over bulk-shaped chunks: the default chunker
+// cuts four seeded 64 MiB files, and each chunk brings its two share-sized
+// halves (t = 2), in process CPU time per file byte. grouping:0 hashes the
+// shares chunk by chunk with Hash, the single-chunk read; grouping:1 hashes
+// each file's chunks in file-order groups of four with one HashMany per
+// group; grouping:2 sorts each file's chunks by size, largest first, before
+// cutting the groups, as a whole-file Get does.
+void BM_VerifyShares(benchmark::State& state) {
+  constexpr size_t kFile = 64 << 20;
+  constexpr size_t kFiles = 4;
+  constexpr size_t kGroup = 4;
+  const int64_t grouping = state.range(0);
+  const Chunker chunker = Chunker::Create(ChunkerOptions{}).value();
+  const Bytes data = MakeData(kFile);
+  std::vector<std::vector<ByteSpan>> batches;  // one Hash or HashMany pass each
+  for (uint64_t seed = 1; seed <= kFiles; ++seed) {
+    std::vector<ChunkSpan> cuts = chunker.Split(MakeData(kFile, seed));
+    if (grouping == 2) {
+      std::stable_sort(cuts.begin(), cuts.end(),
+                       [](const ChunkSpan& a, const ChunkSpan& b) { return a.size > b.size; });
+    }
+    const size_t group = grouping == 0 ? 1 : kGroup;
+    for (size_t first = 0; first < cuts.size(); first += group) {
+      std::vector<ByteSpan>& batch = batches.emplace_back();
+      for (size_t c = first; c < std::min(first + group, cuts.size()); ++c) {
+        const ByteSpan chunk = ByteSpan(data).subspan(cuts[c].offset, cuts[c].size);
+        batch.push_back(chunk.first(chunk.size() / 2));
+        batch.push_back(chunk.subspan(chunk.size() / 2));
+      }
+    }
+  }
+  std::vector<Sha1Digest> out(2 * kGroup);
+  for (auto _ : state) {
+    for (const std::vector<ByteSpan>& batch : batches) {
+      if (grouping == 0) {
+        for (ByteSpan share : batch) {
+          benchmark::DoNotOptimize(Sha1::Hash(share));
+        }
+      } else {
+        Sha1::HashMany(batch, std::span<Sha1Digest>(out).first(batch.size()));
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+      }
+    }
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * kFiles * kFile));
+  const bool lanes = grouping != 0 && Sha1MultiLaneSupported();
+  state.SetLabel(lanes                  ? "dispatched: avx512vl x8"
+                 : Sha1ShaNiSupported() ? "dispatched: sha-ni"
+                                        : "dispatched: scalar");
+}
+BENCHMARK(BM_VerifyShares)
+    ->ArgName("grouping")
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->MeasureProcessCPUTime()
+    ->Unit(benchmark::kMillisecond);
 
 // Chunker::Split over 16 MiB at a given average chunk size (min = avg/4,
 // max = 4 x avg); the 4 MiB row is the production default.

@@ -1,7 +1,9 @@
 #include "src/core/chunk_reader.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "src/crypto/naming.h"
@@ -44,115 +46,218 @@ Result<std::vector<ShareDigest>> ChunkReader::DeriveDigests(
     const ChunkRecord& chunk, ByteSpan plaintext, const std::vector<uint32_t>& indices) {
   CYRUS_ASSIGN_OR_RETURN(SecretSharingCodec codec, CodecFor(chunk));
   const size_t share_len = ShareSize(chunk.size, chunk.t);
-  PooledBuffer buffer = context_.buffers->Acquire(std::max<size_t>(share_len, 1));
-  const MutableByteSpan share = buffer.span(share_len);
+  PooledBuffer buffer =
+      context_.buffers->Acquire(std::max<size_t>(share_len * indices.size(), 1));
+  const MutableByteSpan all = buffer.span(share_len * indices.size());
+  std::vector<ByteSpan> shares;
+  for (size_t i = 0; i < indices.size(); ++i) {
+    const MutableByteSpan share = all.subspan(i * share_len, share_len);
+    CYRUS_RETURN_IF_ERROR(codec.EncodeShareInto(plaintext, indices[i], share));
+    shares.push_back(share);
+  }
+  std::vector<Sha1Digest> hashed(indices.size());
+  Sha1::HashMany(shares, hashed);
   std::vector<ShareDigest> digests;
-  for (uint32_t index : indices) {
-    CYRUS_RETURN_IF_ERROR(codec.EncodeShareInto(plaintext, index, share));
-    digests.push_back(ShareDigest{index, Sha1::Hash(share)});
+  for (size_t i = 0; i < indices.size(); ++i) {
+    digests.push_back(ShareDigest{indices[i], hashed[i]});
   }
   return digests;
 }
+
+// A share downloaded ahead of consumption, keyed by CSP in its chunk's
+// Pending. Its transfer records are journaled only when it is consumed.
+struct ChunkReader::Download {
+  Result<Bytes> data = InternalError("not fetched");
+  TransferReport report;
+  uint32_t share_index = 0;
+  std::optional<Sha1Digest> digest;  // SHA-1 of `data`, when hashed ahead
+};
+
+// One chunk's state between the group's shared passes.
+struct ChunkReader::Pending {
+  std::vector<ShareLocation> order;  // one per active CSP, preferred first
+  size_t primaries = 0;              // order's prefix fetched ahead
+  std::map<int, Download> fetched;
+};
 
 Status ChunkReader::Read(const ChunkRecord& chunk,
                          const std::vector<ShareLocation>& locations,
                          const ChunkReadOptions& options, MutableByteSpan dst,
                          ChunkReadResult& result) {
-  if (dst.size() != chunk.size) {
-    return InvalidArgumentError("chunk read destination size mismatch");
-  }
+  ChunkReadRequest request{&chunk, &locations, options, dst, &result};
+  ReadGroup(std::span<ChunkReadRequest>(&request, 1));
+  return request.status;
+}
+
+void ChunkReader::ReadGroup(std::span<ChunkReadRequest> group) {
   // Candidate locations, one per active CSP, preferred picks first.
-  std::vector<ShareLocation> order;
-  auto add = [&](const ShareLocation& loc) {
-    if (!context_.registry->IsActive(loc.csp)) {
-      return;
-    }
-    for (const ShareLocation& have : order) {
-      if (have.csp == loc.csp) {
+  std::vector<Pending> pending(group.size());
+  for (size_t i = 0; i < group.size(); ++i) {
+    const ChunkReadRequest& request = group[i];
+    std::vector<ShareLocation>& order = pending[i].order;
+    auto add = [&](const ShareLocation& loc) {
+      if (!context_.registry->IsActive(loc.csp)) {
         return;
       }
+      for (const ShareLocation& have : order) {
+        if (have.csp == loc.csp) {
+          return;
+        }
+      }
+      order.push_back(loc);
+    };
+    for (int csp : request.options.preferred) {
+      for (const ShareLocation& loc : *request.locations) {
+        if (loc.csp == csp) {
+          add(loc);
+          break;
+        }
+      }
     }
-    order.push_back(loc);
+    pending[i].primaries = order.size();
+    for (const ShareLocation& loc : *request.locations) {
+      add(loc);
+    }
+    if (request.options.all_shares) {
+      pending[i].primaries = order.size();
+    }
+  }
+
+  // Downloads run ahead of consumption, every chunk's in one fork-join
+  // section on the transfer pool: each primary is one task, or, with a
+  // hedged fetcher, each chunk's Fetch is one task that races its
+  // primaries against adaptive per-CSP deadlines with the other locations
+  // as spares. Every task writes only its own chunk's map entries, which
+  // exist before the section starts.
+  struct Job {
+    size_t chunk;
+    size_t primary;  // kHedged: the chunk's whole hedged Fetch
   };
-  for (int csp : options.preferred) {
-    for (const ShareLocation& loc : locations) {
-      if (loc.csp == csp) {
-        add(loc);
-        break;
+  constexpr size_t kHedged = SIZE_MAX;
+  std::vector<Job> jobs;
+  for (size_t i = 0; i < group.size(); ++i) {
+    const ChunkReadRequest& request = group[i];
+    Pending& p = pending[i];
+    if (request.dst.size() != request.chunk->size || p.primaries == 0) {
+      continue;
+    }
+    if (context_.fetcher != nullptr && !request.options.all_shares) {
+      jobs.push_back(Job{i, kHedged});
+    } else if (context_.pool != nullptr) {
+      for (size_t k = 0; k < p.primaries; ++k) {
+        p.fetched.try_emplace(p.order[k].csp);
+        jobs.push_back(Job{i, k});
       }
     }
   }
-  size_t primaries = order.size();
-  for (const ShareLocation& loc : locations) {
-    add(loc);
+  auto run_job = [&](size_t j) {
+    const ChunkReadRequest& request = group[jobs[j].chunk];
+    Pending& p = pending[jobs[j].chunk];
+    if (jobs[j].primary != kHedged) {
+      const ShareLocation& loc = p.order[jobs[j].primary];
+      DownloadShare(*request.chunk, loc, request.options, p.fetched.at(loc.csp));
+    } else {
+      FetchHedged(request, p);
+    }
+  };
+  if (context_.pool != nullptr && jobs.size() > 1) {
+    context_.pool->ParallelFor(jobs.size(), run_job);
+  } else {
+    for (size_t j = 0; j < jobs.size(); ++j) {
+      run_job(j);
+    }
   }
-  if (options.all_shares) {
-    primaries = order.size();
+
+  // Every fetched share with a recorded digest is hashed in one pass, a
+  // lane per share, before any chunk consumes one.
+  std::vector<ByteSpan> inputs;
+  std::vector<Download*> hashed;
+  for (size_t i = 0; i < group.size(); ++i) {
+    for (auto& [csp, landed] : pending[i].fetched) {
+      if (landed.data.ok() && group[i].chunk->FindShareDigest(landed.share_index) != nullptr) {
+        inputs.push_back(*landed.data);
+        hashed.push_back(&landed);
+      }
+    }
+  }
+  std::vector<Sha1Digest> digests(inputs.size());
+  Sha1::HashMany(inputs, digests);
+  for (size_t k = 0; k < hashed.size(); ++k) {
+    hashed[k]->digest = digests[k];
+  }
+
+  auto finish = [&](size_t i) { group[i].status = Finish(group[i], pending[i]); };
+  if (context_.pool != nullptr && group.size() > 1) {
+    context_.pool->ParallelFor(group.size(), finish);
+  } else {
+    for (size_t i = 0; i < group.size(); ++i) {
+      finish(i);
+    }
+  }
+}
+
+void ChunkReader::DownloadShare(const ChunkRecord& chunk, const ShareLocation& loc,
+                                const ChunkReadOptions& options, Download& out) {
+  out.share_index = loc.share_index;
+  auto conn = context_.registry->connector(loc.csp);
+  if (!conn.ok()) {
+    out.data = conn.status();
+    return;
+  }
+  out.data = DownloadWithRetry(**conn, TransferKind::kGet, loc.csp,
+                               ShareName(chunk.id, loc.share_index, chunk.t),
+                               options.retry, out.report);
+}
+
+void ChunkReader::FetchHedged(const ChunkReadRequest& request, Pending& p) {
+  const ChunkRecord& chunk = *request.chunk;
+  std::vector<HedgeCandidate> candidates;
+  std::vector<const ShareLocation*> candidate_locs;
+  size_t hedge_primaries = 0;
+  for (size_t i = 0; i < p.order.size(); ++i) {
+    auto conn = context_.registry->connector(p.order[i].csp);
+    if (!conn.ok()) {
+      continue;
+    }
+    CloudConnector* raw = *conn;
+    const std::string object = ShareName(chunk.id, p.order[i].share_index, chunk.t);
+    const RetryOptions retry = request.options.retry;
+    candidates.push_back(HedgeCandidate{
+        p.order[i].csp, p.order[i].share_index, [raw, object, retry]() -> Result<Bytes> {
+          return RetryWithBackoff(retry,
+                                  [&]() -> Result<Bytes> { return raw->Download(object); });
+        }});
+    candidate_locs.push_back(&p.order[i]);
+    hedge_primaries += i < p.primaries ? 1 : 0;
+  }
+  for (HedgeFetchResult& outcome :
+       context_.fetcher->Fetch(std::move(candidates), hedge_primaries, chunk.t)) {
+    // Only hedges that delivered a share count; launch totals live in
+    // cyrus_hedged_requests_total.
+    if (outcome.hedged && outcome.data.ok()) {
+      ++request.result->hedged_downloads;
+    }
+    const ShareLocation& loc = *candidate_locs[outcome.candidate];
+    Download& landed = p.fetched[loc.csp];
+    landed.share_index = loc.share_index;
+    landed.report.records.push_back(TransferRecord{
+        TransferKind::kGet, loc.csp, ShareName(chunk.id, loc.share_index, chunk.t),
+        outcome.data.ok() ? outcome.data->size() : uint64_t{0}, outcome.data.ok()});
+    landed.data = std::move(outcome.data);
+  }
+}
+
+Status ChunkReader::Finish(const ChunkReadRequest& request, Pending& p) {
+  const ChunkRecord& chunk = *request.chunk;
+  const ChunkReadOptions& options = request.options;
+  const MutableByteSpan dst = request.dst;
+  ChunkReadResult& result = *request.result;
+  if (dst.size() != chunk.size) {
+    return InvalidArgumentError("chunk read destination size mismatch");
   }
   auto object_of = [&](const ShareLocation& loc) {
     return ShareName(chunk.id, loc.share_index, chunk.t);
   };
-
-  // Downloads run ahead of consumption: the primaries concurrently on the
-  // transfer pool, or raced by the hedged fetcher against adaptive per-CSP
-  // deadlines with the other locations as spares. Each lands here keyed by
-  // CSP; its transfer records are journaled only when it is consumed.
-  struct Download {
-    Result<Bytes> data = InternalError("not fetched");
-    TransferReport report;
-  };
-  auto download = [&](const ShareLocation& loc, Download& out) {
-    auto conn = context_.registry->connector(loc.csp);
-    if (!conn.ok()) {
-      out.data = conn.status();
-      return;
-    }
-    out.data = DownloadWithRetry(**conn, TransferKind::kGet, loc.csp, object_of(loc),
-                                 options.retry, out.report);
-  };
-  std::map<int, Download> fetched;
-  if (context_.fetcher != nullptr && !options.all_shares && primaries > 0) {
-    std::vector<HedgeCandidate> candidates;
-    std::vector<const ShareLocation*> candidate_locs;
-    size_t hedge_primaries = 0;
-    for (size_t i = 0; i < order.size(); ++i) {
-      auto conn = context_.registry->connector(order[i].csp);
-      if (!conn.ok()) {
-        continue;
-      }
-      CloudConnector* raw = *conn;
-      const std::string object = object_of(order[i]);
-      const RetryOptions retry = options.retry;
-      candidates.push_back(HedgeCandidate{
-          order[i].csp, order[i].share_index, [raw, object, retry]() -> Result<Bytes> {
-            return RetryWithBackoff(
-                retry, [&]() -> Result<Bytes> { return raw->Download(object); });
-          }});
-      candidate_locs.push_back(&order[i]);
-      hedge_primaries += i < primaries ? 1 : 0;
-    }
-    for (HedgeFetchResult& outcome :
-         context_.fetcher->Fetch(std::move(candidates), hedge_primaries, chunk.t)) {
-      // Only hedges that delivered a share count; launch totals live in
-      // cyrus_hedged_requests_total.
-      if (outcome.hedged && outcome.data.ok()) {
-        ++result.hedged_downloads;
-      }
-      const ShareLocation& loc = *candidate_locs[outcome.candidate];
-      Download& landed = fetched[loc.csp];
-      landed.report.records.push_back(TransferRecord{
-          TransferKind::kGet, loc.csp, object_of(loc),
-          outcome.data.ok() ? outcome.data->size() : uint64_t{0}, outcome.data.ok()});
-      landed.data = std::move(outcome.data);
-    }
-  } else if (context_.pool != nullptr && primaries > 1) {
-    std::vector<Download> downloads(primaries);
-    context_.pool->ParallelFor(primaries,
-                               [&](size_t k) { download(order[k], downloads[k]); });
-    for (size_t k = 0; k < primaries; ++k) {
-      fetched.emplace(order[k].csp, std::move(downloads[k]));
-    }
-  }
 
   // Consumption authenticates each share before it may enter the decoder.
   // `shares` keeps the digest-verified ones as a prefix, so the decode
@@ -166,11 +271,11 @@ Status ChunkReader::Read(const ChunkRecord& chunk,
       return;
     }
     Download got;
-    if (auto it = fetched.find(loc.csp); it != fetched.end()) {
+    if (auto it = p.fetched.find(loc.csp); it != p.fetched.end()) {
       got = std::move(it->second);
-      fetched.erase(it);
+      p.fetched.erase(it);
     } else {
-      download(loc, got);
+      DownloadShare(chunk, loc, options, got);
     }
     result.report.Append(got.report);
     if (!got.data.ok()) {
@@ -180,7 +285,7 @@ Status ChunkReader::Read(const ChunkRecord& chunk,
     ++result.shares_downloaded;
     result.bytes_moved += got.data->size();
     const Sha1Digest* want = chunk.FindShareDigest(loc.share_index);
-    if (want != nullptr && Sha1::Hash(*got.data) != *want) {
+    if (want != nullptr && (got.digest ? *got.digest : Sha1::Hash(*got.data)) != *want) {
       ++result.integrity_rejected;
       result.corrupt.push_back(loc);
       if (options.quarantine) {
@@ -200,21 +305,21 @@ Status ChunkReader::Read(const ChunkRecord& chunk,
     }
   };
 
-  const size_t need = options.all_shares ? order.size() : chunk.t;
+  const size_t need = options.all_shares ? p.order.size() : chunk.t;
   // Downloads already in hand go first: a hedge that beat a straggling
   // primary lives under a spare CSP, and walking preferred order first
   // would re-download the slow share inline.
-  for (const ShareLocation& loc : order) {
+  for (const ShareLocation& loc : p.order) {
     if (shares.size() >= need) {
       break;
     }
-    auto it = fetched.find(loc.csp);
-    if (it != fetched.end() && it->second.data.ok() &&
+    auto it = p.fetched.find(loc.csp);
+    if (it != p.fetched.end() && it->second.data.ok() &&
         context_.registry->IsActive(loc.csp)) {
       consume(loc);
     }
   }
-  for (const ShareLocation& loc : order) {
+  for (const ShareLocation& loc : p.order) {
     if (shares.size() >= need) {
       break;
     }
@@ -261,7 +366,7 @@ Status ChunkReader::Read(const ChunkRecord& chunk,
     // exhaustive t-subset search recovers the plaintext and names the
     // corrupt indices.
     result.corrected = true;
-    for (const ShareLocation& loc : order) {
+    for (const ShareLocation& loc : p.order) {
       if (context_.registry->IsActive(loc.csp)) {
         consume(loc);
       }

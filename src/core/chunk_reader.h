@@ -1,28 +1,40 @@
 // ChunkReader: the one chunk read path.
 //
-// Every consumer of stored chunks reads through Read(): foreground
-// Get/GetRange gathers, readahead prefetches, scrub repair, and the scrub
-// integrity sweep. A read
+// Every consumer of stored chunks reads through ReadGroup() (Read() is its
+// one-chunk form): foreground Get/GetRange gathers read groups of chunks,
+// while readahead prefetches, scrub repair and the scrub integrity sweep
+// read one chunk at a time. A group read
 //
-//   1. downloads shares - the caller's preferred CSPs first and concurrently
-//      (hedged when a HedgedFetcher is configured), then every other active
-//      location in order until enough shares are in hand;
+//   1. downloads every chunk's preferred CSPs (normally the selector's
+//      picks) ahead of consumption, all of the group's in one fork-join
+//      section on the transfer pool - with a HedgedFetcher, each chunk's
+//      hedged Fetch is one task of that section;
 //   2. authenticates each share against its recorded digest *before* it can
-//      reach the decoder: a mismatch discards the share, attributes it to the
-//      serving CSP, and the read tops up from another location;
-//   3. decodes into the caller's buffer and verifies the plaintext exactly
-//      once. Shares are a pure function of (chunk, key, index), so t shares
-//      matching digests this user recorded decode to the authentic chunk and
-//      a clean read takes no hash of the plaintext. Every other read - legacy
-//      digestless records, verification off, convergent (dedup) records
-//      whose digests may be another writer's, reads that rejected a share,
-//      and reads whose plaintext will be written back - requires
-//      SHA-1(plaintext) to equal the chunk id, and a mismatch falls back to
-//      the error-correcting decode over every reachable share, which also
-//      names the corrupt indices;
+//      reach the decoder. Every share fetched ahead that has a recorded
+//      digest is hashed in one Sha1::HashMany, a lane per share, so a group
+//      of four t = 2 chunks fills the eight lanes; shares downloaded later
+//      (top-ups, fallbacks) are hashed as they arrive. A mismatch discards
+//      the share, attributes it to the serving CSP, and the chunk tops up
+//      from another location, walking every other active location in
+//      order until enough shares are in hand;
+//   3. decodes each chunk into its caller's buffer and verifies the
+//      plaintext exactly once. Shares are a pure function of (chunk, key,
+//      index), so t shares matching digests this user recorded decode to
+//      the authentic chunk and a clean read takes no hash of the
+//      plaintext. Every other read - legacy digestless records,
+//      verification off, convergent (dedup) records whose digests may be
+//      another writer's, reads that rejected a share, and reads whose
+//      plaintext will be written back - requires SHA-1(plaintext) to equal
+//      the chunk id, and a mismatch falls back to the error-correcting
+//      decode over every reachable share, which also names the corrupt
+//      indices;
 //   4. heals every share found corrupt by overwriting it in place with
 //      freshly encoded bytes from the verified plaintext (uploads are
 //      idempotent content-addressed overwrites).
+//
+// After the shared hash pass, each chunk consumes, decodes and heals on its
+// own, concurrently across the group: each keeps its own status and
+// result, so one failed chunk fails no other.
 //
 // Reads touch only thread-safe components (registry, monitor, pools), so
 // they run on pipeline workers and background tasks alike. Anything that
@@ -32,6 +44,7 @@
 #define SRC_CORE_CHUNK_READER_H_
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -110,6 +123,17 @@ struct ChunkReadResult {
   TransferReport report;
 };
 
+// One chunk of a group read. The caller owns every pointee; ReadGroup
+// fills `status` and `*result`.
+struct ChunkReadRequest {
+  const ChunkRecord* chunk = nullptr;
+  const std::vector<ShareLocation>* locations = nullptr;
+  ChunkReadOptions options;
+  MutableByteSpan dst;  // exactly chunk->size bytes
+  ChunkReadResult* result = nullptr;
+  Status status = InternalError("not read");
+};
+
 class ChunkReader {
  public:
   explicit ChunkReader(ChunkReaderContext context) : context_(std::move(context)) {}
@@ -123,16 +147,33 @@ class ChunkReader {
               const ChunkReadOptions& options, MutableByteSpan dst,
               ChunkReadResult& result);
 
+  // Reads every chunk of `group` as Read() does, sharing the download
+  // section and the digest pass (steps 1-2 of the header comment). Each
+  // request gets Read()'s status and result for its chunk.
+  void ReadGroup(std::span<ChunkReadRequest> group);
+
   // The codec `chunk` was dispersed with.
   Result<SecretSharingCodec> CodecFor(const ChunkRecord& chunk) const;
 
   // SHA-1 of each share index re-encoded from verified plaintext: exactly
-  // what a clean provider stores, hence the authoritative digest set.
+  // what a clean provider stores, hence the authoritative digest set. All
+  // indices are encoded first and hashed in one Sha1::HashMany.
   Result<std::vector<ShareDigest>> DeriveDigests(const ChunkRecord& chunk,
                                                  ByteSpan plaintext,
                                                  const std::vector<uint32_t>& indices);
 
  private:
+  struct Download;
+  struct Pending;
+
+  // Downloads the share at `loc` (with retries) into `out`.
+  void DownloadShare(const ChunkRecord& chunk, const ShareLocation& loc,
+                     const ChunkReadOptions& options, Download& out);
+  // Races the chunk's primaries through the hedged fetcher into p.fetched.
+  void FetchHedged(const ChunkReadRequest& request, Pending& p);
+  // Steps 2-4 for one chunk whose downloads ahead are in p.fetched.
+  Status Finish(const ChunkReadRequest& request, Pending& p);
+
   ChunkReaderContext context_;
 };
 

@@ -4,11 +4,13 @@
 #include <chrono>
 #include <list>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <set>
 
 #include "src/core/reliability.h"
 #include "src/crypto/naming.h"
+#include "src/crypto/sha1.h"
 #include "src/util/strings.h"
 
 namespace cyrus {
@@ -64,7 +66,7 @@ CyrusClient::CyrusClient(CyrusConfig config, Chunker chunker)
     if (hedge.metrics == nullptr) {
       hedge.metrics = metrics_;
     }
-    // Every in-flight GatherChunk blocks a transfer worker inside Fetch()
+    // Every in-flight chunk read blocks a transfer worker inside Fetch()
     // while its t primaries (plus any backups) run here, so the pool must
     // hold roughly concurrency * (t + hedges) downloads at once. Undersize
     // it and primaries queue behind a slow CSP's transfers: the queue wait
@@ -433,23 +435,39 @@ struct CyrusClient::GatherSlot {
   std::vector<int> selected;      // the download selector's picks
   Status status = InternalError("not gathered");
   ChunkReadResult read;
+  bool migrating = false;  // some location is on a failed or removed CSP
   size_t migrated = 0;
   std::vector<ShareDigest> upgraded;   // re-derived share digests
 };
 
-Status CyrusClient::GatherChunk(GatherSlot& slot) {
+void CyrusClient::GatherGroup(const std::vector<GatherSlot*>& group) {
+  std::vector<ChunkReadRequest> requests(group.size());
+  for (size_t i = 0; i < group.size(); ++i) {
+    GatherSlot& slot = *group[i];
+    // Lazy share migration (paper §5.5, Figure 9) in FinishGather
+    // regenerates shares whose CSP is failed or removed, so their source
+    // plaintext is hashed.
+    slot.migrating =
+        std::any_of(slot.locations.begin(), slot.locations.end(),
+                    [&](const ShareLocation& loc) { return !registry_.IsActive(loc.csp); });
+    ChunkReadRequest& request = requests[i];
+    request.chunk = &slot.chunk;
+    request.locations = &slot.locations;
+    request.options.preferred = slot.selected;
+    request.options.verify_plaintext = slot.migrating;
+    request.options.retry = config_.transfer_retry;
+    request.dst = slot.dst;
+    request.result = &slot.read;
+  }
+  reader_->ReadGroup(requests);
+  for (size_t i = 0; i < group.size(); ++i) {
+    group[i]->status =
+        requests[i].status.ok() ? FinishGather(*group[i]) : std::move(requests[i].status);
+  }
+}
+
+Status CyrusClient::FinishGather(GatherSlot& slot) {
   const ChunkRecord& chunk = slot.chunk;
-  // Lazy share migration (paper §5.5, Figure 9) below regenerates shares
-  // whose CSP is failed or removed, so their source plaintext is hashed.
-  const bool migrating =
-      std::any_of(slot.locations.begin(), slot.locations.end(),
-                  [&](const ShareLocation& loc) { return !registry_.IsActive(loc.csp); });
-  ChunkReadOptions options;
-  options.preferred = slot.selected;
-  options.verify_plaintext = migrating;
-  options.retry = config_.transfer_retry;
-  CYRUS_RETURN_IF_ERROR(
-      reader_->Read(chunk, slot.locations, options, slot.dst, slot.read));
   if (slot.read.healed > 0) {
     integrity_shares_healed_->Increment(slot.read.healed);
   }
@@ -457,7 +475,7 @@ Status CyrusClient::GatherChunk(GatherSlot& slot) {
   // Every share on a failed or removed CSP is regenerated at a fresh index
   // on a CSP holding none; the chunk table records it with its digest.
   std::vector<ShareLocation> updated = slot.locations;
-  if (migrating) {
+  if (slot.migrating) {
     std::vector<int> holders;
     std::vector<ShareLocation*> dead;
     uint32_t max_index = 0;
@@ -703,6 +721,7 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
   const Sha1Digest parent = ParentFor(name);
   ChunkPlanner planner(chunker_, content, pool_.get(), AdoptableChunks(name, parent), &trace);
   const Sha1Digest content_hash = planner.HashContent();
+  result.content_id = content_hash;
   if (!IsNullDigest(parent)) {
     const FileVersion* head = tree_.Find(parent);
     if (head != nullptr && !head->deleted && head->content_id == content_hash) {
@@ -1193,71 +1212,105 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
   }
   select_span.End();
 
-  // Pipelined gather of the misses. The range path decodes each chunk into
-  // a fresh cache-owned buffer (inserted on completion, overlap copied to
-  // the result); the whole-file path keeps the zero-copy decode straight
-  // into the result slice and does NOT populate the cache - one large
-  // download must not flush a streaming working set.
+  // Pipelined gather of the misses, in groups that one
+  // ChunkReader::ReadGroup reads: a group's fetched shares are verified in
+  // one Sha1::HashMany. Its lanes stay busy only while they hold inputs of
+  // similar length, so groups are cut from the misses sorted by size,
+  // largest first; each group then reads and books its chunks in file
+  // order. A group fills the lanes with its t-share chunks, and no group
+  // outgrows the window, which still bounds the chunks in flight. The
+  // range path decodes each chunk into a fresh cache-owned buffer
+  // (inserted on completion, overlap copied to the result); the whole-file
+  // path keeps the zero-copy decode straight into the result slice and
+  // does NOT populate the cache - one large download must not flush a
+  // streaming working set.
   obs::ScopedSpan gather_span = trace.Span("gather");
+  const size_t window_chunks = pipeline_window();
+  // Without a transfer pool nothing downloads ahead, so there is nothing
+  // to hash in lanes.
+  const size_t group_size =
+      pool_ == nullptr
+          ? 1
+          : std::clamp<size_t>(kSha1Lanes / std::max<uint32_t>(config_.t, 1), 1,
+                               window_chunks);
+  std::vector<size_t> gather_order(to_gather.size());
+  std::iota(gather_order.begin(), gather_order.end(), size_t{0});
+  if (group_size > 1) {
+    std::stable_sort(gather_order.begin(), gather_order.end(), [&](size_t a, size_t b) {
+      return by_id.at(to_gather[a])->size > by_id.at(to_gather[b])->size;
+    });
+  }
   std::list<GatherSlot> slots;  // stable addresses; outlives the pipeline
   OrderedPipeline::Options window;
-  window.max_in_flight = pipeline_window();
+  window.max_in_flight = std::max<size_t>(window_chunks / group_size, 1);
   OrderedPipeline pipeline(pool_.get(), window);
 
-  Status pipeline_status;
   std::set<Sha1Digest> relaid;  // chunks whose layout or digests changed
-  for (size_t i = 0; i < to_gather.size(); ++i) {
-    slots.emplace_back();
-    GatherSlot* slot = &slots.back();
-    slot->chunk = *by_id.at(to_gather[i]);
-    // Workers must not read the chunk table, so the record takes the
-    // chunk's digests here.
-    AugmentRecordDigests(slot->chunk);
-    if (whole_file) {
-      slot->dst = MutableByteSpan(result.content.data() + slot->chunk.offset,
-                                  slot->chunk.size);
-    } else {
-      slot->buffer = std::make_shared<Bytes>(slot->chunk.size);
-      slot->dst = MutableByteSpan(*slot->buffer);
-    }
-    slot->locations = ResolveChunkLocations(slot->chunk.id);
-    slot->selected = selections[i];
+  auto book = [&](GatherSlot& slot) -> Status {
+    result.transfer.Append(slot.read.report);
+    result.hedged_downloads += slot.read.hedged_downloads;
+    result.integrity_rejected_shares += slot.read.integrity_rejected;
+    CYRUS_RETURN_IF_ERROR(slot.status);
+    chunks_gathered_->Increment();
+    ++result.chunks_decoded;
+    gather_span.AddBytes(slot.chunk.size);
 
-    auto work = [this, slot] { slot->status = GatherChunk(*slot); };
-    auto on_complete = [this, slot, &result, &gather_span, &resident, &dup_ids,
-                        &copy_overlap, &relaid, whole_file]() -> Status {
-      result.transfer.Append(slot->read.report);
-      result.hedged_downloads += slot->read.hedged_downloads;
-      result.integrity_rejected_shares += slot->read.integrity_rejected;
-      CYRUS_RETURN_IF_ERROR(slot->status);
-      chunks_gathered_->Increment();
-      ++result.chunks_decoded;
-      gather_span.AddBytes(slot->chunk.size);
-
-      // The chunk table already holds this chunk's migrations and new
-      // digests; the metadata that references it is republished once,
-      // after the drain, so other devices locate and authenticate the
-      // stored shares.
-      if (slot->migrated > 0 || !slot->upgraded.empty()) {
-        result.migrated_shares += slot->migrated;
-        if (!slot->upgraded.empty() && slot->chunk.share_digests.empty()) {
-          ++result.digest_upgraded_chunks;
-          integrity_records_upgraded_->Increment();
-        }
-        relaid.insert(slot->chunk.id);
-        const ChunkEntry* moved = chunk_table_.Find(slot->chunk.id);
-        if (moved != nullptr && slot->chunk.dedup && config_.share_index != nullptr) {
-          (void)config_.share_index->ReplaceShares(slot->chunk.id, moved->shares);
-        }
+    // The chunk table already holds this chunk's migrations and new
+    // digests; the metadata that references it is republished once, after
+    // the drain, so other devices locate and authenticate the stored
+    // shares.
+    if (slot.migrated > 0 || !slot.upgraded.empty()) {
+      result.migrated_shares += slot.migrated;
+      if (!slot.upgraded.empty() && slot.chunk.share_digests.empty()) {
+        ++result.digest_upgraded_chunks;
+        integrity_records_upgraded_->Increment();
       }
+      relaid.insert(slot.chunk.id);
+      const ChunkEntry* moved = chunk_table_.Find(slot.chunk.id);
+      if (moved != nullptr && slot.chunk.dedup && config_.share_index != nullptr) {
+        (void)config_.share_index->ReplaceShares(slot.chunk.id, moved->shares);
+      }
+    }
 
-      if (!whole_file) {
-        copy_overlap(slot->chunk, *slot->buffer);
-        std::shared_ptr<const Bytes> decoded = std::move(slot->buffer);
-        if (dup_ids.count(slot->chunk.id) > 0) {
-          resident.emplace(slot->chunk.id, decoded);
-        }
-        chunk_cache_.Put(slot->chunk.id, std::move(decoded));
+    if (!whole_file) {
+      copy_overlap(slot.chunk, *slot.buffer);
+      std::shared_ptr<const Bytes> decoded = std::move(slot.buffer);
+      if (dup_ids.count(slot.chunk.id) > 0) {
+        resident.emplace(slot.chunk.id, decoded);
+      }
+      chunk_cache_.Put(slot.chunk.id, std::move(decoded));
+    }
+    return OkStatus();
+  };
+
+  Status pipeline_status;
+  for (size_t first = 0; first < gather_order.size(); first += group_size) {
+    std::vector<size_t> members(
+        gather_order.begin() + static_cast<ptrdiff_t>(first),
+        gather_order.begin() +
+            static_cast<ptrdiff_t>(std::min(first + group_size, gather_order.size())));
+    std::sort(members.begin(), members.end());
+    std::vector<GatherSlot*> group;
+    for (size_t i : members) {
+      GatherSlot& slot = slots.emplace_back();
+      slot.chunk = *by_id.at(to_gather[i]);
+      // Workers must not read the chunk table, so the record takes the
+      // chunk's digests here.
+      AugmentRecordDigests(slot.chunk);
+      if (whole_file) {
+        slot.dst = MutableByteSpan(result.content.data() + slot.chunk.offset, slot.chunk.size);
+      } else {
+        slot.buffer = std::make_shared<Bytes>(slot.chunk.size);
+        slot.dst = MutableByteSpan(*slot.buffer);
+      }
+      slot.locations = ResolveChunkLocations(slot.chunk.id);
+      slot.selected = selections[i];
+      group.push_back(&slot);
+    }
+    auto work = [this, group] { GatherGroup(group); };
+    auto on_complete = [&book, group]() -> Status {
+      for (GatherSlot* slot : group) {
+        CYRUS_RETURN_IF_ERROR(book(*slot));
       }
       return OkStatus();
     };

@@ -109,9 +109,13 @@ struct CyrusConfig {
   // flight at once between the chunk/encode stage and share-transfer
   // completion. Chunk i+1 is hashed, encoded, and uploading while chunk
   // i's shares are still in transit, so one slow CSP no longer stalls the
-  // whole file. 1 degrades to strictly sequential chunk handling (the
-  // pre-pipeline behavior). Must be >= 1. Memory held by in-flight share
-  // buffers is O(window), not O(file).
+  // whole file. A Get admits its chunks in groups of
+  // min(kSha1Lanes / t, window) - 4 at t = 2 - whose shares are verified
+  // in one multi-lane SHA-1 pass, and window / group-size groups at a
+  // time, so the window still caps the chunks in flight. 1 degrades to
+  // strictly sequential chunk handling (the pre-pipeline behavior). Must
+  // be >= 1. Memory held by in-flight share buffers is O(window), not
+  // O(file).
   uint32_t pipeline_window_chunks = 4;
 
   // Transient-failure retry for share and metadata transfers (capped
@@ -184,6 +188,7 @@ struct FileListing {
 
 struct PutResult {
   Sha1Digest version_id;
+  Sha1Digest content_id;     // SHA-1 of the content, set on every path
   uint32_t n = 0;            // shares stored for each newly scattered chunk
   size_t total_chunks = 0;
   size_t new_chunks = 0;
@@ -484,14 +489,19 @@ class CyrusClient {
   // One covering chunk of a pipelined gather (defined in client.cc).
   struct GatherSlot;
 
-  // Reads one chunk through the ChunkReader straight into slot.dst, then
-  // lazily migrates shares off failed/removed CSPs through the ChunkWriter
-  // (the chunk table records the new shares with their digests). When the
-  // read healed or corrected shares, or the record predates digests, it
-  // derives the authoritative digest set into slot.upgraded. Runs on a
-  // pipeline worker: the driver resolves slot.locations beforehand and
-  // republishes the affected metadata afterwards.
-  Status GatherChunk(GatherSlot& slot);
+  // Reads a group of chunks through one ChunkReader::ReadGroup straight
+  // into each slot's dst, then runs FinishGather on every slot whose read
+  // succeeded; each slot gets its own status. Runs on a pipeline worker:
+  // the driver resolves slot.locations beforehand and republishes the
+  // affected metadata afterwards.
+  void GatherGroup(const std::vector<GatherSlot*>& group);
+
+  // The per-chunk bookkeeping after a successful read: lazily migrates
+  // shares off failed/removed CSPs through the ChunkWriter (the chunk
+  // table records the new shares with their digests), and, when the read
+  // healed or corrected shares or the record predates digests, derives
+  // the authoritative digest set into slot.upgraded.
+  Status FinishGather(GatherSlot& slot);
 
   // Routes a transfer that failed after its retries into the health
   // path: a status that indicts the provider (IsCspHealthFailure) marks

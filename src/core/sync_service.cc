@@ -53,6 +53,14 @@ std::vector<std::string> LocalWorkspace::FileNames() const {
   return out;
 }
 
+Result<Sha1Digest> LocalWorkspace::SyncedContentId(std::string_view name) const {
+  auto it = files_.find(name);
+  if (it == files_.end() || !it->second.ever_synced) {
+    return NotFoundError(StrCat("local file ", name, " never synced"));
+  }
+  return it->second.synced_content_id;
+}
+
 void SyncStats::Accumulate(const SyncStats& other) {
   uploads += other.uploads;
   downloads += other.downloads;
@@ -88,7 +96,7 @@ Result<SyncStats> SyncService::RunOnce() {
     CYRUS_ASSIGN_OR_RETURN(PutResult put, client_->Put(name, file.content));
     file.dirty = false;
     file.ever_synced = true;
-    file.synced_content_id = Sha1::Hash(file.content);
+    file.synced_content_id = put.content_id;
     if (!put.unchanged) {
       ++stats.uploads;
     }

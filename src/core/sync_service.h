@@ -35,6 +35,9 @@ class LocalWorkspace {
 
   bool Exists(std::string_view name) const;
   std::vector<std::string> FileNames() const;
+  // The content hash recorded when `name` last synced; kNotFound for a
+  // file that never has.
+  Result<Sha1Digest> SyncedContentId(std::string_view name) const;
 
  private:
   friend class SyncService;

@@ -20,10 +20,13 @@
 // the next input takes the lane. Once fewer than kSha1MinLanes lanes are
 // busy, the rest finish on the dispatched single-stream path; without
 // AVX-512VL, HashMany is a loop of Hash. Digests are bit-identical either
-// way. The write side uses it where several messages are in hand:
-// ChunkWriter::Scatter hashes a chunk's n shares in one call, and the
-// pooled ChunkPlanner hashes chunk ids in strided groups. Reads verify
-// t = 2 shares per chunk, too few lanes to pay, and stay single-stream.
+// way. Callers use it where several messages are in hand:
+// ChunkWriter::Scatter hashes a chunk's n shares in one call, the pooled
+// ChunkPlanner hashes chunk ids in strided groups, and
+// ChunkReader::ReadGroup verifies the shares a group of chunks fetched in
+// one call. One chunk brings only t = 2 shares to verify, too few lanes
+// to pay, so a Get reads its chunks in groups of kSha1Lanes / t, sorted by
+// size so that a group's lanes drain together.
 #ifndef SRC_CRYPTO_SHA1_H_
 #define SRC_CRYPTO_SHA1_H_
 

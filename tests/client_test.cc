@@ -887,6 +887,73 @@ TEST(ClientTest, WindowOfOneMatchesSequentialSemantics) {
   EXPECT_EQ(get->content, doubled);
 }
 
+// A Get reads its chunks in size-sorted groups of min(8 / t, window), one
+// multi-lane digest pass per group. Whatever the window, each file reads
+// back byte-exact, each chunk downloads exactly t shares, and the Get
+// issues the same transfers as a strictly sequential window-1 Get.
+TEST(ClientTest, GroupedGetsMatchWindowOneForEveryWindow) {
+  TestCloud cloud = MakeCloud();
+  const Chunker chunker = Chunker::Create(SmallConfig().chunker).value();
+  const Bytes source = RandomContent(96 * 1024, 77);
+  const std::vector<ChunkSpan> cuts = chunker.Split(source);
+  ASSERT_GE(cuts.size(), 9u);
+  std::vector<std::pair<std::string, Bytes>> files;
+  for (size_t chunks = 1; chunks <= 9; ++chunks) {
+    // A prefix ending at a cut splits into exactly the chunks before it.
+    const ChunkSpan& last = cuts[chunks - 1];
+    Bytes content(source.begin(),
+                  source.begin() + static_cast<ptrdiff_t>(last.offset + last.size));
+    // Distinct bytes per file, so no chunk dedups against another file's.
+    content[0] ^= static_cast<uint8_t>(chunks);
+    const std::string name = StrCat("grouped-", chunks);
+    auto put = cloud.client->Put(name, content);
+    ASSERT_TRUE(put.ok()) << put.status();
+    ASSERT_EQ(put->total_chunks, chunks);
+    files.emplace_back(name, std::move(content));
+  }
+
+  using Record = std::tuple<TransferKind, int, std::string, uint64_t, bool>;
+  auto records_of = [](const TransferReport& report) {
+    std::multiset<Record> out;
+    for (const TransferRecord& r : report.records) {
+      out.emplace(r.kind, r.csp, r.object_name, r.bytes, r.success);
+    }
+    return out;
+  };
+  std::map<std::string, std::multiset<Record>> sequential;
+  for (uint32_t window : {1u, 3u, 4u, 8u}) {
+    cloud.client->set_pipeline_window(window);
+    for (size_t f = 0; f < files.size(); ++f) {
+      const auto& [name, content] = files[f];
+      SCOPED_TRACE(StrCat("window ", window, ", ", f + 1, " chunks"));
+      auto get = cloud.client->Get(name);
+      ASSERT_TRUE(get.ok()) << get.status();
+      EXPECT_EQ(get->content, content);
+      EXPECT_EQ(get->chunks_decoded, f + 1);
+      EXPECT_EQ(get->transfer.CountOf(TransferKind::kGet), 2 * (f + 1));
+      if (window == 1) {
+        sequential[name] = records_of(get->transfer);
+      } else {
+        EXPECT_EQ(records_of(get->transfer), sequential[name]);
+      }
+    }
+  }
+  cloud.client->set_pipeline_window(0);
+}
+
+TEST(ClientTest, PutReportsTheContentIdOnEveryPath) {
+  TestCloud cloud = MakeCloud();
+  const Bytes content = RandomContent(4096, 3);
+  auto put = cloud.client->Put("f", content);
+  ASSERT_TRUE(put.ok()) << put.status();
+  EXPECT_FALSE(put->unchanged);
+  EXPECT_EQ(put->content_id, Sha1::Hash(content));
+  auto again = cloud.client->Put("f", content);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_TRUE(again->unchanged);
+  EXPECT_EQ(again->content_id, Sha1::Hash(content));
+}
+
 // --- Puts large enough to be chunked and hashed on the transfer pool ---
 
 // Two minimum segments: the default 4-thread pool cuts this in two, with

@@ -87,6 +87,30 @@ TEST(SyncServiceTest, UploadsLocalFiles) {
   EXPECT_EQ((*listing)[0].name, "doc.txt");
 }
 
+// A push records the content id its Put computed (no second hash of the
+// file): it names the head version's content, so the pull that follows
+// finds the local copy current.
+TEST(SyncServiceTest, PushRecordsTheHeadsContentId) {
+  SharedCloud cloud;
+  auto device = cloud.MakeDevice("d1");
+  const Bytes content = ToBytes("pushed content");
+  for (int pass = 0; pass < 2; ++pass) {  // the second push is unchanged
+    SCOPED_TRACE(StrCat("pass ", pass));
+    device->workspace.WriteFile("doc.txt", content, 1.0 + pass);
+    auto stats = device->service->RunOnce();
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    EXPECT_EQ(stats->uploads, pass == 0 ? 1u : 0u);
+    EXPECT_EQ(stats->downloads, 0u);
+    const std::vector<const FileVersion*> heads =
+        device->client->tree().LiveHeads("doc.txt");
+    ASSERT_EQ(heads.size(), 1u);
+    auto synced = device->workspace.SyncedContentId("doc.txt");
+    ASSERT_TRUE(synced.ok()) << synced.status();
+    EXPECT_EQ(*synced, heads.front()->content_id);
+    EXPECT_EQ(*synced, Sha1::Hash(content));
+  }
+}
+
 TEST(SyncServiceTest, IdempotentWhenNothingChanges) {
   SharedCloud cloud;
   auto device = cloud.MakeDevice("d1");
