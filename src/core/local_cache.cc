@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <fstream>
-#include <system_error>
 
 #include "src/crypto/sha1.h"
 
 #include "src/meta/serialize.h"
+#include "src/util/record_log.h"
 #include "src/util/strings.h"
 
 namespace cyrus {
@@ -91,25 +91,7 @@ Result<LocalCacheSnapshot> DecodeLocalCache(ByteSpan data,
 Status SaveLocalCache(const std::filesystem::path& path,
                       const LocalCacheSnapshot& snapshot,
                       const Sha1Digest& key_fingerprint) {
-  const Bytes data = EncodeLocalCache(snapshot, key_fingerprint);
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
-    if (!file) {
-      return UnavailableError(StrCat("cannot open ", tmp.string()));
-    }
-    file.write(reinterpret_cast<const char*>(data.data()),
-               static_cast<std::streamsize>(data.size()));
-    if (!file) {
-      return UnavailableError(StrCat("short write to ", tmp.string()));
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    return UnavailableError(StrCat("rename failed: ", ec.message()));
-  }
-  return OkStatus();
+  return ReplaceFileAtomically(path.string(), EncodeLocalCache(snapshot, key_fingerprint));
 }
 
 Result<LocalCacheSnapshot> LoadLocalCache(const std::filesystem::path& path,

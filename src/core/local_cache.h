@@ -36,7 +36,10 @@ Bytes EncodeLocalCache(const LocalCacheSnapshot& snapshot,
 Result<LocalCacheSnapshot> DecodeLocalCache(ByteSpan data,
                                             const Sha1Digest& key_fingerprint);
 
-// File helpers (write-then-rename for crash safety).
+// File helpers. SaveLocalCache replaces the file through
+// ReplaceFileAtomically (src/util/record_log.h: tmp write, fsync, rename,
+// parent-dir fsync), so a crash leaves the old cache or the new one, and
+// any failed write step returns kUnavailable.
 Status SaveLocalCache(const std::filesystem::path& path,
                       const LocalCacheSnapshot& snapshot,
                       const Sha1Digest& key_fingerprint);

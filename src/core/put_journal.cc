@@ -1,9 +1,5 @@
 #include "src/core/put_journal.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cstdio>
 #include <utility>
 
 #include "src/util/hex.h"
@@ -12,79 +8,50 @@
 namespace cyrus {
 namespace {
 
-// Makes the directory entry for `path` durable: without this, a crash
-// after rename() can resurface the pre-compaction journal (or none at
-// all) even though the file data itself was fsynced.
-void FsyncParentDir(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  const std::string dir =
-      slash == std::string::npos ? "." : (slash == 0 ? "/" : path.substr(0, slash));
-  const int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-}
-
-std::string HexOf(std::string_view text) {
-  return HexEncode(ByteSpan(reinterpret_cast<const uint8_t*>(text.data()),
-                            text.size()));
-}
+std::string HexOf(std::string_view text) { return HexEncode(AsByteSpan(text)); }
 
 Result<std::string> UnhexToString(std::string_view hex) {
   CYRUS_ASSIGN_OR_RETURN(Bytes bytes, HexDecode(hex));
   return std::string(bytes.begin(), bytes.end());
 }
 
-}  // namespace
-
-PutJournal::PutJournal(std::string path) : path_(std::move(path)) {}
-
-PutJournal::~PutJournal() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-  }
+std::string IntentRecord(const std::string& version_id, const std::string& file_name) {
+  return StrCat("I ", version_id, " ", HexOf(file_name));
 }
+
+std::string ShareRecord(const std::string& version_id, const JournalShare& share) {
+  return StrCat("S ", version_id, " ", HexOf(share.csp_name), " ",
+                HexOf(share.object_name));
+}
+
+std::string MetadataRecord(const std::string& version_id, ByteSpan meta_wire) {
+  return StrCat("M ", version_id, " ", HexEncode(meta_wire));
+}
+
+}  // namespace
 
 Result<std::unique_ptr<PutJournal>> PutJournal::Open(std::string path) {
   if (path.empty()) {
     return InvalidArgumentError("journal path must not be empty");
   }
   std::unique_ptr<PutJournal> journal(new PutJournal(std::move(path)));
-  CYRUS_RETURN_IF_ERROR(journal->LoadAndCompact());
+  CYRUS_RETURN_IF_ERROR(journal->log_.Replay(
+      [&journal](std::string_view line) { return journal->ApplyLine(line); }));
+  std::vector<std::string> records;
+  for (const auto& [seq, intent] : journal->pending_) {
+    records.push_back(IntentRecord(intent.version_id, intent.file_name));
+    for (const JournalShare& share : intent.shares) {
+      records.push_back(ShareRecord(intent.version_id, share));
+    }
+    if (intent.has_metadata) {
+      records.push_back(MetadataRecord(intent.version_id, intent.meta_wire));
+    }
+  }
+  CYRUS_RETURN_IF_ERROR(journal->log_.Compact(records));
   return journal;
 }
 
-Status PutJournal::LoadAndCompact() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (std::FILE* in = std::fopen(path_.c_str(), "r")) {
-    std::string line;
-    int c;
-    while ((c = std::fgetc(in)) != EOF) {
-      if (c == '\n') {
-        if (!line.empty()) {
-          Status parsed = ApplyLine(line);
-          if (!parsed.ok()) {
-            std::fclose(in);
-            return parsed;
-          }
-        }
-        line.clear();
-      } else {
-        line.push_back(static_cast<char>(c));
-      }
-    }
-    std::fclose(in);
-    // A torn final line (crash mid-append) is expected, not corruption:
-    // drop it if it does not parse.
-    if (!line.empty()) {
-      (void)ApplyLine(line).ok();
-    }
-  }
-  return Rewrite();
-}
-
-Status PutJournal::ApplyLine(const std::string& line) {
+Status PutJournal::ApplyLine(std::string_view line) {
   const std::vector<std::string> fields = Split(line, ' ');
   if (fields.size() < 2) {
     return DataLossError(StrCat("journal: malformed record '", line, "'"));
@@ -137,57 +104,6 @@ Status PutJournal::ApplyLine(const std::string& line) {
   return DataLossError(StrCat("journal: unknown record tag '", tag, "'"));
 }
 
-Status PutJournal::Rewrite() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
-  const std::string tmp = path_ + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "w");
-  if (out == nullptr) {
-    return UnavailableError(StrCat("journal: cannot write ", tmp));
-  }
-  for (const auto& [seq, intent] : pending_) {
-    std::fprintf(out, "I %s %s\n", intent.version_id.c_str(),
-                 HexOf(intent.file_name).c_str());
-    for (const JournalShare& share : intent.shares) {
-      std::fprintf(out, "S %s %s %s\n", intent.version_id.c_str(),
-                   HexOf(share.csp_name).c_str(), HexOf(share.object_name).c_str());
-    }
-    if (intent.has_metadata) {
-      std::fprintf(out, "M %s %s\n", intent.version_id.c_str(),
-                   HexEncode(intent.meta_wire).c_str());
-    }
-  }
-  std::fflush(out);
-  fsync(fileno(out));
-  std::fclose(out);
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    return UnavailableError(StrCat("journal: cannot rename ", tmp, " to ", path_));
-  }
-  // Every journal file is born via this rename (Open always compacts), so
-  // this one directory fsync also covers first creation; AppendLine's
-  // per-record fsyncs then hit an already-durable directory entry.
-  FsyncParentDir(path_);
-  file_ = std::fopen(path_.c_str(), "a");
-  if (file_ == nullptr) {
-    return UnavailableError(StrCat("journal: cannot append to ", path_));
-  }
-  return OkStatus();
-}
-
-Status PutJournal::AppendLine(const std::string& line) {
-  if (file_ == nullptr) {
-    return FailedPreconditionError("journal: not open");
-  }
-  if (std::fputs(line.c_str(), file_) == EOF || std::fputc('\n', file_) == EOF) {
-    return UnavailableError(StrCat("journal: write failed on ", path_));
-  }
-  std::fflush(file_);
-  fsync(fileno(file_));
-  return OkStatus();
-}
-
 Status PutJournal::BeginIntent(const std::string& version_id,
                                const std::string& file_name) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -196,7 +112,7 @@ Status PutJournal::BeginIntent(const std::string& version_id,
     // original intent (its share records are still valid).
     return OkStatus();
   }
-  CYRUS_RETURN_IF_ERROR(AppendLine(StrCat("I ", version_id, " ", HexOf(file_name))));
+  CYRUS_RETURN_IF_ERROR(log_.Append(IntentRecord(version_id, file_name)));
   JournalIntent intent;
   intent.version_id = version_id;
   intent.file_name = file_name;
@@ -214,9 +130,9 @@ Status PutJournal::AppendShare(const std::string& version_id,
   if (it == by_id_.end()) {
     return FailedPreconditionError(StrCat("journal: no intent ", version_id));
   }
-  CYRUS_RETURN_IF_ERROR(AppendLine(
-      StrCat("S ", version_id, " ", HexOf(csp_name), " ", HexOf(object_name))));
-  pending_[it->second].shares.push_back(JournalShare{csp_name, object_name});
+  JournalShare share{csp_name, object_name};
+  CYRUS_RETURN_IF_ERROR(log_.Append(ShareRecord(version_id, share)));
+  pending_[it->second].shares.push_back(std::move(share));
   return OkStatus();
 }
 
@@ -226,7 +142,7 @@ Status PutJournal::RecordMetadata(const std::string& version_id, ByteSpan meta_w
   if (it == by_id_.end()) {
     return FailedPreconditionError(StrCat("journal: no intent ", version_id));
   }
-  CYRUS_RETURN_IF_ERROR(AppendLine(StrCat("M ", version_id, " ", HexEncode(meta_wire))));
+  CYRUS_RETURN_IF_ERROR(log_.Append(MetadataRecord(version_id, meta_wire)));
   JournalIntent& intent = pending_[it->second];
   intent.meta_wire.assign(meta_wire.begin(), meta_wire.end());
   intent.has_metadata = true;
@@ -239,7 +155,7 @@ Status PutJournal::Commit(const std::string& version_id) {
   if (it == by_id_.end()) {
     return OkStatus();  // idempotent: already committed and compacted
   }
-  CYRUS_RETURN_IF_ERROR(AppendLine(StrCat("C ", version_id)));
+  CYRUS_RETURN_IF_ERROR(log_.Append(StrCat("C ", version_id)));
   pending_.erase(it->second);
   by_id_.erase(it);
   return OkStatus();

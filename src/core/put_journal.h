@@ -20,19 +20,24 @@
 // register accounts in a different order.
 //
 // Variable fields are hex-encoded so the format survives spaces and
-// binary metadata. Each append is flushed and fsync'd before the caller
-// proceeds; Open() compacts committed intents away.
+// binary metadata. The bytes on disk are a RecordLog (src/util/record_log.h):
+// each record is durable (written and fsync'd) before the caller proceeds,
+// a record counts only once its newline is on disk (a torn final line is
+// dropped on replay), and a failed write is an error, never silently
+// ignored. Open() compacts committed intents away.
 #ifndef SRC_CORE_PUT_JOURNAL_H_
 #define SRC_CORE_PUT_JOURNAL_H_
 
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/util/bytes.h"
+#include "src/util/record_log.h"
 #include "src/util/result.h"
 
 namespace cyrus {
@@ -57,11 +62,8 @@ class PutJournal {
   // path or a corrupt record.
   static Result<std::unique_ptr<PutJournal>> Open(std::string path);
 
-  ~PutJournal();
-  PutJournal(const PutJournal&) = delete;
-  PutJournal& operator=(const PutJournal&) = delete;
-
-  // Each mutator appends one durable record (write + flush + fsync).
+  // Each mutator appends one durable record (write + fsync) and fails with
+  // kUnavailable, changing nothing, if the record did not reach the disk.
   Status BeginIntent(const std::string& version_id, const std::string& file_name);
   Status AppendShare(const std::string& version_id, const std::string& csp_name,
                      const std::string& object_name);
@@ -71,21 +73,16 @@ class PutJournal {
   // Intents without a C record, oldest first. Used by crash recovery.
   std::vector<JournalIntent> PendingIntents() const;
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_.path(); }
 
  private:
-  explicit PutJournal(std::string path);
+  explicit PutJournal(std::string path) : log_(std::move(path)) {}
 
-  Status AppendLine(const std::string& line);
-  Status LoadAndCompact();
   // Parses one journal line into pending_; kDataLoss on malformed input.
-  Status ApplyLine(const std::string& line);
-  // Rewrites the file with only pending intents (temp file + rename).
-  Status Rewrite();
+  Status ApplyLine(std::string_view line);
 
-  const std::string path_;
   mutable std::mutex mutex_;
-  std::FILE* file_ = nullptr;
+  RecordLog log_;
   // Insertion-ordered: map key is a sequence number so recovery replays
   // intents oldest-first.
   std::map<uint64_t, JournalIntent> pending_;

@@ -1,8 +1,5 @@
 #include "src/dedup/share_index.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <utility>
 
@@ -13,25 +10,6 @@
 
 namespace cyrus {
 namespace {
-
-constexpr uint32_t kMagic = 0x43594449;  // "CYDI"
-// v2 added the pending_delete flag; v3 entries append per-share digests
-// (readable either way: DecodeEntry treats the digest block as optional, so
-// v2 snapshots and old journal lines parse with digests left unknown).
-constexpr uint32_t kFormatVersion = 3;
-
-// Same durability trick as put_journal: after rename(), the new directory
-// entry must itself be fsynced or a crash can resurface the old journal.
-void FsyncParentDir(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  const std::string dir =
-      slash == std::string::npos ? "." : (slash == 0 ? "/" : path.substr(0, slash));
-  const int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-}
 
 // Journal payload for a P record: the entry without its digest (the digest
 // rides in the record key field).
@@ -110,118 +88,12 @@ Result<Sha1Digest> DigestFromHex(std::string_view hex) {
   return d;
 }
 
-}  // namespace
-
-uint64_t ShareIndexEntry::physical_bytes() const {
-  if (t == 0) {
-    return 0;
-  }
-  return static_cast<uint64_t>(shares.size()) * ShareSize(logical_size, t);
+std::string PublishRecord(const Sha1Digest& chunk_id, const ShareIndexEntry& entry) {
+  return StrCat("P ", chunk_id.ToHex(), " ", HexEncode(EncodeEntry(entry)));
 }
 
-ShareIndex::ShareIndex(ShareIndexOptions options) : options_(std::move(options)) {
-  if (options_.num_shards < 1) {
-    options_.num_shards = 1;
-  }
-  shards_.reserve(options_.num_shards);
-  for (uint32_t i = 0; i < options_.num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  metrics_ = options_.metrics != nullptr ? options_.metrics
-                                         : &obs::MetricsRegistry::Default();
-  hits_counter_ = metrics_->GetCounter("cyrus_dedup_hits_total", {},
-                                       "Put chunks served by the share index");
-  misses_counter_ = metrics_->GetCounter("cyrus_dedup_misses_total", {},
-                                         "Put chunks absent from the share index");
-  reclaimed_shares_counter_ =
-      metrics_->GetCounter("cyrus_dedup_reclaimed_shares_total", {},
-                           "Zero-ref share objects deleted from CSPs by scrub GC");
-  reclaimed_bytes_counter_ =
-      metrics_->GetCounter("cyrus_dedup_reclaimed_bytes_total", {},
-                           "Physical share bytes reclaimed by scrub GC");
-  over_release_counter_ = metrics_->GetCounter(
-      "cyrus_dedup_over_releases_total", {},
-      "Release calls on an entry already at zero references (clamped)");
-  entries_gauge_ = metrics_->GetGauge("cyrus_dedup_index_entries", {},
-                                      "Unique chunks tracked by the share index");
-  logical_gauge_ = metrics_->GetGauge(
-      "cyrus_dedup_logical_bytes", {},
-      "Logical bytes referenced across all users (refcount-weighted)");
-  unique_gauge_ = metrics_->GetGauge("cyrus_dedup_unique_bytes", {},
-                                     "Unique plaintext bytes stored once");
-  physical_gauge_ = metrics_->GetGauge("cyrus_dedup_physical_bytes", {},
-                                       "Share bytes actually held at CSPs");
-  ratio_gauge_ = metrics_->GetGauge("cyrus_dedup_ratio", {},
-                                    "logical_bytes / unique_bytes");
-}
-
-ShareIndex::~ShareIndex() {
-  if (journal_file_ != nullptr) {
-    std::fclose(journal_file_);
-  }
-}
-
-Result<std::unique_ptr<ShareIndex>> ShareIndex::Open(ShareIndexOptions options) {
-  std::unique_ptr<ShareIndex> index(new ShareIndex(std::move(options)));
-  if (!index->options_.journal_path.empty()) {
-    std::lock_guard<std::mutex> lock(index->journal_mutex_);
-    CYRUS_RETURN_IF_ERROR(index->LoadAndCompactLocked());
-  }
-  return index;
-}
-
-ShareIndex::Shard& ShareIndex::ShardFor(const Sha1Digest& chunk_id) const {
-  return *shards_[chunk_id.Prefix64() % shards_.size()];
-}
-
-// ---------------------------------------------------------------------------
-// WAL
-// ---------------------------------------------------------------------------
-
-Status ShareIndex::LoadAndCompactLocked() {
-  std::map<Sha1Digest, ShareIndexEntry> replay;
-  if (std::FILE* in = std::fopen(options_.journal_path.c_str(), "r")) {
-    std::string line;
-    int c;
-    while ((c = std::fgetc(in)) != EOF) {
-      if (c == '\n') {
-        if (!line.empty()) {
-          Status parsed = ApplyLineLocked(line, replay);
-          if (!parsed.ok()) {
-            std::fclose(in);
-            return parsed;
-          }
-        }
-        line.clear();
-      } else {
-        line.push_back(static_cast<char>(c));
-      }
-    }
-    std::fclose(in);
-    // A torn final line (crash mid-append) is expected, not corruption.
-    if (!line.empty()) {
-      (void)ApplyLineLocked(line, replay).ok();
-    }
-  }
-  // Install the replayed state and rebuild the aggregates.
-  for (auto& [id, entry] : replay) {
-    Shard& shard = ShardFor(id);
-    Account(1, static_cast<int64_t>(entry.refcount * entry.logical_size),
-            static_cast<int64_t>(entry.logical_size),
-            static_cast<int64_t>(entry.physical_bytes()));
-    shard.entries.emplace(id, std::move(entry));
-  }
-  std::map<Sha1Digest, ShareIndexEntry> live;
-  for (const auto& shard : shards_) {
-    for (const auto& [id, entry] : shard->entries) {
-      live.emplace(id, entry);
-    }
-  }
-  return RewriteLocked(live);
-}
-
-Status ShareIndex::ApplyLineLocked(const std::string& line,
-                                   std::map<Sha1Digest, ShareIndexEntry>& replay) {
+// Parses one journal record into `replay`; kDataLoss on malformed input.
+Status ApplyRecord(std::string_view line, std::map<Sha1Digest, ShareIndexEntry>& replay) {
   const std::vector<std::string> fields = Split(line, ' ');
   if (fields.size() < 2) {
     return DataLossError(StrCat("share index journal: malformed record '", line, "'"));
@@ -267,74 +139,108 @@ Status ShareIndex::ApplyLineLocked(const std::string& line,
   return DataLossError(StrCat("share index journal: unknown tag '", tag, "'"));
 }
 
-Status ShareIndex::RewriteLocked(const std::map<Sha1Digest, ShareIndexEntry>& live) {
-  if (journal_file_ != nullptr) {
-    std::fclose(journal_file_);
-    journal_file_ = nullptr;
+}  // namespace
+
+uint64_t ShareIndexEntry::physical_bytes() const {
+  if (t == 0) {
+    return 0;
   }
-  const std::string tmp = options_.journal_path + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "w");
-  if (out == nullptr) {
-    return UnavailableError(StrCat("share index journal: cannot write ", tmp));
-  }
-  for (const auto& [id, entry] : live) {
-    std::fprintf(out, "P %s %s\n", id.ToHex().c_str(),
-                 HexEncode(EncodeEntry(entry)).c_str());
-  }
-  std::fflush(out);
-  fsync(fileno(out));
-  std::fclose(out);
-  if (std::rename(tmp.c_str(), options_.journal_path.c_str()) != 0) {
-    return UnavailableError(StrCat("share index journal: cannot rename ", tmp));
-  }
-  FsyncParentDir(options_.journal_path);
-  journal_file_ = std::fopen(options_.journal_path.c_str(), "a");
-  if (journal_file_ == nullptr) {
-    return UnavailableError(
-        StrCat("share index journal: cannot append to ", options_.journal_path));
-  }
-  return OkStatus();
+  return static_cast<uint64_t>(shares.size()) * ShareSize(logical_size, t);
 }
 
-Status ShareIndex::AppendLineLocked(const std::string& line) {
-  if (journal_file_ == nullptr) {
-    return FailedPreconditionError("share index journal: not open");
+ShareIndex::ShareIndex(ShareIndexOptions options) : options_(std::move(options)) {
+  if (options_.num_shards < 1) {
+    options_.num_shards = 1;
   }
-  if (std::fputs(line.c_str(), journal_file_) == EOF ||
-      std::fputc('\n', journal_file_) == EOF) {
-    return UnavailableError(
-        StrCat("share index journal: write failed on ", options_.journal_path));
+  shards_.reserve(options_.num_shards);
+  for (uint32_t i = 0; i < options_.num_shards; ++i) {
+    shards_.push_back(std::make_unique<Shard>());
   }
-  std::fflush(journal_file_);
-  fsync(fileno(journal_file_));
-  return OkStatus();
+  metrics_ = options_.metrics != nullptr ? options_.metrics
+                                         : &obs::MetricsRegistry::Default();
+  hits_counter_ = metrics_->GetCounter("cyrus_dedup_hits_total", {},
+                                       "Put chunks served by the share index");
+  misses_counter_ = metrics_->GetCounter("cyrus_dedup_misses_total", {},
+                                         "Put chunks absent from the share index");
+  reclaimed_shares_counter_ =
+      metrics_->GetCounter("cyrus_dedup_reclaimed_shares_total", {},
+                           "Zero-ref share objects deleted from CSPs by scrub GC");
+  reclaimed_bytes_counter_ =
+      metrics_->GetCounter("cyrus_dedup_reclaimed_bytes_total", {},
+                           "Physical share bytes reclaimed by scrub GC");
+  over_release_counter_ = metrics_->GetCounter(
+      "cyrus_dedup_over_releases_total", {},
+      "Release calls on an entry already at zero references (clamped)");
+  entries_gauge_ = metrics_->GetGauge("cyrus_dedup_index_entries", {},
+                                      "Unique chunks tracked by the share index");
+  logical_gauge_ = metrics_->GetGauge(
+      "cyrus_dedup_logical_bytes", {},
+      "Logical bytes referenced across all users (refcount-weighted)");
+  unique_gauge_ = metrics_->GetGauge("cyrus_dedup_unique_bytes", {},
+                                     "Unique plaintext bytes stored once");
+  physical_gauge_ = metrics_->GetGauge("cyrus_dedup_physical_bytes", {},
+                                       "Share bytes actually held at CSPs");
+  ratio_gauge_ = metrics_->GetGauge("cyrus_dedup_ratio", {},
+                                    "logical_bytes / unique_bytes");
+}
+
+Result<std::unique_ptr<ShareIndex>> ShareIndex::Open(ShareIndexOptions options) {
+  std::unique_ptr<ShareIndex> index(new ShareIndex(std::move(options)));
+  if (!index->options_.journal_path.empty()) {
+    index->journal_ = std::make_unique<RecordLog>(index->options_.journal_path);
+    CYRUS_RETURN_IF_ERROR(index->ReplayJournal());
+  }
+  return index;
+}
+
+ShareIndex::Shard& ShareIndex::ShardFor(const Sha1Digest& chunk_id) const {
+  return *shards_[chunk_id.Prefix64() % shards_.size()];
+}
+
+// ---------------------------------------------------------------------------
+// WAL
+// ---------------------------------------------------------------------------
+
+Status ShareIndex::ReplayJournal() {
+  std::map<Sha1Digest, ShareIndexEntry> replay;
+  CYRUS_RETURN_IF_ERROR(journal_->Replay(
+      [&replay](std::string_view line) { return ApplyRecord(line, replay); }));
+  // Install the replayed state, rebuild the aggregates, and compact.
+  std::vector<std::string> records;
+  records.reserve(replay.size());
+  for (auto& [id, entry] : replay) {
+    records.push_back(PublishRecord(id, entry));
+    Account(1, static_cast<int64_t>(entry.refcount * entry.logical_size),
+            static_cast<int64_t>(entry.logical_size),
+            static_cast<int64_t>(entry.physical_bytes()));
+    ShardFor(id).entries.emplace(id, std::move(entry));
+  }
+  return journal_->Compact(records);
 }
 
 Status ShareIndex::JournalPublish(const Sha1Digest& chunk_id,
                                   const ShareIndexEntry& entry) {
-  if (options_.journal_path.empty()) {
+  if (journal_ == nullptr) {
     return OkStatus();
   }
   std::lock_guard<std::mutex> lock(journal_mutex_);
-  return AppendLineLocked(
-      StrCat("P ", chunk_id.ToHex(), " ", HexEncode(EncodeEntry(entry))));
+  return journal_->Append(PublishRecord(chunk_id, entry));
 }
 
 Status ShareIndex::JournalRef(const Sha1Digest& chunk_id, int64_t delta) {
-  if (options_.journal_path.empty()) {
+  if (journal_ == nullptr) {
     return OkStatus();
   }
   std::lock_guard<std::mutex> lock(journal_mutex_);
-  return AppendLineLocked(
-      StrCat("R ", chunk_id.ToHex(), " ", delta > 0 ? "+1" : "-1"));
+  return journal_->Append(StrCat("R ", chunk_id.ToHex(), " ", delta > 0 ? "+1" : "-1"));
 }
 
 Status ShareIndex::JournalErase(const Sha1Digest& chunk_id) {
-  if (options_.journal_path.empty()) {
+  if (journal_ == nullptr) {
     return OkStatus();
   }
   std::lock_guard<std::mutex> lock(journal_mutex_);
-  return AppendLineLocked(StrCat("E ", chunk_id.ToHex()));
+  return journal_->Append(StrCat("E ", chunk_id.ToHex()));
 }
 
 // ---------------------------------------------------------------------------
@@ -652,108 +558,6 @@ ShareIndexStats ShareIndex::Stats() const {
 
 size_t ShareIndex::size() const {
   return total_entries_.load(std::memory_order_relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot serialization
-// ---------------------------------------------------------------------------
-
-Bytes ShareIndex::Serialize(const std::vector<std::string>& csp_directory) const {
-  BinaryWriter w;
-  w.WriteU32(kMagic);
-  w.WriteU32(kFormatVersion);
-  w.WriteU32(static_cast<uint32_t>(csp_directory.size()));
-  for (const std::string& name : csp_directory) {
-    w.WriteString(name);
-  }
-  std::map<Sha1Digest, ShareIndexEntry> all;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    for (const auto& [id, entry] : shard->entries) {
-      all.emplace(id, entry);
-    }
-  }
-  w.WriteU32(static_cast<uint32_t>(all.size()));
-  for (const auto& [id, entry] : all) {
-    w.WriteDigest(id);
-    w.WriteBytes(EncodeEntry(entry));
-  }
-  return w.TakeData();
-}
-
-Status ShareIndex::Load(ByteSpan data, const std::vector<std::string>& csp_directory) {
-  BinaryReader r(data);
-  CYRUS_ASSIGN_OR_RETURN(uint32_t magic, r.ReadU32());
-  if (magic != kMagic) {
-    return DataLossError("share index magic mismatch");
-  }
-  CYRUS_ASSIGN_OR_RETURN(uint32_t version, r.ReadU32());
-  if (version < 2 || version > kFormatVersion) {
-    return DataLossError(StrCat("unsupported share index version ", version));
-  }
-  CYRUS_ASSIGN_OR_RETURN(uint32_t num_names, r.ReadU32());
-  std::vector<std::string> wire_directory;
-  wire_directory.reserve(num_names);
-  for (uint32_t i = 0; i < num_names; ++i) {
-    CYRUS_ASSIGN_OR_RETURN(std::string name, r.ReadString());
-    wire_directory.push_back(std::move(name));
-  }
-  // Remap serialized csp indices (positions in wire_directory) to the
-  // caller's local indices (positions in csp_directory); -1 for providers
-  // this deployment no longer registers.
-  std::vector<int32_t> remap(wire_directory.size(), -1);
-  for (size_t i = 0; i < wire_directory.size(); ++i) {
-    for (size_t j = 0; j < csp_directory.size(); ++j) {
-      if (wire_directory[i] == csp_directory[j]) {
-        remap[i] = static_cast<int32_t>(j);
-        break;
-      }
-    }
-  }
-  CYRUS_ASSIGN_OR_RETURN(uint32_t count, r.ReadU32());
-  std::map<Sha1Digest, ShareIndexEntry> loaded;
-  for (uint32_t i = 0; i < count; ++i) {
-    CYRUS_ASSIGN_OR_RETURN(Sha1Digest id, r.ReadDigest());
-    CYRUS_ASSIGN_OR_RETURN(Bytes payload, r.ReadBytes());
-    BinaryReader er(payload);
-    CYRUS_ASSIGN_OR_RETURN(ShareIndexEntry entry, DecodeEntry(er));
-    if (!er.AtEnd()) {
-      return DataLossError("trailing bytes in share index entry");
-    }
-    for (ChunkShare& share : entry.shares) {
-      if (share.csp >= 0 && static_cast<size_t>(share.csp) < remap.size()) {
-        share.csp = remap[share.csp];
-      } else {
-        share.csp = -1;
-      }
-    }
-    loaded.emplace(id, std::move(entry));
-  }
-  if (!r.AtEnd()) {
-    return DataLossError("trailing bytes after share index");
-  }
-  // Replace contents wholesale; rebuild aggregates from scratch.
-  Account(-static_cast<int64_t>(total_entries_.load(std::memory_order_relaxed)),
-          -static_cast<int64_t>(logical_bytes_.load(std::memory_order_relaxed)),
-          -static_cast<int64_t>(unique_bytes_.load(std::memory_order_relaxed)),
-          -static_cast<int64_t>(physical_bytes_.load(std::memory_order_relaxed)));
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->entries.clear();
-  }
-  for (const auto& [id, entry] : loaded) {
-    Shard& shard = ShardFor(id);
-    Account(1, static_cast<int64_t>(entry.refcount * entry.logical_size),
-            static_cast<int64_t>(entry.logical_size),
-            static_cast<int64_t>(entry.physical_bytes()));
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.entries.emplace(id, entry);  // keep `loaded` intact for the rewrite
-  }
-  if (!options_.journal_path.empty()) {
-    std::lock_guard<std::mutex> lock(journal_mutex_);
-    CYRUS_RETURN_IF_ERROR(RewriteLocked(loaded));
-  }
-  return OkStatus();
 }
 
 }  // namespace cyrus

@@ -23,8 +23,10 @@
 //
 // Crash safety: refcounts are money (an orphaned decrement deletes live
 // data; a lost increment leaks shares), so every mutation is write-ahead
-// journaled with the same fsync-per-record, load-and-compact WAL pattern
-// as src/core/put_journal. Records are appended while the mutated shard's
+// journaled to a RecordLog (src/util/record_log.h), the same log the Put
+// journal uses: one fsync per record, a record counts only once its
+// newline is on disk (a torn final line is dropped on replay), and any
+// failed write is an error. Records are appended while the mutated shard's
 // mutex is still held (lock order: shard mutex, then journal mutex), so
 // replay sees P snapshots and R deltas for a chunk in exactly the order
 // memory applied them; a journal append that fails undoes the in-memory
@@ -36,14 +38,11 @@
 // CSP identity: `ChunkShare.csp` values are *registry indices*, which are
 // client-local. Every client sharing an index must register the same
 // connectors in the same order (the gateway guarantees this for its shard
-// workers); the serialized form carries a csp_directory of stable
-// connector ids so a future cross-process consumer can remap, mirroring
-// file metadata's convention.
+// workers).
 #ifndef SRC_DEDUP_SHARE_INDEX_H_
 #define SRC_DEDUP_SHARE_INDEX_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -55,6 +54,7 @@
 #include "src/meta/chunk_table.h"
 #include "src/obs/metrics.h"
 #include "src/util/bytes.h"
+#include "src/util/record_log.h"
 #include "src/util/result.h"
 
 namespace cyrus {
@@ -110,7 +110,6 @@ struct ShareIndexOptions {
 class ShareIndex {
  public:
   static Result<std::unique_ptr<ShareIndex>> Open(ShareIndexOptions options);
-  ~ShareIndex();
 
   ShareIndex(const ShareIndex&) = delete;
   ShareIndex& operator=(const ShareIndex&) = delete;
@@ -165,12 +164,6 @@ class ShareIndex {
   ShareIndexStats Stats() const;
   size_t size() const;
 
-  // CYSM snapshot of every entry (for replication / checkpointing).
-  // `csp_directory[k]` supplies the stable name serialized for csp value
-  // k; Load remaps through its own directory parameter symmetrically.
-  Bytes Serialize(const std::vector<std::string>& csp_directory) const;
-  Status Load(ByteSpan data, const std::vector<std::string>& csp_directory);
-
  private:
   explicit ShareIndex(ShareIndexOptions options);
 
@@ -181,12 +174,9 @@ class ShareIndex {
 
   Shard& ShardFor(const Sha1Digest& chunk_id) const;
 
-  // --- WAL (all require journal_mutex_) ---
-  Status LoadAndCompactLocked();
-  Status ApplyLineLocked(const std::string& line,
-                         std::map<Sha1Digest, ShareIndexEntry>& replay);
-  Status RewriteLocked(const std::map<Sha1Digest, ShareIndexEntry>& live);
-  Status AppendLineLocked(const std::string& line);
+  // Replays the journal into the shards and compacts it to one P record
+  // per live entry.
+  Status ReplayJournal();
   // Journals one record; no-op without a journal. Each takes journal_mutex_
   // itself and is called with the mutated shard's mutex held, so the log
   // order of P/R/E records for a chunk matches the in-memory history.
@@ -202,7 +192,7 @@ class ShareIndex {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   mutable std::mutex journal_mutex_;
-  std::FILE* journal_file_ = nullptr;
+  std::unique_ptr<RecordLog> journal_;  // null without a journal path
 
   // Aggregates (atomics: read by Stats() while shard mutexes churn).
   std::atomic<uint64_t> total_entries_{0};

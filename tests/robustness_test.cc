@@ -3,18 +3,26 @@
 // crash-safe Put write-intent journal. The end-to-end chaos battery lives
 // in tests/degraded_test.cc (ctest label `chaos`).
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/stat.h>
 
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/cloud/availability.h"
+#include "src/cloud/simulated_csp.h"
+#include "src/core/client.h"
 #include "src/core/hedged_fetch.h"
 #include "src/core/put_journal.h"
+#include "src/meta/metadata.h"
 #include "src/obs/metrics.h"
+#include "src/util/hex.h"
 #include "src/util/strings.h"
 #include "src/util/thread_pool.h"
 
@@ -233,6 +241,137 @@ TEST_F(PutJournalTest, TornFinalLineIsDroppedNotFatal) {
   ASSERT_EQ(pending.size(), 1u);
   EXPECT_EQ(pending[0].version_id, "c4");
   ASSERT_EQ(pending[0].shares.size(), 1u);  // the torn record vanished
+}
+
+// A Put died while appending its M record: the first 20 hex digits of the
+// metadata landed, the newline did not, so the record was never
+// acknowledged. Recovery must see an intent without metadata and roll it
+// back, not keep the torn record and fail to decode it on every start.
+TEST_F(PutJournalTest, TornMetadataRecordRollsBackOnRecover) {
+  {
+    auto journal = PutJournal::Open(path_);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    ASSERT_TRUE((*journal)->BeginIntent("c4", "victim").ok());
+    ASSERT_TRUE((*journal)->AppendShare("c4", "csp0", "orphan-share").ok());
+  }
+  {
+    FileVersion version;
+    version.file_name = "victim";
+    const Bytes wire = version.Serialize();
+    const std::string torn = StrCat("M c4 ", HexEncode(ByteSpan(wire).first(10)));
+    std::FILE* f = std::fopen(path_.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(torn.data(), 1, torn.size(), f);
+    std::fclose(f);
+  }
+
+  CyrusConfig config;
+  config.key_string = "journal recovery key";
+  config.client_id = "recovering";
+  config.t = 2;
+  config.cluster_aware = false;
+  config.journal_path = path_;
+  auto client = CyrusClient::Create(config);
+  ASSERT_TRUE(client.ok()) << client.status();
+  std::vector<std::shared_ptr<SimulatedCsp>> csps;
+  for (int i = 0; i < 3; ++i) {
+    csps.push_back(std::make_shared<SimulatedCsp>(SimulatedCspOptions{StrCat("csp", i)}));
+    ASSERT_TRUE((*client)->AddCsp(csps.back(), CspProfile{}, Credentials{"token"}).ok());
+  }
+  ASSERT_TRUE(csps[0]->Upload("orphan-share", Bytes(64, 0x5A)).ok());
+
+  auto recovery = (*client)->RecoverFromJournal();
+  ASSERT_TRUE(recovery.ok()) << recovery.status();
+  EXPECT_EQ(recovery->intents_seen, 1u);
+  EXPECT_EQ(recovery->rolled_back, 1u);
+  EXPECT_EQ(recovery->rolled_forward, 0u);
+  EXPECT_EQ(recovery->orphan_shares_deleted, 1u);
+  EXPECT_FALSE(csps[0]->Download("orphan-share").ok());
+  EXPECT_TRUE((*client)->journal()->PendingIntents().empty());
+}
+
+off_t FileSize(const std::string& path) {
+  struct stat st {};
+  return ::stat(path.c_str(), &st) == 0 ? st.st_size : -1;
+}
+
+bool SetFileSizeLimit(rlim_t bytes) {
+  struct rlimit limit {};
+  if (::getrlimit(RLIMIT_FSIZE, &limit) != 0) {
+    return false;
+  }
+  limit.rlim_cur = bytes;
+  return ::setrlimit(RLIMIT_FSIZE, &limit) == 0;
+}
+
+// Runs in a forked child that caps its own file size (RLIMIT_FSIZE, with
+// SIGXFSZ ignored so an oversized write fails with EFBIG instead of killing
+// the process). Exits 0 when every check holds; each failed check exits
+// with its own code and says why on stderr.
+void CheckFailedWritesInChild(const std::string& path, size_t intents) {
+  const auto fail = [](int code, const char* why) {
+    std::fprintf(stderr, "check %d failed: %s\n", code, why);
+    std::_Exit(code);
+  };
+  ::signal(SIGXFSZ, SIG_IGN);
+  struct rlimit original {};
+  ::getrlimit(RLIMIT_FSIZE, &original);
+
+  // Open compacts through a tmp file that cannot grow to the journal's
+  // size: Open must fail and leave the old journal in place.
+  if (!SetFileSizeLimit(static_cast<rlim_t>(FileSize(path) / 2))) {
+    fail(1, "setrlimit");
+  }
+  if (PutJournal::Open(path).ok()) {
+    fail(2, "Open succeeded although its compaction could not be written");
+  }
+  if (!SetFileSizeLimit(original.rlim_cur)) {
+    fail(3, "setrlimit");
+  }
+  auto journal = PutJournal::Open(path);
+  if (!journal.ok() || (*journal)->PendingIntents().size() != intents) {
+    fail(4, "the failed compaction lost records");
+  }
+
+  // Room for 10 bytes of the next record: the append must fail, and the
+  // partial record must not corrupt the append after it.
+  if (!SetFileSizeLimit(static_cast<rlim_t>(FileSize(path) + 10))) {
+    fail(5, "setrlimit");
+  }
+  if ((*journal)->BeginIntent("f00d", "refused").ok()) {
+    fail(6, "BeginIntent succeeded although its record could not be written");
+  }
+  if (!SetFileSizeLimit(original.rlim_cur)) {
+    fail(7, "setrlimit");
+  }
+  if (!(*journal)->BeginIntent("beef", "accepted").ok()) {
+    fail(8, "the append after a failed one failed");
+  }
+  journal->reset();
+  auto reopened = PutJournal::Open(path);
+  if (!reopened.ok()) {
+    fail(9, "reopen failed after a failed append");
+  }
+  const std::vector<JournalIntent> pending = (*reopened)->PendingIntents();
+  if (pending.size() != intents + 1 || pending.back().version_id != "beef") {
+    fail(10, "reopen did not find exactly the acknowledged intents");
+  }
+  std::_Exit(0);
+}
+
+TEST_F(PutJournalTest, FailedWritesReturnErrorsAndKeepTheOldFile) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  constexpr size_t kIntents = 200;
+  {
+    auto journal = PutJournal::Open(path_);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    for (size_t i = 0; i < kIntents; ++i) {
+      const std::string id = StrCat("a", i);
+      ASSERT_TRUE((*journal)->BeginIntent(id, StrCat("file-", i)).ok());
+      ASSERT_TRUE((*journal)->AppendShare(id, "dropbox", StrCat("share-", i)).ok());
+    }
+  }
+  EXPECT_EXIT(CheckFailedWritesInChild(path_, kIntents), testing::ExitedWithCode(0), "");
 }
 
 TEST_F(PutJournalTest, ShareForUnknownIntentIsRejected) {
