@@ -66,10 +66,15 @@
 #                                   #   read's one multi-lane digest pass
 #                                   #   reads raw pointers into share
 #                                   #   buffers its fetched map holds),
-#                                   #   and record_log_test (replay scans
+#                                   #   record_log_test (replay scans
 #                                   #   raw journal bytes up to a torn
 #                                   #   tail, where an off-by-one read is
-#                                   #   silent in Release)
+#                                   #   silent in Release), util_test
+#                                   #   (Result's rvalue dereference) and
+#                                   #   metadata_store_test (Fetch moves
+#                                   #   each downloaded metadata share
+#                                   #   into the decoder: a use after the
+#                                   #   move is silent in Release)
 #   scripts/check.sh --tsan         # ThreadSanitizer build of the stress
 #                                   #   battery + gateway concurrency tests
 #                                   #   + buffer-pool checkout + chunk
@@ -235,14 +240,14 @@ if [[ "$RUN_TSAN" == 1 ]]; then
 fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then
-  echo "== asan: chunker, SHA-1, codec kernels and record log under ASan+UBSan =="
+  echo "== asan: chunker, SHA-1, codec kernels, moved shares and record log under ASan+UBSan =="
   configure build-asan -DENABLE_SANITIZERS=ON
-  cmake --build build-asan --parallel --target chunker_test crypto_test codec_property_test secret_sharing_test client_test chunk_reader_test record_log_test
+  cmake --build build-asan --parallel --target chunker_test crypto_test codec_property_test secret_sharing_test client_test chunk_reader_test record_log_test util_test metadata_store_test
   # UBSan only reports by default; make a report fail the tier.
   (cd build-asan && export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 &&
     ./tests/chunker_test && ./tests/crypto_test && ./tests/codec_property_test &&
     ./tests/secret_sharing_test && ./tests/client_test && ./tests/chunk_reader_test &&
-    ./tests/record_log_test)
+    ./tests/record_log_test && ./tests/util_test && ./tests/metadata_store_test)
 fi
 
 echo "OK"

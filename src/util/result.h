@@ -1,5 +1,9 @@
 // Result<T>: a value-or-Status holder, the return type of every fallible
 // CYRUS operation that produces a value (similar to absl::StatusOr<T>).
+// As with StatusOr, the accessors follow the value category of the Result:
+// `*r` and `r.value()` alias the held value, while `*std::move(r)`,
+// `std::move(r).value()` and `std::move(r).value_or(x)` move it out, so a
+// downloaded share's buffer passes to its consumer without a copy.
 #ifndef SRC_UTIL_RESULT_H_
 #define SRC_UTIL_RESULT_H_
 
@@ -42,11 +46,13 @@ class [[nodiscard]] Result {
 
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }
+  T&& operator*() && { return std::move(*this).value(); }
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 
   // Returns the value or a fallback.
   T value_or(T fallback) const& { return ok() ? *value_ : std::move(fallback); }
+  T value_or(T fallback) && { return ok() ? *std::move(value_) : std::move(fallback); }
 
  private:
   std::optional<T> value_;

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
+#include <type_traits>
+#include <utility>
 
 #include "src/util/bytes.h"
 #include "src/util/hex.h"
@@ -96,6 +99,39 @@ TEST(ResultTest, MoveOnlyValue) {
   ASSERT_TRUE(r.ok());
   std::unique_ptr<int> p = std::move(r).value();
   EXPECT_EQ(*p, 9);
+}
+
+// `*std::move(r)` moves the value out, as absl::StatusOr's does; `*r` on an
+// lvalue still aliases it.
+static_assert(std::is_same_v<decltype(*std::declval<Result<Bytes>>()), Bytes&&>);
+static_assert(std::is_same_v<decltype(*std::declval<Result<Bytes>&>()), Bytes&>);
+static_assert(std::is_same_v<decltype(*std::declval<const Result<Bytes>&>()), const Bytes&>);
+
+TEST(ResultTest, RvalueDereferenceAndValueOrMoveOwnership) {
+  Result<std::unique_ptr<int>> r = std::make_unique<int>(3);
+  std::unique_ptr<int> p = *std::move(r);  // a copy would not compile
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(*p, 3);
+  EXPECT_EQ(*r, nullptr);  // moved from, still ok()
+
+  Result<std::unique_ptr<int>> full = std::make_unique<int>(4);
+  std::unique_ptr<int> q = std::move(full).value_or(nullptr);
+  ASSERT_NE(q, nullptr);
+  EXPECT_EQ(*q, 4);
+  EXPECT_EQ(*full, nullptr);
+
+  Result<std::unique_ptr<int>> empty = NotFoundError("nope");
+  std::unique_ptr<int> fallback = std::move(empty).value_or(std::make_unique<int>(5));
+  ASSERT_NE(fallback, nullptr);
+  EXPECT_EQ(*fallback, 5);
+}
+
+TEST(ResultTest, RvalueDereferenceLeavesTheBufferInPlace) {
+  Result<Bytes> r = Bytes(1 << 16, 0x5a);
+  const uint8_t* storage = r->data();
+  Bytes moved = *std::move(r);
+  EXPECT_EQ(moved.data(), storage);  // the same heap block, not a copy
+  EXPECT_TRUE(r->empty());
 }
 
 // --- Hex ---
