@@ -1,28 +1,32 @@
 // Degraded-mode transfer engine: availability and tail latency under
-// injected CSP outages and a slow provider (the tentpole experiment for
-// quorum writes + hedged reads).
+// injected CSP outages and a slow provider (quorum writes, and download
+// selection over rates learned from the client's own transfers).
 //
-// Two scenario families, both over the fault-injecting connector layer:
+// Two scenario families, both over the fault-injecting connector layer,
+// each run with static and with learned rates:
 //
-//   outage grid - 0/1/2 CSPs permanently down, hedging off vs on. Every
-//     trial Puts a fresh multi-chunk file and Gets it back; with a failure
-//     budget of 2 the quorum engine must keep Put availability at 1.0
-//     while booking the missing shares as repair debt, and Get must keep
-//     reconstructing from the surviving quorum.
+//   outage grid - 0/1/2 CSPs permanently down. Every trial Puts a fresh
+//     multi-chunk file and Gets it back; with a failure budget of 2 the
+//     quorum engine must keep Put availability at 1.0 while booking the
+//     missing shares as repair debt, and Get must keep reconstructing
+//     from the surviving quorum.
 //
 //   slow-CSP tail - one provider sleeps a uniform [0, 30] real ms per call
-//     while advertising the fastest link, so the download selector always
-//     puts it in the primary set. Unhedged, every chunk waits out the
-//     sleep; hedged, the fetcher's adaptive deadline fires a backup from a
-//     spare CSP and the tail is cut. Reported as Get p50/p99 over
-//     repeated single-file Gets.
+//     while advertising the fastest link and a 1 ms RTT. With static
+//     rates (a bench-local selector that hands Algorithm 1 the advertised
+//     rates) it is in the primary set of every chunk, and every Get waits
+//     out its sleeps. With learned rates the client prices it by its
+//     median excess over that profile, which the first Put's uploads
+//     already show, and Gets stop downloading shares from it. Reported as
+//     Get p50/p99 over repeated single-file Gets, plus the Get downloads
+//     csp0 served.
 //
 // Emits BENCH_degraded.json. Exits non-zero when
 //   - Put or Get availability drops below 1.0 anywhere in the grid,
-//   - hedging regresses the no-fault Get p50 by more than 10% (+1 ms
-//     timer-noise slack), or
-//   - the hedged Get p99 under the slow CSP is not at least 1.5x better
-//     than unhedged.
+//   - learned rates raise the no-fault Get p50 by more than 10% (+1 ms
+//     timer-noise slack) over static rates, or
+//   - the learned-rate Get p99 under the slow CSP is not at least 1.5x
+//     better than the static-rate one.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -34,6 +38,7 @@
 #include "src/cloud/fault_injection.h"
 #include "src/cloud/simulated_csp.h"
 #include "src/core/client.h"
+#include "src/opt/download_selector.h"
 #include "src/rest/json.h"
 #include "src/util/rng.h"
 #include "src/util/strings.h"
@@ -46,13 +51,35 @@ constexpr size_t kFileBytes = 16 * 1024;  // 16 x 1 KB chunks
 constexpr int kTrials = 20;
 constexpr double kSlowSleepMaxMs = 30.0;
 
+// Advertised download rates: csp0 claims the best link.
+std::vector<double> AdvertisedDownloadRates() {
+  std::vector<double> rates(kNumCsps, 8e6);
+  rates[0] = 50e6;
+  return rates;
+}
+
+// The static-rate comparator: Algorithm 1 over the advertised rates,
+// whatever the client has learned about its CSPs.
+class AdvertisedRateSelector : public DownloadSelector {
+ public:
+  std::string_view name() const override { return "advertised"; }
+  Result<DownloadAssignment> Select(const DownloadProblem& problem) override {
+    DownloadProblem advertised = problem;
+    advertised.csp_bandwidth = AdvertisedDownloadRates();
+    return optimal_.Select(advertised);
+  }
+
+ private:
+  OptimalDownloadSelector optimal_;
+};
+
 struct DegradedBed {
   std::vector<std::shared_ptr<FaultInjectingConnector>> faults;
   std::unique_ptr<CyrusClient> client;
   std::unique_ptr<obs::MetricsRegistry> metrics;
 };
 
-DegradedBed MakeBed(bool hedged, int downed_csps, double slow_csp0_ms,
+DegradedBed MakeBed(bool learned, int downed_csps, double slow_csp0_ms,
                     uint64_t seed) {
   DegradedBed bed;
   bed.metrics = std::make_unique<obs::MetricsRegistry>();
@@ -77,24 +104,15 @@ DegradedBed MakeBed(bool hedged, int downed_csps, double slow_csp0_ms,
   config.transfer_retry.initial_backoff_ms = 1.0;
   config.transfer_retry.seed = seed;
   config.metrics = bed.metrics.get();
-  config.hedge.enabled = hedged;
-  // factor 0.5: a fetch older than half the provider's own EWMA is a
-  // straggler. With the slow CSP's per-call sleep uniform in [0, max] the
-  // EWMA sits near max/2, so this hedges most of its downloads at ~max/4 -
-  // an aggressive tail-cutting policy that a spare-rich deployment (n > t
-  // fast providers idle) can afford, since a backup share is one cheap
-  // extra download.
-  config.hedge.deadline_factor = 0.5;
-  config.hedge.min_deadline_ms = 1.0;
-  config.hedge.default_deadline_ms = 5.0;
-  config.hedge.max_hedges = 2;
-
   auto client = CyrusClient::Create(std::move(config));
   if (!client.ok()) {
     std::fprintf(stderr, "client: %s\n", client.status().ToString().c_str());
     std::abort();
   }
   bed.client = std::move(client).value();
+  if (!learned) {
+    bed.client->set_download_selector(std::make_unique<AdvertisedRateSelector>());
+  }
 
   for (int i = 0; i < kNumCsps; ++i) {
     SimulatedCspOptions o;
@@ -110,9 +128,9 @@ DegradedBed MakeBed(bool hedged, int downed_csps, double slow_csp0_ms,
     bed.faults.push_back(injector);
     CspProfile profile;
     profile.rtt_ms = 1.0;
-    // The slow CSP advertises the best link, so the selector always puts
-    // it in the primary download set - the worst case hedging must cover.
-    profile.download_bytes_per_sec = (i == 0) ? 50e6 : 8e6;
+    // The slow CSP advertises the best link, so static rates always put it
+    // in the primary download set.
+    profile.download_bytes_per_sec = AdvertisedDownloadRates()[i];
     profile.upload_bytes_per_sec = 5e6;
     auto added = bed.client->AddCsp(injector, profile, Credentials{"token"});
     if (!added.ok()) {
@@ -150,14 +168,14 @@ struct GridCell {
   double get_p99_ms = 0.0;
   double put_p50_ms = 0.0;
   uint64_t missing_shares = 0;
-  uint64_t hedged_downloads = 0;
+  uint64_t csp0_get_downloads = 0;  // shares csp0 served to Gets
 };
 
 // One grid cell: `kTrials` fresh files through one bed; every trial is a
 // Put (counted against availability) followed by a Get (verified bytes).
-GridCell RunCell(bool hedged, int downed_csps, double slow_csp0_ms,
+GridCell RunCell(bool learned, int downed_csps, double slow_csp0_ms,
                  uint64_t seed) {
-  DegradedBed bed = MakeBed(hedged, downed_csps, slow_csp0_ms, seed);
+  DegradedBed bed = MakeBed(learned, downed_csps, slow_csp0_ms, seed);
   GridCell cell;
   std::vector<double> put_ms;
   std::vector<double> get_ms;
@@ -181,7 +199,9 @@ GridCell RunCell(bool hedged, int downed_csps, double slow_csp0_ms,
     get_ms.push_back(NowMs() - get_start);
     if (get.ok() && get->content == content) {
       ++get_ok;
-      cell.hedged_downloads += get->hedged_downloads;
+      for (const TransferRecord& r : get->transfer.records) {
+        cell.csp0_get_downloads += r.kind == TransferKind::kGet && r.csp == 0 && r.success;
+      }
     }
   }
   cell.put_availability = static_cast<double>(put_ok) / kTrials;
@@ -216,20 +236,40 @@ int main() {
   report.SetParam("trials_per_cell", uint64_t{kTrials});
   report.SetParam("slow_sleep_max_ms", kSlowSleepMaxMs);
 
-  std::printf("%-10s %-6s | %7s %7s | %9s %9s %9s | %8s %7s\n", "scenario",
-              "hedge", "put_av", "get_av", "put_p50", "get_p50", "get_p99",
-              "missing", "hedges");
+  std::printf("%-10s %-7s | %7s %7s | %9s %9s %9s | %8s %9s\n", "scenario",
+              "rates", "put_av", "get_av", "put_p50", "get_p50", "get_p99",
+              "missing", "csp0_gets");
 
   bool failed = false;
-  double nofault_p50[2] = {0.0, 0.0};    // [hedge off, on]
+  double nofault_p50[2] = {0.0, 0.0};  // [static, learned]
   double slow_get_p99[2] = {0.0, 0.0};
+  auto report_row = [&](const std::string& scenario, int down, bool learned,
+                        const GridCell& cell) {
+    std::printf("%-10s %-7s | %7.2f %7.2f | %8.1fms %8.1fms %8.1fms | %8llu %9llu\n",
+                scenario.c_str(), learned ? "learned" : "static", cell.put_availability,
+                cell.get_availability, cell.put_p50_ms, cell.get_p50_ms, cell.get_p99_ms,
+                static_cast<unsigned long long>(cell.missing_shares),
+                static_cast<unsigned long long>(cell.csp0_get_downloads));
+    JsonValue row{JsonValue::Object{}};
+    row.Set("scenario", scenario);
+    row.Set("downed_csps", uint64_t{static_cast<uint64_t>(down)});
+    row.Set("rates", learned ? "learned" : "static");
+    row.Set("put_availability", cell.put_availability);
+    row.Set("get_availability", cell.get_availability);
+    row.Set("put_p50_ms", cell.put_p50_ms);
+    row.Set("get_p50_ms", cell.get_p50_ms);
+    row.Set("get_p99_ms", cell.get_p99_ms);
+    row.Set("missing_shares", cell.missing_shares);
+    row.Set("csp0_get_downloads", cell.csp0_get_downloads);
+    report.AddRow(std::move(row));
+  };
 
-  for (const bool hedged : {false, true}) {
+  for (const bool learned : {false, true}) {
     for (const int down : {0, 1, 2}) {
-      const uint64_t seed = 7000 + 100 * down + (hedged ? 1 : 0);
-      const GridCell cell = RunCell(hedged, down, /*slow_csp0_ms=*/0.0, seed);
+      const uint64_t seed = 7000 + 100 * down + (learned ? 1 : 0);
+      const GridCell cell = RunCell(learned, down, /*slow_csp0_ms=*/0.0, seed);
       if (down == 0) {
-        nofault_p50[hedged ? 1 : 0] = cell.get_p50_ms;
+        nofault_p50[learned ? 1 : 0] = cell.get_p50_ms;
       }
       if (cell.put_availability < 1.0 || cell.get_availability < 1.0) {
         std::fprintf(stderr,
@@ -243,85 +283,48 @@ int main() {
                      "FAIL: %d CSPs down but no degraded shares booked\n", down);
         failed = true;
       }
-      const std::string scenario = StrCat("down-", down);
-      std::printf("%-10s %-6s | %7.2f %7.2f | %8.1fms %8.1fms %8.1fms | %8llu %7llu\n",
-                  scenario.c_str(), hedged ? "on" : "off",
-                  cell.put_availability, cell.get_availability, cell.put_p50_ms,
-                  cell.get_p50_ms, cell.get_p99_ms,
-                  static_cast<unsigned long long>(cell.missing_shares),
-                  static_cast<unsigned long long>(cell.hedged_downloads));
-
-      JsonValue row{JsonValue::Object{}};
-      row.Set("scenario", scenario);
-      row.Set("downed_csps", uint64_t{static_cast<uint64_t>(down)});
-      row.Set("hedging", hedged);
-      row.Set("put_availability", cell.put_availability);
-      row.Set("get_availability", cell.get_availability);
-      row.Set("put_p50_ms", cell.put_p50_ms);
-      row.Set("get_p50_ms", cell.get_p50_ms);
-      row.Set("get_p99_ms", cell.get_p99_ms);
-      row.Set("missing_shares", cell.missing_shares);
-      row.Set("hedged_downloads", cell.hedged_downloads);
-      report.AddRow(std::move(row));
+      report_row(StrCat("down-", down), down, learned, cell);
     }
 
     // The tail scenario: all providers up, csp0 slow.
-    const uint64_t seed = 8000 + (hedged ? 1 : 0);
-    const GridCell cell = RunCell(hedged, /*downed_csps=*/0, kSlowSleepMaxMs, seed);
-    slow_get_p99[hedged ? 1 : 0] = cell.get_p99_ms;
+    const uint64_t seed = 8000 + (learned ? 1 : 0);
+    const GridCell cell = RunCell(learned, /*downed_csps=*/0, kSlowSleepMaxMs, seed);
+    slow_get_p99[learned ? 1 : 0] = cell.get_p99_ms;
     if (cell.put_availability < 1.0 || cell.get_availability < 1.0) {
       std::fprintf(stderr, "FAIL: availability below 1.0 in the slow-CSP row\n");
       failed = true;
     }
-    std::printf("%-10s %-6s | %7.2f %7.2f | %8.1fms %8.1fms %8.1fms | %8llu %7llu\n",
-                "slow-csp0", hedged ? "on" : "off", cell.put_availability,
-                cell.get_availability, cell.put_p50_ms, cell.get_p50_ms,
-                cell.get_p99_ms,
-                static_cast<unsigned long long>(cell.missing_shares),
-                static_cast<unsigned long long>(cell.hedged_downloads));
-
-    JsonValue row{JsonValue::Object{}};
-    row.Set("scenario", "slow-csp0");
-    row.Set("downed_csps", uint64_t{0});
-    row.Set("hedging", hedged);
-    row.Set("put_availability", cell.put_availability);
-    row.Set("get_availability", cell.get_availability);
-    row.Set("put_p50_ms", cell.put_p50_ms);
-    row.Set("get_p50_ms", cell.get_p50_ms);
-    row.Set("get_p99_ms", cell.get_p99_ms);
-    row.Set("missing_shares", cell.missing_shares);
-    row.Set("hedged_downloads", cell.hedged_downloads);
-    report.AddRow(std::move(row));
+    report_row("slow-csp0", 0, learned, cell);
   }
 
   const double tail_improvement =
       slow_get_p99[1] > 0.0 ? slow_get_p99[0] / slow_get_p99[1] : 0.0;
   std::printf(
-      "\nHeadline: hedged Get p99 under one slow CSP is %.2fx better than\n"
-      "unhedged (%.1f ms -> %.1f ms); the acceptance bar is 1.5x.\n",
+      "\nHeadline: learned-rate Get p99 under one slow CSP is %.2fx better\n"
+      "than static (%.1f ms -> %.1f ms); the acceptance bar is 1.5x.\n",
       tail_improvement, slow_get_p99[0], slow_get_p99[1]);
 
   JsonValue headline{JsonValue::Object{}};
   headline.Set("scenario", "headline");
-  headline.Set("hedged_p99_improvement", tail_improvement);
-  headline.Set("nofault_p50_unhedged_ms", nofault_p50[0]);
-  headline.Set("nofault_p50_hedged_ms", nofault_p50[1]);
+  headline.Set("learned_p99_improvement", tail_improvement);
+  headline.Set("nofault_p50_static_ms", nofault_p50[0]);
+  headline.Set("nofault_p50_learned_ms", nofault_p50[1]);
   report.AddRow(std::move(headline));
   std::printf("wrote %s\n", report.Write().c_str());
 
-  // Hedging must be (near) free when nothing is wrong: 10% on the no-fault
-  // p50, plus 1 ms of absolute slack because the baseline is sub-10 ms and
-  // scheduler jitter alone can exceed 10% of it.
+  // Learning must be (near) free when nothing is wrong: 10% on the
+  // no-fault p50, plus 1 ms of absolute slack because the baseline is
+  // sub-10 ms and scheduler jitter alone can exceed 10% of it.
   if (nofault_p50[1] > nofault_p50[0] * 1.10 + 1.0) {
     std::fprintf(stderr,
-                 "FAIL: hedging regressed the no-fault Get p50 by >10%% "
+                 "FAIL: learned rates regressed the no-fault Get p50 by >10%% "
                  "(%.2f ms -> %.2f ms)\n",
                  nofault_p50[0], nofault_p50[1]);
     failed = true;
   }
   if (tail_improvement < 1.5) {
     std::fprintf(stderr,
-                 "FAIL: hedged p99 improvement %.2fx below the 1.5x bar\n",
+                 "FAIL: learned-rate p99 improvement %.2fx below the 1.5x bar\n",
                  tail_improvement);
     failed = true;
   }

@@ -9,7 +9,9 @@
 #                                   #   scaled-down zipfian gateway soak
 #   scripts/check.sh --metrics      # + observability exposition tests
 #   scripts/check.sh --chaos        # + degraded-mode chaos battery (outages,
-#                                   #   crash recovery, hedging, corruption)
+#                                   #   crash recovery, learned rates
+#                                   #   steering Gets off a slow CSP,
+#                                   #   corruption)
 #   scripts/check.sh --codec        # + codec battery (`ctest -L codec`:
 #                                   #   SIMD-vs-scalar differential tests,
 #                                   #   SHA-NI-vs-scalar SHA-1, kernel
@@ -81,7 +83,8 @@
 #                                   #   cache and readahead join + integrity
 #                                   #   gather/heal + chunk writer uploads +
 #                                   #   scrub repair + codec stress loop +
-#                                   #   hedged fetcher and put journal +
+#                                   #   put journal + learned-rate
+#                                   #   booking from readahead tasks +
 #                                   #   parallel split and Put hashing in
 #                                   #   build-tsan/
 #
@@ -225,8 +228,9 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   echo "== tsan: stress battery + gateway concurrency under ThreadSanitizer =="
   configure build-tsan -DENABLE_TSAN=ON
   # The chunk writer's first upload pass runs ParallelFor from pipeline
-  # workers, and scrub repair writes through the same writer. The hedged
-  # fetcher's backups race their primaries on a thread pool. A large Put
+  # workers, and scrub repair writes through the same writer. Readahead
+  # tasks book their transfers into the monitor's excess window while
+  # the driver's Gets read it for selection. A large Put
   # cuts its segments and hashes its content and chunks on the pool; the
   # chunker's per-byte oracle suite is single-threaded and takes minutes
   # under TSan, so the tier runs the rest of chunker_test.

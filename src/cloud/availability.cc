@@ -78,28 +78,27 @@ bool AvailabilityMonitor::IsFailed(int csp) const {
   return h.unreachable_since >= 0.0 && h.last_probe - h.unreachable_since >= threshold_;
 }
 
-void AvailabilityMonitor::RecordLatency(int csp, double latency_ms) {
+void AvailabilityMonitor::RecordExcess(int csp, double seconds) {
   std::lock_guard<std::mutex> lock(mutex_);
   History& h = history_[csp];
-  if (!h.any_latency) {
-    h.any_latency = true;
-    h.latency_ewma_ms = latency_ms;
-    return;
-  }
-  // alpha = 0.25 follows the smoothing factor family used by TCP RTT
-  // estimation: responsive enough to track a CSP that turns slow, damped
-  // enough that one straggler does not blow up the hedge deadline.
-  constexpr double kAlpha = 0.25;
-  h.latency_ewma_ms += kAlpha * (latency_ms - h.latency_ewma_ms);
+  h.excess[h.excess_samples++ % kExcessWindow] = seconds > 0.0 ? seconds : 0.0;
 }
 
-double AvailabilityMonitor::LatencyEstimateMs(int csp, double fallback_ms) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = history_.find(csp);
-  if (it == history_.end() || !it->second.any_latency) {
-    return fallback_ms;
+double AvailabilityMonitor::MedianExcessSeconds(int csp) const {
+  std::array<double, kExcessWindow> kept;
+  size_t count = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = history_.find(csp);
+    if (it == history_.end() || it->second.excess_samples == 0) {
+      return 0.0;
+    }
+    kept = it->second.excess;
+    count = std::min(it->second.excess_samples, kExcessWindow);
   }
-  return it->second.latency_ewma_ms;
+  const auto median = kept.begin() + static_cast<ptrdiff_t>((count - 1) / 2);
+  std::nth_element(kept.begin(), median, kept.begin() + static_cast<ptrdiff_t>(count));
+  return *median;
 }
 
 void AvailabilityMonitor::RecordIntegrityFailure(int csp) {
@@ -141,23 +140,6 @@ const std::vector<double>& PaperAnnualDowntimeHours() {
   // interior values are interpolated; DESIGN.md records the substitution.
   static const std::vector<double> kHours = {1.37, 5.0, 10.0, 18.53};
   return kHours;
-}
-
-OutageSchedule::OutageSchedule(double downtime_hours_per_year, double mean_outage_hours,
-                               Rng rng)
-    : p_down_(downtime_hours_per_year / 8760.0),
-      mean_down_seconds_(mean_outage_hours * 3600.0),
-      mean_up_seconds_(mean_down_seconds_ * (1.0 - p_down_) / std::max(p_down_, 1e-12)),
-      rng_(rng) {
-  phase_end_ = rng_.NextExponential(mean_up_seconds_);
-}
-
-bool OutageSchedule::IsUp(double time_seconds) {
-  while (time_seconds >= phase_end_) {
-    up_ = !up_;
-    phase_end_ += rng_.NextExponential(up_ ? mean_up_seconds_ : mean_down_seconds_);
-  }
-  return up_;
 }
 
 }  // namespace cyrus

@@ -1,4 +1,4 @@
-// CSP availability tracking and outage modelling (paper §4.2, §7.2).
+// CSP availability and delay tracking (paper §4.2, §4.3).
 //
 // AvailabilityMonitor estimates each CSP's failure probability p from probe
 // history: a CSP counts as *failed* once it has been unreachable for at
@@ -6,21 +6,25 @@
 // observed failed fraction of time. Equation (1) then uses the largest p
 // across CSPs as a conservative bound.
 //
-// OutageSchedule generates the alternating up/down process used by the
-// Figure 13 reliability simulation, parameterized by annual downtime (the
-// paper cites 1.37-18.53 hours/year for four commercial CSPs).
+// It also learns each CSP's per-request delay: the client books every
+// successful transfer's excess over what the CSP's profile predicts, and
+// the download selector (Algorithm 1) prices the CSP with the median of
+// the last kExcessWindow samples on top of its profile rate.
+//
 // AvailabilityMonitor is thread-safe: the pipelined transfer engine records
-// probes from pool threads while Eq. (1) sizing reads estimates.
+// probes and excess samples from pool threads while Eq. (1) sizing and
+// download selection read estimates.
 #ifndef SRC_CLOUD_AVAILABILITY_H_
 #define SRC_CLOUD_AVAILABILITY_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <vector>
 
 #include "src/util/result.h"
-#include "src/util/rng.h"
 
 namespace cyrus {
 
@@ -44,13 +48,17 @@ class AvailabilityMonitor {
   // Whether the CSP is currently in the failed state.
   bool IsFailed(int csp) const;
 
-  // Records an observed per-share transfer latency for `csp`, folded into
-  // an exponentially-weighted moving average. Feeds the hedged-Get
-  // deadline: "how long does this CSP usually take?".
-  void RecordLatency(int csp, double latency_ms);
+  // Samples of per-request excess kept per CSP.
+  static constexpr size_t kExcessWindow = 8;
 
-  // EWMA transfer latency for `csp`; `fallback_ms` when no samples yet.
-  double LatencyEstimateMs(int csp, double fallback_ms) const;
+  // Records how many seconds one successful transfer with `csp` took
+  // beyond its profile's prediction; a negative excess counts as 0. Only
+  // the last kExcessWindow samples are kept.
+  void RecordExcess(int csp, double seconds);
+
+  // Median of the kept excess samples (the lower one of an even count), so
+  // a minority of scheduling outliers moves nothing. 0 before any sample.
+  double MedianExcessSeconds(int csp) const;
 
   // Records a share downloaded from `csp` that failed its digest check.
   // Integrity failures are tracked separately from reachability: a lying
@@ -70,8 +78,8 @@ class AvailabilityMonitor {
     double unreachable_since = -1.0;  // <0: currently reachable
     double failed_seconds = 0.0;
     bool any_probe = false;
-    double latency_ewma_ms = 0.0;
-    bool any_latency = false;
+    std::array<double, kExcessWindow> excess{};  // ring buffer
+    size_t excess_samples = 0;                    // ever recorded
     uint64_t integrity_failures = 0;
   };
 
@@ -91,30 +99,6 @@ bool IsCspHealthFailure(const Status& status);
 // Hours-per-year downtime of the four commercial CSPs the paper's Figure 13
 // simulation draws on (CloudHarmony monitoring, 1.37 to 18.53 h/yr).
 const std::vector<double>& PaperAnnualDowntimeHours();
-
-// Alternating renewal process: exponentially-distributed up and down
-// periods with the given annual downtime budget.
-class OutageSchedule {
- public:
-  // downtime_hours_per_year determines the stationary down probability;
-  // mean_outage_hours sets the mean length of a single outage.
-  OutageSchedule(double downtime_hours_per_year, double mean_outage_hours, Rng rng);
-
-  // Advances the process and reports whether the CSP is up at `time`
-  // (times must be queried in nondecreasing order).
-  bool IsUp(double time_seconds);
-
-  // Stationary probability of being down (annual downtime / year).
-  double StationaryDownProbability() const { return p_down_; }
-
- private:
-  double p_down_;
-  double mean_down_seconds_;
-  double mean_up_seconds_;
-  Rng rng_;
-  double phase_end_ = 0.0;
-  bool up_ = true;
-};
 
 }  // namespace cyrus
 

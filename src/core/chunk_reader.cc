@@ -124,41 +124,28 @@ void ChunkReader::ReadGroup(std::span<ChunkReadRequest> group) {
   }
 
   // Downloads run ahead of consumption, every chunk's in one fork-join
-  // section on the transfer pool: each primary is one task, or, with a
-  // hedged fetcher, each chunk's Fetch is one task that races its
-  // primaries against adaptive per-CSP deadlines with the other locations
-  // as spares. Every task writes only its own chunk's map entries, which
-  // exist before the section starts.
+  // section on the transfer pool, one task per primary. Every task writes
+  // only its own map entry, which exists before the section starts.
   struct Job {
     size_t chunk;
-    size_t primary;  // kHedged: the chunk's whole hedged Fetch
+    size_t primary;
   };
-  constexpr size_t kHedged = SIZE_MAX;
   std::vector<Job> jobs;
   for (size_t i = 0; i < group.size(); ++i) {
-    const ChunkReadRequest& request = group[i];
     Pending& p = pending[i];
-    if (request.dst.size() != request.chunk->size || p.primaries == 0) {
+    if (context_.pool == nullptr || group[i].dst.size() != group[i].chunk->size) {
       continue;
     }
-    if (context_.fetcher != nullptr && !request.options.all_shares) {
-      jobs.push_back(Job{i, kHedged});
-    } else if (context_.pool != nullptr) {
-      for (size_t k = 0; k < p.primaries; ++k) {
-        p.fetched.try_emplace(p.order[k].csp);
-        jobs.push_back(Job{i, k});
-      }
+    for (size_t k = 0; k < p.primaries; ++k) {
+      p.fetched.try_emplace(p.order[k].csp);
+      jobs.push_back(Job{i, k});
     }
   }
   auto run_job = [&](size_t j) {
     const ChunkReadRequest& request = group[jobs[j].chunk];
     Pending& p = pending[jobs[j].chunk];
-    if (jobs[j].primary != kHedged) {
-      const ShareLocation& loc = p.order[jobs[j].primary];
-      DownloadShare(*request.chunk, loc, request.options, p.fetched.at(loc.csp));
-    } else {
-      FetchHedged(request, p);
-    }
+    const ShareLocation& loc = p.order[jobs[j].primary];
+    DownloadShare(*request.chunk, loc, request.options, p.fetched.at(loc.csp));
   };
   if (context_.pool != nullptr && jobs.size() > 1) {
     context_.pool->ParallelFor(jobs.size(), run_job);
@@ -207,44 +194,6 @@ void ChunkReader::DownloadShare(const ChunkRecord& chunk, const ShareLocation& l
   out.data = DownloadWithRetry(**conn, TransferKind::kGet, loc.csp,
                                ShareName(chunk.id, loc.share_index, chunk.t),
                                options.retry, out.report);
-}
-
-void ChunkReader::FetchHedged(const ChunkReadRequest& request, Pending& p) {
-  const ChunkRecord& chunk = *request.chunk;
-  std::vector<HedgeCandidate> candidates;
-  std::vector<const ShareLocation*> candidate_locs;
-  size_t hedge_primaries = 0;
-  for (size_t i = 0; i < p.order.size(); ++i) {
-    auto conn = context_.registry->connector(p.order[i].csp);
-    if (!conn.ok()) {
-      continue;
-    }
-    CloudConnector* raw = *conn;
-    const std::string object = ShareName(chunk.id, p.order[i].share_index, chunk.t);
-    const RetryOptions retry = request.options.retry;
-    candidates.push_back(HedgeCandidate{
-        p.order[i].csp, p.order[i].share_index, [raw, object, retry]() -> Result<Bytes> {
-          return RetryWithBackoff(retry,
-                                  [&]() -> Result<Bytes> { return raw->Download(object); });
-        }});
-    candidate_locs.push_back(&p.order[i]);
-    hedge_primaries += i < p.primaries ? 1 : 0;
-  }
-  for (HedgeFetchResult& outcome :
-       context_.fetcher->Fetch(std::move(candidates), hedge_primaries, chunk.t)) {
-    // Only hedges that delivered a share count; launch totals live in
-    // cyrus_hedged_requests_total.
-    if (outcome.hedged && outcome.data.ok()) {
-      ++request.result->hedged_downloads;
-    }
-    const ShareLocation& loc = *candidate_locs[outcome.candidate];
-    Download& landed = p.fetched[loc.csp];
-    landed.share_index = loc.share_index;
-    landed.report.records.push_back(TransferRecord{
-        TransferKind::kGet, loc.csp, ShareName(chunk.id, loc.share_index, chunk.t),
-        outcome.data.ok() ? outcome.data->size() : uint64_t{0}, outcome.data.ok()});
-    landed.data = std::move(outcome.data);
-  }
 }
 
 Status ChunkReader::Finish(const ChunkReadRequest& request, Pending& p) {
@@ -306,19 +255,6 @@ Status ChunkReader::Finish(const ChunkReadRequest& request, Pending& p) {
   };
 
   const size_t need = options.all_shares ? p.order.size() : chunk.t;
-  // Downloads already in hand go first: a hedge that beat a straggling
-  // primary lives under a spare CSP, and walking preferred order first
-  // would re-download the slow share inline.
-  for (const ShareLocation& loc : p.order) {
-    if (shares.size() >= need) {
-      break;
-    }
-    auto it = p.fetched.find(loc.csp);
-    if (it != p.fetched.end() && it->second.data.ok() &&
-        context_.registry->IsActive(loc.csp)) {
-      consume(loc);
-    }
-  }
   for (const ShareLocation& loc : p.order) {
     if (shares.size() >= need) {
       break;

@@ -7,8 +7,9 @@
 //
 //   1. downloads every chunk's preferred CSPs (normally the selector's
 //      picks) ahead of consumption, all of the group's in one fork-join
-//      section on the transfer pool - with a HedgedFetcher, each chunk's
-//      hedged Fetch is one task of that section;
+//      section on the transfer pool, one task per preferred share. A CSP
+//      that runs slower than its profile is steered off by the learned
+//      rates (AvailabilityMonitor::MedianExcessSeconds), not raced here;
 //   2. authenticates each share against its recorded digest *before* it can
 //      reach the decoder. Every share fetched ahead that has a recorded
 //      digest is hashed in one Sha1::HashMany, a lane per share, so a group
@@ -50,7 +51,6 @@
 
 #include "src/cloud/availability.h"
 #include "src/cloud/registry.h"
-#include "src/core/hedged_fetch.h"
 #include "src/core/transfer.h"
 #include "src/meta/chunk_table.h"
 #include "src/meta/metadata.h"
@@ -68,13 +68,12 @@ namespace cyrus {
 constexpr uint32_t kMaxShares = 255;
 
 // Everything a reader borrows from the owning client. Raw pointers: the
-// client owns the reader and every pointee. `pool` and `fetcher` may be
-// null (downloads then run sequentially / unhedged).
+// client owns the reader and every pointee. `pool` may be null (downloads
+// then run sequentially).
 struct ChunkReaderContext {
   CspRegistry* registry = nullptr;
   AvailabilityMonitor* monitor = nullptr;
   ThreadPool* pool = nullptr;
-  HedgedFetcher* fetcher = nullptr;
   BufferPool* buffers = nullptr;
   std::function<double()> now;
   // RS key of one chunk: the user key, or a convergent chunk's unwrapped
@@ -116,7 +115,6 @@ struct ChunkReadResult {
   std::vector<ShareLocation> corrupt;
   size_t integrity_rejected = 0;
   size_t healed = 0;              // corrupt shares overwritten in place
-  size_t hedged_downloads = 0;    // backups that delivered a share
   bool corrected = false;         // the error-correcting decode ran
   bool decoded = false;           // `dst` holds verified plaintext
   uint64_t bytes_moved = 0;       // share bytes downloaded + healed
@@ -169,8 +167,6 @@ class ChunkReader {
   // Downloads the share at `loc` (with retries) into `out`.
   void DownloadShare(const ChunkRecord& chunk, const ShareLocation& loc,
                      const ChunkReadOptions& options, Download& out);
-  // Races the chunk's primaries through the hedged fetcher into p.fetched.
-  void FetchHedged(const ChunkReadRequest& request, Pending& p);
   // Steps 2-4 for one chunk whose downloads ahead are in p.fetched.
   Status Finish(const ChunkReadRequest& request, Pending& p);
 

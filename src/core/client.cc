@@ -61,29 +61,10 @@ CyrusClient::CyrusClient(CyrusConfig config, Chunker chunker)
     pool_ = std::make_unique<ThreadPool>(config_.transfer_concurrency);
   }
   metrics_ = config_.metrics != nullptr ? config_.metrics : &obs::MetricsRegistry::Default();
-  if (config_.hedge.enabled) {
-    HedgeOptions hedge = config_.hedge;
-    if (hedge.metrics == nullptr) {
-      hedge.metrics = metrics_;
-    }
-    // Every in-flight chunk read blocks a transfer worker inside Fetch()
-    // while its t primaries (plus any backups) run here, so the pool must
-    // hold roughly concurrency * (t + hedges) downloads at once. Undersize
-    // it and primaries queue behind a slow CSP's transfers: the queue wait
-    // counts against hedge deadlines, and backups stack up behind the very
-    // stragglers they were launched to cover. Threads are cheap - they
-    // spend their lives blocked in connector I/O.
-    hedge_pool_ = std::make_unique<ThreadPool>(std::max<uint32_t>(
-        config_.transfer_concurrency *
-            (config_.t + static_cast<uint32_t>(hedge.max_hedges)),
-        2));
-    fetcher_ = std::make_unique<HedgedFetcher>(hedge, hedge_pool_.get(), &monitor_);
-  }
   ChunkReaderContext reader_context;
   reader_context.registry = &registry_;
   reader_context.monitor = &monitor_;
   reader_context.pool = pool_.get();
-  reader_context.fetcher = fetcher_.get();
   reader_context.buffers = &codec_buffers_;
   reader_context.now = [this] { return now(); };
   // Dedup chunks were dispersed under their content key; unwrap it with
@@ -408,6 +389,37 @@ Result<uint32_t> CyrusClient::CurrentN() const {
 
 void CyrusClient::set_download_selector(std::unique_ptr<DownloadSelector> selector) {
   selector_ = std::move(selector);
+}
+
+void CyrusClient::BookTransfers(const TransferReport& report) {
+  RecordTransferMetrics(report, metrics_);
+  for (const TransferRecord& r : report.records) {
+    if (!r.success) {
+      continue;
+    }
+    auto profile = registry_.profile(r.csp);
+    if (!profile.ok()) {
+      continue;
+    }
+    const bool upload = r.kind == TransferKind::kPut || r.kind == TransferKind::kPutMeta;
+    const double rate =
+        upload ? profile->upload_bytes_per_sec : profile->download_bytes_per_sec;
+    monitor_.RecordExcess(r.csp, r.seconds - profile->rtt_ms / 1e3 -
+                                     static_cast<double>(r.bytes) / rate);
+  }
+}
+
+double CyrusClient::LearnedDownloadRate(int csp, double share_bytes) const {
+  auto profile = registry_.profile(csp);
+  if (!profile.ok()) {
+    return 0.0;
+  }
+  const double rate = profile->download_bytes_per_sec;
+  const double excess = monitor_.MedianExcessSeconds(csp);
+  if (excess <= 0.0 || share_bytes <= 0.0) {
+    return rate;
+  }
+  return share_bytes / (share_bytes / rate + excess);
 }
 
 // ---------------------------------------------------------------------------
@@ -1013,7 +1025,7 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
   }
   put_heads_[version.file_name] = version.id;
   result.transfer.Append(meta_report);
-  RecordTransferMetrics(result.transfer, metrics_);
+  BookTransfers(result.transfer);
   return result;
 }
 
@@ -1177,14 +1189,11 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
 
   // Optimized downlink selection (Algorithm 1) over the chunks that
   // actually need the network; on infeasibility the reader's fallback walk
-  // still tries every active holder.
+  // still tries every active holder. Each CSP is priced at its learned
+  // rate for the misses' mean share size.
   DownloadProblem problem;
   problem.t = config_.t;
-  for (size_t i = 0; i < registry_.size(); ++i) {
-    auto profile = registry_.profile(static_cast<int>(i));
-    problem.csp_bandwidth.push_back(profile.ok() ? profile->download_bytes_per_sec
-                                                 : 1.0);
-  }
+  double share_bytes = 0.0;
   bool optimizable = true;
   for (const Sha1Digest& id : to_gather) {
     const ChunkRecord* chunk = by_id.at(id);
@@ -1193,6 +1202,7 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
     }
     DownloadChunk dc;
     dc.share_bytes = static_cast<double>(ShareSize(chunk->size, chunk->t));
+    share_bytes += dc.share_bytes;
     std::set<int> active_holders;
     for (const ShareLocation& loc : ResolveChunkLocations(id)) {
       if (registry_.IsActive(loc.csp)) {
@@ -1201,6 +1211,12 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
     }
     dc.stored_at.assign(active_holders.begin(), active_holders.end());
     problem.chunks.push_back(std::move(dc));
+  }
+  if (!to_gather.empty()) {
+    share_bytes /= static_cast<double>(to_gather.size());
+  }
+  for (size_t i = 0; i < registry_.size(); ++i) {
+    problem.csp_bandwidth.push_back(LearnedDownloadRate(static_cast<int>(i), share_bytes));
   }
   std::vector<std::vector<int>> selections(to_gather.size());
   if (!optimizable) {
@@ -1248,7 +1264,6 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
   std::set<Sha1Digest> relaid;  // chunks whose layout or digests changed
   auto book = [&](GatherSlot& slot) -> Status {
     result.transfer.Append(slot.read.report);
-    result.hedged_downloads += slot.read.hedged_downloads;
     result.integrity_rejected_shares += slot.read.integrity_rejected;
     CYRUS_RETURN_IF_ERROR(slot.status);
     chunks_gathered_->Increment();
@@ -1363,7 +1378,7 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
   // No whole-file re-hash: every chunk was verified as it was read, and
   // FileVersion::Validate guarantees the records tile the file exactly.
   assemble_span.End();
-  RecordTransferMetrics(result.transfer, metrics_);
+  BookTransfers(result.transfer);
   return result;
 }
 
@@ -1445,15 +1460,15 @@ void CyrusClient::MaybeScheduleReadahead(const std::string& name,
     picked.insert(chunk.id);
     Pick pick{chunk, ResolveChunkLocations(chunk.id), std::move(prefetch)};
     AugmentRecordDigests(pick.chunk);
-    // Fastest links first, read in order: a prefetch that waits on the
-    // slowest CSP arrives after the reader does. (The foreground gather
-    // gets the full optimizing selector; prefetches are never hedged.)
+    // Fastest links first, by the learned rate the selector uses, read in
+    // order: a prefetch that waits on the slowest CSP arrives after the
+    // reader does. (The foreground gather gets the full optimizing
+    // selector.)
+    const double pick_share_bytes = static_cast<double>(ShareSize(chunk.size, chunk.t));
     std::stable_sort(pick.locations.begin(), pick.locations.end(),
-                     [this](const ShareLocation& a, const ShareLocation& b) {
-                       auto pa = registry_.profile(a.csp);
-                       auto pb = registry_.profile(b.csp);
-                       return (pa.ok() ? pa->download_bytes_per_sec : 0.0) >
-                              (pb.ok() ? pb->download_bytes_per_sec : 0.0);
+                     [&](const ShareLocation& a, const ShareLocation& b) {
+                       return LearnedDownloadRate(a.csp, pick_share_bytes) >
+                              LearnedDownloadRate(b.csp, pick_share_bytes);
                      });
     picks.push_back(std::move(pick));
   }
@@ -1480,7 +1495,7 @@ void CyrusClient::MaybeScheduleReadahead(const std::string& name,
         if (reader_->Read(pick.chunk, pick.locations, options,
                           MutableByteSpan(*plaintext), read)
                 .ok()) {
-          RecordTransferMetrics(read.report, metrics_);
+          BookTransfers(read.report);
           chunk_cache_.Put(pick.chunk.id, plaintext);
         } else {
           plaintext.reset();

@@ -38,7 +38,6 @@
 #include "src/core/chunk_reader.h"
 #include "src/core/chunk_writer.h"
 #include "src/core/hash_ring.h"
-#include "src/core/hedged_fetch.h"
 #include "src/core/local_cache.h"
 #include "src/core/metadata_store.h"
 #include "src/core/put_journal.h"
@@ -133,11 +132,6 @@ struct CyrusConfig {
   // availability - while still booking the debt.
   int32_t put_failure_budget = -1;
 
-  // Hedged Get: adaptive per-CSP deadlines launch backup share downloads
-  // for straggling primaries (see src/core/hedged_fetch.h). Disabled by
-  // default; enabling allocates a dedicated hedge thread pool.
-  HedgeOptions hedge;
-
   // Crash-safe Put: path of the local write-intent journal. Empty (the
   // default) disables journaling; RecoverFromJournal() is then a no-op.
   std::string journal_path;
@@ -209,9 +203,6 @@ struct GetResult {
   bool had_conflicts = false;
   std::vector<Conflict> conflicts;
   size_t migrated_shares = 0;  // lazily repaired share locations (§5.5)
-  // Backup (hedged) share downloads that completed successfully before the
-  // gather returned; launch totals are in cyrus_hedged_requests_total.
-  size_t hedged_downloads = 0;
   // Full size of the version read (== content.size() for whole-file Gets;
   // the Content-Range total for range reads).
   uint64_t file_size = 0;
@@ -412,8 +403,8 @@ class CyrusClient {
   }
 
   // Virtual clock for modified times and availability probes. Atomic:
-  // reader, writer and repair-engine `now` callbacks read it from pool and
-  // hedge-pool threads while tests advance it on the driver.
+  // reader, writer and repair-engine `now` callbacks read it from pool
+  // threads while tests advance it on the driver.
   void set_time(double now) { now_.store(now, std::memory_order_relaxed); }
   double now() const { return now_.load(std::memory_order_relaxed); }
 
@@ -503,6 +494,19 @@ class CyrusClient {
   // the authoritative digest set into slot.upgraded.
   Status FinishGather(GatherSlot& slot);
 
+  // Books one operation's transfers: the cyrus_transfer_* counters, and
+  // for each successful call its excess over the CSP's profile, seconds -
+  // (rtt + bytes / rate in the call's direction), into the monitor.
+  // Uploads count too: a Put tells the selector which CSP is slow before
+  // the first Get of that file. Safe from pool threads.
+  void BookTransfers(const TransferReport& report);
+
+  // Algorithm 1's achievable bandwidth for `csp` on shares of
+  // `share_bytes`: S / (S / profile rate + e), where e is the CSP's median
+  // excess per request. Exactly the profile rate while e is 0; 0 for an
+  // unknown CSP.
+  double LearnedDownloadRate(int csp, double share_bytes) const;
+
   // Routes a transfer that failed after its retries into the health
   // path: a status that indicts the provider (IsCspHealthFailure) marks
   // the CSP failed at once; any other status is a no-op.
@@ -588,7 +592,7 @@ class CyrusClient {
   // across a connector call.
   std::mutex topology_mutex_;
   // Reusable aligned share/upload buffers for the codec paths. Declared
-  // before pool_/hedge_pool_ so the worker threads (whose scatter / repair
+  // before pool_ so the worker threads (whose scatter / repair
   // frames hold PooledBuffer handles) join before the pool dies.
   BufferPool codec_buffers_;
   // Decoded-chunk plaintext cache (GetRange hits skip the CSPs entirely).
@@ -625,8 +629,7 @@ class CyrusClient {
   // The one chunk read path: Get/GetRange gathers, readahead, and the
   // repair engine's rebuild and integrity sweep all read through it.
   // Declared before pool_: the pool destructor drains queued readahead
-  // tasks, which read through it (unhedged, so the already-destroyed
-  // fetcher_ is never touched).
+  // tasks, which read through it.
   std::unique_ptr<ChunkReader> reader_;
   // The one chunk write path: Put's scatter and dedup re-scatter, lazy
   // migration, and the repair engine's rebuild all write through it.
@@ -634,14 +637,6 @@ class CyrusClient {
   std::unique_ptr<DownloadSelector> selector_;
   // Transfer worker threads (null when transfer_concurrency == 1).
   std::unique_ptr<ThreadPool> pool_;
-  // Dedicated pool for hedged share downloads (null unless hedging is
-  // enabled). Distinct from pool_: HedgedFetcher::Fetch blocks its caller
-  // - a pool_ worker during a pipelined Get - so running the downloads on
-  // pool_ could leave every worker waiting on work no thread is free to
-  // run. Declared after pool_ so it is destroyed first, joining abandoned
-  // loser downloads while the registry and monitor they use are alive.
-  std::unique_ptr<ThreadPool> hedge_pool_;
-  std::unique_ptr<HedgedFetcher> fetcher_;
   // Proactive scrub & repair over the chunk table (src/repair).
   std::unique_ptr<RepairEngine> repair_;
   // Crash-safe Put write-intent journal (null when journal_path is empty).

@@ -1,9 +1,14 @@
 #include "src/core/transfer.h"
 
+#include <chrono>
 #include <functional>
 
 namespace cyrus {
 namespace {
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
 
 // Distinct jitter stream per object without threading extra state through.
 RetryOptions MixSeed(const RetryOptions& options, const std::string& object) {
@@ -18,9 +23,10 @@ Status UploadWithRetry(CloudConnector& connector, TransferKind kind, int csp,
                        const std::string& object, ByteSpan data,
                        const RetryOptions& options, TransferReport& report) {
   return RetryWithBackoff(MixSeed(options, object), [&] {
+    const auto start = std::chrono::steady_clock::now();
     Status upload = connector.Upload(object, data);
-    report.records.push_back(
-        TransferRecord{kind, csp, object, data.size(), upload.ok()});
+    report.records.push_back(TransferRecord{kind, csp, object, data.size(), upload.ok(),
+                                            SecondsSince(start)});
     return upload;
   });
 }
@@ -29,10 +35,11 @@ Result<Bytes> DownloadWithRetry(CloudConnector& connector, TransferKind kind, in
                                 const std::string& object, const RetryOptions& options,
                                 TransferReport& report) {
   return RetryWithBackoff(MixSeed(options, object), [&]() -> Result<Bytes> {
+    const auto start = std::chrono::steady_clock::now();
     Result<Bytes> data = connector.Download(object);
     report.records.push_back(TransferRecord{kind, csp, object,
                                             data.ok() ? data->size() : uint64_t{0},
-                                            data.ok()});
+                                            data.ok(), SecondsSince(start)});
     return data;
   });
 }

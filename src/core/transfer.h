@@ -10,7 +10,9 @@
 // The core also journals every request as a TransferRecord. Benchmarks feed
 // those records into the fluid network simulator (src/sim/flow_network.h)
 // to obtain completion times for the exact byte pattern a real deployment
-// would have moved.
+// would have moved. Each record also carries the connector call's measured
+// wall-clock duration, from which the client learns how far each CSP runs
+// behind its profile (AvailabilityMonitor::RecordExcess).
 #ifndef SRC_CORE_TRANSFER_H_
 #define SRC_CORE_TRANSFER_H_
 
@@ -35,6 +37,9 @@ struct TransferRecord {
   std::string object_name;
   uint64_t bytes = 0;
   bool success = true;
+  // Wall-clock duration of the connector call; 0 for records that no
+  // timed call produced.
+  double seconds = 0.0;
 };
 
 // Journal of the requests one API call issued. Records within a phase are
@@ -58,8 +63,9 @@ void RecordTransferMetrics(const TransferReport& report, obs::MetricsRegistry* r
 
 // Connector calls with transient-failure retry (capped exponential backoff
 // + jitter, src/util/retry.h) and per-attempt journaling: every attempt -
-// including the failed ones - is appended to `report`, so benches see the
-// true request pattern a retrying client generates. The retry seed is mixed
+// including the failed ones - is appended to `report` with its measured
+// duration, so benches see the true request pattern a retrying client
+// generates. The retry seed is mixed
 // with the object name so concurrent transfers draw distinct jitter
 // streams. Backoff delays are virtual (counted, not slept).
 Status UploadWithRetry(CloudConnector& connector, TransferKind kind, int csp,

@@ -168,6 +168,33 @@ TEST(ChunkReaderTest, CleanReadDownloadsExactlyTShares) {
   EXPECT_EQ(read.report.CountOf(TransferKind::kGet), kT);
 }
 
+// A preferred CSP that fails its download is replaced by the next
+// location in the fallback walk, and the read still stops at t shares.
+TEST(ChunkReaderTest, FailedPreferredDownloadIsReplacedByAFallback) {
+  ReaderBed bed(/*record_digests=*/true);
+  ASSERT_TRUE(bed.csps[0]->Delete(bed.Object(0)).ok());
+  Bytes out(bed.first().content.size());
+  ChunkReadResult read;
+  ASSERT_TRUE(bed.ReadFirst(Preferring({0, 1}), out, read).ok());
+  EXPECT_EQ(out, bed.first().content);
+  EXPECT_EQ(read.shares_downloaded, kT);
+  EXPECT_EQ(read.report.CountOf(TransferKind::kGet), kT + 1);
+  EXPECT_EQ(read.report.BytesToCsp(0), 0u);
+  EXPECT_GT(read.report.BytesToCsp(2), 0u);
+}
+
+// Fewer preferred CSPs than t (an infeasible selection): the walk tops the
+// read up to t shares from the other locations.
+TEST(ChunkReaderTest, ShortPreferredListTopsUpToT) {
+  ReaderBed bed(/*record_digests=*/true);
+  Bytes out(bed.first().content.size());
+  ChunkReadResult read;
+  ASSERT_TRUE(bed.ReadFirst(Preferring({3}), out, read).ok());
+  EXPECT_EQ(out, bed.first().content);
+  EXPECT_EQ(read.shares_downloaded, kT);
+  EXPECT_GT(read.report.BytesToCsp(3), 0u);
+}
+
 TEST(ChunkReaderTest, DigestMismatchIsRejectedToppedUpAndHealed) {
   ReaderBed bed(/*record_digests=*/true);
   bed.Corrupt(0);

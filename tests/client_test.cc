@@ -853,6 +853,47 @@ TEST(ClientTest, SelectorErrorFallsBackAndIsCounted) {
   EXPECT_EQ(mixed_t->value(), 0u);
 }
 
+// Records the CSP rates each Select is handed, then solves as usual.
+class RecordingSelector : public DownloadSelector {
+ public:
+  explicit RecordingSelector(std::vector<std::vector<double>>* seen) : seen_(seen) {}
+  std::string_view name() const override { return "recording"; }
+  Result<DownloadAssignment> Select(const DownloadProblem& problem) override {
+    seen_->push_back(problem.csp_bandwidth);
+    return optimal_.Select(problem);
+  }
+
+ private:
+  std::vector<std::vector<double>>* seen_;
+  OptimalDownloadSelector optimal_;
+};
+
+// In-memory CSPs answer far inside their 100+ ms profile RTTs, so no
+// transfer runs past its profile: the learned rates Algorithm 1 gets are
+// then the profile rates, bit for bit.
+TEST(ClientTest, ZeroExcessHandsTheSelectorTheProfileRates) {
+  TestCloud cloud = MakeCloud();
+  const Bytes content = RandomContent(8 * 1024, 37);
+  ASSERT_TRUE(cloud.client->Put("profiled", content).ok());
+  std::vector<std::vector<double>> seen;
+  cloud.client->set_download_selector(std::make_unique<RecordingSelector>(&seen));
+  for (int round = 0; round < 2; ++round) {
+    auto get = cloud.client->Get("profiled");
+    ASSERT_TRUE(get.ok()) << get.status();
+    EXPECT_EQ(get->content, content);
+  }
+
+  std::vector<double> profile_rates;
+  for (int csp = 0; csp < kNumCsps; ++csp) {
+    EXPECT_EQ(cloud.client->availability_monitor().MedianExcessSeconds(csp), 0.0);
+    profile_rates.push_back(cloud.client->registry().profile(csp)->download_bytes_per_sec);
+  }
+  ASSERT_EQ(seen.size(), 2u);
+  for (const std::vector<double>& rates : seen) {
+    EXPECT_EQ(rates, profile_rates);
+  }
+}
+
 TEST(ClientTest, PipelineMetricsTrackSubmittedChunks) {
   obs::MetricsRegistry registry;
   CyrusConfig config = SmallConfig();

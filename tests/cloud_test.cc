@@ -226,32 +226,40 @@ TEST(AvailabilityMonitorTest, MaxAcrossCsps) {
   EXPECT_NEAR(monitor.MaxFailureProbability(), 500.0 / 600.0, 1e-9);
 }
 
-// --- OutageSchedule ---
+// --- Learned per-request excess ---
 
-TEST(OutageScheduleTest, StationaryProbabilityMatchesDowntime) {
-  OutageSchedule schedule(87.6, 1.0, Rng(7));  // 1% downtime
-  EXPECT_NEAR(schedule.StationaryDownProbability(), 0.01, 1e-12);
-  // Long-run empirical fraction of down samples approaches 1%.
-  int down = 0;
-  const int kSamples = 200000;
-  for (int i = 0; i < kSamples; ++i) {
-    if (!schedule.IsUp(i * 360.0)) {
-      ++down;
-    }
+TEST(AvailabilityMonitorTest, OneOutlierInEightLeavesTheMedianAtZero) {
+  AvailabilityMonitor monitor;
+  for (int i = 0; i < 7; ++i) {
+    monitor.RecordExcess(0, 0.0);
   }
-  const double fraction = static_cast<double>(down) / kSamples;
-  EXPECT_NEAR(fraction, 0.01, 0.004);
+  monitor.RecordExcess(0, 0.014);  // one scheduling hiccup
+  EXPECT_EQ(monitor.MedianExcessSeconds(0), 0.0);
+  EXPECT_EQ(monitor.MedianExcessSeconds(1), 0.0);  // never sampled
 }
 
-TEST(OutageScheduleTest, MostlyUpForLowDowntime) {
-  OutageSchedule schedule(1.37, 0.5, Rng(3));  // the paper's best CSP
-  int down = 0;
-  for (int i = 0; i < 100000; ++i) {
-    if (!schedule.IsUp(i * 600.0)) {
-      ++down;
-    }
+TEST(AvailabilityMonitorTest, FiveSlowInEightMoveTheMedian) {
+  AvailabilityMonitor monitor;
+  for (int i = 0; i < 3; ++i) {
+    monitor.RecordExcess(0, 0.0);
   }
-  EXPECT_LT(down, 200);  // ~0.0156% expected
+  for (double slow : {0.030, 0.010, 0.020, 0.025, 0.015}) {
+    monitor.RecordExcess(0, slow);
+  }
+  EXPECT_DOUBLE_EQ(monitor.MedianExcessSeconds(0), 0.010);
+  // The window keeps the last eight: eight fast calls forget the slow run.
+  for (int i = 0; i < 8; ++i) {
+    monitor.RecordExcess(0, 0.0);
+  }
+  EXPECT_EQ(monitor.MedianExcessSeconds(0), 0.0);
+}
+
+TEST(AvailabilityMonitorTest, NegativeExcessClampsToZero) {
+  AvailabilityMonitor monitor;
+  for (int i = 0; i < 8; ++i) {
+    monitor.RecordExcess(0, -0.5);  // faster than the profile predicts
+  }
+  EXPECT_EQ(monitor.MedianExcessSeconds(0), 0.0);
 }
 
 TEST(PaperDowntimeTest, RangeMatchesPaper) {

@@ -6,8 +6,9 @@
 //   - quorum Put: a file commits degraded when a provider is down for the
 //     whole run, the shortfall lands in the repair debt ledger, and a
 //     scrub pass after recovery drives the debt gauge back to zero;
-//   - hedged Get: a provider sleeping tens of milliseconds per call never
-//     puts a pipelined Get on its tail once backup downloads are enabled;
+//   - learned rates: a provider sleeping tens of milliseconds per call
+//     while advertising the fastest link serves no share of a Get once
+//     its Put transfers have shown it slow;
 //   - CSP outage: a failed provider leaves placement at once and stays out
 //     across scrubs until MarkCspRecovered re-admits it for reprobe;
 //   - crash-safe Put: an interrupted Put is rolled forward (shares were
@@ -40,8 +41,7 @@ Bytes RandomContent(Rng& rng, size_t size) {
 
 struct ChaosCloud {
   // Declared first so it is destroyed last: the fault injectors and the
-  // client (whose hedge pool may still be finishing an abandoned download)
-  // record into it until they are gone.
+  // client record into it until they are gone.
   std::unique_ptr<obs::MetricsRegistry> metrics;
   std::vector<std::shared_ptr<FaultInjectingConnector>> faults;
   std::unique_ptr<CyrusClient> client;
@@ -195,41 +195,44 @@ TEST(DegradedChaosTest, PutSucceedsWithTwoCspsHardDown) {
   EXPECT_EQ(get->content, content);
 }
 
-// Satellite: one provider sleeps up to 30 real milliseconds per call. With
-// hedging enabled the Get must finish with backup downloads covering the
-// straggler, and the reassembled bytes must be intact.
-TEST(DegradedChaosTest, HedgedGetUnderSlowCsp) {
+// One provider sleeps a seeded U[0, 30] real milliseconds per call while
+// advertising the fastest link and a 1 ms RTT, so its profile alone would
+// put it in the primary set of every chunk. The Put's uploads already run
+// far past that profile, so the learned rates keep every later Get off it,
+// and the reassembled bytes stay intact.
+TEST(DegradedChaosTest, LearnedRatesSteerGetsOffSlowCsp) {
   const uint64_t seed = 0xDE64AD03;
   Rng rng(seed);
-  CyrusConfig config = ChaosConfig(nullptr, seed);
-  config.hedge.enabled = true;
-  config.hedge.default_deadline_ms = 5.0;
-  config.hedge.min_deadline_ms = 2.0;
-  config.hedge.deadline_factor = 2.0;
-  config.hedge.max_hedges = 2;
   ChaosCloud cloud = MakeChaosCloud(
-      std::move(config), /*num_csps=*/3, seed,
+      ChaosConfig(nullptr, seed), /*num_csps=*/3, seed,
       [](int i, FaultInjectionOptions& f) {
         if (i == 0) {
-          f.real_sleep_max_ms = 30.0;  // the tail the hedge must cover
+          f.real_sleep_max_ms = 30.0;
         }
       },
       [](int i, CspProfile& profile) {
-        // Make the sleepy CSP the selector's favourite, so it lands in the
-        // primary set of (virtually) every chunk.
+        if (i == 0) {
+          profile.rtt_ms = 1.0;
+        }
         profile.download_bytes_per_sec = (i == 0) ? 50e6 : 8e6;
       });
 
   const Bytes content = RandomContent(rng, 12 * 1024);
   auto put = cloud.client->Put("slow-provider", content);
   ASSERT_TRUE(put.ok()) << put.status();
+  EXPECT_GT(put->transfer.BytesToCsp(0), 0u);
 
-  auto get = cloud.client->Get("slow-provider");
-  ASSERT_TRUE(get.ok()) << get.status();
-  EXPECT_EQ(get->content, content);
-  EXPECT_GE(get->hedged_downloads, 1u);
-  EXPECT_GT(cloud.metrics->GetCounter("cyrus_hedged_requests_total", {}, "")->value(),
-            0u);
+  for (int round = 0; round < 3; ++round) {
+    auto get = cloud.client->Get("slow-provider");
+    ASSERT_TRUE(get.ok()) << get.status();
+    EXPECT_EQ(get->content, content);
+    EXPECT_GT(get->transfer.CountOf(TransferKind::kGet), 0u);
+    for (const TransferRecord& r : get->transfer.records) {
+      if (r.kind == TransferKind::kGet) {
+        EXPECT_NE(r.csp, 0) << "round " << round << ": " << r.object_name;
+      }
+    }
+  }
 }
 
 // The one health path: a CSP whose failure survives retries leaves

@@ -44,8 +44,7 @@ Bytes RandomContent(Rng& rng, size_t size) {
 
 struct Cloud {
   // Declared first so it is destroyed last: the fault injectors and the
-  // client (whose hedge pool may still be finishing an abandoned download)
-  // record into it until they are gone.
+  // client record into it until they are gone.
   std::unique_ptr<obs::MetricsRegistry> metrics;
   std::vector<std::shared_ptr<FaultInjectingConnector>> faults;
   std::unique_ptr<CyrusClient> client;

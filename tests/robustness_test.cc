@@ -1,6 +1,6 @@
 // Fast unit tests for the degraded-mode building blocks: the health-failure
-// classification behind MarkCspFailed, the hedged fetcher, and the
-// crash-safe Put write-intent journal. The end-to-end chaos battery lives
+// classification behind MarkCspFailed and the crash-safe Put write-intent
+// journal. The end-to-end chaos battery lives
 // in tests/degraded_test.cc (ctest label `chaos`).
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -18,7 +18,6 @@
 #include "src/cloud/availability.h"
 #include "src/cloud/simulated_csp.h"
 #include "src/core/client.h"
-#include "src/core/hedged_fetch.h"
 #include "src/core/put_journal.h"
 #include "src/meta/metadata.h"
 #include "src/obs/metrics.h"
@@ -37,122 +36,6 @@ TEST(IsCspHealthFailureTest, ClassifiesProviderVsRequestFailures) {
   EXPECT_FALSE(IsCspHealthFailure(NotFoundError("no object")));
   EXPECT_FALSE(IsCspHealthFailure(InvalidArgumentError("bad name")));
   EXPECT_FALSE(IsCspHealthFailure(DataLossError("bad digest")));
-}
-
-HedgeCandidate InstantCandidate(int csp, uint8_t marker) {
-  HedgeCandidate c;
-  c.csp = csp;
-  c.share_index = static_cast<uint32_t>(csp);
-  c.fetch = [marker]() -> Result<Bytes> { return Bytes{marker}; };
-  return c;
-}
-
-TEST(HedgedFetcherTest, SequentialModeStopsAtNeeded) {
-  obs::MetricsRegistry metrics;
-  HedgeOptions options;
-  options.metrics = &metrics;
-  HedgedFetcher fetcher(options, /*pool=*/nullptr, /*monitor=*/nullptr);
-
-  std::vector<HedgeCandidate> candidates;
-  for (int i = 0; i < 4; ++i) {
-    candidates.push_back(InstantCandidate(i, static_cast<uint8_t>(i)));
-  }
-  auto results = fetcher.Fetch(std::move(candidates), /*primaries=*/2, /*needed=*/2);
-  size_t successes = 0;
-  for (const auto& r : results) {
-    successes += r.data.ok() ? 1 : 0;
-    EXPECT_FALSE(r.hedged);
-  }
-  EXPECT_EQ(successes, 2u);  // spares never launched
-}
-
-TEST(HedgedFetcherTest, FailureLaunchesReplacementNotHedge) {
-  obs::MetricsRegistry metrics;
-  HedgeOptions options;
-  options.max_hedges = 0;  // replacements must work even with no hedge budget
-  options.metrics = &metrics;
-  HedgedFetcher fetcher(options, /*pool=*/nullptr, /*monitor=*/nullptr);
-
-  std::vector<HedgeCandidate> candidates;
-  HedgeCandidate bad;
-  bad.csp = 0;
-  bad.fetch = []() -> Result<Bytes> { return UnavailableError("csp down"); };
-  candidates.push_back(bad);
-  candidates.push_back(InstantCandidate(1, 0xB1));
-  candidates.push_back(InstantCandidate(2, 0xB2));
-
-  auto results = fetcher.Fetch(std::move(candidates), /*primaries=*/2, /*needed=*/2);
-  size_t successes = 0;
-  for (const auto& r : results) {
-    successes += r.data.ok() ? 1 : 0;
-  }
-  EXPECT_EQ(successes, 2u);  // the spare replaced the failed primary
-  EXPECT_GT(metrics.GetCounter("cyrus_hedge_replacements_total", {}, "")->value(), 0u);
-  EXPECT_EQ(metrics.GetCounter("cyrus_hedged_requests_total", {}, "")->value(), 0u);
-}
-
-TEST(HedgedFetcherTest, StragglerTriggersHedgeAndBackupWins) {
-  obs::MetricsRegistry metrics;
-  HedgeOptions options;
-  options.enabled = true;  // constructed directly, so no client gating
-  options.default_deadline_ms = 3.0;
-  options.min_deadline_ms = 1.0;
-  options.metrics = &metrics;
-  ThreadPool pool(4);
-  HedgedFetcher fetcher(options, &pool, /*monitor=*/nullptr);
-
-  std::vector<HedgeCandidate> candidates;
-  HedgeCandidate slow;
-  slow.csp = 0;
-  slow.fetch = []() -> Result<Bytes> {
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    return Bytes{0x51};
-  };
-  candidates.push_back(slow);
-  candidates.push_back(InstantCandidate(1, 0xF1));
-  candidates.push_back(InstantCandidate(2, 0xF2));  // the backup
-
-  auto results = fetcher.Fetch(std::move(candidates), /*primaries=*/2, /*needed=*/2);
-  size_t successes = 0;
-  bool saw_hedged_success = false;
-  for (const auto& r : results) {
-    if (r.data.ok()) {
-      ++successes;
-      saw_hedged_success |= r.hedged;
-    }
-  }
-  EXPECT_GE(successes, 2u);
-  EXPECT_TRUE(saw_hedged_success);
-  EXPECT_GT(metrics.GetCounter("cyrus_hedged_requests_total", {}, "")->value(), 0u);
-  EXPECT_GT(metrics.GetCounter("cyrus_hedge_wins_total", {}, "")->value(), 0u);
-}
-
-// Regression: the selector can hand over fewer primaries than `needed`
-// (infeasible problem, e.g. too few active holders clamps primaries to 1).
-// If every primary succeeds there is no failure to trigger a replacement
-// and no straggler to hedge, so Fetch() used to wait forever with zero
-// fetches in flight; the quota top-up must launch spares instead.
-TEST(HedgedFetcherTest, ShortPrimaryListTopsUpToQuota) {
-  obs::MetricsRegistry metrics;
-  HedgeOptions options;
-  options.metrics = &metrics;  // hedging disabled: top-up alone must finish
-  ThreadPool pool(4);
-  HedgedFetcher fetcher(options, &pool, /*monitor=*/nullptr);
-
-  std::vector<HedgeCandidate> candidates;
-  for (int i = 0; i < 3; ++i) {
-    candidates.push_back(InstantCandidate(i, static_cast<uint8_t>(0xA0 + i)));
-  }
-  auto results = fetcher.Fetch(std::move(candidates), /*primaries=*/1, /*needed=*/2);
-  size_t successes = 0;
-  for (const auto& r : results) {
-    successes += r.data.ok() ? 1 : 0;
-    EXPECT_FALSE(r.hedged);
-  }
-  EXPECT_GE(successes, 2u);
-  // The top-up is quota maintenance, not a failure replacement or a hedge.
-  EXPECT_EQ(metrics.GetCounter("cyrus_hedge_replacements_total", {}, "")->value(), 0u);
-  EXPECT_EQ(metrics.GetCounter("cyrus_hedged_requests_total", {}, "")->value(), 0u);
 }
 
 class PutJournalTest : public testing::Test {
