@@ -63,7 +63,8 @@
 #                                   #   client_test (its Puts run the
 #                                   #   multi-lane SHA-1 kernel, with its
 #                                   #   idle and refilled lanes, through
-#                                   #   Scatter and the pooled planner),
+#                                   #   Scatter and the planner's pooled
+#                                   #   and inline id batches),
 #                                   #   chunk_reader_test (a group
 #                                   #   read's one multi-lane digest pass
 #                                   #   reads raw pointers into share
@@ -231,7 +232,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   # workers, and scrub repair writes through the same writer. Readahead
   # tasks book their transfers into the monitor's excess window while
   # the driver's Gets read it for selection. A large Put
-  # cuts its segments and hashes its content and chunks on the pool; the
+  # cuts its segments and hashes its chunk ids on the pool; the
   # chunker's per-byte oracle suite is single-threaded and takes minutes
   # under TSan, so the tier runs the rest of chunker_test.
   cmake --build build-tsan --parallel --target pipeline_stress_test thread_pool_test degraded_test gateway_test dedup_test buffer_pool_test chunk_cache_test integrity_test chunk_reader_test chunk_writer_test repair_test codec_stress_test robustness_test chunker_test client_test

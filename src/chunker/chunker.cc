@@ -1,7 +1,9 @@
 #include "src/chunker/chunker.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
+#include <optional>
 
 #include "src/util/strings.h"
 #include "src/util/thread_pool.h"
@@ -226,6 +228,20 @@ std::vector<ChunkSpan> Chunker::Split(ByteSpan data, ThreadPool* pool) const {
 
 // --- ChunkPlanner -----------------------------------------------------------
 
+Sha1Digest ComputeContentId(std::span<const PlannedChunk> chunks) {
+  Sha1 h;
+  h.Update(std::string_view("cyrus-content-v1"));
+  for (const PlannedChunk& chunk : chunks) {
+    std::array<uint8_t, 8 + sizeof(Sha1Digest::bytes)> record;
+    for (size_t i = 0; i < 8; ++i) {
+      record[i] = static_cast<uint8_t>(static_cast<uint64_t>(chunk.span.size) >> (8 * i));
+    }
+    std::copy(chunk.id.bytes.begin(), chunk.id.bytes.end(), record.begin() + 8);
+    h.Update(ByteSpan(record));
+  }
+  return h.Finish();
+}
+
 ChunkPlanner::ChunkPlanner(const Chunker& chunker, ByteSpan content, ThreadPool* pool,
                            std::vector<PlannedChunk> parent, obs::TraceBuilder* trace)
     : chunker_(chunker),
@@ -248,81 +264,112 @@ Sha1Digest ChunkPlanner::HashChunk(ChunkSpan span) {
   return Sha1::Hash(content_.subspan(span.offset, span.size));
 }
 
-Sha1Digest ChunkPlanner::HashContent() {
-  if (pool_ == nullptr) {
-    obs::ScopedSpan traced = Span("hash_content", content_.size());
-    return Sha1::Hash(content_);
-  }
-  obs::ScopedSpan traced = Span("chunking", content_.size());
-  Sha1Digest hash;
-  ThreadPool::TaskGroup hashing;
-  pool_->Submit(hashing, [&] { hash = Sha1::Hash(content_); });
-  for (const ChunkSpan& span : chunker_.Split(content_, pool_)) {
-    planned_.push_back(PlannedChunk{span, Sha1Digest{}});
-  }
-  pool_->WaitGroup(hashing);
-  cut_bytes_ = content_.size();
-  return hash;
+std::vector<PlannedChunk> ChunkPlanner::Plan() {
+  return parent_.empty() ? SplitAndHash() : Adopt();
 }
 
-std::optional<PlannedChunk> ChunkPlanner::Next() {
-  if (pool_ != nullptr) {
-    if (!planned_hashed_) {
-      obs::ScopedSpan traced = Span("hash_chunks", content_.size());
-      // One multi-lane batch per pool thread, each of at least kSha1Lanes
-      // chunks. Chunk g, g + groups, ... go to group g, so every group
-      // mixes the lengths of the whole file and the lanes stay busy.
-      const size_t groups =
-          std::max<size_t>(1, std::min(pool_->num_threads(), planned_.size() / kSha1Lanes));
-      pool_->ParallelFor(groups, [&](size_t g) {
-        std::vector<ByteSpan> chunks;
-        for (size_t i = g; i < planned_.size(); i += groups) {
-          chunks.push_back(content_.subspan(planned_[i].span.offset, planned_[i].span.size));
-        }
-        std::vector<Sha1Digest> ids(chunks.size());
-        Sha1::HashMany(chunks, ids);
-        for (size_t k = 0; k < ids.size(); ++k) {
-          planned_[g + k * groups].id = ids[k];
-        }
-      });
-      planned_hashed_ = true;
-    }
-    if (next_planned_ == planned_.size()) {
-      return std::nullopt;
-    }
-    return planned_[next_planned_++];
-  }
-
-  const size_t start = frontier_;
-  if (start >= content_.size()) {
-    return std::nullopt;
-  }
-  // Adopt the parent chunk expected here when its bytes are unchanged.
-  PlannedChunk candidate{};
-  if (const PlannedChunk* parent = ParentAt(start);
-      parent != nullptr && parent->span.size <= content_.size() - start) {
-    candidate.span = ChunkSpan{start, parent->span.size};
-    candidate.id = HashChunk(candidate.span);
-    const bool ends_at_eof = start + parent->span.size == content_.size();
-    if (candidate.id == parent->id && (parent != &parent_.back() || ends_at_eof)) {
-      ++adopted_;
-      frontier_ = start + parent->span.size;
-      return candidate;
-    }
-  }
-  // Otherwise cut one chunk with Rabin; a cut the candidate's size already
-  // has its hash.
-  PlannedChunk chunk;
+std::vector<PlannedChunk> ChunkPlanner::SplitAndHash() {
+  std::vector<PlannedChunk> planned;
   {
-    obs::ScopedSpan traced = Span("chunking", 0);
-    chunk.span = chunker_.CutAt(content_, start);
-    traced.AddBytes(chunk.span.size);
+    obs::ScopedSpan traced = Span("chunking", content_.size());
+    for (const ChunkSpan& span : chunker_.Split(content_, pool_)) {
+      planned.push_back(PlannedChunk{span, Sha1Digest{}});
+    }
   }
-  cut_bytes_ += chunk.span.size;
-  chunk.id = chunk.span.size == candidate.span.size ? candidate.id : HashChunk(chunk.span);
-  Resync(chunk);
-  frontier_ = start + chunk.span.size;
-  return chunk;
+  cut_bytes_ = content_.size();
+  obs::ScopedSpan traced = Span("hash_chunks", content_.size());
+  // Pooled, one multi-lane batch per pool thread, each of at least
+  // kSha1Lanes chunks. Chunk g, g + groups, ... go to group g, so every
+  // group mixes the lengths of the whole file and the lanes stay busy.
+  const size_t groups =
+      pool_ == nullptr
+          ? 1
+          : std::max<size_t>(1, std::min(pool_->num_threads(), planned.size() / kSha1Lanes));
+  auto hash_group = [&](size_t g) {
+    std::vector<ByteSpan> chunks;
+    for (size_t i = g; i < planned.size(); i += groups) {
+      chunks.push_back(content_.subspan(planned[i].span.offset, planned[i].span.size));
+    }
+    std::vector<Sha1Digest> ids(chunks.size());
+    Sha1::HashMany(chunks, ids);
+    for (size_t k = 0; k < ids.size(); ++k) {
+      planned[g + k * groups].id = ids[k];
+    }
+  };
+  if (groups == 1) {
+    hash_group(0);
+  } else {
+    pool_->ParallelFor(groups, hash_group);
+  }
+  return planned;
+}
+
+std::vector<PlannedChunk> ChunkPlanner::Adopt() {
+  std::vector<PlannedChunk> planned;
+  // batch[k] is the candidate for parent chunk first + k under the delta
+  // it was hashed with; it answers until delta changes.
+  std::vector<PlannedChunk> batch;
+  size_t first = 0;
+  int64_t batch_delta = 0;
+  size_t start = 0;
+  while (start < content_.size()) {
+    // Adopt the parent chunk expected here when its bytes are unchanged.
+    PlannedChunk candidate{};
+    if (const PlannedChunk* parent = ParentAt(start);
+        parent != nullptr && parent->span.size <= content_.size() - start) {
+      const size_t index = static_cast<size_t>(parent - parent_.data());
+      if (delta_ != batch_delta || index < first || index >= first + batch.size()) {
+        batch = HashCandidates(index);
+        first = index;
+        batch_delta = delta_;
+      }
+      candidate = batch[index - first];
+      const bool ends_at_eof = End(candidate.span) == content_.size();
+      if (candidate.id == parent->id && (parent != &parent_.back() || ends_at_eof)) {
+        ++adopted_;
+        planned.push_back(candidate);
+        start = End(candidate.span);
+        continue;
+      }
+    }
+    // Otherwise cut one chunk with Rabin; a cut the candidate's size
+    // already has its hash.
+    PlannedChunk chunk;
+    {
+      obs::ScopedSpan traced = Span("chunking", 0);
+      chunk.span = chunker_.CutAt(content_, start);
+      traced.AddBytes(chunk.span.size);
+    }
+    cut_bytes_ += chunk.span.size;
+    chunk.id = chunk.span.size == candidate.span.size ? candidate.id : HashChunk(chunk.span);
+    Resync(chunk);
+    planned.push_back(chunk);
+    start = End(chunk.span);
+  }
+  return planned;
+}
+
+std::vector<PlannedChunk> ChunkPlanner::HashCandidates(size_t first) {
+  std::vector<PlannedChunk> batch;
+  std::vector<ByteSpan> bytes;
+  uint64_t total = 0;
+  for (size_t i = first; i < parent_.size() && batch.size() < kSha1Lanes; ++i) {
+    const ChunkSpan& span = parent_[i].span;
+    const size_t at = static_cast<size_t>(static_cast<int64_t>(span.offset) + delta_);
+    if (at > content_.size() || span.size > content_.size() - at) {
+      break;
+    }
+    batch.push_back(PlannedChunk{ChunkSpan{at, span.size}, Sha1Digest{}});
+    bytes.push_back(content_.subspan(at, span.size));
+    total += span.size;
+  }
+  obs::ScopedSpan traced = Span("hash_chunks", total);
+  std::vector<Sha1Digest> ids(bytes.size());
+  Sha1::HashMany(bytes, ids);
+  for (size_t k = 0; k < ids.size(); ++k) {
+    batch[k].id = ids[k];
+  }
+  return batch;
 }
 
 const PlannedChunk* ChunkPlanner::ParentAt(size_t offset) const {
@@ -338,9 +385,6 @@ const PlannedChunk* ChunkPlanner::ParentAt(size_t offset) const {
 }
 
 void ChunkPlanner::Resync(const PlannedChunk& chunk) {
-  if (parent_.empty()) {
-    return;
-  }
   if (parent_ends_by_id_.empty()) {
     parent_ends_by_id_.reserve(parent_.size());
     for (const PlannedChunk& parent : parent_) {

@@ -47,26 +47,35 @@
 // no boundaries at all (long zero runs) the forced max-size cuts of the true
 // chain land exactly on each segment start and stitching re-cuts nothing.
 //
-// ChunkPlanner is Put's prefix: the content's SHA-1, then each chunk's span
-// and id (the SHA-1 of its bytes), always exactly Split's spans. Given the
-// chunks of the version being replaced, it adopts them instead of cutting:
-// walking the new content from offset 0 with a running length change
-// delta, at each true cut c it hashes the bytes [c, c+s) of the parent
-// chunk (p, s, id) starting at p = c - delta, if any. A hash equal to id
-// adopts the chunk, unless it was the parent's last chunk and c+s is not the
-// new end (that chunk ended at the parent's EOF, not at a Rabin cut).
-// Anything else cuts one chunk with Rabin from c (reusing the hash when the
-// cut has size s), and a freshly cut chunk whose id is a parent chunk's
-// resets delta to line the two up. Adoption is exact by the same reset: a
-// non-last chunk's end depends only on its own bytes, so equal bytes from a
-// true cut end at the same place. delta is only a hint; a wrong one costs
-// a hash, never a wrong cut. The parent's chunks must have been cut with
-// the same options, which the caller vouches for.
+// ChunkPlanner is Put's prefix: each chunk's span and id (the SHA-1 of its
+// bytes), always exactly Split's spans. It plans every chunk before the first
+// upload, since the file's content id is derived from the whole list
+// (ComputeContentId). Without a parent, the content is Split and every id
+// hashed with Sha1::HashMany; above the segment threshold both run on the pool.
+// Given the chunks of the version being replaced, it adopts them instead of
+// cutting: walking the new content from offset 0 with a running length change
+// delta, at each true cut c it hashes the bytes [c, c+s) of the parent chunk
+// (p, s, id) starting at p = c - delta, if any. A hash equal to id adopts the
+// chunk, unless it was the parent's last chunk and c+s is not the new end (that
+// chunk ended at the parent's EOF, not at a Rabin cut). Anything else cuts one
+// chunk with Rabin from c (reusing the hash when the cut has size s), and a
+// freshly cut chunk whose id is a parent chunk's resets delta to line the two
+// up. Adoption is exact by the same reset: a non-last chunk's end depends only
+// on its own bytes, so equal bytes from a true cut end at the same place. delta
+// is only a hint; a wrong one costs a hash, never a wrong cut. The parent's
+// chunks must have been cut with the same options, which the caller vouches
+// for.
+//
+// The candidates are hashed kSha1Lanes at a time: at c, the parent chunks
+// from p on are mapped through delta and hashed with one HashMany, and the
+// batch answers for them while delta holds. A delta change discards at most
+// the rest of one batch (up to seven single-stream hashes where HashMany is
+// a loop of Hash).
 #ifndef SRC_CHUNKER_CHUNKER_H_
 #define SRC_CHUNKER_CHUNKER_H_
 
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -166,6 +175,17 @@ struct PlannedChunk {
   Sha1Digest id;
 };
 
+// The content id (FileVersion::content_id) of a file cut into `chunks`, in
+// file order: the SHA-1 of "cyrus-content-v1" followed by each chunk's
+// size (u64 little-endian) and id. Chunk ids are the SHA-1s of the chunk
+// bytes, so this names the bytes as surely as a whole-file SHA-1 for a
+// given chunker; the same bytes cut with other chunker options get another
+// id. Clients sharing a namespace must therefore use the same
+// ChunkerOptions: otherwise identical Puts onto one parent get two version
+// ids, and sync reports them as a conflict. A deleted file's marker has the
+// id of no chunks.
+Sha1Digest ComputeContentId(std::span<const PlannedChunk> chunks);
+
 // Plans one Put's chunks (see the header comment). Not thread-safe; the
 // pooled path runs its own tasks on the pool.
 class ChunkPlanner {
@@ -173,34 +193,36 @@ class ChunkPlanner {
   // `parent` is the replaced version's chunks in file order, or empty. The
   // planner adopts from it only for content split inline; content above
   // the segment threshold is cut on the pool in full. `trace` (nullable)
-  // receives the stage spans: "hash_content" or "chunking" for
-  // HashContent, then "chunking" for each Rabin cut and "hash_chunks" for
-  // chunk ids, each carrying the bytes it scanned.
+  // receives the stage spans, each carrying the bytes it scanned:
+  // "chunking" for Split or for each Rabin cut of one chunk, and
+  // "hash_chunks" for the ids of Split's chunks, for each batch of
+  // adoption candidates and for each fresh cut.
   ChunkPlanner(const Chunker& chunker, ByteSpan content, ThreadPool* pool,
                std::vector<PlannedChunk> parent = {}, obs::TraceBuilder* trace = nullptr);
 
-  // The content's SHA-1. Call once, before Next. Pooled content is hashed
-  // by one pool task while the segment tasks cut it. Inline content is
-  // only hashed: nothing is cut before the first Next, so a caller that
-  // stops here (an unchanged re-Put) runs no Rabin.
-  Sha1Digest HashContent();
+  // Every chunk in file order. Call once. Without a parent, Split's ids
+  // are hashed with Sha1::HashMany: inline in one call, pooled by at most
+  // one task per pool thread, each over every k-th chunk and, where there
+  // are that many, at least kSha1Lanes of them. With one, the candidates
+  // are hashed in batches and each fresh cut on its own.
+  std::vector<PlannedChunk> Plan();
 
-  // The next chunk in file order, or nullopt past the end. Pooled, the
-  // first call hashes every chunk id with Sha1::HashMany: at most one task
-  // per pool thread, each over every k-th chunk and, where there are that
-  // many, at least kSha1Lanes of them. Inline, each call adopts or cuts one
-  // chunk and hashes it, so a caller that pipelines chunk i overlaps its
-  // work with planning chunk i+1.
-  std::optional<PlannedChunk> Next();
-
-  // Chunks taken from the parent without a Rabin cut, so far.
+  // Chunks taken from the parent without a Rabin cut.
   size_t adopted_chunks() const { return adopted_; }
-  // Bytes of the chunks Rabin cut so far (the whole content when pooled).
+  // Bytes of the chunks Rabin cut (the whole content without a parent).
   uint64_t cut_bytes() const { return cut_bytes_; }
 
  private:
   obs::ScopedSpan Span(const char* name, uint64_t bytes);
+  // Split's chunks, each id hashed in lanes.
+  std::vector<PlannedChunk> SplitAndHash();
+  // The walk that adopts parent chunks where unchanged.
+  std::vector<PlannedChunk> Adopt();
   Sha1Digest HashChunk(ChunkSpan span);
+  // Parent chunks from index `first` on, at most kSha1Lanes, mapped through
+  // the current delta while they fit the content, each with the SHA-1 of
+  // the bytes it maps to. The first must fit.
+  std::vector<PlannedChunk> HashCandidates(size_t first);
   // The parent chunk expected to start at `offset` under the current
   // delta, or null.
   const PlannedChunk* ParentAt(size_t offset) const;
@@ -217,10 +239,6 @@ class ChunkPlanner {
   // fresh cut.
   std::vector<std::pair<Sha1Digest, int64_t>> parent_ends_by_id_;
   int64_t delta_ = 0;  // new offset minus parent offset at the frontier
-  size_t frontier_ = 0;  // inline: where the next chunk starts
-  std::vector<PlannedChunk> planned_;  // pooled: every chunk, cut up front
-  bool planned_hashed_ = false;
-  size_t next_planned_ = 0;
   size_t adopted_ = 0;
   uint64_t cut_bytes_ = 0;
 };

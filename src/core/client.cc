@@ -728,21 +728,22 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
   PutResult result;
   result.content_bytes = content.size();
 
-  // The plan yields each chunk's span and id; before any cut, the content
-  // hash settles whether there is anything to write.
+  // The plan gives each chunk's span and id, and the content id derived
+  // from them settles whether there is anything to write.
   const Sha1Digest parent = ParentFor(name);
   ChunkPlanner planner(chunker_, content, pool_.get(), AdoptableChunks(name, parent), &trace);
-  const Sha1Digest content_hash = planner.HashContent();
-  result.content_id = content_hash;
+  const std::vector<PlannedChunk> plan = planner.Plan();
+  const Sha1Digest content_id = ComputeContentId(plan);
+  result.content_id = content_id;
   if (!IsNullDigest(parent)) {
     const FileVersion* head = tree_.Find(parent);
-    if (head != nullptr && !head->deleted && head->content_id == content_hash) {
+    if (head != nullptr && !head->deleted && head->content_id == content_id) {
       result.unchanged = true;
       result.version_id = head->id;
       return result;
     }
   }
-  result.version_id = ComputeVersionId(content_hash, parent, name);
+  result.version_id = ComputeVersionId(content_id, parent, name);
   if (tree_.Contains(result.version_id)) {
     // Identical (content, parent, name): re-putting is a no-op.
     result.unchanged = true;
@@ -779,7 +780,7 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
 
   FileVersion version;
   version.id = result.version_id;
-  version.content_id = content_hash;
+  version.content_id = content_id;
   version.prev_id = parent;
   version.client_id = config_.client_id;
   version.file_name = std::string(name);
@@ -840,11 +841,10 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
   std::set<Sha1Digest> inflight;
   Status pipeline_status;
   // Every dedup decision and chunk-table mutation stays on this thread, in
-  // file order; an inline plan cuts and hashes chunk i+1 while chunk i
-  // encodes on the pool.
-  while (std::optional<PlannedChunk> planned = planner.Next()) {
-    const ChunkSpan span = planned->span;
-    const Sha1Digest chunk_id = planned->id;
+  // file order.
+  for (const PlannedChunk& planned : plan) {
+    const ChunkSpan span = planned.span;
+    const Sha1Digest chunk_id = planned.id;
     const ByteSpan chunk_bytes = content.subspan(span.offset, span.size);
     ++result.total_chunks;
 
@@ -1745,7 +1745,7 @@ Status CyrusClient::Delete(std::string_view name) {
   // may rehash and the `head` pointer is not stable across it.
   const std::vector<ChunkRecord> released_chunks = head->chunks;
   FileVersion marker;
-  marker.content_id = Sha1::Hash(ByteSpan{});
+  marker.content_id = ComputeContentId({});
   marker.id = ComputeVersionId(marker.content_id, parent, name);
   marker.prev_id = parent;
   marker.client_id = config_.client_id;

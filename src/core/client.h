@@ -182,7 +182,7 @@ struct FileListing {
 
 struct PutResult {
   Sha1Digest version_id;
-  Sha1Digest content_id;     // SHA-1 of the content, set on every path
+  Sha1Digest content_id;     // ComputeContentId of the chunks, set on every path
   uint32_t n = 0;            // shares stored for each newly scattered chunk
   size_t total_chunks = 0;
   size_t new_chunks = 0;

@@ -313,6 +313,9 @@ Sha1::Sha1(const std::array<uint32_t, 5>& h, uint64_t bytes) : h_(h), total_byte
 
 void Sha1::Update(ByteSpan data) {
   assert(!finished_);
+  if (data.empty()) {
+    return;  // an empty span may carry a null pointer, which memcpy rejects
+  }
   total_bytes_ += data.size();
   size_t offset = 0;
   // Fill a partially-buffered block first.

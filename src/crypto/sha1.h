@@ -5,8 +5,8 @@
 // and as H in the share naming scheme H'(index, H(chunk)). It is used for
 // content addressing, not collision-resistant signing.
 //
-// Every Put hashes each byte several times (whole file, chunk, share
-// digests), so the compression function is dispatched once per process:
+// Every Put hashes each byte more than once (chunk id, share digests), so
+// the compression function is dispatched once per process:
 // the x86 SHA extensions (SHA-NI) when the CPU has them, a portable scalar
 // loop otherwise. Both produce bit-identical digests.
 //
@@ -21,8 +21,9 @@
 // busy, the rest finish on the dispatched single-stream path; without
 // AVX-512VL, HashMany is a loop of Hash. Digests are bit-identical either
 // way. Callers use it where several messages are in hand:
-// ChunkWriter::Scatter hashes a chunk's n shares in one call, the pooled
-// ChunkPlanner hashes chunk ids in strided groups, and
+// ChunkWriter::Scatter hashes a chunk's n shares in one call,
+// ChunkPlanner hashes a fresh file's chunk ids in strided groups (one on
+// each pool thread, or one inline), and
 // ChunkReader::ReadGroup verifies the shares a group of chunks fetched in
 // one call. One chunk brings only t = 2 shares to verify, too few lanes
 // to pay, so a Get reads its chunks in groups of kSha1Lanes / t, sorted by

@@ -2,8 +2,9 @@
 //
 // Every upload creates one immutable metadata object holding the three
 // tables of Figure 6:
-//   FileMap  - version id (SHA-1 of the file content), parent version id,
-//              creating client, file name, deleted flag, mtime, size;
+//   FileMap  - version id (from the content id; see FileVersion), parent
+//              version id, creating client, file name, deleted flag,
+//              mtime, size;
 //   ChunkMap - the chunks composing the file (id, offset, size, t, n);
 //   ShareMap - which CSP holds which share index of each chunk.
 // Metadata objects are content-addressed: their name at a CSP derives from
@@ -86,12 +87,14 @@ struct ShareLocation {
 //
 // The paper keys FileMap rows by the SHA-1 of the file content alone; that
 // collides when identical content is stored under two names (or re-created
-// after deletion), so this implementation derives `id` from (content hash,
-// parent, name) and keeps the pure content hash in `content_id` for
-// integrity checks and deduplication.
+// after deletion), so this implementation derives `id` from (content id,
+// parent, name) and keeps the content id in `content_id` for the unchanged
+// check and sync. The content id is a hash of the chunk list, not of the
+// bytes (ComputeContentId, src/chunker/chunker.h), so Put never hashes the
+// file a second time.
 struct FileVersion {
   Sha1Digest id;          // unique version id (content x parent x name)
-  Sha1Digest content_id;  // SHA-1 of the whole file content
+  Sha1Digest content_id;  // ComputeContentId of the chunks
   Sha1Digest prev_id;     // parent version; null digest for new files
   std::string client_id;
   std::string file_name;

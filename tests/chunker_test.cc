@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <string>
 
 #include "src/chunker/chunker.h"
@@ -10,6 +9,7 @@
 #include "src/crypto/sha1.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
+#include "tests/plan_oracle.h"
 
 namespace cyrus {
 namespace {
@@ -637,19 +637,11 @@ TEST(ChunkerTest, SegmentsFollowPoolAndSize) {
 
 // --- Planner: Put's chunks, adopted from a parent where unchanged ---
 
-// What the planner must yield: Split's spans, each with the SHA-1 of its
-// bytes.
-std::vector<PlannedChunk> ReferencePlan(const Chunker& chunker, ByteSpan data) {
-  std::vector<PlannedChunk> plan;
-  for (const ChunkSpan& span : chunker.Split(data)) {
-    plan.push_back(PlannedChunk{span, Sha1::Hash(data.subspan(span.offset, span.size))});
-  }
-  return plan;
-}
+// What the planner must yield is ReferencePlan (tests/plan_oracle.h).
 
 struct Planned {
-  Sha1Digest content_hash;
   std::vector<PlannedChunk> chunks;
+  Sha1Digest content_id;  // ComputeContentId(chunks)
   size_t adopted = 0;
   uint64_t cut_bytes = 0;
 };
@@ -658,10 +650,8 @@ Planned Plan(const Chunker& chunker, ByteSpan data, std::vector<PlannedChunk> pa
              ThreadPool* pool = nullptr) {
   ChunkPlanner planner(chunker, data, pool, std::move(parent));
   Planned out;
-  out.content_hash = planner.HashContent();
-  while (std::optional<PlannedChunk> chunk = planner.Next()) {
-    out.chunks.push_back(*chunk);
-  }
+  out.chunks = planner.Plan();
+  out.content_id = ComputeContentId(out.chunks);
   out.adopted = planner.adopted_chunks();
   out.cut_bytes = planner.cut_bytes();
   return out;
@@ -789,7 +779,9 @@ TEST(ChunkerOracleTest, PlannerMatchesSplitOnRandomEditScripts) {
         const std::string what = set.name + " seed " + std::to_string(seed) + script;
         const std::vector<PlannedChunk> want = ReferencePlan(*chunker, data);
         const Planned got = Plan(*chunker, data, parent);
-        EXPECT_EQ(got.content_hash, Sha1::Hash(data)) << what;
+        // An adopted plan names the bytes as a fresh one does.
+        EXPECT_EQ(got.content_id, ReferenceContentId(want)) << what;
+        EXPECT_EQ(Plan(*chunker, data, {}).content_id, got.content_id) << what;
         ExpectSamePlan(got.chunks, want, what);
         adopted += got.adopted;
         parent = want;
@@ -839,14 +831,104 @@ TEST(ChunkerTest, PlannerAdoptsAroundAnInPlaceEdit) {
   EXPECT_GE(got.adopted + 3, got.chunks.size());
   EXPECT_LE(got.cut_bytes, 3 * o.max_chunk_size);
 
-  // Without a parent every chunk is cut; unchanged content hashed but never
-  // pulled cuts nothing.
+  // Without a parent every chunk is cut; unchanged content adopts every
+  // chunk and cuts nothing.
+  const std::vector<PlannedChunk> want = ReferencePlan(*chunker, data);
   const Planned fresh = Plan(*chunker, data, {});
   EXPECT_EQ(fresh.adopted, 0u);
   EXPECT_EQ(fresh.cut_bytes, data.size());
-  ChunkPlanner unchanged(*chunker, data, nullptr, parent);
-  EXPECT_EQ(unchanged.HashContent(), Sha1::Hash(data));
-  EXPECT_EQ(unchanged.cut_bytes(), 0u);
+  EXPECT_EQ(fresh.content_id, ReferenceContentId(want));
+  const Planned unchanged = Plan(*chunker, data, want);
+  ExpectSamePlan(unchanged.chunks, want, "unchanged");
+  EXPECT_EQ(unchanged.adopted, want.size());
+  EXPECT_EQ(unchanged.cut_bytes, 0u);
+  EXPECT_EQ(unchanged.content_id, ReferenceContentId(want));
+}
+
+TEST(ChunkerTest, ContentIdChangesWithOneByte) {
+  auto chunker = Chunker::Create(ChunkerOptions::ForTesting());
+  ASSERT_TRUE(chunker.ok()) << chunker.status();
+  Bytes data = RandomData(40 * 1024, 43);
+  const std::vector<PlannedChunk> parent = ReferencePlan(*chunker, data);
+  const Sha1Digest before = Plan(*chunker, data, {}).content_id;
+  for (size_t at : {size_t{0}, parent[2].span.offset, data.size() - 1}) {
+    Bytes edited = data;
+    edited[at] ^= 0x01;
+    const Planned got = Plan(*chunker, edited, parent);
+    EXPECT_NE(got.content_id, before) << "edit at " << at;
+    EXPECT_EQ(got.content_id, ReferenceContentId(ReferencePlan(*chunker, edited)))
+        << "edit at " << at;
+  }
+  // Empty content has the id of no chunks.
+  EXPECT_EQ(Plan(*chunker, ByteSpan{}, {}).content_id, ReferenceContentId({}));
+}
+
+TEST(ChunkerOracleTest, InlineLaneHashingMatchesPerChunkSha1) {
+  // Inline plans hash ids in lanes both fresh (Split's ids in one
+  // HashMany) and adopted (candidates kSha1Lanes at a time under the
+  // current delta). Every script opens with an insertion in the middle of
+  // the file, which shifts delta inside a batch, so the chunks past it are
+  // adopted only once a fresh cut lines delta up again.
+  ChunkerOptions defaults;
+  // A window the default options cut at, planted every 64-128 KiB, keeps
+  // a 2 MiB buffer at ~20 chunks where random bytes would give none.
+  auto chunker = Chunker::Create(defaults);
+  ASSERT_TRUE(chunker.ok()) << chunker.status();
+  const Bytes probe = RandomData(defaults.max_chunk_size, 90);
+  const std::vector<ChunkSpan> probe_cuts = chunker->Split(probe);
+  ASSERT_GT(probe_cuts.size(), 1u);
+  ASSERT_LT(probe_cuts[0].size, defaults.max_chunk_size);
+  const Bytes cut_window(probe.begin() + probe_cuts[0].size - defaults.window_size,
+                         probe.begin() + probe_cuts[0].size);
+  auto content = [&](const ChunkerOptions& o, uint64_t seed) {
+    if (o.max_chunk_size < defaults.max_chunk_size) {
+      return RandomData(8 * o.max_chunk_size, seed);
+    }
+    Rng rng(seed);
+    Bytes data = RandomData(2 << 20, seed);
+    for (size_t at = 0; at + cut_window.size() <= data.size();
+         at += 64 * 1024 + rng.NextBelow(64 * 1024)) {
+      std::copy(cut_window.begin(), cut_window.end(), data.begin() + at);
+    }
+    return data;
+  };
+  for (const ChunkerOptions& o : {ChunkerOptions::ForTesting(), defaults}) {
+    auto planner_chunker = Chunker::Create(o);
+    ASSERT_TRUE(planner_chunker.ok()) << planner_chunker.status();
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      for (uint64_t script = 0; script < 10; ++script) {
+        Rng rng(seed * 1000 + script);
+        Bytes data = content(o, seed * 100 + script);
+        std::vector<PlannedChunk> parent = ReferencePlan(*planner_chunker, data);
+        ASSERT_GE(parent.size(), 2 * kSha1Lanes) << o.max_chunk_size;
+        // The insertion lands inside a middle chunk.
+        const ChunkSpan& middle = parent[parent.size() / 2].span;
+        const size_t at = middle.offset + 1 + rng.NextBelow(middle.size - 1);
+        const Bytes inserted = RandomData(1 + rng.NextBelow(o.min_chunk_size), seed + script);
+        data.insert(data.begin() + at, inserted.begin(), inserted.end());
+        std::string what = "max " + std::to_string(o.max_chunk_size) + " seed " +
+                           std::to_string(seed) + " script " + std::to_string(script) +
+                           ": insert " + std::to_string(inserted.size()) + " at " +
+                           std::to_string(at);
+        for (int step = 0; step < 4; ++step) {
+          if (step > 0) {
+            what += "; " + RandomEdit(rng, o, parent, data);
+          }
+          const std::vector<PlannedChunk> want = ReferencePlan(*planner_chunker, data);
+          const Planned got = Plan(*planner_chunker, data, parent);
+          ExpectSamePlan(got.chunks, want, what);
+          EXPECT_EQ(got.content_id, ReferenceContentId(want)) << what;
+          ExpectSamePlan(Plan(*planner_chunker, data, {}).chunks, want, what + " (fresh)");
+          if (step == 0) {
+            // Only the chunks around the insertion are cut: the ones past
+            // it were adopted under the moved delta.
+            EXPECT_GE(got.adopted + 4, got.chunks.size()) << what;
+          }
+          parent = want;
+        }
+      }
+    }
+  }
 }
 
 TEST(ChunkerTest, PooledPlannerMatchesSplitAndCutsInFull) {
@@ -859,10 +941,13 @@ TEST(ChunkerTest, PooledPlannerMatchesSplitAndCutsInFull) {
   ThreadPool pool(2);
   ASSERT_EQ(chunker->Segments(data.size(), &pool), 2u);
   const Planned got = Plan(*chunker, data, want, &pool);
-  EXPECT_EQ(got.content_hash, Sha1::Hash(data));
   ExpectSamePlan(got.chunks, want, "pooled");
   EXPECT_EQ(got.adopted, 0u);
   EXPECT_EQ(got.cut_bytes, data.size());
+  // Pooled, inline-fresh and inline-adopted plans name the same bytes alike.
+  EXPECT_EQ(got.content_id, ReferenceContentId(want));
+  EXPECT_EQ(Plan(*chunker, data, {}).content_id, got.content_id);
+  EXPECT_EQ(Plan(*chunker, data, want).content_id, got.content_id);
 }
 
 TEST(ChunkerTest, PooledPlannerIdsMatchPerChunkSha1) {

@@ -17,6 +17,7 @@
 #include "src/util/rng.h"
 #include "src/util/strings.h"
 #include "src/util/thread_pool.h"
+#include "tests/plan_oracle.h"
 
 namespace cyrus {
 namespace {
@@ -103,7 +104,8 @@ TEST(ClientTest, PutGetRoundTrip) {
   ASSERT_TRUE(put.ok()) << put.status();
   EXPECT_GT(put->total_chunks, 0u);
   EXPECT_EQ(put->new_chunks, put->total_chunks);
-  EXPECT_EQ(put->version_id, ComputeVersionId(Sha1::Hash(content), Sha1Digest{}, "report.pdf"));
+  EXPECT_EQ(put->version_id, ComputeVersionId(ReferenceContentId(SmallConfig().chunker, content),
+                                              Sha1Digest{}, "report.pdf"));
 
   auto get = cloud.client->Get("report.pdf");
   ASSERT_TRUE(get.ok()) << get.status();
@@ -227,8 +229,8 @@ TEST(ClientTest, VersioningAndRestore) {
   auto versions = cloud.client->Versions("doc");
   ASSERT_TRUE(versions.ok());
   ASSERT_EQ(versions->size(), 2u);
-  EXPECT_EQ((*versions)[0]->content_id, Sha1::Hash(v2));
-  EXPECT_EQ((*versions)[1]->content_id, Sha1::Hash(v1));
+  EXPECT_EQ((*versions)[0]->content_id, ReferenceContentId(SmallConfig().chunker, v2));
+  EXPECT_EQ((*versions)[1]->content_id, ReferenceContentId(SmallConfig().chunker, v1));
 
   // Current head is v2; the old version remains retrievable.
   auto current = cloud.client->Get("doc");
@@ -988,11 +990,12 @@ TEST(ClientTest, PutReportsTheContentIdOnEveryPath) {
   auto put = cloud.client->Put("f", content);
   ASSERT_TRUE(put.ok()) << put.status();
   EXPECT_FALSE(put->unchanged);
-  EXPECT_EQ(put->content_id, Sha1::Hash(content));
+  const Sha1Digest want = ReferenceContentId(SmallConfig().chunker, content);
+  EXPECT_EQ(put->content_id, want);
   auto again = cloud.client->Put("f", content);
   ASSERT_TRUE(again.ok()) << again.status();
   EXPECT_TRUE(again->unchanged);
-  EXPECT_EQ(again->content_id, Sha1::Hash(content));
+  EXPECT_EQ(again->content_id, want);
 }
 
 // --- Puts large enough to be chunked and hashed on the transfer pool ---
@@ -1049,6 +1052,8 @@ TEST(ClientTest, UnchangedRePutOfSegmentedFileUploadsNothing) {
   ASSERT_TRUE(again.ok()) << again.status();
   EXPECT_TRUE(again->unchanged);
   EXPECT_EQ(again->version_id, first->version_id);
+  EXPECT_EQ(again->content_id, ReferenceContentId(config.chunker, content));
+  EXPECT_EQ(again->transfer.records.size(), 0u);
   EXPECT_EQ(TotalUploads(cloud), uploads);
 }
 

@@ -57,6 +57,15 @@ TEST(Sha1Test, IncrementalMatchesOneShot) {
   }
 }
 
+TEST(Sha1Test, EmptyUpdateAfterAPartialBlockChangesNothing) {
+  // ByteSpan{} has a null data pointer; appending it to a buffered partial
+  // block must not hand that pointer to memcpy (UBSan reports it).
+  Sha1 h;
+  h.Update(std::string_view("partial"));
+  h.Update(ByteSpan{});
+  EXPECT_EQ(h.Finish(), Sha1::Hash(std::string_view("partial")));
+}
+
 // Exercises every padding boundary around the 64-byte block size.
 TEST(Sha1Test, AllLengthsNearBlockBoundaryAreConsistent) {
   for (size_t len = 50; len <= 70; ++len) {

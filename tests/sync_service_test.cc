@@ -10,6 +10,7 @@
 #include "src/core/sync_service.h"
 #include "src/util/rng.h"
 #include "src/util/strings.h"
+#include "tests/plan_oracle.h"
 
 namespace cyrus {
 namespace {
@@ -31,14 +32,15 @@ struct SharedCloud {
   }
 
   std::unique_ptr<Device> MakeDevice(const std::string& id,
-                                     SyncOptions options = SyncOptions{}) {
+                                     SyncOptions options = SyncOptions{},
+                                     ChunkerOptions chunker = ChunkerOptions::ForTesting()) {
     auto device = std::make_unique<Device>();
     CyrusConfig config;
     config.key_string = "sync test key";
     config.client_id = id;
     config.t = 2;
     config.epsilon = 1e-4;
-    config.chunker = ChunkerOptions::ForTesting();
+    config.chunker = chunker;
     config.cluster_aware = false;
     device->client = std::move(CyrusClient::Create(config)).value();
     for (auto& csp : csps) {
@@ -107,7 +109,60 @@ TEST(SyncServiceTest, PushRecordsTheHeadsContentId) {
     auto synced = device->workspace.SyncedContentId("doc.txt");
     ASSERT_TRUE(synced.ok()) << synced.status();
     EXPECT_EQ(*synced, heads.front()->content_id);
-    EXPECT_EQ(*synced, Sha1::Hash(content));
+    EXPECT_EQ(*synced, ReferenceContentId(ChunkerOptions::ForTesting(), content));
+  }
+}
+
+TEST(SyncServiceTest, IdenticalPutsMergeOnlyUnderTheSameChunkerOptions) {
+  // The version id derives from the content id, which hashes the chunk
+  // list. Two devices that Put the same bytes onto the same parent write
+  // one version when they cut alike, and two sibling heads (a conflict)
+  // when their ChunkerOptions differ: clients sharing a namespace must use
+  // the same options.
+  ChunkerOptions other = ChunkerOptions::ForTesting();
+  other.modulus = 2048;
+  Rng rng(7);
+  Bytes base(20000);
+  for (uint8_t& b : base) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  Bytes edited = base;
+  edited[10000] ^= 0x01;
+  for (const bool same_options : {true, false}) {
+    SCOPED_TRACE(same_options ? "same options" : "other options");
+    SharedCloud cloud;
+    auto d1 = cloud.MakeDevice("d1");
+    auto d2 = cloud.MakeDevice("d2", SyncOptions{},
+                               same_options ? ChunkerOptions::ForTesting() : other);
+    d1->client->set_time(1.0);
+    ASSERT_TRUE(d1->client->Put("notes", base).ok());
+    ASSERT_TRUE(d2->client->SyncMetadata().ok());
+
+    d1->client->set_time(2.0);
+    d2->client->set_time(2.0);
+    auto put1 = d1->client->Put("notes", edited);
+    auto put2 = d2->client->Put("notes", edited);
+    ASSERT_TRUE(put1.ok()) << put1.status();
+    ASSERT_TRUE(put2.ok()) << put2.status();
+    auto conflicts = d1->client->SyncMetadata();
+    ASSERT_TRUE(conflicts.ok()) << conflicts.status();
+    const std::vector<const FileVersion*> live = d1->client->tree().LiveHeads("notes");
+    if (same_options) {
+      EXPECT_EQ(put1->version_id, put2->version_id);
+      EXPECT_TRUE(conflicts->empty());
+      EXPECT_EQ(live.size(), 1u);
+      continue;
+    }
+    EXPECT_NE(put1->content_id, put2->content_id);
+    EXPECT_NE(put1->version_id, put2->version_id);
+    ASSERT_EQ(conflicts->size(), 1u);
+    EXPECT_EQ((*conflicts)[0].type, ConflictType::kDivergedVersions);
+    ASSERT_EQ(live.size(), 2u);
+    for (const FileVersion* head : live) {
+      auto get = d1->client->GetVersion("notes", head->id);
+      ASSERT_TRUE(get.ok()) << get.status();
+      EXPECT_EQ(get->content, edited);
+    }
   }
 }
 
