@@ -73,11 +73,15 @@
 #                                   #   raw journal bytes up to a torn
 #                                   #   tail, where an off-by-one read is
 #                                   #   silent in Release), util_test
-#                                   #   (Result's rvalue dereference) and
+#                                   #   (Result's rvalue dereference, and
+#                                   #   ZeroedBytes, which advises raw
+#                                   #   address ranges) and
 #                                   #   metadata_store_test (Fetch moves
 #                                   #   each downloaded metadata share
 #                                   #   into the decoder: a use after the
-#                                   #   move is silent in Release)
+#                                   #   move is silent in Release; a
+#                                   #   discovery pass reads known bases
+#                                   #   as views into listed names)
 #   scripts/check.sh --tsan         # ThreadSanitizer build of the stress
 #                                   #   battery + gateway concurrency tests
 #                                   #   + buffer-pool checkout + chunk

@@ -8,25 +8,34 @@ Run from the repository root:
 
 REV is exported with `git archive` into the work directory (a temporary
 one unless --work-dir is given) and built there; the working tree is built
-from the repository itself. Each side builds into its own CARGO_TARGET_DIR
-under the work directory, so neither rebuilds the other's objects, and a
-kept --work-dir makes later runs incremental. The pairs alternate which
-side runs first, so drift in the machine's load falls on both sides alike.
+from the repository itself. Each side builds once, with its own
+perfbench/run.py's build steps, into its own directory under the work
+directory, so neither rebuilds the other's objects, and a kept --work-dir
+makes later runs incremental. Each run then starts the side's
+cyrus_perfbench binary directly, with the arguments run.py passes, so that
+no build step runs between or inside the measured runs. The pairs
+alternate which side runs first, so drift in the machine's load falls on
+both sides alike.
 
 Prints one JSON line: for each end-to-end metric of BENCHMARK.json, the
 parent's and the change's median, the parent's interquartile range, and
 how many pairs the change won (strictly better in the metric's direction),
-plus the op counts each side attempted and failed. With --trace the runs
-are traced, and the line adds the same summary for every per-layer metric
-and, from each run's span log, for the median wall time of each client op
-kind ("op_us.put", ...). Only perfbench's output is read; nothing under
+plus the op counts each side attempted and failed. The same summary covers
+each run's resource use as the kernel accounts it to the benchmark process
+(getrusage of the finished child): "proc.minflt" (minor page faults),
+"proc.user_s" and "proc.sys_s" (CPU seconds in user and kernel mode).
+With --trace the runs are traced, and the line adds the same summary for
+every per-layer metric and, from each run's span log, for the median wall
+time of each client op kind ("op_us.put", ...). Only perfbench's output is read; nothing under
 perfbench/ is changed. Exits non-zero when a run fails to build, fails an
 op or reads a wrong byte.
 """
 
 import argparse
+import importlib.util
 import json
 import os
+import resource
 import shutil
 import statistics
 import subprocess
@@ -34,6 +43,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PROC_METRICS = ("proc.minflt", "proc.user_s", "proc.sys_s")
 
 
 def export_revision(rev, dest):
@@ -58,22 +68,39 @@ def export_revision(rev, dest):
         f.write(commit.stdout)
 
 
-def run_once(tree, build_dir, args):
+def build_side(side, tree, build_dir):
+    """Builds `tree`'s perfbench with that tree's own run.py; returns the
+    binary."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_run_{side}", os.path.join(tree, "perfbench", "run.py"))
+    run_py = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_py)
+    return run_py.build(os.path.abspath(build_dir))
+
+
+def run_once(binary, build_dir, args):
     """One perfbench run; returns its JSON result."""
-    env = dict(os.environ, CARGO_TARGET_DIR=build_dir)
-    command = [sys.executable, os.path.join("perfbench", "run.py"),
-               "--workload", args.workload, "--seed", str(args.seed),
-               "--seconds", str(args.seconds), "--trace", "1" if args.trace else "0"]
-    done = subprocess.run(command, cwd=tree, env=env, stdout=subprocess.PIPE,
-                          stderr=subprocess.DEVNULL, text=True)
+    command = [binary, "--workload", args.workload, "--seed", str(args.seed),
+               "--seconds", str(args.seconds), "--trace", "1" if args.trace else "0",
+               "--scale", "full"]
+    spans = os.path.join(build_dir, "spans", f"{args.workload}-{args.seed}.jsonl")
+    if args.trace:
+        os.makedirs(os.path.dirname(spans), exist_ok=True)
+        command += ["--spans-out", spans]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    done = subprocess.run(command, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                          text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
-        sys.exit(f"perf_pairs: perfbench failed in {tree} (exit {done.returncode})")
+        sys.exit(f"perf_pairs: {binary} failed (exit {done.returncode})")
     result = json.loads(lines[-1])
+    deltas = (after.ru_minflt - before.ru_minflt, after.ru_utime - before.ru_utime,
+              after.ru_stime - before.ru_stime)
+    for name, value in zip(PROC_METRICS, deltas):
+        result["metrics"][name] = {"value": value, "better": "lower"}
     if args.trace:
-        # run.py writes a traced run's spans here; keep each client op
-        # kind's median wall time beside the metrics.
-        spans = os.path.join(build_dir, "spans", f"{args.workload}-{args.seed}.jsonl")
+        # Each client op kind's median wall time, from the run's spans.
         durations = {}
         with open(spans) as f:
             for line in f:
@@ -122,11 +149,12 @@ def main():
 
     results = {"parent": [], "change": []}
     try:
+        binaries = {side: build_side(side, tree, build_dir)
+                    for side, (tree, build_dir) in sides.items()}
         for pair in range(args.pairs):
             order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
             for side in order:
-                tree, build_dir = sides[side]
-                results[side].append(run_once(tree, build_dir, args))
+                results[side].append(run_once(binaries[side], sides[side][1], args))
     finally:
         if not args.work_dir:
             shutil.rmtree(work, ignore_errors=True)
@@ -136,6 +164,7 @@ def main():
     for side in ("parent", "change"):
         report[f"{side}_attempted"] = sum(r["attempted"] for r in results[side])
         report[f"{side}_failed"] = sum(r["failed"] for r in results[side])
+    metrics = metrics + [{"name": name, "better": "lower"} for name in PROC_METRICS]
     if args.trace:
         metrics = metrics + benchmark["per_layer"] + [
             {"name": name, "better": "lower"}

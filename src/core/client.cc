@@ -1113,7 +1113,9 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
   result.version_id = version_id;
   result.file_size = version->size;
   result.range_offset = offset;
-  result.content.assign(len, 0);
+  // A whole-file result can be tens of MiB, written once by the decoder:
+  // fault it in huge pages.
+  result.content = ZeroedBytes(len);
 
   // Covering chunks, in file order. A record covers the range iff it
   // overlaps [offset, range_end); everything else is never downloaded,

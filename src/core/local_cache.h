@@ -14,6 +14,7 @@
 #define SRC_CORE_LOCAL_CACHE_H_
 
 #include <filesystem>
+#include <functional>
 #include <set>
 #include <string>
 
@@ -26,7 +27,7 @@ namespace cyrus {
 struct LocalCacheSnapshot {
   std::vector<FileVersion> versions;
   ChunkTable chunk_table;
-  std::set<std::string> known_meta_bases;
+  std::set<std::string, std::less<>> known_meta_bases;
 };
 
 // Encodes a snapshot. `key_fingerprint` ties the cache to one CYRUS cloud

@@ -16,13 +16,15 @@ std::string GenerationOf(ByteSpan padded_envelope) {
   return Sha1::Hash(padded_envelope).ToHex().substr(0, 8);
 }
 
-}  // namespace
+// "<base>.<index>.<generation>" cut into views of the name, so a discovery
+// pass can skip a known base without allocating.
+struct ObjectNameParts {
+  std::string_view base;
+  uint32_t index = 0;
+  std::string_view generation;
+};
 
-std::string MetadataStore::ObjectName(const MetaShareId& id) {
-  return StrCat(id.base, ".", id.index, ".", id.generation);
-}
-
-std::optional<MetaShareId> MetadataStore::ParseObjectName(std::string_view object) {
+std::optional<ObjectNameParts> SplitObjectName(std::string_view object) {
   const size_t gen_dot = object.rfind('.');
   if (gen_dot == std::string_view::npos || gen_dot + 1 >= object.size()) {
     return std::nullopt;
@@ -38,8 +40,21 @@ std::optional<MetaShareId> MetadataStore::ParseObjectName(std::string_view objec
     }
     value = value * 10 + static_cast<uint32_t>(object[i] - '0');
   }
-  return MetaShareId{std::string(object.substr(0, idx_dot)), value,
-                     std::string(object.substr(gen_dot + 1))};
+  return ObjectNameParts{object.substr(0, idx_dot), value, object.substr(gen_dot + 1)};
+}
+
+}  // namespace
+
+std::string MetadataStore::ObjectName(const MetaShareId& id) {
+  return StrCat(id.base, ".", id.index, ".", id.generation);
+}
+
+std::optional<MetaShareId> MetadataStore::ParseObjectName(std::string_view object) {
+  std::optional<ObjectNameParts> name = SplitObjectName(object);
+  if (!name) {
+    return std::nullopt;
+  }
+  return MetaShareId{std::string(name->base), name->index, std::string(name->generation)};
 }
 
 Result<SealedMetadata> MetadataStore::Seal(std::string_view key, uint32_t meta_t,
@@ -186,6 +201,42 @@ Status MetadataStore::Publish(const FileVersion& version, TransferReport& report
   return OkStatus();
 }
 
+std::vector<int> MetadataStore::ListingOrder() const {
+  std::vector<std::pair<double, int>> ranked;
+  for (int csp : context_.registry->ActiveIndices()) {
+    auto profile = context_.registry->profile(csp);
+    const double rtt_s = profile.ok() ? profile->rtt_ms / 1e3 : 0.0;
+    ranked.emplace_back(rtt_s + context_.monitor->MedianExcessSeconds(csp), csp);
+  }
+  std::sort(ranked.begin(), ranked.end());
+  std::vector<int> order;
+  for (const auto& [seconds, csp] : ranked) {
+    order.push_back(csp);
+  }
+  return order;
+}
+
+bool MetadataStore::ListInto(int csp, double now, std::map<std::string, Generations>& unknown) {
+  auto conn = context_.registry->connector(csp);
+  if (!conn.ok()) {
+    return false;
+  }
+  auto listing = RetryWithBackoff(context_.retry, [&] { return (*conn)->List("meta-"); });
+  if (!listing.ok()) {
+    context_.on_transfer_failure(csp, listing.status());
+    return false;
+  }
+  context_.monitor->RecordProbe(csp, now, true);
+  for (const ObjectInfo& object : *listing) {
+    std::optional<ObjectNameParts> name = SplitObjectName(object.name);
+    if (name && !known_.contains(name->base)) {
+      unknown[std::string(name->base)][std::string(name->generation)].emplace(name->index,
+                                                                               csp);
+    }
+  }
+  return true;
+}
+
 std::vector<FileVersion> MetadataStore::Discover() {
   const double now = context_.now();
   if (context_.sync_interval_s > 0 && last_pass_s_ >= 0 &&
@@ -194,40 +245,61 @@ std::vector<FileVersion> MetadataStore::Discover() {
   }
   last_pass_s_ = now;
 
+  // A publish succeeds only once meta_t of the C active CSPs hold a share,
+  // so any C - meta_t + 1 listings see every published base: list the
+  // cheapest ones, skipping past any List that fails.
+  const uint32_t meta_t = context_.meta_t;
+  const std::vector<int> order = ListingOrder();
+  const size_t quorum = order.size() >= meta_t ? order.size() - meta_t + 1 : order.size();
   std::map<std::string, Generations> unknown;  // base -> its share holders
-  for (int csp : context_.registry->ActiveIndices()) {
-    auto conn = context_.registry->connector(csp);
-    if (!conn.ok()) {
-      continue;
+  size_t next = 0;
+  size_t listed = 0;
+  auto list_until = [&](size_t target) {
+    while (listed < target && next < order.size()) {
+      listed += ListInto(order[next++], now, unknown) ? 1 : 0;
     }
-    auto listing =
-        RetryWithBackoff(context_.retry, [&] { return (*conn)->List("meta-"); });
-    if (!listing.ok()) {
-      context_.on_transfer_failure(csp, listing.status());
-      continue;
-    }
-    context_.monitor->RecordProbe(csp, now, true);
-    for (const ObjectInfo& object : *listing) {
-      std::optional<MetaShareId> id = ParseObjectName(object.name);
-      if (id && known_.count(id->base) == 0) {
-        unknown[id->base][id->generation].emplace(id->index, csp);
-      }
-    }
+  };
+  list_until(quorum);
+
+  // The unlisted CSPs matter only when a base might decode differently
+  // from a full listing: no generation shows meta_t holders, or several
+  // generations compete (the one with most holders wins).
+  const bool ambiguous = std::any_of(unknown.begin(), unknown.end(), [&](const auto& entry) {
+    const Generations& generations = entry.second;
+    return generations.size() > 1 || generations.begin()->second.size() < meta_t;
+  });
+  if (ambiguous) {
+    list_until(order.size());
   }
 
   TransferReport report;
   std::vector<FileVersion> found;
-  for (const auto& [base, generations] : unknown) {
-    Result<FileVersion> version = Fetch(base, generations, report);
-    if (version.status().code() == StatusCode::kUnavailable) {
-      continue;  // no generation decodes yet; the next pass retries
+  // Fetches every base in `unknown`, dropping each one that is done; true
+  // when some base had no generation reachable.
+  auto fetch_all = [&] {
+    bool unavailable = false;
+    for (auto it = unknown.begin(); it != unknown.end();) {
+      Result<FileVersion> version = Fetch(it->first, it->second, report);
+      if (version.status().code() == StatusCode::kUnavailable) {
+        unavailable = true;  // no generation decodes yet; the next pass retries
+        ++it;
+        continue;
+      }
+      // Ingested, or cleanly decoded into an invalid version that no later
+      // pass would read differently: either way this base is done.
+      known_.insert(it->first);
+      if (version.ok()) {
+        found.push_back(*std::move(version));
+      }
+      it = unknown.erase(it);
     }
-    // Ingested, or cleanly decoded into an invalid version that no later
-    // pass would read differently: either way this base is done.
-    known_.insert(base);
-    if (version.ok()) {
-      found.push_back(*std::move(version));
-    }
+    return unavailable;
+  };
+  // A listed holder that fails its download may leave a base short of
+  // meta_t shares that the unlisted CSPs would make up.
+  if (fetch_all() && next < order.size()) {
+    list_until(order.size());
+    fetch_all();
   }
   return found;
 }
@@ -288,7 +360,7 @@ Result<FileVersion> MetadataStore::Fetch(const std::string& base,
                                  " consistent shares reachable"));
 }
 
-void MetadataStore::Reset(std::set<std::string> known_bases) {
+void MetadataStore::Reset(std::set<std::string, std::less<>> known_bases) {
   known_ = std::move(known_bases);
   last_pass_s_ = -1.0;
 }

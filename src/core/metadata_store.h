@@ -17,9 +17,13 @@
 // group shares by generation and decode within one, never across.
 //
 // Changes by other devices are found by looking for new metadata objects:
-// a discovery pass lists "meta-" once per active CSP, maps every base it
-// has not ingested yet to its generations and their share holders, and
-// fetches and decodes those bases from that map alone.
+// a discovery pass lists "meta-" on the C - meta_t + 1 cheapest active CSPs
+// (every published base has a share on at least one of them), maps every
+// base it has not ingested yet to its generations and their share holders,
+// and fetches and decodes those bases from that map alone. It lists the
+// remaining CSPs too when the map could decide differently from a full
+// listing: a new base shows fewer than meta_t holders in every generation,
+// more than one generation, or cannot be fetched from its listed holders.
 //
 // The store runs on the client's driver thread; it borrows the registry
 // and monitor (both thread-safe) from the owning client.
@@ -124,20 +128,23 @@ class MetadataStore {
   // crashed first attempt.
   Status Publish(const FileVersion& version, TransferReport& report);
 
-  // One discovery pass: lists "meta-" once per active CSP and fetches every
-  // base not ingested yet from that listing. Returns the versions that
-  // decoded (local form, validated); their bases become known. A base that
-  // no generation can decode yet is retried by the next pass; one that
-  // decodes cleanly but is not a valid version is skipped for good. Passes
-  // closer together than sync_interval_s return nothing.
+  // One discovery pass: lists "meta-" on the C - meta_t + 1 active CSPs
+  // with the least expected request time (profile RTT plus learned
+  // excess), or on all of them when that listing is not conclusive (see
+  // the file comment), and fetches every base not ingested yet from the
+  // listing. Returns the versions that decoded (local form, validated);
+  // their bases become known. A base that no generation can decode yet is
+  // retried by the next pass; one that decodes cleanly but is not a valid
+  // version is skipped for good. Passes closer together than
+  // sync_interval_s return nothing.
   std::vector<FileVersion> Discover();
 
   // Bases ingested, published or rejected so far (the local cache's
   // snapshot).
-  const std::set<std::string>& known_bases() const { return known_; }
+  const std::set<std::string, std::less<>>& known_bases() const { return known_; }
   // Replaces the known bases, and lets the next discovery pass run
   // regardless of the interval.
-  void Reset(std::set<std::string> known_bases = {});
+  void Reset(std::set<std::string, std::less<>> known_bases = {});
 
  private:
   // generation -> share index -> holding CSP, for one base.
@@ -149,8 +156,15 @@ class MetadataStore {
   Result<FileVersion> Fetch(const std::string& base, const Generations& generations,
                             TransferReport& report);
 
+  // Active CSPs by expected request time: profile RTT plus the monitor's
+  // learned excess, cheapest first.
+  std::vector<int> ListingOrder() const;
+  // Lists "meta-" on `csp` and adds the holders of every unknown base to
+  // `unknown`; false when the CSP could not be listed.
+  bool ListInto(int csp, double now, std::map<std::string, Generations>& unknown);
+
   MetadataStoreContext context_;
-  std::set<std::string> known_;
+  std::set<std::string, std::less<>> known_;  // transparent: looked up by view
   double last_pass_s_ = -1.0;  // virtual time of the last discovery pass
 };
 

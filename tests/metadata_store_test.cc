@@ -43,12 +43,18 @@ std::vector<std::shared_ptr<SimulatedCsp>> MakeCsps(int count) {
   return csps;
 }
 
+// `rtt_ms`, when given, holds one profile RTT per CSP.
 std::unique_ptr<CyrusClient> MakeClient(
-    const std::string& client_id, const std::vector<std::shared_ptr<SimulatedCsp>>& csps) {
+    const std::string& client_id, const std::vector<std::shared_ptr<SimulatedCsp>>& csps,
+    const std::vector<double>& rtt_ms = {}) {
   auto client = CyrusClient::Create(Config(client_id));
   EXPECT_TRUE(client.ok()) << client.status();
-  for (const auto& csp : csps) {
+  for (size_t i = 0; i < csps.size(); ++i) {
+    const auto& csp = csps[i];
     CspProfile profile;
+    if (i < rtt_ms.size()) {
+      profile.rtt_ms = rtt_ms[i];
+    }
     profile.download_bytes_per_sec = 4e6;
     profile.upload_bytes_per_sec = 2e6;
     auto added = (*client)->AddCsp(csp, profile, Credentials{"token"});
@@ -72,6 +78,14 @@ uint64_t TotalLists(const std::vector<std::shared_ptr<SimulatedCsp>>& csps) {
     lists += csp->counters().lists;
   }
   return lists;
+}
+
+uint64_t TotalDownloads(const std::vector<std::shared_ptr<SimulatedCsp>>& csps) {
+  uint64_t downloads = 0;
+  for (const auto& csp : csps) {
+    downloads += csp->counters().downloads;
+  }
+  return downloads;
 }
 
 // The serialized metadata `client` publishes for version `id` (its wire
@@ -405,7 +419,11 @@ TEST(MetadataStoreTest, RepublishListsOncePerReceivingCspAndDeletesStaleShares) 
   }
 }
 
-TEST(MetadataStoreTest, DiscoveryListsOncePerActiveCspWhateverItIngests) {
+// Every publish reaches meta_t CSPs, so a pass that lists any
+// kNumCsps - meta_t + 1 of them sees every new base.
+constexpr uint64_t kListQuorum = kNumCsps - 2 + 1;
+
+TEST(MetadataStoreTest, DiscoveryListsAllButMetaTMinusOneCspsWhateverItIngests) {
   auto csps = MakeCsps(kNumCsps);
   auto writer = MakeClient("writer", csps);
   auto reader = MakeClient("reader", csps);
@@ -420,9 +438,114 @@ TEST(MetadataStoreTest, DiscoveryListsOncePerActiveCspWhateverItIngests) {
     expected_versions += k;
     const uint64_t before = TotalLists(csps);
     ASSERT_TRUE(reader->SyncMetadata().ok());
-    EXPECT_EQ(TotalLists(csps) - before, static_cast<uint64_t>(kNumCsps)) << k;
+    EXPECT_EQ(TotalLists(csps) - before, kListQuorum) << k;
     EXPECT_EQ(reader->tree().size(), expected_versions);
   }
+}
+
+TEST(MetadataStoreTest, DiscoveryLeavesOutTheCspWithTheLargestExpectedRequestTime) {
+  auto csps = MakeCsps(kNumCsps);
+  auto writer = MakeClient("writer", csps);
+  // csp3 has the largest RTT; csp1 the smallest, until it learns an excess.
+  auto reader = MakeClient("reader", csps, {40, 10, 30, 90, 50});
+  ASSERT_TRUE(writer->Put("a", RandomContent(2048, 40)).ok());
+  for (const auto& csp : csps) {
+    csp->ResetCounters();
+  }
+  ASSERT_TRUE(reader->SyncMetadata().ok());
+  EXPECT_EQ(reader->tree().size(), 1u);
+  EXPECT_EQ(TotalLists(csps), kListQuorum);
+  EXPECT_EQ(csps[3]->counters().lists, 0u);
+
+  // 10 ms of RTT plus 100 ms of learned excess is now the largest.
+  reader->availability_monitor().RecordExcess(1, 0.1);
+  ASSERT_TRUE(writer->Put("b", RandomContent(2048, 41)).ok());
+  for (const auto& csp : csps) {
+    csp->ResetCounters();
+  }
+  ASSERT_TRUE(reader->SyncMetadata().ok());
+  EXPECT_EQ(reader->tree().size(), 2u);
+  EXPECT_EQ(TotalLists(csps), kListQuorum);
+  EXPECT_EQ(csps[1]->counters().lists, 0u);
+  EXPECT_EQ(csps[3]->counters().lists, 1u);
+}
+
+TEST(MetadataStoreTest, BaseOnMetaTCspsOneUnlistedIsIngestedInOnePass) {
+  auto csps = MakeCsps(kNumCsps);
+  auto writer = MakeClient("writer", csps);
+  auto reader = MakeClient("reader", csps, {10, 20, 30, 40, 50});
+  const Bytes content = RandomContent(2048, 42);
+  auto put = writer->Put("doc", content);
+  ASSERT_TRUE(put.ok()) << put.status();
+  // Leave the metadata on exactly meta_t CSPs: csp0, and csp4, which the
+  // reader's quorum listing leaves out.
+  const std::string base = MetadataName(put->version_id);
+  for (int i : {1, 2, 3}) {
+    for (const std::string& name : SharesOf(*csps[i], base)) {
+      ASSERT_TRUE(csps[i]->Delete(name).ok());
+    }
+  }
+  for (const auto& csp : csps) {
+    csp->ResetCounters();
+  }
+  ASSERT_TRUE(reader->SyncMetadata().ok());
+  ASSERT_TRUE(reader->tree().Contains(put->version_id));
+  EXPECT_EQ(TotalLists(csps), static_cast<uint64_t>(kNumCsps))
+      << "one holder among the quorum: the pass lists the rest";
+  auto get = reader->Get("doc");
+  ASSERT_TRUE(get.ok()) << get.status();
+  EXPECT_EQ(get->content, content);
+}
+
+// Lists like any CSP, but every Download finds nothing: an object that
+// went away between a List and the Download.
+class VanishingCsp : public SimulatedCsp {
+ public:
+  using SimulatedCsp::SimulatedCsp;
+  Result<Bytes> Download(std::string_view name) override {
+    return NotFoundError(StrCat(id(), ": ", name, " is gone"));
+  }
+};
+
+TEST(MetadataStoreTest, BaseTheListedHoldersCannotServeIsFetchedFromTheRest) {
+  auto csps = MakeCsps(kNumCsps);
+  csps[1] = std::make_shared<VanishingCsp>(SimulatedCspOptions{"csp1"});
+  auto writer = MakeClient("writer", csps);
+  auto reader = MakeClient("reader", csps, {10, 20, 30, 40, 50});
+  auto put = writer->Put("doc", RandomContent(2048, 43));
+  ASSERT_TRUE(put.ok()) << put.status();
+  // The quorum (csp0-csp3) shows meta_t holders of one generation, csp0
+  // and csp1, but csp1 serves nothing: the pass lists csp4 and fetches
+  // from csp0 and csp4.
+  const std::string base = MetadataName(put->version_id);
+  for (int i : {2, 3}) {
+    for (const std::string& name : SharesOf(*csps[i], base)) {
+      ASSERT_TRUE(csps[i]->Delete(name).ok());
+    }
+  }
+  for (const auto& csp : csps) {
+    csp->ResetCounters();
+  }
+  ASSERT_TRUE(reader->SyncMetadata().ok());
+  EXPECT_TRUE(reader->tree().Contains(put->version_id));
+  EXPECT_EQ(TotalLists(csps), static_cast<uint64_t>(kNumCsps));
+  EXPECT_EQ(csps[4]->counters().downloads, 1u);
+}
+
+TEST(MetadataStoreTest, PassOverOnlyKnownBasesDownloadsNothing) {
+  auto csps = MakeCsps(kNumCsps);
+  auto writer = MakeClient("writer", csps);
+  auto reader = MakeClient("reader", csps);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(writer->Put(StrCat("file-", i), RandomContent(2048, 50 + i)).ok());
+  }
+  ASSERT_TRUE(reader->SyncMetadata().ok());
+  ASSERT_EQ(reader->tree().size(), 3u);
+  const uint64_t before = TotalDownloads(csps);
+  const uint64_t lists = TotalLists(csps);
+  ASSERT_TRUE(reader->SyncMetadata().ok());
+  EXPECT_EQ(TotalDownloads(csps), before);
+  EXPECT_EQ(TotalLists(csps) - lists, kListQuorum);
 }
 
 }  // namespace

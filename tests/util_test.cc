@@ -182,6 +182,43 @@ TEST(BytesTest, ConstantTimeEqual) {
   EXPECT_FALSE(ConstantTimeEqual(a, ByteSpan(a.data(), 2)));
 }
 
+TEST(BytesTest, ZeroedBytesIsAllZerosAtEverySize) {
+  constexpr size_t kMiB = size_t{1} << 20;
+  for (size_t size : {size_t{0}, size_t{1}, size_t{4095}, 2 * kMiB - 1, 2 * kMiB,
+                      2 * kMiB + 1, 9 * kMiB}) {
+    const Bytes bytes = ZeroedBytes(size);
+    ASSERT_EQ(bytes.size(), size);
+    EXPECT_TRUE(std::all_of(bytes.begin(), bytes.end(), [](uint8_t b) { return b == 0; }))
+        << size;
+  }
+}
+
+TEST(BytesTest, HugePagesInsideAreTheWholeAlignedPages) {
+  constexpr uintptr_t kPage = kHugePageBytes;
+  // Aligned start: every whole page, and nothing of the tail.
+  HugePageRange r = HugePagesInside(4 * kPage, 3 * kPage + 1);
+  EXPECT_EQ(r.begin, 4 * kPage);
+  EXPECT_EQ(r.size, 3 * kPage);
+  // Unaligned start: the partial head and tail are left out.
+  r = HugePagesInside(4 * kPage + 16, 4 * kPage);
+  EXPECT_EQ(r.begin, 5 * kPage);
+  EXPECT_EQ(r.size, 3 * kPage);
+  r = HugePagesInside(4 * kPage - 16, kPage + 32);
+  EXPECT_EQ(r.begin, 4 * kPage);
+  EXPECT_EQ(r.size, kPage);
+  // Exactly one page, aligned.
+  r = HugePagesInside(kPage, kPage);
+  EXPECT_EQ(r.begin, kPage);
+  EXPECT_EQ(r.size, kPage);
+  // None fit: too small, or straddling a boundary without covering a page.
+  for (const auto& [data, size] :
+       {std::pair<uintptr_t, size_t>{kPage, 0}, {kPage, kPage - 1}, {kPage + 1, kPage},
+        {kPage + 4096, 2 * kPage - 8192}, {kPage - 4096, 4095}}) {
+    r = HugePagesInside(data, size);
+    EXPECT_EQ(r.size, 0u) << data << "+" << size;
+  }
+}
+
 // --- Rng ---
 
 TEST(RngTest, DeterministicFromSeed) {
