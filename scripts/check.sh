@@ -88,10 +88,12 @@
 #                                   #   cache and readahead join + integrity
 #                                   #   gather/heal + chunk writer uploads +
 #                                   #   scrub repair + codec stress loop +
-#                                   #   put journal + learned-rate
-#                                   #   booking from readahead tasks +
-#                                   #   parallel split and Put hashing in
-#                                   #   build-tsan/
+#                                   #   put journal + the CSP call layer
+#                                   #   (core_test: concurrent calls from
+#                                   #   pool threads book every record
+#                                   #   once) + learned-rate booking from
+#                                   #   readahead tasks + parallel split
+#                                   #   and Put hashing in build-tsan/
 #
 # Flags compose: `scripts/check.sh --stress --bench`. The fast tier always
 # runs first; labeled suites are opt-in so the default stays quick enough
@@ -233,19 +235,22 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   echo "== tsan: stress battery + gateway concurrency under ThreadSanitizer =="
   configure build-tsan -DENABLE_TSAN=ON
   # The chunk writer's first upload pass runs ParallelFor from pipeline
-  # workers, and scrub repair writes through the same writer. Readahead
-  # tasks book their transfers into the monitor's excess window while
-  # the driver's Gets read it for selection. A large Put
+  # workers, and scrub repair writes through the same writer. Every
+  # connector call books into shared counters and the monitor's excess
+  # window from whichever thread made it (core_test drives the call layer
+  # from pool threads), while the driver's Gets read the window for
+  # selection. A large Put
   # cuts its segments and hashes its chunk ids on the pool; the
   # chunker's per-byte oracle suite is single-threaded and takes minutes
   # under TSan, so the tier runs the rest of chunker_test.
-  cmake --build build-tsan --parallel --target pipeline_stress_test thread_pool_test degraded_test gateway_test dedup_test buffer_pool_test chunk_cache_test integrity_test chunk_reader_test chunk_writer_test repair_test codec_stress_test robustness_test chunker_test client_test
+  cmake --build build-tsan --parallel --target pipeline_stress_test thread_pool_test degraded_test gateway_test dedup_test buffer_pool_test chunk_cache_test integrity_test chunk_reader_test chunk_writer_test repair_test codec_stress_test robustness_test chunker_test client_test core_test
   (cd build-tsan && ./tests/thread_pool_test && ./tests/pipeline_stress_test && ./tests/degraded_test &&
     ./tests/gateway_test && ./tests/dedup_test &&
     ./tests/buffer_pool_test && ./tests/chunk_cache_test &&
     ./tests/integrity_test && ./tests/chunk_reader_test && ./tests/chunk_writer_test &&
     ./tests/repair_test && ./tests/codec_stress_test && ./tests/robustness_test &&
-    ./tests/chunker_test --gtest_filter='-ChunkerOracleTest.*' && ./tests/client_test)
+    ./tests/chunker_test --gtest_filter='-ChunkerOracleTest.*' && ./tests/client_test &&
+    ./tests/core_test)
 fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then

@@ -141,19 +141,11 @@ void ChunkReader::ReadGroup(std::span<ChunkReadRequest> group) {
       jobs.push_back(Job{i, k});
     }
   }
-  auto run_job = [&](size_t j) {
-    const ChunkReadRequest& request = group[jobs[j].chunk];
+  ParallelFor(context_.pool, jobs.size(), [&](size_t j) {
     Pending& p = pending[jobs[j].chunk];
     const ShareLocation& loc = p.order[jobs[j].primary];
-    DownloadShare(*request.chunk, loc, request.options, p.fetched.at(loc.csp));
-  };
-  if (context_.pool != nullptr && jobs.size() > 1) {
-    context_.pool->ParallelFor(jobs.size(), run_job);
-  } else {
-    for (size_t j = 0; j < jobs.size(); ++j) {
-      run_job(j);
-    }
-  }
+    DownloadShare(*group[jobs[j].chunk].chunk, loc, p.fetched.at(loc.csp));
+  });
 
   // Every fetched share with a recorded digest is hashed in one pass, a
   // lane per share, before any chunk consumes one.
@@ -173,27 +165,16 @@ void ChunkReader::ReadGroup(std::span<ChunkReadRequest> group) {
     hashed[k]->digest = digests[k];
   }
 
-  auto finish = [&](size_t i) { group[i].status = Finish(group[i], pending[i]); };
-  if (context_.pool != nullptr && group.size() > 1) {
-    context_.pool->ParallelFor(group.size(), finish);
-  } else {
-    for (size_t i = 0; i < group.size(); ++i) {
-      finish(i);
-    }
-  }
+  ParallelFor(context_.pool, group.size(),
+              [&](size_t i) { group[i].status = Finish(group[i], pending[i]); });
 }
 
 void ChunkReader::DownloadShare(const ChunkRecord& chunk, const ShareLocation& loc,
-                                const ChunkReadOptions& options, Download& out) {
+                                Download& out) {
   out.share_index = loc.share_index;
-  auto conn = context_.registry->connector(loc.csp);
-  if (!conn.ok()) {
-    out.data = conn.status();
-    return;
-  }
-  out.data = DownloadWithRetry(**conn, TransferKind::kGet, loc.csp,
-                               ShareName(chunk.id, loc.share_index, chunk.t),
-                               options.retry, out.report);
+  out.data = context_.calls->Download(loc.csp, TransferKind::kGet,
+                                      ShareName(chunk.id, loc.share_index, chunk.t),
+                                      out.report);
 }
 
 Status ChunkReader::Finish(const ChunkReadRequest& request, Pending& p) {
@@ -204,9 +185,6 @@ Status ChunkReader::Finish(const ChunkReadRequest& request, Pending& p) {
   if (dst.size() != chunk.size) {
     return InvalidArgumentError("chunk read destination size mismatch");
   }
-  auto object_of = [&](const ShareLocation& loc) {
-    return ShareName(chunk.id, loc.share_index, chunk.t);
-  };
 
   // Consumption authenticates each share before it may enter the decoder.
   // `shares` keeps the digest-verified ones as a prefix, so the decode
@@ -224,11 +202,10 @@ Status ChunkReader::Finish(const ChunkReadRequest& request, Pending& p) {
       got = std::move(it->second);
       p.fetched.erase(it);
     } else {
-      DownloadShare(chunk, loc, options, got);
+      DownloadShare(chunk, loc, got);
     }
     result.report.Append(got.report);
     if (!got.data.ok()) {
-      context_.on_transfer_failure(loc.csp, got.data.status());
       return;
     }
     ++result.shares_downloaded;
@@ -254,12 +231,18 @@ Status ChunkReader::Finish(const ChunkReadRequest& request, Pending& p) {
     }
   };
 
+  // A share downloaded ahead is consumed even when a failure has taken its
+  // CSP out of the active set since: its records belong in the report, and
+  // its bytes are authenticated like any other.
+  auto usable = [&](const ShareLocation& loc) {
+    return p.fetched.contains(loc.csp) || context_.registry->IsActive(loc.csp);
+  };
   const size_t need = options.all_shares ? p.order.size() : chunk.t;
   for (const ShareLocation& loc : p.order) {
     if (shares.size() >= need) {
       break;
     }
-    if (context_.registry->IsActive(loc.csp)) {
+    if (usable(loc)) {
       consume(loc);
     }
   }
@@ -303,7 +286,7 @@ Status ChunkReader::Finish(const ChunkReadRequest& request, Pending& p) {
     // corrupt indices.
     result.corrected = true;
     for (const ShareLocation& loc : p.order) {
-      if (context_.registry->IsActive(loc.csp)) {
+      if (usable(loc)) {
         consume(loc);
       }
     }
@@ -329,15 +312,15 @@ Status ChunkReader::Finish(const ChunkReadRequest& request, Pending& p) {
   }
   const size_t share_len = ShareSize(chunk.size, chunk.t);
   for (const ShareLocation& loc : result.corrupt) {
-    auto conn = context_.registry->connector(loc.csp);
-    if (!context_.registry->IsActive(loc.csp) || !conn.ok()) {
+    if (!context_.registry->IsActive(loc.csp)) {
       continue;
     }
     PooledBuffer buffer = context_.buffers->Acquire(std::max<size_t>(share_len, 1));
     const MutableByteSpan fresh = buffer.span(share_len);
     if (codec.EncodeShareInto(dst, loc.share_index, fresh).ok() &&
-        UploadWithRetry(**conn, TransferKind::kPut, loc.csp, object_of(loc), fresh,
-                        options.retry, result.report)
+        context_.calls
+            ->Upload(loc.csp, TransferKind::kPut, ShareName(chunk.id, loc.share_index, chunk.t),
+                     fresh, result.report)
             .ok()) {
       ++result.healed;
       result.bytes_moved += fresh.size();

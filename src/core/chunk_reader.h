@@ -37,10 +37,10 @@
 // own, concurrently across the group: each keeps its own status and
 // result, so one failed chunk fails no other.
 //
-// Reads touch only thread-safe components (registry, monitor, pools), so
-// they run on pipeline workers and background tasks alike. Anything that
-// mutates metadata - lazy migration, digest upgrades, chunk-table moves -
-// stays with the caller.
+// Reads touch only thread-safe components (registry, call layer, monitor,
+// pools), so they run on pipeline workers and background tasks alike.
+// Anything that mutates metadata - lazy migration, digest upgrades,
+// chunk-table moves - stays with the caller.
 #ifndef SRC_CORE_CHUNK_READER_H_
 #define SRC_CORE_CHUNK_READER_H_
 
@@ -57,7 +57,6 @@
 #include "src/rs/secret_sharing.h"
 #include "src/util/buffer_pool.h"
 #include "src/util/result.h"
-#include "src/util/retry.h"
 #include "src/util/thread_pool.h"
 
 namespace cyrus {
@@ -69,9 +68,11 @@ constexpr uint32_t kMaxShares = 255;
 
 // Everything a reader borrows from the owning client. Raw pointers: the
 // client owns the reader and every pointee. `pool` may be null (downloads
-// then run sequentially).
+// then run sequentially). Every download and heal goes through `calls`,
+// which retries, books and health-routes it.
 struct ChunkReaderContext {
   CspRegistry* registry = nullptr;
+  CspCalls* calls = nullptr;
   AvailabilityMonitor* monitor = nullptr;
   ThreadPool* pool = nullptr;
   BufferPool* buffers = nullptr;
@@ -79,8 +80,7 @@ struct ChunkReaderContext {
   // RS key of one chunk: the user key, or a convergent chunk's unwrapped
   // content key.
   std::function<Result<std::string>(const ChunkRecord&)> chunk_key;
-  // Health routing for failed downloads and digest mismatches.
-  std::function<void(int csp, const Status&)> on_transfer_failure;
+  // Health routing for digest mismatches.
   std::function<void(int csp)> on_integrity_failure;
 };
 
@@ -104,7 +104,6 @@ struct ChunkReadOptions {
   // foreground gather and the scrub: a background upload could outlive
   // the chunk's deletion and leave an untracked object behind.
   bool heal = true;
-  RetryOptions retry;
 };
 
 struct ChunkReadResult {
@@ -164,9 +163,8 @@ class ChunkReader {
   struct Download;
   struct Pending;
 
-  // Downloads the share at `loc` (with retries) into `out`.
-  void DownloadShare(const ChunkRecord& chunk, const ShareLocation& loc,
-                     const ChunkReadOptions& options, Download& out);
+  // Downloads the share at `loc` into `out`.
+  void DownloadShare(const ChunkRecord& chunk, const ShareLocation& loc, Download& out);
   // Steps 2-4 for one chunk whose downloads ahead are in p.fetched.
   Status Finish(const ChunkReadRequest& request, Pending& p);
 

@@ -30,16 +30,10 @@ Result<int> ChunkWriter::PlaceOne(const Sha1Digest& chunk_id, uint32_t index, ui
     if (context_.journal) {
       CYRUS_RETURN_IF_ERROR(context_.journal(intent, target, object));
     }
-    auto conn = context_.registry->connector(target);
-    const Status upload =
-        conn.ok() ? UploadWithRetry(**conn, TransferKind::kPut, target, object, share,
-                                    context_.retry, report)
-                  : conn.status();
-    if (upload.ok()) {
+    if (context_.calls->Upload(target, TransferKind::kPut, object, share, report).ok()) {
       context_.monitor->RecordProbe(target, context_.now(), true);
       return target;
     }
-    context_.on_transfer_failure(target, upload);
   }
   return -1;
 }
@@ -102,16 +96,9 @@ Result<std::vector<ChunkShare>> ChunkWriter::Scatter(const SecretSharingCodec& c
   std::vector<Status> first(placed, InternalError("no upload attempted"));
   std::vector<TransferReport> first_reports(placed);
   auto upload = [&](size_t i) {
-    const std::string object = ShareName(chunk_id, static_cast<uint32_t>(i), codec.t());
-    auto conn = context_.registry->connector(targets[i]);
-    if (!conn.ok()) {
-      first[i] = conn.status();
-      first_reports[i].records.push_back(
-          TransferRecord{TransferKind::kPut, targets[i], object, spans[i].size(), false});
-      return;
-    }
-    first[i] = UploadWithRetry(**conn, TransferKind::kPut, targets[i], object, spans[i],
-                               context_.retry, first_reports[i]);
+    first[i] = context_.calls->Upload(
+        targets[i], TransferKind::kPut, ShareName(chunk_id, static_cast<uint32_t>(i), codec.t()),
+        spans[i], first_reports[i]);
   };
   ThreadPool::TaskGroup uploads;
   if (context_.pool != nullptr && placed > 1) {
@@ -150,7 +137,6 @@ Result<std::vector<ChunkShare>> ChunkWriter::Scatter(const SecretSharingCodec& c
       context_.monitor->RecordProbe(target, context_.now(), true);
       shares.push_back(ChunkShare{i, target, digests[i]});
     } else {
-      context_.on_transfer_failure(target, first[i]);
       std::vector<int> exclude = held;
       exclude.push_back(target);
       CYRUS_ASSIGN_OR_RETURN(target, PlaceOne(chunk_id, i, codec.t(), spans[i], exclude,

@@ -7,14 +7,15 @@
 // ring (one share per CSP), journals each (csp, object) target before its
 // upload, and uploads - a scatter's first pass concurrently on the transfer
 // pool. A failed share moves to up to three further ring picks, never onto
-// a CSP already holding a share of the chunk; failures go through
-// on_transfer_failure, so the client's one health path decides when a CSP
+// a CSP already holding a share of the chunk. Uploads go through the
+// client's CspCalls, which retries them and routes a provider failure
+// into the client's one health path, so that path decides when a CSP
 // leaves placement. Placed shares come back with the SHA-1 of their bytes.
 // A scatter hashes all its shares with one Sha1::HashMany on the calling
 // thread while the first-pass uploads run on the pool; a failed-over share
 // keeps that digest, since it uploads the same bytes.
 //
-// Writes touch only thread-safe components (registry, ring, monitor,
+// Writes touch only thread-safe components (call layer, ring, monitor,
 // pools), so they run on pipeline workers and the driver alike. Recording
 // the result - chunk table, ShareIndex, metadata - stays with the caller.
 // The ChunkReader's in-place heal (same index, same CSP) is not a placement
@@ -27,7 +28,6 @@
 #include <vector>
 
 #include "src/cloud/availability.h"
-#include "src/cloud/registry.h"
 #include "src/core/hash_ring.h"
 #include "src/core/transfer.h"
 #include "src/meta/chunk_table.h"
@@ -35,7 +35,6 @@
 #include "src/rs/secret_sharing.h"
 #include "src/util/buffer_pool.h"
 #include "src/util/result.h"
-#include "src/util/retry.h"
 #include "src/util/thread_pool.h"
 
 namespace cyrus {
@@ -44,7 +43,7 @@ namespace cyrus {
 // client owns the writer and every pointee. `pool` may be null (uploads
 // then run sequentially) and so may `journal`.
 struct ChunkWriterContext {
-  CspRegistry* registry = nullptr;
+  CspCalls* calls = nullptr;
   HashRing* ring = nullptr;
   AvailabilityMonitor* monitor = nullptr;
   ThreadPool* pool = nullptr;
@@ -52,9 +51,6 @@ struct ChunkWriterContext {
   // At most one share of a chunk per platform cluster (§4.1).
   bool cluster_aware = false;
   std::function<double()> now;
-  RetryOptions retry;
-  // Health routing for failed uploads.
-  std::function<void(int csp, const Status&)> on_transfer_failure;
   // Write-ahead log of each upload target, called before the upload with
   // the caller's journal intent (empty outside a Put). A failure aborts
   // the write.

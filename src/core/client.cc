@@ -61,8 +61,13 @@ CyrusClient::CyrusClient(CyrusConfig config, Chunker chunker)
     pool_ = std::make_unique<ThreadPool>(config_.transfer_concurrency);
   }
   metrics_ = config_.metrics != nullptr ? config_.metrics : &obs::MetricsRegistry::Default();
+  // Every CSP call of every component routes a failure that indicts the
+  // provider into the same health machinery.
+  calls_ = std::make_unique<CspCalls>(&registry_, &monitor_, config_.transfer_retry, metrics_,
+                                      [this](int csp) { (void)MarkCspFailed(csp); });
   ChunkReaderContext reader_context;
   reader_context.registry = &registry_;
+  reader_context.calls = calls_.get();
   reader_context.monitor = &monitor_;
   reader_context.pool = pool_.get();
   reader_context.buffers = &codec_buffers_;
@@ -75,26 +80,19 @@ CyrusClient::CyrusClient(CyrusConfig config, Chunker chunker)
     }
     return deriver_.UnwrapForUser(chunk.wrapped_key, chunk.id);
   };
-  // Reads and writes route failed transfers into the same health machinery.
-  auto on_transfer_failure = [this](int csp, const Status& status) {
-    (void)NoteTransferFailure(csp, status);
-  };
-  reader_context.on_transfer_failure = on_transfer_failure;
   reader_context.on_integrity_failure = [this](int csp) {
     (void)NoteIntegrityFailure(csp);
   };
   reader_ = std::make_unique<ChunkReader>(std::move(reader_context));
 
   ChunkWriterContext writer_context;
-  writer_context.registry = &registry_;
+  writer_context.calls = calls_.get();
   writer_context.ring = &ring_;
   writer_context.monitor = &monitor_;
   writer_context.pool = pool_.get();
   writer_context.buffers = &codec_buffers_;
   writer_context.cluster_aware = config_.cluster_aware;
   writer_context.now = [this] { return now(); };
-  writer_context.retry = config_.transfer_retry;
-  writer_context.on_transfer_failure = on_transfer_failure;
   // Write-ahead journaling: every (csp, object) pair a Put may create is
   // durably recorded before its upload, so a crash leaves a journal
   // superset of what landed (a never-made upload rolls back as a harmless
@@ -111,17 +109,17 @@ CyrusClient::CyrusClient(CyrusConfig config, Chunker chunker)
 
   MetadataStoreContext metadata_context;
   metadata_context.registry = &registry_;
+  metadata_context.calls = calls_.get();
   metadata_context.monitor = &monitor_;
   metadata_context.chunk_table = &chunk_table_;
   metadata_context.key_string = config_.key_string;
   metadata_context.meta_t = config_.meta_t;
-  metadata_context.retry = config_.transfer_retry;
   metadata_context.sync_interval_s = config_.metadata_sync_interval_s;
   metadata_context.now = [this] { return now(); };
-  metadata_context.on_transfer_failure = on_transfer_failure;
   metadata_ = std::make_unique<MetadataStore>(std::move(metadata_context));
 
   RepairContext repair_context;
+  repair_context.calls = calls_.get();
   repair_context.registry = &registry_;
   repair_context.chunk_table = &chunk_table_;
   repair_context.monitor = &monitor_;
@@ -310,13 +308,6 @@ Status CyrusClient::MarkCspRecovered(int csp) {
   return OkStatus();
 }
 
-Status CyrusClient::NoteTransferFailure(int csp, const Status& status) {
-  if (!IsCspHealthFailure(status)) {
-    return OkStatus();
-  }
-  return MarkCspFailed(csp);
-}
-
 Status CyrusClient::NoteIntegrityFailure(int csp) {
   integrity_failures_->Increment();
   std::string csp_id = StrCat("csp-", csp);
@@ -391,24 +382,6 @@ void CyrusClient::set_download_selector(std::unique_ptr<DownloadSelector> select
   selector_ = std::move(selector);
 }
 
-void CyrusClient::BookTransfers(const TransferReport& report) {
-  RecordTransferMetrics(report, metrics_);
-  for (const TransferRecord& r : report.records) {
-    if (!r.success) {
-      continue;
-    }
-    auto profile = registry_.profile(r.csp);
-    if (!profile.ok()) {
-      continue;
-    }
-    const bool upload = r.kind == TransferKind::kPut || r.kind == TransferKind::kPutMeta;
-    const double rate =
-        upload ? profile->upload_bytes_per_sec : profile->download_bytes_per_sec;
-    monitor_.RecordExcess(r.csp, r.seconds - profile->rtt_ms / 1e3 -
-                                     static_cast<double>(r.bytes) / rate);
-  }
-}
-
 double CyrusClient::LearnedDownloadRate(int csp, double share_bytes) const {
   auto profile = registry_.profile(csp);
   if (!profile.ok()) {
@@ -467,7 +440,6 @@ void CyrusClient::GatherGroup(const std::vector<GatherSlot*>& group) {
     request.locations = &slot.locations;
     request.options.preferred = slot.selected;
     request.options.verify_plaintext = slot.migrating;
-    request.options.retry = config_.transfer_retry;
     request.dst = slot.dst;
     request.result = &slot.read;
   }
@@ -555,7 +527,6 @@ LocalCacheSnapshot CyrusClient::ExportCache() const {
       snapshot.versions.push_back(metadata_->ToWireForm(*version));
     }
   }
-  snapshot.chunk_table = chunk_table_;
   snapshot.known_meta_bases = metadata_->known_bases();
   return snapshot;
 }
@@ -567,9 +538,9 @@ Status CyrusClient::ImportCache(const LocalCacheSnapshot& snapshot) {
   metadata_->Reset();
   for (const FileVersion& wire : snapshot.versions) {
     CYRUS_RETURN_IF_ERROR(wire.Validate());
-    // The chunk table is rebuilt from the versions rather than trusted
-    // from the snapshot: its share locations are registry-local and the
-    // rebuild reproduces refcounts exactly.
+    // The chunk table is rebuilt from the versions: wire-form rows name
+    // CSPs by stable connector id, and the rebuild reproduces refcounts
+    // exactly.
     FileVersion version = metadata_->ToLocalForm(wire);
     CYRUS_RETURN_IF_ERROR(RegisterVersionChunks(version));
     CYRUS_RETURN_IF_ERROR(tree_.Insert(version));
@@ -1025,7 +996,6 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
   }
   put_heads_[version.file_name] = version.id;
   result.transfer.Append(meta_report);
-  BookTransfers(result.transfer);
   return result;
 }
 
@@ -1380,7 +1350,6 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
   // No whole-file re-hash: every chunk was verified as it was read, and
   // FileVersion::Validate guarantees the records tile the file exactly.
   assemble_span.End();
-  BookTransfers(result.transfer);
   return result;
 }
 
@@ -1492,12 +1461,10 @@ void CyrusClient::MaybeScheduleReadahead(const std::string& name,
         plaintext = std::make_shared<Bytes>(pick.chunk.size);
         ChunkReadOptions options;
         options.heal = false;
-        options.retry = config_.transfer_retry;
         ChunkReadResult read;
         if (reader_->Read(pick.chunk, pick.locations, options,
                           MutableByteSpan(*plaintext), read)
                 .ok()) {
-          BookTransfers(read.report);
           chunk_cache_.Put(pick.chunk.id, plaintext);
         } else {
           plaintext.reset();
@@ -1577,13 +1544,16 @@ void CyrusClient::InvalidateCachedChunks(const std::vector<ChunkRecord>& release
 Result<PutResult> CyrusClient::ImportForeignObject(int csp, std::string_view object_name,
                                                    std::string_view target_name,
                                                    bool delete_original) {
-  CYRUS_ASSIGN_OR_RETURN(CloudConnector * conn, registry_.connector(csp));
-  CYRUS_ASSIGN_OR_RETURN(Bytes content, conn->Download(object_name));
+  const std::string object(object_name);
+  // The plaintext download is booked but is no part of the Put's report.
+  TransferReport download;
+  CYRUS_ASSIGN_OR_RETURN(Bytes content,
+                         calls_->Download(csp, TransferKind::kGet, object, download));
   CYRUS_ASSIGN_OR_RETURN(PutResult result, Put(target_name, content));
   if (delete_original) {
     // Only remove the plaintext once the CYRUS copy is fully durable
     // (Put published metadata after all shares landed).
-    CYRUS_RETURN_IF_ERROR(conn->Delete(object_name));
+    CYRUS_RETURN_IF_ERROR(calls_->Delete(csp, object));
   }
   return result;
 }
@@ -1711,12 +1681,7 @@ Result<JournalRecoveryReport> CyrusClient::RecoverFromJournal() {
         all_cleaned = false;  // no account at that provider this session
         continue;
       }
-      auto conn = registry_.connector(*index);
-      if (!conn.ok()) {
-        all_cleaned = false;
-        continue;
-      }
-      const Status deleted = (*conn)->Delete(share.object_name);
+      const Status deleted = calls_->Delete(*index, share.object_name);
       if (deleted.ok()) {
         ++report.orphan_shares_deleted;
       } else if (deleted.code() != StatusCode::kNotFound) {

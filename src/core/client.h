@@ -117,7 +117,8 @@ struct CyrusConfig {
   // O(file).
   uint32_t pipeline_window_chunks = 4;
 
-  // Transient-failure retry for share and metadata transfers (capped
+  // Transient-failure retry for every CSP call: share and metadata
+  // transfers, listings (scrub probes included) and deletes (capped
   // exponential backoff + jitter). max_attempts = 1 disables retries.
   RetryOptions transfer_retry;
 
@@ -343,12 +344,14 @@ class CyrusClient {
   // --- Local metadata cache (paper §5.2) ---
 
   // Snapshot of the synced state (version tree in portable wire form,
-  // chunk table, ingested metadata names) for SaveLocalCache(). Versions
+  // which carries the chunk table's layouts, and ingested metadata names)
+  // for SaveLocalCache(). Versions
   // with a chunk scrub reclaimed are left out, as RepublishVersions skips
   // them.
   LocalCacheSnapshot ExportCache() const;
 
-  // Installs a snapshot saved earlier, replacing local state; callers then
+  // Installs a snapshot saved earlier, replacing local state and
+  // rebuilding the chunk table from its versions; callers then
   // run SyncMetadata() to pick up anything newer than the snapshot. Share
   // locations are remapped by stable connector name, so the CSP
   // registration order may differ from the saving session's.
@@ -494,28 +497,16 @@ class CyrusClient {
   // the authoritative digest set into slot.upgraded.
   Status FinishGather(GatherSlot& slot);
 
-  // Books one operation's transfers: the cyrus_transfer_* counters, and
-  // for each successful call its excess over the CSP's profile, seconds -
-  // (rtt + bytes / rate in the call's direction), into the monitor.
-  // Uploads count too: a Put tells the selector which CSP is slow before
-  // the first Get of that file. Safe from pool threads.
-  void BookTransfers(const TransferReport& report);
-
   // Algorithm 1's achievable bandwidth for `csp` on shares of
   // `share_bytes`: S / (S / profile rate + e), where e is the CSP's median
   // excess per request. Exactly the profile rate while e is 0; 0 for an
   // unknown CSP.
   double LearnedDownloadRate(int csp, double share_bytes) const;
 
-  // Routes a transfer that failed after its retries into the health
-  // path: a status that indicts the provider (IsCspHealthFailure) marks
-  // the CSP failed at once; any other status is a no-op.
-  Status NoteTransferFailure(int csp, const Status& status);
-
   // Routes a share-digest mismatch into the health path: the availability
   // monitor's integrity ledger records it, and the CSP is marked failed
   // once its ledger reaches kIntegrityQuarantineThreshold (3). Safe
-  // from pipeline workers (same locking as NoteTransferFailure).
+  // from pipeline workers (same locking as MarkCspFailed).
   Status NoteIntegrityFailure(int csp);
 
   // Copies the chunk table's share digests into a copy of a version's
@@ -626,6 +617,12 @@ class CyrusClient {
   size_t readahead_active_ = 0;
   std::condition_variable readahead_idle_;
   std::condition_variable readahead_landed_;  // some started prefetch finished
+  // The one path to the CSPs: every connector call after AddCsp's
+  // Authenticate is retried and health-routed here (a call that still
+  // indicts its provider marks the CSP failed), and every upload and
+  // download is booked. Declared before pool_: queued readahead tasks
+  // download through it.
+  std::unique_ptr<CspCalls> calls_;
   // The one chunk read path: Get/GetRange gathers, readahead, and the
   // repair engine's rebuild and integrity sweep all read through it.
   // Declared before pool_: the pool destructor drains queued readahead

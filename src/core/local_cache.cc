@@ -13,7 +13,10 @@ namespace cyrus {
 namespace {
 
 constexpr uint32_t kMagic = 0x43594c43;  // "CYLC"
-constexpr uint32_t kFormatVersion = 2;   // v2: trailing SHA-1 checksum
+// v2: trailing SHA-1 checksum; v3: no chunk table (rebuilt from the
+// versions on import). An older file fails to decode, and the caller falls
+// back to Recover().
+constexpr uint32_t kFormatVersion = 3;
 constexpr size_t kChecksumBytes = 20;
 
 }  // namespace
@@ -28,7 +31,6 @@ Bytes EncodeLocalCache(const LocalCacheSnapshot& snapshot,
   for (const FileVersion& version : snapshot.versions) {
     w.WriteBytes(version.Serialize());
   }
-  w.WriteBytes(snapshot.chunk_table.Serialize());
   w.WriteU32(static_cast<uint32_t>(snapshot.known_meta_bases.size()));
   for (const std::string& base : snapshot.known_meta_bases) {
     w.WriteString(base);
@@ -75,8 +77,6 @@ Result<LocalCacheSnapshot> DecodeLocalCache(ByteSpan data,
     CYRUS_ASSIGN_OR_RETURN(FileVersion v, FileVersion::Deserialize(blob));
     snapshot.versions.push_back(std::move(v));
   }
-  CYRUS_ASSIGN_OR_RETURN(Bytes table_blob, r.ReadBytes());
-  CYRUS_ASSIGN_OR_RETURN(snapshot.chunk_table, ChunkTable::Deserialize(table_blob));
   CYRUS_ASSIGN_OR_RETURN(uint32_t num_bases, r.ReadU32());
   for (uint32_t i = 0; i < num_bases; ++i) {
     CYRUS_ASSIGN_OR_RETURN(std::string base, r.ReadString());

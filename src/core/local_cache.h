@@ -2,9 +2,11 @@
 // metadata tree for efficiency and periodically sync with the metadata
 // stored at the CSPs").
 //
-// Serializes a client's synced state - version tree, global chunk table,
-// and the set of already-ingested metadata object names - to one local
-// file. A restarting client loads the cache and then runs an ordinary
+// Serializes a client's synced state - the version tree in wire form
+// (the chunk table's share layouts projected into each version) and the
+// set of already-ingested metadata object names - to one local file; a
+// loading client rebuilds its chunk table from the versions. A restarting
+// client loads the cache and then runs an ordinary
 // incremental SyncMetadata() instead of a full Recover(), turning startup
 // from O(all metadata) downloads into O(new metadata). The cache is a pure
 // optimization: deleting it is always safe (recover() rebuilds from the
@@ -18,7 +20,6 @@
 #include <set>
 #include <string>
 
-#include "src/meta/chunk_table.h"
 #include "src/meta/version_tree.h"
 #include "src/util/result.h"
 
@@ -26,7 +27,6 @@ namespace cyrus {
 
 struct LocalCacheSnapshot {
   std::vector<FileVersion> versions;
-  ChunkTable chunk_table;
   std::set<std::string, std::less<>> known_meta_bases;
 };
 

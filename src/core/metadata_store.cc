@@ -167,16 +167,11 @@ Status MetadataStore::Publish(const FileVersion& version, TransferReport& report
   size_t uploaded = 0;
   for (uint32_t i = 0; i < m; ++i) {
     const int csp = active[i];
-    auto conn = context_.registry->connector(csp);
-    if (!conn.ok()) {
-      continue;
-    }
     const std::string object =
         ObjectName(MetaShareId{base, sealed.shares[i].index, sealed.generation});
-    const Status upload = UploadWithRetry(**conn, TransferKind::kPutMeta, csp, object,
-                                          sealed.shares[i].data, context_.retry, report);
-    if (!upload.ok()) {
-      context_.on_transfer_failure(csp, upload);
+    if (!context_.calls
+             ->Upload(csp, TransferKind::kPutMeta, object, sealed.shares[i].data, report)
+             .ok()) {
       continue;  // e.g. quota: the CSP is full, not down
     }
     ++uploaded;
@@ -184,11 +179,11 @@ Status MetadataStore::Publish(const FileVersion& version, TransferReport& report
       continue;
     }
     // Make each CSP hold exactly its assigned share of this generation.
-    auto existing = RetryWithBackoff(context_.retry, [&] { return (*conn)->List(base); });
+    auto existing = context_.calls->List(csp, base);
     if (existing.ok()) {
       for (const ObjectInfo& stale : *existing) {
         if (stale.name != object) {
-          (void)(*conn)->Delete(stale.name);
+          (void)context_.calls->Delete(csp, stale.name);
         }
       }
     }
@@ -217,13 +212,8 @@ std::vector<int> MetadataStore::ListingOrder() const {
 }
 
 bool MetadataStore::ListInto(int csp, double now, std::map<std::string, Generations>& unknown) {
-  auto conn = context_.registry->connector(csp);
-  if (!conn.ok()) {
-    return false;
-  }
-  auto listing = RetryWithBackoff(context_.retry, [&] { return (*conn)->List("meta-"); });
+  auto listing = context_.calls->List(csp, "meta-");
   if (!listing.ok()) {
-    context_.on_transfer_failure(csp, listing.status());
     return false;
   }
   context_.monitor->RecordProbe(csp, now, true);
@@ -272,6 +262,8 @@ std::vector<FileVersion> MetadataStore::Discover() {
     list_until(order.size());
   }
 
+  // The call layer books discovery's downloads; no caller reads their
+  // records.
   TransferReport report;
   std::vector<FileVersion> found;
   // Fetches every base in `unknown`, dropping each one that is done; true
@@ -326,15 +318,10 @@ Result<FileVersion> MetadataStore::Fetch(const std::string& base,
       if (shares.size() >= meta_t) {
         break;
       }
-      auto conn = context_.registry->connector(csp);
-      if (!conn.ok()) {
-        continue;
-      }
-      auto data = DownloadWithRetry(**conn, TransferKind::kGetMeta, csp,
-                                    ObjectName(MetaShareId{base, index, generation}),
-                                    context_.retry, report);
+      auto data = context_.calls->Download(
+          csp, TransferKind::kGetMeta, ObjectName(MetaShareId{base, index, generation}),
+          report);
       if (!data.ok()) {
-        context_.on_transfer_failure(csp, data.status());
         continue;
       }
       shares.push_back(Share{index, *std::move(data)});

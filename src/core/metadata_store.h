@@ -25,8 +25,11 @@
 // listing: a new base shows fewer than meta_t holders in every generation,
 // more than one generation, or cannot be fetched from its listed holders.
 //
-// The store runs on the client's driver thread; it borrows the registry
-// and monitor (both thread-safe) from the owning client.
+// The store runs on the client's driver thread; it borrows the registry,
+// the CSP call layer and the monitor (all thread-safe) from the owning
+// client. Every upload, listing, delete and download goes through the call
+// layer, which retries it, routes a provider failure into the client's
+// health path, and books discovery's downloads like any other.
 #ifndef SRC_CORE_METADATA_STORE_H_
 #define SRC_CORE_METADATA_STORE_H_
 
@@ -44,7 +47,6 @@
 #include "src/meta/metadata.h"
 #include "src/rs/secret_sharing.h"
 #include "src/util/result.h"
-#include "src/util/retry.h"
 
 namespace cyrus {
 
@@ -52,19 +54,17 @@ namespace cyrus {
 // client owns the store and every pointee.
 struct MetadataStoreContext {
   CspRegistry* registry = nullptr;
+  CspCalls* calls = nullptr;
   AvailabilityMonitor* monitor = nullptr;
   // Where every chunk's shares live and their digests.
   const ChunkTable* chunk_table = nullptr;
   // The user's key: keys the metadata dispersal like it keys chunk data.
   std::string key_string;
   uint32_t meta_t = 2;
-  RetryOptions retry;
   // Minimum virtual-time gap between discovery passes; 0 = every pass
   // runs (CyrusConfig::metadata_sync_interval_s).
   double sync_interval_s = 0.0;
   std::function<double()> now;
-  // Health routing for failed transfers.
-  std::function<void(int csp, const Status&)> on_transfer_failure;
 };
 
 // One metadata share object, as named at a CSP.

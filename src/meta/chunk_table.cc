@@ -1,18 +1,8 @@
 #include "src/meta/chunk_table.h"
 
-#include "src/meta/serialize.h"
 #include "src/util/strings.h"
 
 namespace cyrus {
-namespace {
-
-constexpr uint32_t kMagic = 0x43595254;  // "CYRT"
-// v2 adds logical_size + the convergent-dedup fields per entry; v3 adds a
-// per-share digest. v1/v2 streams are still readable (logical_size defaults
-// to size, dedup to off, digests to unknown).
-constexpr uint32_t kFormatVersion = 3;
-
-}  // namespace
 
 bool ChunkTable::Contains(const Sha1Digest& chunk_id) const {
   return entries_.count(chunk_id) > 0;
@@ -177,75 +167,6 @@ uint64_t ChunkTable::TotalUniqueBytes() const {
     total += entry.size;
   }
   return total;
-}
-
-Bytes ChunkTable::Serialize() const {
-  BinaryWriter w;
-  w.WriteU32(kMagic);
-  w.WriteU32(kFormatVersion);
-  w.WriteU32(static_cast<uint32_t>(entries_.size()));
-  for (const auto& [id, entry] : entries_) {
-    w.WriteDigest(id);
-    w.WriteU64(entry.size);
-    w.WriteU32(entry.t);
-    w.WriteU32(entry.n);
-    w.WriteU32(entry.refcount);
-    w.WriteU64(entry.logical_size);
-    w.WriteU8(entry.dedup ? 1 : 0);
-    w.WriteBytes(entry.wrapped_key);
-    w.WriteU32(static_cast<uint32_t>(entry.shares.size()));
-    for (const ChunkShare& share : entry.shares) {
-      w.WriteU32(share.share_index);
-      w.WriteI32(share.csp);
-      w.WriteDigest(share.digest);
-    }
-  }
-  return w.TakeData();
-}
-
-Result<ChunkTable> ChunkTable::Deserialize(ByteSpan data) {
-  BinaryReader r(data);
-  CYRUS_ASSIGN_OR_RETURN(uint32_t magic, r.ReadU32());
-  if (magic != kMagic) {
-    return DataLossError("chunk table magic mismatch");
-  }
-  CYRUS_ASSIGN_OR_RETURN(uint32_t version, r.ReadU32());
-  if (version < 1 || version > kFormatVersion) {
-    return DataLossError(StrCat("unsupported chunk table version ", version));
-  }
-  ChunkTable table;
-  CYRUS_ASSIGN_OR_RETURN(uint32_t count, r.ReadU32());
-  for (uint32_t i = 0; i < count; ++i) {
-    CYRUS_ASSIGN_OR_RETURN(Sha1Digest id, r.ReadDigest());
-    ChunkEntry entry;
-    CYRUS_ASSIGN_OR_RETURN(entry.size, r.ReadU64());
-    CYRUS_ASSIGN_OR_RETURN(entry.t, r.ReadU32());
-    CYRUS_ASSIGN_OR_RETURN(entry.n, r.ReadU32());
-    CYRUS_ASSIGN_OR_RETURN(entry.refcount, r.ReadU32());
-    if (version >= 2) {
-      CYRUS_ASSIGN_OR_RETURN(entry.logical_size, r.ReadU64());
-      CYRUS_ASSIGN_OR_RETURN(uint8_t dedup, r.ReadU8());
-      entry.dedup = dedup != 0;
-      CYRUS_ASSIGN_OR_RETURN(entry.wrapped_key, r.ReadBytes());
-    } else {
-      entry.logical_size = entry.size;  // v1 predates the distinction
-    }
-    CYRUS_ASSIGN_OR_RETURN(uint32_t num_shares, r.ReadU32());
-    for (uint32_t s = 0; s < num_shares; ++s) {
-      ChunkShare share;
-      CYRUS_ASSIGN_OR_RETURN(share.share_index, r.ReadU32());
-      CYRUS_ASSIGN_OR_RETURN(share.csp, r.ReadI32());
-      if (version >= 3) {
-        CYRUS_ASSIGN_OR_RETURN(share.digest, r.ReadDigest());
-      }
-      entry.shares.push_back(share);
-    }
-    table.entries_.emplace(id, std::move(entry));
-  }
-  if (!r.AtEnd()) {
-    return DataLossError("trailing bytes after chunk table");
-  }
-  return table;
 }
 
 }  // namespace cyrus

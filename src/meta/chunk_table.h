@@ -118,9 +118,6 @@ class ChunkTable {
   // Total bytes of unique chunk payload tracked (pre-encoding).
   uint64_t TotalUniqueBytes() const;
 
-  Bytes Serialize() const;
-  static Result<ChunkTable> Deserialize(ByteSpan data);
-
  private:
   std::map<Sha1Digest, ChunkEntry> entries_;
 };

@@ -158,22 +158,8 @@ RepairEngine::ProbeSnapshot RepairEngine::ProbeInternal(RepairStats& delta) {
   const std::vector<int> active = context_.registry->ActiveIndices();
   std::vector<Result<std::vector<ObjectInfo>>> listings(
       active.size(), Result<std::vector<ObjectInfo>>(InternalError("not probed")));
-  auto probe_one = [&](size_t i) {
-    auto conn = context_.registry->connector(active[i]);
-    if (!conn.ok()) {
-      listings[i] = conn.status();
-      return;
-    }
-    listings[i] = RetryWithBackoff(options_.retry,
-                                   [&] { return (*conn)->List(""); });
-  };
-  if (context_.pool != nullptr && active.size() > 1) {
-    context_.pool->ParallelFor(active.size(), probe_one);
-  } else {
-    for (size_t i = 0; i < active.size(); ++i) {
-      probe_one(i);
-    }
-  }
+  ParallelFor(context_.pool, active.size(),
+              [&](size_t i) { listings[i] = context_.calls->List(active[i], ""); });
   // Bookkeeping is sequential: registry/ring/monitor mutation is not
   // thread-safe and probe results must land before classification.
   for (size_t i = 0; i < active.size(); ++i) {
@@ -371,7 +357,6 @@ Status RepairEngine::RepairChunk(const ChunkHealth& health,
   }
   read_options.quarantine = false;
   read_options.verify_plaintext = true;  // the rebuilt shares derive from it
-  read_options.retry = options_.retry;
   Bytes data(entry->size);
   ChunkReadResult read;
   const Status read_status =
@@ -459,17 +444,8 @@ void RepairEngine::ReclaimOrphans(uint64_t* budget_left, RepairStats& delta) {
     uint64_t freed_shares = 0;
     std::vector<ChunkShare> undeleted;
     for (const ChunkShare& share : entry->shares) {
-      auto conn = context_.registry->connector(share.csp);
-      if (!conn.ok()) {
-        // No account at that provider this session. Keep the location in
-        // the tombstone so a later pass (or a client that does hold an
-        // account) still has a record to retry from.
-        undeleted.push_back(share);
-        continue;
-      }
-      const std::string object = ShareName(chunk_id, share.share_index, entry->t);
-      const Status deleted = RetryWithBackoff(
-          options_.retry, [&] { return (*conn)->Delete(object); });
+      const Status deleted =
+          context_.calls->Delete(share.csp, ShareName(chunk_id, share.share_index, entry->t));
       if (deleted.ok()) {
         freed += share_bytes;
         ++freed_shares;
@@ -479,7 +455,11 @@ void RepairEngine::ReclaimOrphans(uint64_t* budget_left, RepairStats& delta) {
       } else if (deleted.code() == StatusCode::kNotFound) {
         ++freed_shares;  // already gone (e.g. a crashed Put's rollback)
       } else {
-        undeleted.push_back(share);  // provider unreachable after retries
+        // Provider unreachable after retries, or no account at it this
+        // session: the tombstone keeps the location, so a later pass (or a
+        // client that does hold an account) still has a record to retry
+        // from.
+        undeleted.push_back(share);
       }
     }
     if (!undeleted.empty()) {
@@ -568,7 +548,6 @@ void RepairEngine::IntegrityPass(uint64_t* budget_left, ScrubReport& report,
     read_options.all_shares = true;
     read_options.quarantine = false;
     read_options.verify_plaintext = legacy;  // upgraded digests derive from it
-    read_options.retry = options_.retry;
     Bytes data(entry->size);
     ChunkReadResult read;
     const Status read_status = context_.reader->Read(record, locations, read_options,

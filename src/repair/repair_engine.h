@@ -44,7 +44,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/result.h"
-#include "src/util/retry.h"
 #include "src/util/thread_pool.h"
 
 namespace cyrus {
@@ -61,8 +60,6 @@ struct RepairEngineOptions {
   // Repair competes with foreground traffic for the same links, so
   // production deployments cap it.
   uint64_t bandwidth_budget_bytes = 0;
-  // Transient-failure retry for probe and repair transfers.
-  RetryOptions retry;
   // Chunks whose at-rest share bytes one pass samples for bit rot (digest
   // check without decode); 0 disables the integrity pass. A persistent
   // cursor rotates the sample window so successive passes cover the whole
@@ -131,6 +128,10 @@ struct ScrubReport {
 // callbacks route state changes through the client so registry, ring, and
 // monitor stay consistent.
 struct RepairContext {
+  // The client's CSP call layer: probe Lists and reclaim Deletes go through
+  // it, retried under the client's transfer_retry policy, and a provider
+  // failure reaches the client's health path.
+  CspCalls* calls = nullptr;
   // The client's chunk read path: repair and the integrity sweep read
   // surviving shares through it (per-chunk keys, digest checks, error
   // correction, in-place heals, pooled buffers).

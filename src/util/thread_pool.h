@@ -120,6 +120,20 @@ class ThreadPool {
   bool shutting_down_ = false;
 };
 
+// Runs fn(0) .. fn(count - 1) and returns when all have finished: on
+// `pool` when it is non-null and there is more than one task, inline in
+// index order otherwise.
+template <typename Fn>
+void ParallelFor(ThreadPool* pool, size_t count, Fn fn) {
+  if (pool != nullptr && count > 1) {
+    pool->ParallelFor(count, fn);
+    return;
+  }
+  for (size_t i = 0; i < count; ++i) {
+    fn(i);
+  }
+}
+
 // Runs tasks concurrently on a ThreadPool while delivering their
 // completion callbacks strictly in submission order, with a bounded
 // in-flight window so memory stays O(window) regardless of how much work

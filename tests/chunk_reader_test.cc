@@ -38,6 +38,7 @@ struct ReaderBed {
   std::vector<std::shared_ptr<SimulatedCsp>> csps;
   CspRegistry registry;
   AvailabilityMonitor monitor;
+  CspCalls calls{&registry, &monitor, RetryOptions{}, nullptr, nullptr};
   BufferPool buffers;
   ThreadPool pool{4};
   std::vector<int> indicted;  // CSPs reported through on_integrity_failure
@@ -55,6 +56,7 @@ struct ReaderBed {
     }
     ChunkReaderContext context;
     context.registry = &registry;
+    context.calls = &calls;
     context.monitor = &monitor;
     context.pool = &pool;
     context.buffers = &buffers;
@@ -62,7 +64,6 @@ struct ReaderBed {
     context.chunk_key = [](const ChunkRecord&) -> Result<std::string> {
       return std::string(kKey);
     };
-    context.on_transfer_failure = [](int, const Status&) {};
     context.on_integrity_failure = [this](int csp) { indicted.push_back(csp); };
     reader = std::make_unique<ChunkReader>(std::move(context));
 

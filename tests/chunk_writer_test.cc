@@ -103,7 +103,13 @@ struct WriterBed {
   BufferPool buffers;
   ThreadPool pool{4};
   std::mutex failed_mutex;
-  std::set<int> failed;  // CSPs reported through on_transfer_failure
+  std::set<int> failed;  // CSPs the call layer reported as failing
+  // One connector call per upload attempt.
+  CspCalls calls{&registry, &monitor, RetryOptions{.max_attempts = 1}, nullptr,
+                 [this](int csp) {
+                   std::lock_guard<std::mutex> lock(failed_mutex);
+                   failed.insert(csp);
+                 }};
   std::unique_ptr<ChunkWriter> writer;
 
   Bytes content;
@@ -123,17 +129,12 @@ struct WriterBed {
       EXPECT_TRUE(ring.AddCsp(i, o.id, -1).ok());
     }
     ChunkWriterContext context;
-    context.registry = &registry;
+    context.calls = &calls;
     context.ring = &ring;
     context.monitor = &monitor;
     context.pool = &pool;
     context.buffers = &buffers;
     context.now = [] { return 0.0; };
-    context.retry.max_attempts = 1;  // one connector call per upload attempt
-    context.on_transfer_failure = [this](int csp, const Status&) {
-      std::lock_guard<std::mutex> lock(failed_mutex);
-      failed.insert(csp);
-    };
     context.journal = [this](const std::string&, int csp, const std::string& object) {
       return journal.Append(csp, object);
     };

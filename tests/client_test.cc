@@ -370,8 +370,14 @@ TEST(ClientTest, FreshDeviceRecoversAfterMigration) {
 
 TEST(ClientTest, ConcurrentEditsConflictDetectedAndResolved) {
   // Two devices sync, then both edit the same file: Figure 8's diverged-
-  // versions conflict must surface on the next download.
-  TestCloud cloud = MakeCloud();
+  // versions conflict must surface on the next download. Resolving and
+  // deleting publish metadata, which device 1's registry books.
+  obs::MetricsRegistry registry;
+  CyrusConfig config = SmallConfig();
+  config.metrics = &registry;
+  TestCloud cloud = MakeCloud(std::move(config));
+  obs::Counter* meta_uploads = registry.GetCounter(
+      "cyrus_transfer_requests_total", {{"kind", "PUT_META"}, {"result", "ok"}});
   const Bytes base = RandomContent(8 * 1024, 17);
   cloud.client->set_time(1.0);
   ASSERT_TRUE(cloud.client->Put("shared", base).ok());
@@ -397,7 +403,9 @@ TEST(ClientTest, ConcurrentEditsConflictDetectedAndResolved) {
   EXPECT_EQ(get->content, edit2);  // newest by mtime
 
   // Resolve: keep edit2; edit1 is renamed, not lost.
+  const uint64_t before_resolve = meta_uploads->value();
   ASSERT_TRUE(cloud.client->ResolveConflict("shared", put2->version_id).ok());
+  EXPECT_GT(meta_uploads->value(), before_resolve);
   auto after = cloud.client->Get("shared");
   ASSERT_TRUE(after.ok());
   EXPECT_FALSE(after->had_conflicts);
@@ -413,6 +421,9 @@ TEST(ClientTest, ConcurrentEditsConflictDetectedAndResolved) {
       auto rescued = cloud.client->Get(f.name);
       ASSERT_TRUE(rescued.ok());
       EXPECT_EQ(rescued->content, edit1);
+      const uint64_t before_delete = meta_uploads->value();
+      ASSERT_TRUE(cloud.client->Delete(f.name).ok());
+      EXPECT_GT(meta_uploads->value(), before_delete);
     }
   }
   EXPECT_TRUE(found_rename);

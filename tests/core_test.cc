@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <set>
 
+#include "src/cloud/simulated_csp.h"
 #include "src/core/hash_ring.h"
 #include "src/core/reliability.h"
 #include "src/core/transfer.h"
+#include "src/util/strings.h"
+#include "src/util/thread_pool.h"
 
 namespace cyrus {
 namespace {
@@ -256,6 +262,176 @@ TEST(TransferReportTest, Accounting) {
 TEST(TransferKindTest, Names) {
   EXPECT_EQ(TransferKindName(TransferKind::kPut), "PUT");
   EXPECT_EQ(TransferKindName(TransferKind::kGetMeta), "GET_META");
+}
+
+// --- CspCalls: the one call layer ---
+
+// A store whose next `fail_next` calls fail with `code`.
+class FlakyConnector : public CloudConnector {
+ public:
+  explicit FlakyConnector(std::string id)
+      : store_(std::make_shared<SimulatedCsp>(SimulatedCspOptions{std::move(id)})) {}
+
+  void FailNext(int calls, StatusCode code) {
+    code_ = code;
+    fail_next_ = calls;
+  }
+
+  std::string_view id() const override { return store_->id(); }
+  Status Authenticate(const Credentials& credentials) override {
+    return store_->Authenticate(credentials);
+  }
+  Result<std::vector<ObjectInfo>> List(std::string_view prefix) override {
+    CYRUS_RETURN_IF_ERROR(Injected());
+    return store_->List(prefix);
+  }
+  Status Upload(std::string_view name, ByteSpan data) override {
+    CYRUS_RETURN_IF_ERROR(Injected());
+    return store_->Upload(name, data);
+  }
+  Result<Bytes> Download(std::string_view name) override {
+    CYRUS_RETURN_IF_ERROR(Injected());
+    return store_->Download(name);
+  }
+  Status Delete(std::string_view name) override {
+    CYRUS_RETURN_IF_ERROR(Injected());
+    return store_->Delete(name);
+  }
+
+ private:
+  Status Injected() {
+    if (fail_next_.fetch_sub(1) > 0) {
+      return Status(code_, "injected");
+    }
+    return OkStatus();
+  }
+
+  std::shared_ptr<SimulatedCsp> store_;
+  std::atomic<int> fail_next_{0};
+  std::atomic<StatusCode> code_{StatusCode::kUnavailable};
+};
+
+struct CallsBed {
+  static constexpr int kCsps = 4;
+  std::vector<std::shared_ptr<FlakyConnector>> csps;
+  CspRegistry registry;
+  AvailabilityMonitor monitor;
+  obs::MetricsRegistry metrics;
+  std::mutex failed_mutex;
+  std::multiset<int> failed;  // every health failure the layer routed
+  std::unique_ptr<CspCalls> calls;
+
+  explicit CallsBed(uint32_t max_attempts = 3) {
+    for (int i = 0; i < kCsps; ++i) {
+      csps.push_back(std::make_shared<FlakyConnector>(StrCat("calls-csp", i)));
+      EXPECT_TRUE(csps.back()->Authenticate(Credentials{"token"}).ok());
+      registry.Add(csps.back(), CspProfile{});
+    }
+    RetryOptions retry;
+    retry.max_attempts = max_attempts;
+    calls = std::make_unique<CspCalls>(&registry, &monitor, retry, &metrics, [this](int csp) {
+      std::lock_guard<std::mutex> lock(failed_mutex);
+      failed.insert(csp);
+    });
+  }
+
+  uint64_t Requests(std::string kind, std::string result) {
+    return metrics
+        .GetCounter("cyrus_transfer_requests_total", {{"kind", kind}, {"result", result}})
+        ->value();
+  }
+  uint64_t BytesOf(std::string kind) {
+    return metrics.GetCounter("cyrus_transfer_bytes_total", {{"kind", kind}})->value();
+  }
+};
+
+// Uploads and downloads from pool threads: every attempt lands in its
+// caller's report and is booked exactly once.
+TEST(CspCallsTest, ConcurrentCallsFromPoolThreadsBookEveryRecordOnce) {
+  CallsBed bed;
+  ThreadPool pool(4);
+  constexpr size_t kCalls = 64;
+  std::vector<TransferReport> reports(kCalls);
+  ParallelFor(&pool, kCalls, [&](size_t i) {
+    const int csp = static_cast<int>(i % CallsBed::kCsps);
+    const std::string object = StrCat("obj-", i);
+    const Bytes data(100 + i, static_cast<uint8_t>(i));
+    ASSERT_TRUE(bed.calls->Upload(csp, TransferKind::kPut, object, data, reports[i]).ok());
+    auto back = bed.calls->Download(csp, TransferKind::kGetMeta, object, reports[i]);
+    ASSERT_TRUE(back.ok()) << back.status();
+    EXPECT_EQ(*back, data);
+  });
+  uint64_t bytes = 0;
+  for (size_t i = 0; i < kCalls; ++i) {
+    ASSERT_EQ(reports[i].records.size(), 2u);
+    EXPECT_EQ(reports[i].records[0].kind, TransferKind::kPut);
+    EXPECT_EQ(reports[i].records[1].kind, TransferKind::kGetMeta);
+    EXPECT_GT(reports[i].records[1].seconds, 0.0);
+    bytes += 100 + i;
+  }
+  EXPECT_EQ(bed.Requests("PUT", "ok"), kCalls);
+  EXPECT_EQ(bed.Requests("GET_META", "ok"), kCalls);
+  EXPECT_EQ(bed.Requests("PUT", "error"), 0u);
+  EXPECT_EQ(bed.BytesOf("PUT"), bytes);
+  EXPECT_EQ(bed.BytesOf("GET_META"), bytes);
+  EXPECT_TRUE(bed.failed.empty());
+}
+
+// A transient failure is retried in place; each attempt is journaled and
+// booked, and nothing reaches the health path.
+TEST(CspCallsTest, RetriedAttemptsAreJournaledAndBooked) {
+  CallsBed bed;
+  TransferReport report;
+  bed.csps[1]->FailNext(2, StatusCode::kUnavailable);
+  ASSERT_TRUE(bed.calls->Upload(1, TransferKind::kPut, "obj", Bytes(10), report).ok());
+  ASSERT_EQ(report.records.size(), 3u);
+  EXPECT_FALSE(report.records[0].success);
+  EXPECT_FALSE(report.records[1].success);
+  EXPECT_TRUE(report.records[2].success);
+  EXPECT_EQ(bed.Requests("PUT", "error"), 2u);
+  EXPECT_EQ(bed.Requests("PUT", "ok"), 1u);
+  EXPECT_TRUE(bed.failed.empty());
+}
+
+// A status that still indicts the provider after the retries reaches the
+// health path once per call; an answer from the provider does not.
+TEST(CspCallsTest, OnlyAHealthFailureAfterRetriesReachesTheHealthPath) {
+  CallsBed bed;
+  TransferReport report;
+  bed.csps[2]->FailNext(3, StatusCode::kUnavailable);
+  EXPECT_EQ(bed.calls->Download(2, TransferKind::kGet, "obj", report).status().code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(report.records.size(), 3u);
+  EXPECT_EQ(bed.failed, std::multiset<int>{2});
+
+  bed.csps[3]->FailNext(1, StatusCode::kPermissionDenied);  // not retried
+  EXPECT_EQ(bed.calls->List(3, "").status().code(), StatusCode::kPermissionDenied);
+  EXPECT_EQ(bed.failed, (std::multiset<int>{2, 3}));
+
+  EXPECT_EQ(bed.calls->Download(0, TransferKind::kGet, "missing", report).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(bed.calls->Upload(7, TransferKind::kPut, "obj", Bytes(1), report).code(),
+            StatusCode::kInvalidArgument);  // no such CSP: no call, no record
+  EXPECT_EQ(report.records.size(), 4u);
+  EXPECT_EQ(bed.failed, (std::multiset<int>{2, 3}));
+}
+
+// Lists and deletes are retried and health-routed but neither journaled
+// nor booked: no profile predicts a listing's cost.
+TEST(CspCallsTest, ListsAndDeletesAreRetriedButNotBooked) {
+  CallsBed bed;
+  TransferReport report;
+  ASSERT_TRUE(bed.calls->Upload(0, TransferKind::kPut, "a", Bytes(5), report).ok());
+  bed.csps[0]->FailNext(2, StatusCode::kUnavailable);
+  auto listing = bed.calls->List(0, "");
+  ASSERT_TRUE(listing.ok()) << listing.status();
+  EXPECT_EQ(listing->size(), 1u);
+  bed.csps[0]->FailNext(2, StatusCode::kUnavailable);
+  EXPECT_TRUE(bed.calls->Delete(0, "a").ok());
+  EXPECT_EQ(report.records.size(), 1u);
+  EXPECT_EQ(bed.Requests("PUT", "ok"), 1u);
+  EXPECT_EQ(bed.Requests("PUT", "error"), 0u);
+  EXPECT_TRUE(bed.failed.empty());
 }
 
 }  // namespace

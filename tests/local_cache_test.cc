@@ -80,7 +80,6 @@ TEST(LocalCacheTest, EncodeDecodeRoundTrip) {
   ASSERT_TRUE(back.ok()) << back.status();
   EXPECT_EQ(back->versions.size(), snapshot.versions.size());
   EXPECT_EQ(back->known_meta_bases, snapshot.known_meta_bases);
-  EXPECT_EQ(back->chunk_table.size(), snapshot.chunk_table.size());
 }
 
 TEST(LocalCacheTest, WrongKeyFingerprintRejected) {

@@ -559,59 +559,6 @@ TEST(ChunkTableTest, ChunksOnCsp) {
   EXPECT_TRUE(table.ChunksOnCsp(7).empty());
 }
 
-TEST(ChunkTableTest, SerializeRoundTrip) {
-  ChunkTable table;
-  ChunkEntry entry;
-  entry.size = 4096;
-  entry.t = 3;
-  entry.n = 5;
-  entry.shares = {{0, 1}, {2, 3}};
-  ASSERT_TRUE(table.Insert(Id("c1"), entry).ok());
-  ASSERT_TRUE(table.AddRef(Id("c1")).ok());
-  ASSERT_TRUE(table.Insert(Id("c2"), ChunkEntry{}).ok());
-
-  auto back = ChunkTable::Deserialize(table.Serialize());
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->size(), 2u);
-  const ChunkEntry* e = back->Find(Id("c1"));
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->size, 4096u);
-  EXPECT_EQ(e->refcount, 2u);
-  ASSERT_EQ(e->shares.size(), 2u);
-  EXPECT_EQ(e->shares[1].csp, 3);
-}
-
-TEST(ChunkTableTest, DedupFieldsRoundTrip) {
-  ChunkTable table;
-  ChunkEntry entry;
-  entry.size = 4096;
-  entry.logical_size = 8192;  // compressed-at-rest style divergence
-  entry.t = 3;
-  entry.n = 5;
-  entry.dedup = true;
-  entry.wrapped_key = Bytes{0xde, 0xad, 0xbe, 0xef};
-  ASSERT_TRUE(table.Insert(Id("cd"), entry).ok());
-  // logical_size defaults to size when the writer leaves it unset.
-  ChunkEntry plain;
-  plain.size = 512;
-  plain.t = 2;
-  plain.n = 3;
-  ASSERT_TRUE(table.Insert(Id("cp"), plain).ok());
-
-  auto back = ChunkTable::Deserialize(table.Serialize());
-  ASSERT_TRUE(back.ok()) << back.status();
-  const ChunkEntry* d = back->Find(Id("cd"));
-  ASSERT_NE(d, nullptr);
-  EXPECT_EQ(d->logical_size, 8192u);
-  EXPECT_TRUE(d->dedup);
-  EXPECT_EQ(d->wrapped_key, (Bytes{0xde, 0xad, 0xbe, 0xef}));
-  const ChunkEntry* p = back->Find(Id("cp"));
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(p->logical_size, 512u);
-  EXPECT_FALSE(p->dedup);
-  EXPECT_TRUE(p->wrapped_key.empty());
-}
-
 TEST(FileVersionTest, DedupChunkRecordRoundTrip) {
   FileVersion v = MakeVersion("dedup.bin", "dedup-content");
   v.chunks[0].dedup = true;
@@ -623,8 +570,8 @@ TEST(FileVersionTest, DedupChunkRecordRoundTrip) {
   EXPECT_EQ(back->chunks[0].wrapped_key, (Bytes{1, 2, 3, 4, 5}));
 }
 
-// Per-share digests in the chunk table: SetShareDigest records, MoveShare
-// carries (or clears) the digest, and both survive a serialize round trip.
+// Per-share digests in the chunk table: SetShareDigest records, and
+// MoveShare carries (or clears) the digest.
 TEST(ChunkTableTest, ShareDigestsRoundTrip) {
   ChunkTable table;
   ChunkEntry entry;
@@ -640,9 +587,7 @@ TEST(ChunkTableTest, ShareDigestsRoundTrip) {
   EXPECT_EQ(table.SetShareDigest(Id("nope"), 0, Id("x")).code(),
             StatusCode::kNotFound);
 
-  auto back = ChunkTable::Deserialize(table.Serialize());
-  ASSERT_TRUE(back.ok()) << back.status();
-  const ChunkEntry* e = back->Find(Id("cs"));
+  const ChunkEntry* e = table.Find(Id("cs"));
   ASSERT_NE(e, nullptr);
   ASSERT_EQ(e->shares.size(), 3u);
   EXPECT_TRUE(e->shares[0].has_digest());
@@ -652,10 +597,10 @@ TEST(ChunkTableTest, ShareDigestsRoundTrip) {
 
   // MoveShare to a new index with the unknown digest clears the stale one
   // (index i's bytes differ from index j's); with a digest, it adopts it.
-  ASSERT_TRUE(back->MoveShare(Id("cs"), 5, 0, 8, 3, Sha1Digest{}).ok());
-  EXPECT_FALSE(back->Find(Id("cs"))->shares[0].has_digest());
-  ASSERT_TRUE(back->MoveShare(Id("cs"), 7, 2, 9, 4, Id("sd-4")).ok());
-  const ChunkShare& moved = back->Find(Id("cs"))->shares[2];
+  ASSERT_TRUE(table.MoveShare(Id("cs"), 5, 0, 8, 3, Sha1Digest{}).ok());
+  EXPECT_FALSE(table.Find(Id("cs"))->shares[0].has_digest());
+  ASSERT_TRUE(table.MoveShare(Id("cs"), 7, 2, 9, 4, Id("sd-4")).ok());
+  const ChunkShare& moved = table.Find(Id("cs"))->shares[2];
   EXPECT_EQ(moved.share_index, 4u);
   EXPECT_TRUE(moved.has_digest());
   EXPECT_EQ(moved.digest, Id("sd-4"));

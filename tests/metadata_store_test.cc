@@ -3,8 +3,11 @@
 // CSP, and how many List calls publish and discovery make.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <set>
+#include <thread>
 
 #include "src/cloud/simulated_csp.h"
 #include "src/core/client.h"
@@ -285,15 +288,16 @@ TEST(MetadataStoreTest, PublishProjectsTheChunkTableLayout) {
     registry.Add(csp, CspProfile{});
   }
   AvailabilityMonitor monitor;
+  CspCalls calls(&registry, &monitor, RetryOptions{}, nullptr, nullptr);
   ChunkTable writer_table;
   ChunkTable reader_table;
   MetadataStoreContext context;
   context.registry = &registry;
+  context.calls = &calls;
   context.monitor = &monitor;
   context.key_string = kKey;
   context.meta_t = 2;
   context.now = [] { return 0.0; };
-  context.on_transfer_failure = [](int, const Status&) {};
   context.chunk_table = &writer_table;
   MetadataStore writer(context);
   context.chunk_table = &reader_table;
@@ -457,8 +461,12 @@ TEST(MetadataStoreTest, DiscoveryLeavesOutTheCspWithTheLargestExpectedRequestTim
   EXPECT_EQ(TotalLists(csps), kListQuorum);
   EXPECT_EQ(csps[3]->counters().lists, 0u);
 
-  // 10 ms of RTT plus 100 ms of learned excess is now the largest.
-  reader->availability_monitor().RecordExcess(1, 0.1);
+  // 10 ms of RTT plus 100 ms of learned excess is now the largest. The
+  // first pass booked csp1's metadata download at zero excess, so the
+  // slow samples fill the window.
+  for (size_t i = 0; i < AvailabilityMonitor::kExcessWindow; ++i) {
+    reader->availability_monitor().RecordExcess(1, 0.1);
+  }
   ASSERT_TRUE(writer->Put("b", RandomContent(2048, 41)).ok());
   for (const auto& csp : csps) {
     csp->ResetCounters();
@@ -546,6 +554,103 @@ TEST(MetadataStoreTest, PassOverOnlyKnownBasesDownloadsNothing) {
   ASSERT_TRUE(reader->SyncMetadata().ok());
   EXPECT_EQ(TotalDownloads(csps), before);
   EXPECT_EQ(TotalLists(csps) - lists, kListQuorum);
+}
+
+// Forwards to a store, counting metadata downloads and delaying each by
+// `meta_delay`; every other call is as fast as the store.
+class MetaTapConnector : public CloudConnector {
+ public:
+  MetaTapConnector(std::shared_ptr<SimulatedCsp> store, std::chrono::milliseconds meta_delay)
+      : store_(std::move(store)), meta_delay_(meta_delay) {}
+
+  uint64_t meta_downloads() const { return meta_downloads_; }
+
+  std::string_view id() const override { return store_->id(); }
+  Status Authenticate(const Credentials& credentials) override {
+    return store_->Authenticate(credentials);
+  }
+  Result<std::vector<ObjectInfo>> List(std::string_view prefix) override {
+    return store_->List(prefix);
+  }
+  Status Upload(std::string_view name, ByteSpan data) override {
+    return store_->Upload(name, data);
+  }
+  Result<Bytes> Download(std::string_view name) override {
+    if (name.starts_with("meta-")) {
+      ++meta_downloads_;
+      std::this_thread::sleep_for(meta_delay_);
+    }
+    return store_->Download(name);
+  }
+  Status Delete(std::string_view name) override { return store_->Delete(name); }
+
+ private:
+  std::shared_ptr<SimulatedCsp> store_;
+  std::chrono::milliseconds meta_delay_;
+  std::atomic<uint64_t> meta_downloads_{0};
+};
+
+// A reader over `csps` behind taps, every profile RTT 1 ms; CSP 0's
+// metadata downloads take `csp0_meta_delay`.
+std::unique_ptr<CyrusClient> MakeTappedReader(
+    const std::vector<std::shared_ptr<SimulatedCsp>>& csps, obs::MetricsRegistry* metrics,
+    std::chrono::milliseconds csp0_meta_delay,
+    std::vector<std::shared_ptr<MetaTapConnector>>& taps) {
+  CyrusConfig config = Config("reader");
+  config.metrics = metrics;
+  auto client = CyrusClient::Create(std::move(config));
+  EXPECT_TRUE(client.ok()) << client.status();
+  for (size_t i = 0; i < csps.size(); ++i) {
+    taps.push_back(std::make_shared<MetaTapConnector>(
+        csps[i], i == 0 ? csp0_meta_delay : std::chrono::milliseconds(0)));
+    CspProfile profile;
+    profile.rtt_ms = 1.0;
+    profile.download_bytes_per_sec = 1e9;
+    profile.upload_bytes_per_sec = 1e9;
+    EXPECT_TRUE((*client)->AddCsp(taps.back(), profile, Credentials{"token"}).ok());
+  }
+  return std::move(client).value();
+}
+
+TEST(MetadataStoreTest, DiscoveryDownloadsAreBookedLikeEveryOtherTransfer) {
+  auto csps = MakeCsps(kNumCsps);
+  auto writer = MakeClient("writer", csps);
+  const Bytes content = RandomContent(4096, 61);
+  ASSERT_TRUE(writer->Put("foreign.bin", content).ok());
+
+  obs::MetricsRegistry metrics;
+  std::vector<std::shared_ptr<MetaTapConnector>> taps;
+  auto reader = MakeTappedReader(csps, &metrics, std::chrono::milliseconds(0), taps);
+  auto get = reader->Get("foreign.bin");
+  ASSERT_TRUE(get.ok()) << get.status();
+  EXPECT_EQ(get->content, content);
+  uint64_t meta_downloads = 0;
+  for (const auto& tap : taps) {
+    meta_downloads += tap->meta_downloads();
+  }
+  EXPECT_GT(meta_downloads, 0u);
+  EXPECT_EQ(metrics
+                .GetCounter("cyrus_transfer_requests_total",
+                            {{"kind", "GET_META"}, {"result", "ok"}})
+                ->value(),
+            meta_downloads);
+}
+
+TEST(MetadataStoreTest, SlowMetadataDownloadsRaiseTheLearnedExcess) {
+  auto csps = MakeCsps(kNumCsps);
+  auto writer = MakeClient("writer", csps);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(writer->Put(StrCat("file-", i), RandomContent(2048, 70 + i)).ok());
+  }
+  // CSP 0 holds share 0 of every base, so discovery downloads three slow
+  // metadata shares from it, and nothing else.
+  obs::MetricsRegistry metrics;
+  std::vector<std::shared_ptr<MetaTapConnector>> taps;
+  auto reader = MakeTappedReader(csps, &metrics, std::chrono::milliseconds(20), taps);
+  ASSERT_TRUE(reader->SyncMetadata().ok());
+  ASSERT_EQ(reader->tree().size(), 3u);
+  EXPECT_EQ(taps[0]->meta_downloads(), 3u);
+  EXPECT_GT(reader->availability_monitor().MedianExcessSeconds(0), 0.0);
 }
 
 }  // namespace

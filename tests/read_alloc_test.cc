@@ -121,6 +121,7 @@ struct ReaderBed {
   std::vector<std::shared_ptr<SimulatedCsp>> csps;
   CspRegistry registry;
   AvailabilityMonitor monitor;
+  CspCalls calls{&registry, &monitor, RetryOptions{}, nullptr, nullptr};
   BufferPool buffers;
   ThreadPool pool{4};
   std::unique_ptr<ChunkReader> reader;
@@ -136,6 +137,7 @@ struct ReaderBed {
     }
     ChunkReaderContext context;
     context.registry = &registry;
+    context.calls = &calls;
     context.monitor = &monitor;
     context.pool = &pool;
     context.buffers = &buffers;
@@ -143,7 +145,6 @@ struct ReaderBed {
     context.chunk_key = [](const ChunkRecord&) -> Result<std::string> {
       return std::string(kKey);
     };
-    context.on_transfer_failure = [](int, const Status&) {};
     context.on_integrity_failure = [](int) {};
     reader = std::make_unique<ChunkReader>(std::move(context));
 

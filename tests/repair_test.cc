@@ -2,6 +2,7 @@
 // connector decorator it is built to survive.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <set>
 #include <string>
@@ -513,6 +514,66 @@ TEST(RepairTest, ScrubTransfersFeedTheFlowSimulator) {
   EXPECT_TRUE(saw_get);
   EXPECT_TRUE(saw_put);
   EXPECT_TRUE(saw_meta);
+}
+
+// A store whose next `n` List calls fail with kUnavailable once armed.
+class ListFlakingConnector : public CloudConnector {
+ public:
+  explicit ListFlakingConnector(std::shared_ptr<CloudConnector> inner)
+      : inner_(std::move(inner)) {}
+
+  void FailNextLists(int n) { failing_ = n; }
+  int lists_failed() const { return lists_failed_; }
+
+  std::string_view id() const override { return inner_->id(); }
+  Status Authenticate(const Credentials& credentials) override {
+    return inner_->Authenticate(credentials);
+  }
+  Result<std::vector<ObjectInfo>> List(std::string_view prefix) override {
+    if (failing_ > 0) {
+      --failing_;
+      ++lists_failed_;
+      return UnavailableError("injected List failure");
+    }
+    return inner_->List(prefix);
+  }
+  Status Upload(std::string_view name, ByteSpan data) override {
+    return inner_->Upload(name, data);
+  }
+  Result<Bytes> Download(std::string_view name) override { return inner_->Download(name); }
+  Status Delete(std::string_view name) override { return inner_->Delete(name); }
+
+ private:
+  std::shared_ptr<CloudConnector> inner_;
+  std::atomic<int> failing_{0};
+  std::atomic<int> lists_failed_{0};
+};
+
+// Scrub probes retry under config.transfer_retry, like every other CSP
+// call: three transient List failures fit a four-attempt budget.
+TEST(RepairTest, ScrubProbesRetryUnderTheTransferRetryBudget) {
+  CyrusConfig config = SmallConfig();
+  config.transfer_retry.max_attempts = 4;
+  auto client = CyrusClient::Create(std::move(config));
+  ASSERT_TRUE(client.ok()) << client.status();
+  std::shared_ptr<ListFlakingConnector> flaky;
+  for (int i = 0; i < kNumCsps; ++i) {
+    std::shared_ptr<CloudConnector> csp =
+        std::make_shared<SimulatedCsp>(SimulatedCspOptions{"csp" + std::to_string(i)});
+    if (i == 0) {
+      flaky = std::make_shared<ListFlakingConnector>(csp);
+      csp = flaky;
+    }
+    ASSERT_TRUE((*client)->AddCsp(csp, CspProfile{}, Credentials{"token"}).ok());
+  }
+  ASSERT_TRUE((*client)->Put("a.bin", RandomContent(20 * 1024, 12)).ok());
+
+  flaky->FailNextLists(3);
+  auto report = (*client)->ScrubOnce();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(flaky->lists_failed(), 3);
+  EXPECT_EQ(report->stats.probe_failures, 0u);
+  EXPECT_TRUE((*client)->registry().IsActive(0));
 }
 
 }  // namespace
