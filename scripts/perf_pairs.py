@@ -18,9 +18,18 @@ alternate which side runs first, so drift in the machine's load falls on
 both sides alike.
 
 Prints one JSON line: for each end-to-end metric of BENCHMARK.json, the
-parent's and the change's median, the parent's interquartile range, and
-how many pairs the change won (strictly better in the metric's direction),
-plus the op counts each side attempted and failed. The same summary covers
+parent's and the change's median, each side's interquartile range, how
+many pairs the change won (strictly better in the metric's direction),
+each side's runs in pair order, and a verdict against the metric's bound
+(a fraction of the parent's median):
+
+  worse       the change's median is worse than the parent's by more than
+              the bound;
+  unresolved  the parent's IQR divided by its median is wider than the
+              bound, unless every change run beats every parent run;
+  ok          otherwise.
+
+The line also holds the op counts each side attempted and failed. The same summary covers
 each run's resource use as the kernel accounts it to the benchmark process
 (getrusage of the finished child): "proc.minflt" (minor page faults),
 "proc.user_s" and "proc.sys_s" (CPU seconds in user and kernel mode).
@@ -120,6 +129,22 @@ def quartiles(values):
     return q[0], q[2]
 
 
+def verdict(parent, change, lower, bound):
+    """`worse`, `unresolved` or `ok` for one end-to-end metric; `bound` is
+    a fraction of the parent's median."""
+    base = statistics.median(parent)
+    worsening = statistics.median(change) - base
+    if not lower:
+        worsening = -worsening
+    if worsening > bound * abs(base):
+        return "worse"
+    q1, q3 = quartiles(parent)
+    beats_all = (max(change) < min(parent)) if lower else (min(change) > max(parent))
+    if q3 - q1 > bound * abs(base) and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -180,12 +205,19 @@ def main():
         lower = metric["better"] == "lower"
         wins = sum(1 for p, c in zip(parent, change) if (c < p if lower else c > p))
         q1, q3 = quartiles(parent)
-        report["metrics"][name] = {
+        c1, c3 = quartiles(change)
+        summary = {
             "parent_median": statistics.median(parent),
             "change_median": statistics.median(change),
             "parent_iqr": q3 - q1,
+            "change_iqr": c3 - c1,
             "wins": wins,
         }
+        if "bound" in metric:
+            summary["verdict"] = verdict(parent, change, lower, metric["bound"])
+            summary["parent_runs"] = parent
+            summary["change_runs"] = change
+        report["metrics"][name] = summary
     print(json.dumps(report, sort_keys=True))
 
 

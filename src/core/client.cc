@@ -420,91 +420,74 @@ struct CyrusClient::GatherSlot {
   std::vector<int> selected;      // the download selector's picks
   Status status = InternalError("not gathered");
   ChunkReadResult read;
-  bool migrating = false;  // some location is on a failed or removed CSP
-  size_t migrated = 0;
-  std::vector<ShareDigest> upgraded;   // re-derived share digests
+  LayoutChange change;  // migrated shares and re-derived digests
 };
 
 void CyrusClient::GatherGroup(const std::vector<GatherSlot*>& group) {
   std::vector<ChunkReadRequest> requests(group.size());
   for (size_t i = 0; i < group.size(); ++i) {
     GatherSlot& slot = *group[i];
-    // Lazy share migration (paper §5.5, Figure 9) in FinishGather
-    // regenerates shares whose CSP is failed or removed, so their source
-    // plaintext is hashed.
-    slot.migrating =
-        std::any_of(slot.locations.begin(), slot.locations.end(),
-                    [&](const ShareLocation& loc) { return !registry_.IsActive(loc.csp); });
     ChunkReadRequest& request = requests[i];
     request.chunk = &slot.chunk;
     request.locations = &slot.locations;
     request.options.preferred = slot.selected;
-    request.options.verify_plaintext = slot.migrating;
+    // Lazy share migration (paper §5.5, Figure 9) regenerates shares whose
+    // CSP is failed or removed, so their source plaintext is hashed.
+    request.options.verify_plaintext =
+        std::any_of(slot.locations.begin(), slot.locations.end(),
+                    [&](const ShareLocation& loc) { return !registry_.IsActive(loc.csp); });
     request.dst = slot.dst;
     request.result = &slot.read;
   }
   reader_->ReadGroup(requests);
-  for (size_t i = 0; i < group.size(); ++i) {
-    group[i]->status =
-        requests[i].status.ok() ? FinishGather(*group[i]) : std::move(requests[i].status);
-  }
-}
 
-Status CyrusClient::FinishGather(GatherSlot& slot) {
-  const ChunkRecord& chunk = slot.chunk;
-  if (slot.read.healed > 0) {
-    integrity_shares_healed_->Increment(slot.read.healed);
-  }
-
-  // Every share on a failed or removed CSP is regenerated at a fresh index
-  // on a CSP holding none; the chunk table records it with its digest.
-  std::vector<ShareLocation> updated = slot.locations;
-  if (slot.migrating) {
+  // Only table-free work happens here; the driver records each slot's
+  // change after the drain.
+  auto rebuild = [this](GatherSlot& slot, bool migrating) -> Status {
+    const ChunkRecord& chunk = slot.chunk;
+    if (slot.read.healed > 0) {
+      integrity_shares_healed_->Increment(slot.read.healed);
+    }
+    // Every share on a failed or removed CSP is regenerated at a fresh
+    // index on a CSP holding none. Shares no CSP would take stay put; a
+    // later download retries them.
+    std::set<uint32_t> indices;
     std::vector<int> holders;
-    std::vector<ShareLocation*> dead;
-    uint32_t max_index = 0;
-    for (ShareLocation& loc : updated) {
-      max_index = std::max(max_index, loc.share_index);
-      if (registry_.IsActive(loc.csp)) {
-        holders.push_back(loc.csp);
+    for (const ShareLocation& loc : slot.locations) {
+      indices.insert(loc.share_index);
+      if (migrating && !registry_.IsActive(loc.csp)) {
+        slot.change.dead.push_back(ChunkShare{loc.share_index, loc.csp, {}});
       } else {
-        dead.push_back(&loc);
+        holders.push_back(loc.csp);
       }
     }
-    CYRUS_ASSIGN_OR_RETURN(SecretSharingCodec codec, reader_->CodecFor(chunk));
-    CYRUS_ASSIGN_OR_RETURN(
-        std::vector<ChunkShare> fresh,
-        writer_->Extend(codec, chunk.id, slot.dst, max_index + 1,
-                        static_cast<uint32_t>(dead.size()), std::move(holders),
-                        slot.read.report));
-    // Shares no CSP would take stay put; a later download retries them.
-    for (size_t i = 0; i < fresh.size(); ++i) {
-      ShareLocation& loc = *dead[i];
-      (void)chunk_table_.MoveShare(chunk.id, loc.csp, loc.share_index, fresh[i].csp,
-                                   fresh[i].share_index, fresh[i].digest);
-      loc = ShareLocation{chunk.id, fresh[i].share_index, fresh[i].csp};
+    if (!slot.change.dead.empty()) {
+      CYRUS_ASSIGN_OR_RETURN(SecretSharingCodec codec, reader_->CodecFor(chunk));
+      CYRUS_ASSIGN_OR_RETURN(
+          slot.change.fresh,
+          writer_->Extend(codec, chunk.id, slot.dst, *indices.rbegin() + 1,
+                          static_cast<uint32_t>(slot.change.dead.size()),
+                          std::move(holders), slot.read.report));
     }
-    slot.migrated = fresh.size();
-  }
 
-  // Digest bookkeeping: when the read healed or corrected shares, or the
-  // record predates per-share digests, derive the authoritative digest set
-  // from the verified plaintext. The chunk table is updated here; the
-  // driver republishes the metadata that references the chunk.
-  if (chunk.share_digests.empty() || slot.read.healed > 0 || slot.read.corrected) {
-    std::set<uint32_t> indices;
-    for (const ShareLocation& loc : updated) {
-      indices.insert(loc.share_index);
+    // Digest bookkeeping: when the read healed or corrected shares, or the
+    // record predates per-share digests, derive the authoritative digest
+    // set from the verified plaintext (fresh shares carry theirs, and a
+    // moved index's digest has no share left to land on).
+    if (chunk.share_digests.empty() || slot.read.healed > 0 || slot.read.corrected) {
+      CYRUS_ASSIGN_OR_RETURN(
+          slot.change.derived,
+          reader_->DeriveDigests(chunk, slot.dst,
+                                 std::vector<uint32_t>(indices.begin(), indices.end())));
     }
-    CYRUS_ASSIGN_OR_RETURN(
-        slot.upgraded,
-        reader_->DeriveDigests(chunk, slot.dst,
-                               std::vector<uint32_t>(indices.begin(), indices.end())));
-    for (const ShareDigest& d : slot.upgraded) {
-      (void)chunk_table_.SetShareDigest(chunk.id, d.share_index, d.digest);
-    }
+    return OkStatus();
+  };
+  for (size_t i = 0; i < group.size(); ++i) {
+    ChunkReadRequest& request = requests[i];
+    group[i]->status = request.status.ok()
+                           ? rebuild(*group[i], request.options.verify_plaintext)
+                           : std::move(request.status);
   }
-  return OkStatus();
 }
 
 // ---------------------------------------------------------------------------
@@ -758,12 +741,15 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
   version.modified_time = now_;
   version.size = content.size();
 
-  // One codec serves every chunk of this Put: the dispersal matrix depends
-  // only on (key, t, n), so constructing it per chunk was pure waste.
-  CYRUS_ASSIGN_OR_RETURN(
-      SecretSharingCodec codec,
-      SecretSharingCodec::Create(config_.key_string, config_.t, n));
-  codec_creates_->Increment();
+  // One codec serves every chunk of a user-key Put: the dispersal matrix
+  // depends only on (key, t, n). Convergent chunks each build their own.
+  const bool convergent = convergent_writes();
+  std::optional<SecretSharingCodec> codec;
+  if (!convergent) {
+    CYRUS_ASSIGN_OR_RETURN(codec,
+                           SecretSharingCodec::Create(config_.key_string, config_.t, n));
+    codec_creates_->Increment();
+  }
 
   // Pipelined scatter (§5.3): chunk i+1 is encoded and uploading on the
   // pool while chunk i's completion is book-kept. The OrderedPipeline
@@ -788,7 +774,6 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
   window.max_in_flight = pipeline_window();
   OrderedPipeline pipeline(pool_.get(), window);
 
-  const bool convergent = convergent_writes();
   const uint32_t quorum = PutQuorum(n);
   std::set<Sha1Digest> recorded;
   // Every completion ends here once the chunk-table entry is final: the
@@ -848,26 +833,23 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
         slot->wrapped_key = deriver_.WrapForUser(
             deriver_.ContentKey(slot->chunk_id), slot->chunk_id);
       };
-    } else if (convergent) {
-      inflight.insert(chunk_id);
-      // Convergent miss: this chunk's codec is keyed by its own content,
-      // so the per-Put user-key codec above cannot serve it. Codec
-      // construction is pure (key, t, n) -> matrices and runs on the
-      // worker beside the encode it feeds.
-      work = [this, slot, chunk_bytes, n, quorum, &journal_id, &trace] {
-        auto chunk_codec = ConvergentCodec(slot->chunk_id, n, slot->wrapped_key);
-        if (!chunk_codec.ok()) {
-          slot->shares = chunk_codec.status();
-          return;
-        }
-        slot->shares = writer_->Scatter(*chunk_codec, slot->chunk_id, chunk_bytes,
-                                        quorum, journal_id, slot->report, trace);
-      };
     } else {
       inflight.insert(chunk_id);
-      work = [this, slot, chunk_bytes, quorum, &codec, &journal_id, &trace] {
-        slot->shares = writer_->Scatter(codec, slot->chunk_id, chunk_bytes, quorum,
-                                        journal_id, slot->report, trace);
+      // A convergent miss builds its content-keyed codec here, on the
+      // worker beside the encode it feeds.
+      work = [this, slot, chunk_bytes, n, quorum, &codec, &journal_id, &trace] {
+        std::optional<SecretSharingCodec> own;
+        if (!codec.has_value()) {
+          auto chunk_codec = ConvergentCodec(slot->chunk_id, n, slot->wrapped_key);
+          if (!chunk_codec.ok()) {
+            slot->shares = chunk_codec.status();
+            return;
+          }
+          own.emplace(*std::move(chunk_codec));
+        }
+        slot->shares = writer_->Scatter(own.has_value() ? *own : *codec, slot->chunk_id,
+                                        chunk_bytes, quorum, journal_id, slot->report,
+                                        trace);
       };
     }
     auto on_complete = [this, slot, n, quorum, convergent, chunk_bytes, &result,
@@ -1233,7 +1215,6 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
   window.max_in_flight = std::max<size_t>(window_chunks / group_size, 1);
   OrderedPipeline pipeline(pool_.get(), window);
 
-  std::set<Sha1Digest> relaid;  // chunks whose layout or digests changed
   auto book = [&](GatherSlot& slot) -> Status {
     result.transfer.Append(slot.read.report);
     result.integrity_rejected_shares += slot.read.integrity_rejected;
@@ -1241,24 +1222,6 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
     chunks_gathered_->Increment();
     ++result.chunks_decoded;
     gather_span.AddBytes(slot.chunk.size);
-
-    // The chunk table already holds this chunk's migrations and new
-    // digests; the metadata that references it is republished once, after
-    // the drain, so other devices locate and authenticate the stored
-    // shares.
-    if (slot.migrated > 0 || !slot.upgraded.empty()) {
-      result.migrated_shares += slot.migrated;
-      if (!slot.upgraded.empty() && slot.chunk.share_digests.empty()) {
-        ++result.digest_upgraded_chunks;
-        integrity_records_upgraded_->Increment();
-      }
-      relaid.insert(slot.chunk.id);
-      const ChunkEntry* moved = chunk_table_.Find(slot.chunk.id);
-      if (moved != nullptr && slot.chunk.dedup && config_.share_index != nullptr) {
-        (void)config_.share_index->ReplaceShares(slot.chunk.id, moved->shares);
-      }
-    }
-
     if (!whole_file) {
       copy_overlap(slot.chunk, *slot.buffer);
       std::shared_ptr<const Bytes> decoded = std::move(slot.buffer);
@@ -1313,10 +1276,26 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
       pipeline_status = drained;
     }
   }
+  // Every uploaded share and derived digest is recorded, even when the Get
+  // fails; on success the metadata referencing a changed chunk is
+  // republished once, so other devices locate and authenticate its shares.
+  std::set<Sha1Digest> relaid;
+  for (const GatherSlot& slot : slots) {
+    if (slot.change.fresh.empty() && slot.change.derived.empty()) {
+      continue;
+    }
+    repair_->RecordLayout(slot.chunk.id, slot.change);
+    relaid.insert(slot.chunk.id);
+    result.migrated_shares += slot.change.fresh.size();
+    shares_migrated_->Increment(slot.change.fresh.size());
+    if (!slot.change.derived.empty() && slot.chunk.share_digests.empty()) {
+      ++result.digest_upgraded_chunks;
+      integrity_records_upgraded_->Increment();
+    }
+  }
   CYRUS_RETURN_IF_ERROR(pipeline_status);
   gather_span.End();
   if (!relaid.empty()) {
-    shares_migrated_->Increment(result.migrated_shares);
     obs::ScopedSpan republish_span = trace.Span("republish_meta");
     CYRUS_RETURN_IF_ERROR(RepublishVersions(&relaid, result.transfer));
   }

@@ -484,18 +484,12 @@ class CyrusClient {
   struct GatherSlot;
 
   // Reads a group of chunks through one ChunkReader::ReadGroup straight
-  // into each slot's dst, then runs FinishGather on every slot whose read
-  // succeeded; each slot gets its own status. Runs on a pipeline worker:
-  // the driver resolves slot.locations beforehand and republishes the
-  // affected metadata afterwards.
+  // into each slot's dst; each slot gets its own status. A successful read
+  // fills the slot's change record without touching the chunk table:
+  // shares migrated off failed/removed CSPs and re-derived digests. Runs
+  // on a pipeline worker; the driver resolves slot.locations beforehand
+  // and records each change (RepairEngine::RecordLayout) after the drain.
   void GatherGroup(const std::vector<GatherSlot*>& group);
-
-  // The per-chunk bookkeeping after a successful read: lazily migrates
-  // shares off failed/removed CSPs through the ChunkWriter (the chunk
-  // table records the new shares with their digests), and, when the read
-  // healed or corrected shares or the record predates digests, derives
-  // the authoritative digest set into slot.upgraded.
-  Status FinishGather(GatherSlot& slot);
 
   // Algorithm 1's achievable bandwidth for `csp` on shares of
   // `share_bytes`: S / (S / profile rate + e), where e is the CSP's median

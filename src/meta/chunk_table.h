@@ -9,15 +9,13 @@
 // here alone, and the ShareMap rows and share digests of published
 // metadata are projected from it (src/core/metadata_store.h). Incoming
 // metadata hands its rows over once, on ingest; versions in the local
-// tree carry none.
+// tree carry none. A rebuilt layout (lazy migration, repair, digest
+// upgrade) is written by one step, RepairEngine::RecordLayout.
 //
-// Threading discipline (deliberately no internal lock): structural
-// mutation - Insert, AddRef, Release - happens only on the client's driver
-// thread, inside ordered pipeline completions. Pipeline workers may call
-// MoveShare, which rewrites one entry's share list in place, but a Get
-// gathers each unique chunk exactly once, so concurrent MoveShare calls
-// always target *distinct* entries and never race with the driver's
-// lookups of other chunks.
+// Threading discipline (deliberately no internal lock): the table is
+// driver-only. Every read and every mutation happens on the client's
+// driver thread; pipeline workers get copies of what they need (share
+// locations, digests) and hand changes back for the driver to record.
 #ifndef SRC_META_CHUNK_TABLE_H_
 #define SRC_META_CHUNK_TABLE_H_
 

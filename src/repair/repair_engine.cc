@@ -368,41 +368,62 @@ Status RepairEngine::RepairChunk(const ChunkHealth& health,
 
   // Re-encode the missing redundancy at fresh indices through the client's
   // write path, never on a CSP already holding a live share.
-  CYRUS_ASSIGN_OR_RETURN(std::vector<ChunkShare> rebuilt,
+  LayoutChange change{dead, {}, {}};
+  CYRUS_ASSIGN_OR_RETURN(change.fresh,
                          context_.writer->Extend(codec, chunk_id, data, max_index + 1,
                                                  missing, std::move(holders),
                                                  report.transfer));
-  spend(share_bytes * rebuilt.size());
-  delta.shares_rebuilt += rebuilt.size();
-  // Each rebuilt share supersedes one dead location; extras beyond the dead
-  // list widen the scatter to the new target n.
-  std::vector<ChunkShare> dead_left = dead;
-  for (const ChunkShare& fresh : rebuilt) {
-    if (dead_left.empty()) {
-      CYRUS_RETURN_IF_ERROR(context_.chunk_table->AddShare(chunk_id, fresh));
-      continue;
-    }
-    const ChunkShare old = dead_left.back();
-    dead_left.pop_back();
-    CYRUS_RETURN_IF_ERROR(context_.chunk_table->MoveShare(
-        chunk_id, old.csp, old.share_index, fresh.csp, fresh.share_index, fresh.digest));
-  }
+  spend(share_bytes * change.fresh.size());
+  delta.shares_rebuilt += change.fresh.size();
 
-  // Once the chunk is back at target, the leftover dead locations are
-  // stale bookkeeping (their CSPs are gone or their objects vanished);
-  // prune them so the next scan sees a clean entry.
-  const uint32_t live_now = static_cast<uint32_t>(live.size() + rebuilt.size());
-  if (live_now >= health.n_target) {
-    for (const ChunkShare& old : dead_left) {
-      if (context_.chunk_table->RemoveShare(chunk_id, old.csp, old.share_index).ok()) {
-        ++delta.shares_pruned;
-      }
-    }
+  // Once the chunk is back at target, the dead locations no rebuilt share
+  // replaced are stale bookkeeping (their CSPs are gone or their objects
+  // vanished); they are pruned so the next scan sees a clean entry. Short
+  // of target, whatever landed is still recorded.
+  const uint32_t live_now = static_cast<uint32_t>(live.size() + change.fresh.size());
+  const bool at_target = live_now >= health.n_target;
+  const std::vector<ChunkShare> left = RecordLayout(chunk_id, change, at_target);
+  if (at_target) {
+    delta.shares_pruned += left.size();
     return OkStatus();
   }
   return FailedPreconditionError(
       StrCat("chunk ", chunk_id.ToHex(), ": restored ", live_now, " of target ",
              health.n_target, " shares; active CSP set too small"));
+}
+
+std::vector<ChunkShare> RepairEngine::RecordLayout(const Sha1Digest& chunk_id,
+                                                   const LayoutChange& change,
+                                                   bool prune) {
+  // The table is driver-only and every caller took the dead locations from
+  // it on this thread, so these edits find their targets.
+  ChunkTable& table = *context_.chunk_table;
+  for (size_t i = 0; i < change.fresh.size(); ++i) {
+    const ChunkShare& fresh = change.fresh[i];
+    if (i < change.dead.size()) {
+      const ChunkShare& old = change.dead[i];
+      (void)table.MoveShare(chunk_id, old.csp, old.share_index, fresh.csp,
+                            fresh.share_index, fresh.digest);
+    } else {
+      (void)table.AddShare(chunk_id, fresh);
+    }
+  }
+  for (const ShareDigest& d : change.derived) {
+    (void)table.SetShareDigest(chunk_id, d.share_index, d.digest);
+  }
+  std::vector<ChunkShare> left(
+      change.dead.begin() + std::min(change.dead.size(), change.fresh.size()),
+      change.dead.end());
+  if (prune) {
+    for (const ChunkShare& old : left) {
+      (void)table.RemoveShare(chunk_id, old.csp, old.share_index);
+    }
+  }
+  const ChunkEntry* entry = table.Find(chunk_id);
+  if (context_.share_index != nullptr && entry != nullptr && entry->dedup) {
+    (void)context_.share_index->ReplaceShares(chunk_id, entry->shares);
+  }
+  return left;
 }
 
 void RepairEngine::ReclaimOrphans(uint64_t* budget_left, RepairStats& delta) {
@@ -579,16 +600,9 @@ void RepairEngine::IntegrityPass(uint64_t* budget_left, ScrubReport& report,
       if (!digests.ok()) {
         continue;
       }
-      for (const ShareDigest& d : *digests) {
-        (void)context_.chunk_table->SetShareDigest(chunk_id, d.share_index, d.digest);
-      }
+      RecordLayout(chunk_id, LayoutChange{{}, {}, *std::move(digests)});
       ++delta.records_upgraded;
       report.upgraded_chunks.push_back(chunk_id);
-      if (context_.share_index != nullptr && record.dedup) {
-        if (const ChunkEntry* fresh = context_.chunk_table->Find(chunk_id)) {
-          (void)context_.share_index->ReplaceShares(chunk_id, fresh->shares);
-        }
-      }
     }
   }
   integrity_cursor_ = (start + scanned) % ids.size();
@@ -640,14 +654,6 @@ Result<ScrubReport> RepairEngine::ScrubOnce(obs::TraceBuilder* trace) {
       ++delta.chunks_repaired;
       ++repairs;
       report.repaired_chunks.push_back(chunk.chunk_id);
-      if (context_.share_index != nullptr) {
-        // Keep the cross-user index pointing at the rebuilt layout so the
-        // next writer's dedup hit references shares that exist.
-        const ChunkEntry* moved = context_.chunk_table->Find(chunk.chunk_id);
-        if (moved != nullptr && moved->dedup) {
-          (void)context_.share_index->ReplaceShares(chunk.chunk_id, moved->shares);
-        }
-      }
       continue;
     }
     report.unrepaired.push_back(chunk);

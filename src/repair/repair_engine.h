@@ -19,10 +19,10 @@
 //                chunk is read from t surviving shares through the client's
 //                ChunkReader (digest-checked, healed), fresh shares at new
 //                indices are written through the client's ChunkWriter onto
-//                CSPs not yet holding one, and the ChunkTable records them
-//                with their digests. Reads run on the shared ThreadPool; a
-//                per-pass bandwidth budget and repair cap bound the traffic
-//                a scrub may add.
+//                CSPs not yet holding one, and RecordLayout (which also
+//                records Get's migrations) stores them with their digests.
+//                Reads run on the shared ThreadPool; a per-pass bandwidth
+//                budget and repair cap bound the traffic a scrub may add.
 //
 // The engine mutates the chunk table but never file metadata; the owning
 // CyrusClient republishes metadata for versions whose chunks moved (see
@@ -41,6 +41,7 @@
 #include "src/core/transfer.h"
 #include "src/dedup/share_index.h"
 #include "src/meta/chunk_table.h"
+#include "src/meta/metadata.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/result.h"
@@ -122,6 +123,15 @@ struct ScrubReport {
   std::vector<Sha1Digest> upgraded_chunks;
 };
 
+// One rebuilt chunk layout, for RepairEngine::RecordLayout: the i-th
+// `fresh` share (from ChunkWriter::Extend) replaces the i-th `dead`
+// location, and `derived` digests come from verified plaintext.
+struct LayoutChange {
+  std::vector<ChunkShare> dead;
+  std::vector<ChunkShare> fresh;
+  std::vector<ShareDigest> derived;
+};
+
 // Everything the engine borrows from the owning client. Raw pointers: the
 // client owns both the engine and the pointees, and the engine never
 // outlives it. `pool` may be null (transfers run synchronously). The
@@ -186,6 +196,15 @@ class RepairEngine {
 
   // Sum of missing shares across the degraded-write ledger.
   uint64_t OutstandingDegradedShares() const;
+
+  // The one step that records a rebuilt layout (Get's lazy migration,
+  // scrub repair, digest upgrades); driver thread only. Surplus fresh
+  // shares are added; with `prune`, dead locations no fresh share replaced
+  // are dropped. A convergent chunk's new layout is copied into the
+  // ShareIndex, so the next dedup hit references shares that exist.
+  // Returns the dead locations no fresh share replaced.
+  std::vector<ChunkShare> RecordLayout(const Sha1Digest& chunk_id,
+                                       const LayoutChange& change, bool prune = false);
 
   const RepairStats& stats() const { return stats_; }
   const RepairEngineOptions& options() const { return options_; }

@@ -560,6 +560,46 @@ TEST(ClientTest, LazyMigrationAfterCspRemoval) {
   EXPECT_EQ(second->migrated_shares, 0u);
 }
 
+// Shares a Get's lazy migration uploaded stay recorded, with their
+// digests, even when the Get then fails on a later chunk: the shares are
+// stored whether or not the rest of the file decodes.
+TEST(ClientTest, FailedGetStillRecordsTheSharesItMigrated) {
+  CyrusConfig config = SmallConfig();
+  config.transfer_concurrency = 1;  // chunks gather in file order
+  TestCloud cloud = MakeCloud(std::move(config));
+  auto put = cloud.client->Put("doc", RandomContent(8 * 1024, 25));
+  ASSERT_TRUE(put.ok()) << put.status();
+  const std::vector<ChunkRecord> chunks = cloud.client->tree().Find(put->version_id)->chunks;
+  ASSERT_GE(chunks.size(), 2u);
+  const ChunkTable& table = cloud.client->chunk_table();
+  const Sha1Digest first = chunks.front().id;
+  const Sha1Digest last = chunks.back().id;
+  ASSERT_NE(first, last);
+
+  // The first chunk has a share on the removed CSP; the last chunk keeps
+  // one share object, fewer than t.
+  const int victim = table.Find(first)->shares[0].csp;
+  ASSERT_TRUE(cloud.client->RemoveCsp(victim).ok());
+  const ChunkEntry* doomed = table.Find(last);
+  for (size_t i = 1; i < doomed->shares.size(); ++i) {
+    const ChunkShare& share = doomed->shares[i];
+    ASSERT_TRUE(
+        cloud.csps[share.csp]->Delete(ShareName(last, share.share_index, doomed->t)).ok());
+  }
+
+  auto get = cloud.client->Get("doc");
+  ASSERT_FALSE(get.ok());
+  const ChunkEntry* migrated = table.Find(first);
+  for (const ChunkShare& share : migrated->shares) {
+    EXPECT_NE(share.csp, victim);
+    ASSERT_TRUE(share.has_digest()) << "share " << share.share_index;
+    auto stored =
+        cloud.csps[share.csp]->Download(ShareName(first, share.share_index, migrated->t));
+    ASSERT_TRUE(stored.ok()) << stored.status();
+    EXPECT_EQ(share.digest, Sha1::Hash(*stored));
+  }
+}
+
 TEST(ClientTest, FailedCspRecoversAndServesAgain) {
   TestCloud cloud = MakeCloud();
   const Bytes content = RandomContent(8 * 1024, 24);
@@ -812,28 +852,38 @@ TEST(ClientTest, RebalanceMetadataCoversNewCsp) {
 TEST(ClientTest, PutCreatesTheScatterCodecOncePerFile) {
   // The dispersal matrix depends only on (key, t, n); building it per chunk
   // was pure per-chunk overhead. A multi-chunk Put must construct exactly
-  // one codec, and a second Put constructs exactly one more.
-  obs::MetricsRegistry registry;
-  CyrusConfig config = SmallConfig();
-  config.metrics = &registry;
-  TestCloud cloud = MakeCloud(std::move(config));
-  obs::Counter* creates = registry.GetCounter("cyrus_client_codec_creates_total", {},
-                                              "Secret-sharing codecs constructed for "
-                                              "chunk scatter (one per Put, not per chunk)");
-  ASSERT_EQ(creates->value(), 0u);
+  // one codec, and a second Put constructs exactly one more. A convergent
+  // chunk's codec is keyed by its content, so a convergent Put constructs
+  // one per new chunk and no user-key codec at all.
+  for (const bool convergent : {false, true}) {
+    SCOPED_TRACE(convergent ? "convergent" : "user key");
+    obs::MetricsRegistry registry;
+    CyrusConfig config = SmallConfig();
+    config.metrics = &registry;
+    if (convergent) {
+      config.dedup_mode = DedupMode::kConvergent;
+      config.dedup_salt = "codec test salt";
+    }
+    TestCloud cloud = MakeCloud(std::move(config));
+    obs::Counter* creates = registry.GetCounter(
+        "cyrus_client_codec_creates_total", {},
+        "Secret-sharing codecs constructed for chunk scatter (one per Put, not per chunk)");
+    ASSERT_EQ(creates->value(), 0u);
 
-  const Bytes content = RandomContent(24 * 1024, 77);  // many ~1 KB chunks
-  auto put = cloud.client->Put("many-chunks", content);
-  ASSERT_TRUE(put.ok()) << put.status();
-  ASSERT_GT(put->new_chunks, 4u) << "content did not split into enough chunks";
-  EXPECT_EQ(creates->value(), 1u);
+    const Bytes content = RandomContent(24 * 1024, 77);  // many ~1 KB chunks
+    auto put = cloud.client->Put("many-chunks", content);
+    ASSERT_TRUE(put.ok()) << put.status();
+    ASSERT_GT(put->new_chunks, 4u) << "content did not split into enough chunks";
+    EXPECT_EQ(creates->value(), convergent ? put->new_chunks : 1u);
 
-  ASSERT_TRUE(cloud.client->Put("more-chunks", RandomContent(16 * 1024, 78)).ok());
-  EXPECT_EQ(creates->value(), 2u);
+    auto more = cloud.client->Put("more-chunks", RandomContent(16 * 1024, 78));
+    ASSERT_TRUE(more.ok()) << more.status();
+    EXPECT_EQ(creates->value(), convergent ? put->new_chunks + more->new_chunks : 2u);
 
-  auto get = cloud.client->Get("many-chunks");
-  ASSERT_TRUE(get.ok()) << get.status();
-  EXPECT_EQ(get->content, content);
+    auto get = cloud.client->Get("many-chunks");
+    ASSERT_TRUE(get.ok()) << get.status();
+    EXPECT_EQ(get->content, content);
+  }
 }
 
 // A selector that always fails, to exercise the reader's fallback walk.

@@ -6,8 +6,10 @@
 
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/cloud/fault_injection.h"
@@ -486,9 +488,9 @@ CyrusConfig ConvergentConfig(std::string client_id, ShareIndex* index) {
 }
 
 // All CSPs name-keyed: convergent shares are idempotent overwrites.
-std::vector<std::shared_ptr<SimulatedCsp>> MakeCsps() {
+std::vector<std::shared_ptr<SimulatedCsp>> MakeCsps(int count = kNumCsps) {
   std::vector<std::shared_ptr<SimulatedCsp>> csps;
-  for (int i = 0; i < kNumCsps; ++i) {
+  for (int i = 0; i < count; ++i) {
     SimulatedCspOptions o;
     o.id = "csp" + std::to_string(i);
     o.naming = NamingPolicy::kNameKeyed;
@@ -579,6 +581,111 @@ TEST(DedupE2ETest, SecondUserSkipsUploadEntirely) {
   const ShareIndexStats stats = index.Stats();
   EXPECT_NEAR(stats.dedup_ratio(), 2.0, 0.01);
   EXPECT_GT(stats.hit_rate(), 0.0);
+}
+
+// A layout as a comparable list of (csp, index, digest).
+std::vector<std::tuple<int32_t, uint32_t, Sha1Digest>> Layout(
+    const std::vector<ChunkShare>& shares) {
+  std::vector<std::tuple<int32_t, uint32_t, Sha1Digest>> layout;
+  for (const ChunkShare& share : shares) {
+    layout.emplace_back(share.csp, share.share_index, share.digest);
+  }
+  return layout;
+}
+
+// A rebuilt layout reaches the ShareIndex whichever path rebuilt it - a
+// Get's lazy migration or a scrub's full repair - so the index names no
+// removed CSP, and a second user's Put of the same bytes adopts shares
+// that exist and reads them back.
+TEST(DedupE2ETest, RebuiltLayoutReachesTheIndexFromGetAndScrub) {
+  for (const bool by_scrub : {false, true}) {
+    SCOPED_TRACE(by_scrub ? "scrub repair" : "Get migration");
+    auto index_or = ShareIndex::Open(ShareIndexOptions{});
+    ASSERT_TRUE(index_or.ok());
+    ShareIndex& index = **index_or;
+    // One more CSP than n, so a share off the removed CSP has somewhere to go.
+    auto csps = MakeCsps(kNumCsps + 1);
+    TestCloud alice = MakeCloud(ConvergentConfig("alice", &index), csps);
+    TestCloud bob = MakeCloud(ConvergentConfig("bob", &index), csps);
+
+    const Bytes content = RandomContent(8 * 1024, by_scrub ? 91 : 92);
+    auto put = alice.client->Put("a/doc.bin", content);
+    ASSERT_TRUE(put.ok()) << put.status();
+    const std::vector<Sha1Digest> chunks = alice.client->chunk_table().AllChunkIds();
+    ASSERT_FALSE(chunks.empty());
+    const int victim = alice.client->chunk_table().Find(chunks[0])->shares[0].csp;
+    ASSERT_TRUE(alice.client->RemoveCsp(victim).ok());
+    ASSERT_TRUE(bob.client->RemoveCsp(victim).ok());
+
+    if (by_scrub) {
+      auto scrub = alice.client->ScrubOnce();
+      ASSERT_TRUE(scrub.ok()) << scrub.status();
+      EXPECT_GT(scrub->stats.chunks_repaired, 0u);
+      EXPECT_TRUE(scrub->unrepaired.empty());
+    } else {
+      auto get = alice.client->Get("a/doc.bin");
+      ASSERT_TRUE(get.ok()) << get.status();
+      EXPECT_GT(get->migrated_shares, 0u);
+    }
+    EXPECT_TRUE(alice.client->chunk_table().ChunksOnCsp(victim).empty());
+    for (const Sha1Digest& chunk : chunks) {
+      std::optional<ShareIndexEntry> entry = index.Lookup(chunk);
+      ASSERT_TRUE(entry.has_value());
+      for (const ChunkShare& share : entry->shares) {
+        EXPECT_NE(share.csp, victim) << "index still names the removed CSP";
+      }
+      EXPECT_EQ(Layout(entry->shares),
+                Layout(alice.client->chunk_table().Find(chunk)->shares));
+    }
+
+    auto copy = bob.client->Put("b/copy.bin", content);
+    ASSERT_TRUE(copy.ok()) << copy.status();
+    EXPECT_EQ(copy->index_hit_chunks, copy->total_chunks);
+    EXPECT_EQ(copy->uploaded_share_bytes, 0u);
+    auto got = bob.client->Get("b/copy.bin");
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got->content, content);
+  }
+}
+
+// A scrub rebuild that lands some but not all of a convergent chunk's
+// missing shares still copies the layout it left into the ShareIndex: the
+// chunk table has already swapped dead locations for the fresh shares.
+TEST(DedupE2ETest, PartialScrubRebuildKeepsTheIndexInStepWithTheTable) {
+  auto index_or = ShareIndex::Open(ShareIndexOptions{});
+  ASSERT_TRUE(index_or.ok());
+  ShareIndex& index = **index_or;
+  // Six CSPs, the last one full: it lists fine and stays active but refuses
+  // every upload, so a rebuild can place only what the others take.
+  auto csps = MakeCsps(kNumCsps + 1);
+  SimulatedCspOptions full;
+  full.id = "csp-full";
+  full.quota_bytes = 1;
+  csps.push_back(std::make_shared<SimulatedCsp>(full));
+  TestCloud cloud = MakeCloud(ConvergentConfig("partial", &index), csps);
+
+  ASSERT_TRUE(cloud.client->Put("doc.bin", RandomContent(120, 93)).ok());
+  ASSERT_EQ(cloud.client->chunk_table().size(), 1u);
+  const Sha1Digest chunk = cloud.client->chunk_table().AllChunkIds()[0];
+  const std::vector<ChunkShare> before = cloud.client->chunk_table().Find(chunk)->shares;
+  ASSERT_EQ(before.size(), 4u);  // n = 4 of the five CSPs with room
+
+  // Two holders die: the target stays at 4 (four CSPs active), two shares
+  // are missing, and only the one free CSP with room takes a rebuilt share.
+  cloud.csps[before[0].csp]->set_available(false);
+  cloud.csps[before[1].csp]->set_available(false);
+  auto scrub = cloud.client->ScrubOnce();
+  ASSERT_TRUE(scrub.ok()) << scrub.status();
+  EXPECT_EQ(scrub->stats.shares_rebuilt, 1u);
+  EXPECT_EQ(scrub->stats.chunks_repaired, 0u);
+  ASSERT_EQ(scrub->unrepaired.size(), 1u);
+  EXPECT_EQ(scrub->unrepaired[0].chunk_id, chunk);
+
+  const std::vector<ChunkShare>& after = cloud.client->chunk_table().Find(chunk)->shares;
+  EXPECT_NE(Layout(after), Layout(before));
+  std::optional<ShareIndexEntry> entry = index.Lookup(chunk);
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(Layout(entry->shares), Layout(after));
 }
 
 TEST(DedupE2ETest, ConvergentRoundTripWithoutIndexStillWorks) {
