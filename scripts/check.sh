@@ -86,7 +86,11 @@
 #                                   #   one step that records rebuilt
 #                                   #   layouts reads change records a
 #                                   #   Get's workers filled, and copies
-#                                   #   layouts into the ShareIndex)
+#                                   #   layouts into the ShareIndex), and
+#                                   #   chunk_cache_test (prefetch tasks
+#                                   #   capture the client and a shared
+#                                   #   Prefetch, and run during the
+#                                   #   pool's drain at destruction)
 #   scripts/check.sh --tsan         # ThreadSanitizer build of the stress
 #                                   #   battery + gateway concurrency tests
 #                                   #   + buffer-pool checkout + chunk
@@ -259,15 +263,15 @@ if [[ "$RUN_TSAN" == 1 ]]; then
 fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then
-  echo "== asan: chunker, SHA-1, codec kernels, moved shares, record log and layout recording under ASan+UBSan =="
+  echo "== asan: chunker, SHA-1, codec kernels, moved shares, record log, layout recording and readahead tasks under ASan+UBSan =="
   configure build-asan -DENABLE_SANITIZERS=ON
-  cmake --build build-asan --parallel --target chunker_test crypto_test codec_property_test secret_sharing_test client_test chunk_reader_test record_log_test util_test metadata_store_test repair_test dedup_test
+  cmake --build build-asan --parallel --target chunker_test crypto_test codec_property_test secret_sharing_test client_test chunk_reader_test record_log_test util_test metadata_store_test repair_test dedup_test chunk_cache_test
   # UBSan only reports by default; make a report fail the tier.
   (cd build-asan && export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 &&
     ./tests/chunker_test && ./tests/crypto_test && ./tests/codec_property_test &&
     ./tests/secret_sharing_test && ./tests/client_test && ./tests/chunk_reader_test &&
     ./tests/record_log_test && ./tests/util_test && ./tests/metadata_store_test &&
-    ./tests/repair_test && ./tests/dedup_test)
+    ./tests/repair_test && ./tests/dedup_test && ./tests/chunk_cache_test)
 fi
 
 echo "OK"

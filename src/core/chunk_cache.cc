@@ -19,6 +19,9 @@ ChunkCache::ChunkCache(ChunkCacheOptions options) : options_(options) {
                                 "Chunk cache lookups that fell through to the CSPs");
   evictions_ = metrics->GetCounter("cyrus_chunk_cache_evictions_total", {},
                                    "Resident chunks evicted by the ARC policy");
+  prefetch_wasted_ = metrics->GetCounter(
+      "cyrus_readahead_wasted_total", {},
+      "Prefetched chunks evicted or invalidated before any read used them");
   bytes_gauge_ = metrics->GetGauge("cyrus_chunk_cache_bytes", {},
                                    "Resident decoded plaintext bytes");
 }
@@ -38,6 +41,7 @@ std::shared_ptr<const Bytes> ChunkCache::Get(const Sha1Digest& id) {
   }
   Locator& loc = it->second;
   std::shared_ptr<const Bytes> data = loc.it->data;
+  loc.it->prefetched = false;
   // ARC: any resident hit promotes to the MRU end of T2 (seen >= twice).
   EntryList& from = loc.list == ListId::kT1 ? shard.t1 : shard.t2;
   if (loc.list == ListId::kT1) {
@@ -83,6 +87,9 @@ void ChunkCache::Replace(Shard& shard, uint64_t need, bool ghost_hit_b2) {
     auto victim = std::prev(list.end());
     const uint64_t size = victim->size;
     victim->data.reset();
+    if (std::exchange(victim->prefetched, false)) {
+      prefetch_wasted_->Increment();
+    }
     ghosts.splice(ghosts.begin(), list, victim);
     Locator& loc = shard.index.at(victim->id);
     loc.list = from_t1 ? ListId::kB1 : ListId::kB2;
@@ -110,7 +117,8 @@ void ChunkCache::TrimGhosts(Shard& shard, EntryList& list, uint64_t& bytes) {
   }
 }
 
-void ChunkCache::Put(const Sha1Digest& id, std::shared_ptr<const Bytes> data) {
+void ChunkCache::Put(const Sha1Digest& id, std::shared_ptr<const Bytes> data,
+                     bool prefetched) {
   if (!enabled() || data == nullptr) {
     return;
   }
@@ -129,6 +137,9 @@ void ChunkCache::Put(const Sha1Digest& id, std::shared_ptr<const Bytes> data) {
       case ListId::kT2: {
         // Already resident: a re-insert is a second reference - promote,
         // keep the existing bytes (they hash to the same id by contract).
+        if (!prefetched) {
+          loc.it->prefetched = false;
+        }
         EntryList& from = loc.list == ListId::kT1 ? shard.t1 : shard.t2;
         if (loc.list == ListId::kT1) {
           shard.t1_bytes -= loc.it->size;
@@ -168,7 +179,7 @@ void ChunkCache::Put(const Sha1Digest& id, std::shared_ptr<const Bytes> data) {
     // A ghost hit re-enters as a *frequent* entry (it was referenced,
     // evicted, referenced again): straight into T2.
     Replace(shard, size, ghost_hit_b2);
-    shard.t2.push_front(Entry{id, std::move(data), size});
+    shard.t2.push_front(Entry{id, std::move(data), size, prefetched});
     shard.t2_bytes += size;
     shard.index[id] = Locator{ListId::kT2, shard.t2.begin()};
     bytes_gauge_->Add(static_cast<double>(size));
@@ -202,7 +213,7 @@ void ChunkCache::Put(const Sha1Digest& id, std::shared_ptr<const Bytes> data) {
   if (shard.t1_bytes + shard.t2_bytes + size > shard_budget_) {
     return;  // could not make room (budget smaller than the entry)
   }
-  shard.t1.push_front(Entry{id, std::move(data), size});
+  shard.t1.push_front(Entry{id, std::move(data), size, prefetched});
   shard.t1_bytes += size;
   shard.index[id] = Locator{ListId::kT1, shard.t1.begin()};
   bytes_gauge_->Add(static_cast<double>(size));
@@ -215,6 +226,9 @@ void ChunkCache::EraseLocked(Shard& shard, const Sha1Digest& id) {
   }
   const Locator loc = it->second;
   const uint64_t size = loc.it->size;
+  if (loc.it->prefetched) {
+    prefetch_wasted_->Increment();
+  }
   switch (loc.list) {
     case ListId::kT1:
       shard.t1_bytes -= size;
@@ -247,6 +261,17 @@ void ChunkCache::Invalidate(const Sha1Digest& id) {
   EraseLocked(shard, id);
 }
 
+void ChunkCache::MarkUsed(const Sha1Digest& id) {
+  if (!enabled()) {
+    return;
+  }
+  Shard& shard = shard_for(id);
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  if (auto it = shard.index.find(id); it != shard.index.end()) {
+    it->second.it->prefetched = false;
+  }
+}
+
 void ChunkCache::Clear() {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -267,6 +292,7 @@ ChunkCache::Stats ChunkCache::stats() const {
   stats.hits = hits_->value();
   stats.misses = misses_->value();
   stats.evictions = evictions_->value();
+  stats.prefetch_wasted = prefetch_wasted_->value();
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
     stats.t1_bytes += shard.t1_bytes;

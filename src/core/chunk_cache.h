@@ -73,7 +73,16 @@ class ChunkCache {
   // trusts it.
   // Entries larger than a shard's budget are not cached. Re-inserting a
   // resident id refreshes its position but keeps the existing bytes.
-  void Put(const Sha1Digest& id, std::shared_ptr<const Bytes> data);
+  // `prefetched` marks readahead's inserts: such an entry that is evicted
+  // or invalidated before any read used it counts as wasted readahead
+  // (cyrus_readahead_wasted_total).
+  void Put(const Sha1Digest& id, std::shared_ptr<const Bytes> data,
+           bool prefetched = false);
+
+  // Records that a read used `id`'s bytes without a Get (a foreground read
+  // that joined the prefetch filling it), so the entry no longer counts as
+  // wasted readahead. No hit is counted and the ARC lists do not move.
+  void MarkUsed(const Sha1Digest& id);
 
   // Drops `id` from resident and ghost lists (overwrite/delete released
   // the chunk). No-op when absent.
@@ -91,6 +100,9 @@ class ChunkCache {
     uint64_t t1_bytes = 0;    // recency list
     uint64_t t2_bytes = 0;    // frequency list
     uint64_t ghost_entries = 0;  // B1 + B2
+    // Prefetched entries that left (evicted or invalidated) before any
+    // read used them; Clear drops entries without counting.
+    uint64_t prefetch_wasted = 0;
   };
   Stats stats() const;
 
@@ -105,6 +117,7 @@ class ChunkCache {
     Sha1Digest id;
     std::shared_ptr<const Bytes> data;  // null for ghosts
     uint64_t size = 0;                  // plaintext bytes (kept for ghosts)
+    bool prefetched = false;            // readahead put it; no read used it yet
   };
 
   using EntryList = std::list<Entry>;
@@ -148,6 +161,7 @@ class ChunkCache {
   obs::Counter* hits_ = nullptr;
   obs::Counter* misses_ = nullptr;
   obs::Counter* evictions_ = nullptr;
+  obs::Counter* prefetch_wasted_ = nullptr;
   obs::Gauge* bytes_gauge_ = nullptr;
 };
 

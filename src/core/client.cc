@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <list>
 #include <map>
 #include <numeric>
@@ -1135,6 +1136,7 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
   }
   for (auto& [id, prefetch] : joined) {
     if (std::shared_ptr<const Bytes> landed = AwaitPrefetch(*prefetch)) {
+      chunk_cache_.MarkUsed(id);
       use_resident(id, std::move(landed));
     } else {
       to_gather.push_back(id);  // failed or stale: fetch it here
@@ -1341,7 +1343,8 @@ void CyrusClient::MaybeScheduleReadahead(const std::string& name,
   }
   uint64_t generation = 0;
   uint64_t resume = 0;
-  uint64_t run_bytes = 0;
+  uint64_t horizon = 0;  // records starting at or past it are not admitted
+  bool learned = false;  // the horizon comes from the stream's past runs
   {
     std::lock_guard<std::mutex> lock(readahead_mutex_);
     auto [it, fresh] = streams_.try_emplace(name);
@@ -1354,9 +1357,13 @@ void CyrusClient::MaybeScheduleReadahead(const std::string& name,
     const bool sequential = len > 0 && offset == stream.next_offset;
     stream.next_offset = offset + len;
     if (!sequential) {
-      // A seek (or a fresh mid-file stream): take a new generation so
-      // in-flight prefetches for the abandoned position self-cancel, and
-      // prefetch nothing until the reader looks sequential again.
+      // A seek (or a fresh mid-file stream): the run it ends joins the
+      // history, a new generation makes in-flight prefetches for the
+      // abandoned position self-cancel, and nothing is prefetched until
+      // the reader looks sequential again.
+      if (stream.run_bytes > 0) {
+        stream.runs[stream.runs_ended++ % StreamState::kRunHistory] = stream.run_bytes;
+      }
       stream.generation = ++last_stream_generation_;
       stream.run_bytes = len;
       return;
@@ -1364,18 +1371,25 @@ void CyrusClient::MaybeScheduleReadahead(const std::string& name,
     stream.run_bytes += len;
     generation = stream.generation;
     resume = stream.next_offset;
-    run_bytes = stream.run_bytes;
+    const uint64_t run_start = resume - stream.run_bytes;
+    const uint64_t reach = stream.Reach();
+    learned = reach > 0;
+    horizon = run_start + (learned ? reach : 2 * stream.run_bytes);
   }
 
   // The window starts at the first record at or past `resume` (the chunk
   // containing `resume` mid-chunk was covering in the call that just
-  // finished) and spans at most K records. Like on-demand readahead in a
-  // kernel page cache, it grows with the sequential run: only records
-  // starting within run_bytes of the reader are admitted, but always at
-  // least one. Cached or in-flight records inside the window are skipped,
-  // never replaced by records past it, so the prefetch frontier stays at
-  // most K records ahead of the reader. Everything here runs on the
-  // driver thread (tree/chunk-table reads); the tasks capture copies.
+  // finished) and spans at most K records. A record is admitted while at
+  // least half of the past runs that got this long went past its start,
+  // so a reader that keeps stopping at the same length never pays for the
+  // chunks past its stop. With no such run (no history yet, or
+  // the reader outran all of it) the window ramps like on-demand readahead
+  // in a kernel page cache: records starting within run_bytes of the
+  // reader, but always at least one. Cached or in-flight records inside
+  // the window are skipped, never replaced by records past it, so the
+  // prefetch frontier stays at most K records ahead of the reader.
+  // Everything here runs on the driver thread (tree/chunk-table reads);
+  // the tasks capture copies.
   struct Pick {
     ChunkRecord chunk;
     std::vector<ShareLocation> locations;
@@ -1393,7 +1407,7 @@ void CyrusClient::MaybeScheduleReadahead(const std::string& name,
       first + std::min<ptrdiff_t>(chunks.end() - first, config_.readahead_chunks);
   for (auto record = first; record != last; ++record) {
     const ChunkRecord& chunk = *record;
-    if (record != first && chunk.offset - resume >= run_bytes) {
+    if (chunk.offset >= horizon && (learned || record != first)) {
       break;
     }
     if (picked.count(chunk.id) > 0 || chunk_cache_.Peek(chunk.id) != nullptr) {
@@ -1444,7 +1458,7 @@ void CyrusClient::MaybeScheduleReadahead(const std::string& name,
         if (reader_->Read(pick.chunk, pick.locations, options,
                           MutableByteSpan(*plaintext), read)
                 .ok()) {
-          chunk_cache_.Put(pick.chunk.id, plaintext);
+          chunk_cache_.Put(pick.chunk.id, plaintext, /*prefetched=*/true);
         } else {
           plaintext.reset();
         }
@@ -1498,7 +1512,27 @@ CyrusClient::ReadaheadStats CyrusClient::readahead_stats() const {
   stats.issued = readahead_issued_->value();
   stats.completed = readahead_completed_->value();
   stats.cancelled = readahead_cancelled_->value();
+  stats.wasted = chunk_cache_.stats().prefetch_wasted;
   return stats;
+}
+
+uint64_t CyrusClient::StreamState::Reach() const {
+  std::array<uint64_t, kRunHistory> longer;
+  size_t count = 0;
+  for (size_t i = 0; i < std::min<uint64_t>(runs_ended, kRunHistory); ++i) {
+    if (runs[i] >= run_bytes) {
+      longer[count++] = runs[i];
+    }
+  }
+  if (count == 0) {
+    return 0;
+  }
+  // At least half of them ran past d exactly when d is below the
+  // ceil(count/2)-th longest.
+  const auto kth = longer.begin() + static_cast<ptrdiff_t>((count + 1) / 2 - 1);
+  std::nth_element(longer.begin(), kth, longer.begin() + static_cast<ptrdiff_t>(count),
+                   std::greater<>());
+  return *kth;
 }
 
 void CyrusClient::InvalidateCachedChunks(const std::vector<ChunkRecord>& released,
@@ -1561,17 +1595,16 @@ Status CyrusClient::RepublishVersions(const std::set<Sha1Digest>* chunk_ids,
 Result<ScrubReport> CyrusClient::ScrubOnce() {
   obs::TraceBuilder trace(traces_, "ScrubOnce", "");
   CYRUS_ASSIGN_OR_RETURN(ScrubReport report, repair_->ScrubOnce(&trace));
-  if (report.repaired_chunks.empty() && report.upgraded_chunks.empty()) {
+  if (report.changed_chunks.empty()) {
     return report;
   }
   obs::ScopedSpan republish_span = trace.Span("republish_meta");
   // The engine rewrote the chunk table: republish every version that
-  // references a repaired chunk or one with new per-share digests
-  // (integrity heals and legacy upgrades), so other clients find the
-  // rebuilt shares (the same contract lazy migration honors in Get).
-  std::set<Sha1Digest> touched(report.repaired_chunks.begin(),
-                               report.repaired_chunks.end());
-  touched.insert(report.upgraded_chunks.begin(), report.upgraded_chunks.end());
+  // references a chunk it changed - rebuilt, even short of target, healed,
+  // or upgraded with per-share digests - so other clients find the shares
+  // where they are now (the same contract lazy migration honors in Get).
+  const std::set<Sha1Digest> touched(report.changed_chunks.begin(),
+                                     report.changed_chunks.end());
   CYRUS_RETURN_IF_ERROR(RepublishVersions(&touched, report.transfer));
   return report;
 }

@@ -20,6 +20,7 @@
 #ifndef SRC_CORE_CLIENT_H_
 #define SRC_CORE_CLIENT_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <map>
@@ -159,9 +160,11 @@ struct CyrusConfig {
 
   // Sequential-read detector: when consecutive GetRange calls are
   // contiguous, prefetch the chunks just past the reader into the chunk
-  // cache on background-priority pool tasks. The window starts at the
-  // reader and covers as many bytes as the sequential run has read so far,
-  // at least one chunk and at most this many. A seek resets the run and
+  // cache on background-priority pool tasks, at most this many records
+  // ahead. Until the stream's past runs (a run ends at a seek) say how far
+  // its reader goes, the window covers as many bytes as the run has read
+  // so far, at least one chunk; after that it stops where at least half
+  // of the past runs this long stopped. A seek prefetches nothing and
   // cancels (credits) prefetches not yet started. 0 disables readahead.
   uint32_t readahead_chunks = 4;
 
@@ -270,10 +273,10 @@ class CyrusClient {
   // entirely); `len` is clamped to the end of the file, and an offset past
   // the end fails with InvalidArgument (the REST layer's 416). Contiguous
   // GetRange calls on one name are detected as a sequential stream and
-  // trigger background readahead of the chunks just past the read, a
-  // window that grows with the sequential run up to
-  // config.readahead_chunks; any seek cancels prefetches not yet started,
-  // and Delete cancels the name's.
+  // trigger background readahead of the chunks just past the read, up to
+  // config.readahead_chunks records, within the length the stream's past
+  // runs reached; any seek cancels prefetches not yet started, and Delete
+  // cancels the name's.
   Result<GetResult> GetRange(std::string_view name, uint64_t offset,
                              uint64_t len);
   Status Delete(std::string_view name);
@@ -424,6 +427,8 @@ class CyrusClient {
     uint64_t completed = 0;  // decoded, verified, and cached
     uint64_t cancelled = 0;  // credited back: a seek staled the stream, a
                              // foreground read claimed it, or it failed
+    uint64_t wasted = 0;     // cached, then evicted or invalidated before
+                             // any read used it
   };
   ReadaheadStats readahead_stats() const;
 
@@ -588,9 +593,20 @@ class CyrusClient {
   // readahead_mutex_; declared before pool_ (prefetch tasks drained at
   // pool destruction read it). ---
   struct StreamState {
+    // Past runs kept for readahead admission. A constant, like
+    // AvailabilityMonitor's excess window, not an option.
+    static constexpr size_t kRunHistory = 8;
     uint64_t next_offset = 0;  // where a contiguous reader resumes
     uint64_t run_bytes = 0;    // read contiguously since the last seek
     uint64_t generation = 0;   // renewed on seek; stale prefetches cancel
+    // Lengths of the last kRunHistory runs a seek ended, as a ring.
+    std::array<uint64_t, kRunHistory> runs{};
+    uint64_t runs_ended = 0;
+    // How far past the current run's start readahead may prefetch: the
+    // longest reach that at least half of the past runs as long as this
+    // one got past. 0 when no past run is that long; the window then ramps
+    // with run_bytes.
+    uint64_t Reach() const;
   };
   // One issued prefetch, shared by its pool task and any foreground read
   // of the same chunk. A foreground cache miss waits for a started

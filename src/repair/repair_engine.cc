@@ -383,6 +383,9 @@ Status RepairEngine::RepairChunk(const ChunkHealth& health,
   const uint32_t live_now = static_cast<uint32_t>(live.size() + change.fresh.size());
   const bool at_target = live_now >= health.n_target;
   const std::vector<ChunkShare> left = RecordLayout(chunk_id, change, at_target);
+  if (!change.fresh.empty() || (at_target && !left.empty())) {
+    report.changed_chunks.push_back(chunk_id);
+  }
   if (at_target) {
     delta.shares_pruned += left.size();
     return OkStatus();
@@ -591,6 +594,7 @@ void RepairEngine::IntegrityPass(uint64_t* budget_left, ScrubReport& report,
     }
     if (!read.corrupt.empty() && read.healed == read.corrupt.size()) {
       report.repaired_chunks.push_back(chunk_id);
+      report.changed_chunks.push_back(chunk_id);
     }
 
     // Legacy entries earned a full digest set from the verified plaintext;
@@ -602,7 +606,7 @@ void RepairEngine::IntegrityPass(uint64_t* budget_left, ScrubReport& report,
       }
       RecordLayout(chunk_id, LayoutChange{{}, {}, *std::move(digests)});
       ++delta.records_upgraded;
-      report.upgraded_chunks.push_back(chunk_id);
+      report.changed_chunks.push_back(chunk_id);
     }
   }
   integrity_cursor_ = (start + scanned) % ids.size();

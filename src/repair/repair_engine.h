@@ -117,10 +117,11 @@ struct ScrubReport {
   TransferReport transfer;   // every repair transfer, for the flow simulator
   std::vector<Sha1Digest> repaired_chunks;
   std::vector<ChunkHealth> unrepaired;  // still degraded after the pass
-  // Chunks whose table entries gained share digests this pass (either
-  // legacy digestless entries upgraded, or healed shares re-digested); the
-  // owning client republishes metadata for versions referencing them.
-  std::vector<Sha1Digest> upgraded_chunks;
+  // Every chunk whose recorded layout this pass changed (rebuilt in full
+  // or in part, pruned, healed in place, or a legacy entry upgraded with
+  // share digests), once per change; the owning client republishes
+  // metadata for the versions referencing them.
+  std::vector<Sha1Digest> changed_chunks;
 };
 
 // One rebuilt chunk layout, for RepairEngine::RecordLayout: the i-th
@@ -262,8 +263,8 @@ class RepairEngine {
   // heals mismatches in place (decode from clean shares, re-encode the
   // rotted index, overwrite the object). Entries without digests take the
   // error-correcting decode once and are upgraded with a full digest set.
-  // Healed/upgraded chunks land in report.repaired_chunks /
-  // report.upgraded_chunks for metadata republish. No-op when the knob is 0.
+  // Healed chunks land in report.repaired_chunks, and healed and upgraded
+  // ones in report.changed_chunks. No-op when the knob is 0.
   void IntegrityPass(uint64_t* budget_left, ScrubReport& report,
                      RepairStats& delta);
 

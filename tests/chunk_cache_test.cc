@@ -139,6 +139,37 @@ TEST(ChunkCacheTest, InvalidateDropsResidentAndGhost) {
   cache.Invalidate(id);  // absent: no-op
 }
 
+// A prefetched entry that leaves the cache - evicted or invalidated -
+// before any read used it is wasted readahead. A Get hit, a MarkUsed (a
+// read that joined the prefetch) or a foreground re-insert uses it.
+TEST(ChunkCacheTest, PrefetchedEntryLeavingUnreadIsWasted) {
+  obs::MetricsRegistry metrics;
+  constexpr uint64_t kBudget = 16 * 1024;
+  ChunkCache cache(ChunkCacheOptions{kBudget, 1, &metrics});
+  const Sha1Digest unread = IdOf(30), hit = IdOf(31), joined = IdOf(32);
+  cache.Put(unread, Block(4096, 1), /*prefetched=*/true);
+  cache.Put(hit, Block(4096, 1), /*prefetched=*/true);
+  cache.Put(joined, Block(4096, 1), /*prefetched=*/true);
+  ASSERT_NE(cache.Get(hit), nullptr);
+  cache.MarkUsed(joined);
+  // Eight foreground inserts push every one-timer out of T1.
+  for (uint64_t i = 0; i < 8; ++i) {
+    cache.Put(IdOf(40 + i), Block(4096, 2));
+  }
+  ASSERT_EQ(cache.Peek(unread), nullptr);
+  ASSERT_EQ(cache.Peek(joined), nullptr);
+  EXPECT_EQ(cache.stats().prefetch_wasted, 1u);
+
+  const Sha1Digest stale = IdOf(33), reput = IdOf(34);
+  cache.Put(stale, Block(1024, 3), /*prefetched=*/true);
+  cache.Put(reput, Block(1024, 3), /*prefetched=*/true);
+  cache.Put(reput, Block(1024, 3));
+  cache.Invalidate(stale);
+  cache.Invalidate(reput);
+  EXPECT_EQ(cache.stats().prefetch_wasted, 2u);
+  EXPECT_EQ(metrics.GetCounter("cyrus_readahead_wasted_total")->value(), 2u);
+}
+
 TEST(ChunkCacheTest, OversizedEntriesAndZeroBudgetAreSkipped) {
   obs::MetricsRegistry metrics;
   ChunkCache small(ChunkCacheOptions{8 * 1024, 8, &metrics});
@@ -426,6 +457,145 @@ TEST(RangeReadTest, ReadaheadStaysNearReader) {
   EXPECT_GT(seeks.issued, 0u);
   EXPECT_LE(seeks.issued, bound);
   EXPECT_EQ(seeks.issued, seeks.completed + seeks.cancelled);
+}
+
+std::vector<Sha1Digest> ChunkIds(const Bytes& content, const std::vector<ChunkSpan>& chunks) {
+  std::vector<Sha1Digest> ids;
+  for (const ChunkSpan& chunk : chunks) {
+    ids.push_back(Sha1::Hash(ByteSpan(content).subspan(chunk.offset, chunk.size)));
+  }
+  return ids;
+}
+
+// Reads [start, start + len) of `name` in `step`-byte GetRanges, letting
+// each read's prefetches land before the next.
+void ReadRun(CyrusClient& client, const std::string& name, const Bytes& content,
+             uint64_t start, uint64_t len, uint64_t step) {
+  for (uint64_t offset = start; offset < start + len; offset += step) {
+    auto got = client.GetRange(name, offset, step);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_EQ(got->content, Slice(content, offset, step));
+    client.WaitForReadahead();
+  }
+}
+
+// Once a stream's past runs all stopped kRun bytes in, readahead stops
+// there too: later runs of that length never cache a chunk starting at or
+// past their end, yet still prefetch inside the run.
+TEST(RangeReadTest, FixedLengthRunsPrefetchNothingPastTheRun) {
+  CyrusConfig config = StreamConfig("runs");
+  config.readahead_chunks = 16;
+  obs::MetricsRegistry registry;
+  config.metrics = &registry;
+  StreamCloud cloud = MakeCloud(config);
+  const Bytes content = RandomContent(256 * 1024, 26);
+  ASSERT_TRUE(cloud.client->Put("runs.bin", content).ok());
+  const std::vector<ChunkSpan> chunks = Chunker::Create(config.chunker)->Split(content);
+  const std::vector<Sha1Digest> ids = ChunkIds(content, chunks);
+
+  constexpr uint64_t kRun = 4 * 1024;
+  constexpr uint64_t kStep = 1024;
+  constexpr int kHistory = 8;
+  uint64_t issued_with_history = 0;
+  for (int run = 0; run < kHistory + 4; ++run) {
+    // Runs 20 KiB apart: each starts with a seek.
+    const uint64_t start = 1 + static_cast<uint64_t>(run) * 20 * 1024;
+    cloud.client->chunk_cache().Clear();
+    if (run == kHistory) {
+      issued_with_history = cloud.client->readahead_stats().issued;
+    }
+    ReadRun(*cloud.client, "runs.bin", content, start, kRun, kStep);
+    if (run < kHistory) {
+      continue;  // these runs fill the history
+    }
+    for (size_t i = FirstChunkAt(chunks, start + kRun); i < chunks.size(); ++i) {
+      ASSERT_TRUE(cloud.client->chunk_cache().Peek(ids[i]) == nullptr)
+          << "run " << run << " cached chunk " << i << " at " << chunks[i].offset
+          << ", past its end at " << start + kRun;
+    }
+  }
+  const CyrusClient::ReadaheadStats stats = cloud.client->readahead_stats();
+  EXPECT_GT(stats.issued, issued_with_history);
+  EXPECT_EQ(stats.issued, stats.completed + stats.cancelled);
+}
+
+// A reader that outruns every past run gets the ramp back: with the run
+// long enough, the window fills all readahead_chunks records.
+TEST(RangeReadTest, LongRunAfterShortRunsRampsToTheFullWindow) {
+  constexpr uint32_t kWindow = 4;
+  CyrusConfig config = StreamConfig("outrun");
+  config.readahead_chunks = kWindow;
+  StreamCloud cloud = MakeCloud(config);
+  const Bytes content = RandomContent(192 * 1024, 27);
+  ASSERT_TRUE(cloud.client->Put("outrun.bin", content).ok());
+  const std::vector<ChunkSpan> chunks = Chunker::Create(config.chunker)->Split(content);
+  const std::vector<Sha1Digest> ids = ChunkIds(content, chunks);
+
+  constexpr uint64_t kStep = 1024;
+  for (int run = 0; run < 8; ++run) {
+    ReadRun(*cloud.client, "outrun.bin", content,
+            1 + static_cast<uint64_t>(run) * 8 * 1024, 2 * kStep, kStep);
+  }
+  cloud.client->chunk_cache().Clear();
+  constexpr uint64_t kLongStart = 96 * 1024 + 1;
+  constexpr uint64_t kLongRun = 24 * kStep;
+  ReadRun(*cloud.client, "outrun.bin", content, kLongStart, kLongRun, kStep);
+
+  const size_t first = FirstChunkAt(chunks, kLongStart + kLongRun);
+  ASSERT_LT(first + kWindow, chunks.size());
+  for (size_t i = first; i < first + kWindow; ++i) {
+    EXPECT_TRUE(cloud.client->chunk_cache().Peek(ids[i]) != nullptr)
+        << "window record " << i - first << " not prefetched";
+  }
+  EXPECT_TRUE(cloud.client->chunk_cache().Peek(ids[first + kWindow]) == nullptr);
+}
+
+// A seek prefetches nothing, so a reader that seeks on every read never
+// triggers readahead, however long its history gets.
+TEST(RangeReadTest, SeekEveryReadPrefetchesNothing) {
+  CyrusConfig config = StreamConfig("hopper");
+  config.readahead_chunks = 16;
+  obs::MetricsRegistry registry;
+  config.metrics = &registry;
+  StreamCloud cloud = MakeCloud(config);
+  const Bytes content = RandomContent(256 * 1024, 28);
+  ASSERT_TRUE(cloud.client->Put("hop.bin", content).ok());
+
+  constexpr uint64_t kRead = 8 * 1024;
+  for (uint64_t i = 0; i < 24; ++i) {
+    // Backwards from the end: no read starts where the last one stopped.
+    const uint64_t offset = content.size() - (i + 1) * 10 * 1024;
+    auto got = cloud.client->GetRange("hop.bin", offset, kRead);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_EQ(got->content, Slice(content, offset, kRead));
+  }
+  cloud.client->WaitForReadahead();
+  EXPECT_EQ(cloud.client->readahead_stats().issued, 0u);
+}
+
+// Wasted readahead: a chunk prefetched and dropped before any read used
+// it. A sequential read to the end of the file uses every prefetch; a
+// reader that stops leaves the one chunk prefetched past it to go stale
+// when the file is deleted.
+TEST(RangeReadTest, ReadaheadWasteCountsPrefetchesNoReadUsed) {
+  const Bytes content = RandomContent(64 * 1024, 29);
+  constexpr uint64_t kStep = 1024;
+  for (const bool to_the_end : {true, false}) {
+    SCOPED_TRACE(to_the_end ? "read to the end" : "stop early");
+    CyrusConfig config = StreamConfig("waster");
+    config.readahead_chunks = to_the_end ? 4 : 1;
+    obs::MetricsRegistry registry;
+    config.metrics = &registry;
+    StreamCloud cloud = MakeCloud(config);
+    ASSERT_TRUE(cloud.client->Put("waste.bin", content).ok());
+    ReadRun(*cloud.client, "waste.bin", content, 0,
+            to_the_end ? content.size() : 8 * kStep, kStep);
+    ASSERT_TRUE(cloud.client->Delete("waste.bin").ok());
+    const CyrusClient::ReadaheadStats stats = cloud.client->readahead_stats();
+    EXPECT_GT(stats.completed, 0u);
+    EXPECT_EQ(stats.wasted, to_the_end ? 0u : 1u);
+    EXPECT_EQ(registry.GetCounter("cyrus_readahead_wasted_total")->value(), stats.wasted);
+  }
 }
 
 TEST(RangeReadTest, OverwriteAndDeleteInvalidateCachedChunks) {

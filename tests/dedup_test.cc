@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -686,6 +687,53 @@ TEST(DedupE2ETest, PartialScrubRebuildKeepsTheIndexInStepWithTheTable) {
   std::optional<ShareIndexEntry> entry = index.Lookup(chunk);
   ASSERT_TRUE(entry.has_value());
   EXPECT_EQ(Layout(entry->shares), Layout(after));
+}
+
+// The same partial rebuild reaches published metadata too: the scrub
+// republishes every chunk whose layout it changed, not only the chunks it
+// brought back to target, so a fresh device of the same user finds the
+// rebuilt share where the table put it.
+TEST(DedupE2ETest, PartialScrubRebuildReachesPublishedMetadata) {
+  auto index_or = ShareIndex::Open(ShareIndexOptions{});
+  ASSERT_TRUE(index_or.ok());
+  ShareIndex& index = **index_or;
+  auto csps = MakeCsps(kNumCsps + 1);
+  SimulatedCspOptions full;
+  full.id = "csp-full";
+  full.quota_bytes = 1;
+  csps.push_back(std::make_shared<SimulatedCsp>(full));
+  TestCloud cloud = MakeCloud(ConvergentConfig("partial", &index), csps);
+
+  ASSERT_TRUE(cloud.client->Put("doc.bin", RandomContent(120, 93)).ok());
+  ASSERT_EQ(cloud.client->chunk_table().size(), 1u);
+  const Sha1Digest chunk = cloud.client->chunk_table().AllChunkIds()[0];
+  const std::vector<ChunkShare> before = cloud.client->chunk_table().Find(chunk)->shares;
+  ASSERT_EQ(before.size(), 4u);
+  cloud.csps[before[0].csp]->set_available(false);
+  cloud.csps[before[1].csp]->set_available(false);
+  auto scrub = cloud.client->ScrubOnce();
+  ASSERT_TRUE(scrub.ok()) << scrub.status();
+  ASSERT_EQ(scrub->stats.shares_rebuilt, 1u);
+  ASSERT_EQ(scrub->stats.chunks_repaired, 0u);
+
+  // Rows by CSP name: the two clients number their CSPs independently.
+  auto named_layout = [](const CyrusClient& client, const Sha1Digest& id) {
+    std::set<std::pair<std::string, uint32_t>> rows;
+    if (const ChunkEntry* entry = client.chunk_table().Find(id)) {
+      for (const ChunkShare& share : entry->shares) {
+        rows.emplace(*client.registry().name(share.csp), share.share_index);
+      }
+    }
+    return rows;
+  };
+  const auto table_layout = named_layout(*cloud.client, chunk);
+  // The dead holders come back so the new device can add them; Recover
+  // takes the layout from published metadata alone.
+  cloud.csps[before[0].csp]->set_available(true);
+  cloud.csps[before[1].csp]->set_available(true);
+  TestCloud device = MakeCloud(ConvergentConfig("partial-device-2", &index), csps);
+  ASSERT_TRUE(device.client->Recover().ok());
+  EXPECT_EQ(named_layout(*device.client, chunk), table_layout);
 }
 
 TEST(DedupE2ETest, ConvergentRoundTripWithoutIndexStillWorks) {
