@@ -3,8 +3,10 @@
 
 Run from the repository root:
 
-    python3 scripts/perf_pairs.py --parent REV --workload bulk|sync|stream \
+    python3 scripts/perf_pairs.py --parent REV --workload W[,W...] \
         --pairs N [--seed S] [--seconds T] [--work-dir DIR] [--trace]
+
+where each W is bulk, sync or stream.
 
 REV is exported with `git archive` into the work directory (a temporary
 one unless --work-dir is given) and built there; the working tree is built
@@ -15,9 +17,10 @@ makes later runs incremental. Each run then starts the side's
 cyrus_perfbench binary directly, with the arguments run.py passes, so that
 no build step runs between or inside the measured runs. The pairs
 alternate which side runs first, so drift in the machine's load falls on
-both sides alike.
+both sides alike. Several workloads share the one build of each side and
+run one after another, all pairs of one before the next.
 
-Prints one JSON line: for each end-to-end metric of BENCHMARK.json, the
+Prints one JSON line per workload, in the order given: for each end-to-end metric of BENCHMARK.json, the
 parent's and the change's median, each side's interquartile range, how
 many pairs the change won (strictly better in the metric's direction),
 each side's runs in pair order, and a verdict against the metric's bound
@@ -87,12 +90,12 @@ def build_side(side, tree, build_dir):
     return run_py.build(os.path.abspath(build_dir))
 
 
-def run_once(binary, build_dir, args):
-    """One perfbench run; returns its JSON result."""
-    command = [binary, "--workload", args.workload, "--seed", str(args.seed),
+def run_once(binary, build_dir, workload, args):
+    """One perfbench run of `workload`; returns its JSON result."""
+    command = [binary, "--workload", workload, "--seed", str(args.seed),
                "--seconds", str(args.seconds), "--trace", "1" if args.trace else "0",
                "--scale", "full"]
-    spans = os.path.join(build_dir, "spans", f"{args.workload}-{args.seed}.jsonl")
+    spans = os.path.join(build_dir, "spans", f"{workload}-{args.seed}.jsonl")
     if args.trace:
         os.makedirs(os.path.dirname(spans), exist_ok=True)
         command += ["--spans-out", spans]
@@ -145,51 +148,15 @@ def verdict(parent, change, lower, bound):
     return "ok"
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", required=True, choices=["bulk", "sync", "stream"])
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=15)
-    parser.add_argument("--work-dir", help="keep the parent tree and both builds here")
-    parser.add_argument("--trace", action="store_true",
-                        help="trace the runs; add per-layer metrics and op wall times")
-    args = parser.parse_args()
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
-
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        benchmark = json.load(f)
-    metrics = benchmark["end_to_end"]
-
-    work = args.work_dir or tempfile.mkdtemp(prefix="perf_pairs.")
-    os.makedirs(work, exist_ok=True)
-    parent_tree = os.path.join(work, "parent")
-    export_revision(args.parent, parent_tree)
-    sides = {
-        "parent": (parent_tree, os.path.join(work, "build-parent")),
-        "change": (ROOT, os.path.join(work, "build-change")),
-    }
-
-    results = {"parent": [], "change": []}
-    try:
-        binaries = {side: build_side(side, tree, build_dir)
-                    for side, (tree, build_dir) in sides.items()}
-        for pair in range(args.pairs):
-            order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
-            for side in order:
-                results[side].append(run_once(binaries[side], sides[side][1], args))
-    finally:
-        if not args.work_dir:
-            shutil.rmtree(work, ignore_errors=True)
-
-    report = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+def summarize(workload, results, benchmark, args):
+    """The JSON report of one workload's pairs."""
+    report = {"workload": workload, "seed": args.seed, "seconds": args.seconds,
               "pairs": args.pairs, "parent": args.parent, "metrics": {}}
     for side in ("parent", "change"):
         report[f"{side}_attempted"] = sum(r["attempted"] for r in results[side])
         report[f"{side}_failed"] = sum(r["failed"] for r in results[side])
-    metrics = metrics + [{"name": name, "better": "lower"} for name in PROC_METRICS]
+    metrics = benchmark["end_to_end"] + [{"name": name, "better": "lower"}
+                                         for name in PROC_METRICS]
     if args.trace:
         metrics = metrics + benchmark["per_layer"] + [
             {"name": name, "better": "lower"}
@@ -218,7 +185,55 @@ def main():
             summary["parent_runs"] = parent
             summary["change_runs"] = change
         report["metrics"][name] = summary
-    print(json.dumps(report, sort_keys=True))
+    return report
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument("--workload", required=True,
+                        help="comma-separated workloads: bulk, sync, stream")
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=15)
+    parser.add_argument("--work-dir", help="keep the parent tree and both builds here")
+    parser.add_argument("--trace", action="store_true",
+                        help="trace the runs; add per-layer metrics and op wall times")
+    args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    workloads = args.workload.split(",")
+    for workload in workloads:
+        if workload not in ("bulk", "sync", "stream"):
+            parser.error(f"unknown workload {workload!r} (choose from bulk, sync, stream)")
+
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        benchmark = json.load(f)
+
+    work = args.work_dir or tempfile.mkdtemp(prefix="perf_pairs.")
+    os.makedirs(work, exist_ok=True)
+    parent_tree = os.path.join(work, "parent")
+    export_revision(args.parent, parent_tree)
+    sides = {
+        "parent": (parent_tree, os.path.join(work, "build-parent")),
+        "change": (ROOT, os.path.join(work, "build-change")),
+    }
+
+    try:
+        binaries = {side: build_side(side, tree, build_dir)
+                    for side, (tree, build_dir) in sides.items()}
+        for workload in workloads:
+            results = {"parent": [], "change": []}
+            for pair in range(args.pairs):
+                order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
+                for side in order:
+                    results[side].append(
+                        run_once(binaries[side], sides[side][1], workload, args))
+            print(json.dumps(summarize(workload, results, benchmark, args), sort_keys=True),
+                  flush=True)
+    finally:
+        if not args.work_dir:
+            shutil.rmtree(work, ignore_errors=True)
 
 
 if __name__ == "__main__":

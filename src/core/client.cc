@@ -40,6 +40,26 @@ class LatencyRecorder {
   std::chrono::steady_clock::time_point start_;
 };
 
+// True when no row of `entry` has a share digest: the chunk's metadata
+// predates per-share authentication.
+bool Digestless(const ChunkEntry& entry) {
+  return std::none_of(entry.shares.begin(), entry.shares.end(),
+                      [](const ChunkShare& share) { return share.has_digest(); });
+}
+
+// The chunk-table entry of an ingested `record` stored as `shares`. A share
+// without a digest takes the record's digest for its index.
+ChunkEntry EntryFromRecord(const ChunkRecord& record, std::vector<ChunkShare> shares) {
+  for (ChunkShare& share : shares) {
+    const Sha1Digest* digest = record.FindShareDigest(share.share_index);
+    if (!share.has_digest() && digest != nullptr) {
+      share.digest = *digest;
+    }
+  }
+  return ChunkEntry{record.size, record.size, record.t, record.n, /*refcount=*/0,
+                    record.dedup, record.wrapped_key, std::move(shares)};
+}
+
 // Marks a multi-head name's result as conflicted.
 void AnnotateConflicts(const std::vector<const FileVersion*>& live,
                        std::string_view name, GetResult& result) {
@@ -75,11 +95,12 @@ CyrusClient::CyrusClient(CyrusConfig config, Chunker chunker)
   reader_context.now = [this] { return now(); };
   // Dedup chunks were dispersed under their content key; unwrap it with
   // the user key (reads never touch the deployment salt or the index).
-  reader_context.chunk_key = [this](const ChunkRecord& chunk) -> Result<std::string> {
-    if (!chunk.dedup) {
+  reader_context.chunk_key = [this](const Sha1Digest& chunk_id,
+                                    const ChunkEntry& entry) -> Result<std::string> {
+    if (!entry.dedup) {
       return config_.key_string;
     }
-    return deriver_.UnwrapForUser(chunk.wrapped_key, chunk.id);
+    return deriver_.UnwrapForUser(entry.wrapped_key, chunk_id);
   };
   reader_context.on_integrity_failure = [this](int csp) {
     (void)NoteIntegrityFailure(csp);
@@ -302,7 +323,7 @@ Status CyrusClient::MarkCspRecovered(int csp) {
   CYRUS_ASSIGN_OR_RETURN(std::string name, registry_.name(csp));
   CYRUS_ASSIGN_OR_RETURN(CspProfile profile, registry_.profile(csp));
   CYRUS_RETURN_IF_ERROR(ring_.AddCsp(csp, name, profile.cluster));
-  // ShareLocations naming this CSP predate the outage; the provider may
+  // Share rows naming this CSP predate the outage; the provider may
   // have lost objects while down, so they must be re-verified by a scrub
   // pass before the reliability accounting trusts them again.
   repair_->FlagCspForReprobe(csp);
@@ -331,12 +352,6 @@ Status CyrusClient::NoteIntegrityFailure(int csp) {
     return MarkCspFailed(csp);
   }
   return OkStatus();
-}
-
-void CyrusClient::AugmentRecordDigests(ChunkRecord& record) const {
-  if (const ChunkEntry* entry = chunk_table_.Find(record.id); entry != nullptr) {
-    AdoptShareDigests(entry->shares, record);
-  }
 }
 
 uint32_t CyrusClient::PutQuorum(uint32_t n) const {
@@ -400,24 +415,14 @@ double CyrusClient::LearnedDownloadRate(int csp, double share_bytes) const {
 // Gather and lazy migration
 // ---------------------------------------------------------------------------
 
-std::vector<ShareLocation> CyrusClient::ResolveChunkLocations(
-    const Sha1Digest& chunk_id) const {
-  std::vector<ShareLocation> locations;
-  if (const ChunkEntry* entry = chunk_table_.Find(chunk_id); entry != nullptr) {
-    for (const ChunkShare& s : entry->shares) {
-      locations.push_back(ShareLocation{chunk_id, s.share_index, s.csp});
-    }
-  }
-  return locations;
-}
-
 // A covering chunk of a pipelined gather: filled on a worker, booked (and
 // cached) by the driver's ordered completion.
 struct CyrusClient::GatherSlot {
-  ChunkRecord chunk;
+  Sha1Digest id;
+  uint64_t offset = 0;            // the version record's place in the file
+  ChunkEntry entry;               // the chunk table's, copied by the driver
   std::shared_ptr<Bytes> buffer;  // range reads: cache-owned plaintext
   MutableByteSpan dst;            // where the chunk decodes
-  std::vector<ShareLocation> locations;
   std::vector<int> selected;      // the download selector's picks
   Status status = InternalError("not gathered");
   ChunkReadResult read;
@@ -429,14 +434,14 @@ void CyrusClient::GatherGroup(const std::vector<GatherSlot*>& group) {
   for (size_t i = 0; i < group.size(); ++i) {
     GatherSlot& slot = *group[i];
     ChunkReadRequest& request = requests[i];
-    request.chunk = &slot.chunk;
-    request.locations = &slot.locations;
+    request.chunk_id = slot.id;
+    request.entry = &slot.entry;
     request.options.preferred = slot.selected;
     // Lazy share migration (paper §5.5, Figure 9) regenerates shares whose
     // CSP is failed or removed, so their source plaintext is hashed.
     request.options.verify_plaintext =
-        std::any_of(slot.locations.begin(), slot.locations.end(),
-                    [&](const ShareLocation& loc) { return !registry_.IsActive(loc.csp); });
+        std::any_of(slot.entry.shares.begin(), slot.entry.shares.end(),
+                    [&](const ChunkShare& share) { return !registry_.IsActive(share.csp); });
     request.dst = slot.dst;
     request.result = &slot.read;
   }
@@ -445,7 +450,6 @@ void CyrusClient::GatherGroup(const std::vector<GatherSlot*>& group) {
   // Only table-free work happens here; the driver records each slot's
   // change after the drain.
   auto rebuild = [this](GatherSlot& slot, bool migrating) -> Status {
-    const ChunkRecord& chunk = slot.chunk;
     if (slot.read.healed > 0) {
       integrity_shares_healed_->Increment(slot.read.healed);
     }
@@ -454,19 +458,19 @@ void CyrusClient::GatherGroup(const std::vector<GatherSlot*>& group) {
     // later download retries them.
     std::set<uint32_t> indices;
     std::vector<int> holders;
-    for (const ShareLocation& loc : slot.locations) {
-      indices.insert(loc.share_index);
-      if (migrating && !registry_.IsActive(loc.csp)) {
-        slot.change.dead.push_back(ChunkShare{loc.share_index, loc.csp, {}});
+    for (const ChunkShare& share : slot.entry.shares) {
+      indices.insert(share.share_index);
+      if (migrating && !registry_.IsActive(share.csp)) {
+        slot.change.dead.push_back(ChunkShare{share.share_index, share.csp, {}});
       } else {
-        holders.push_back(loc.csp);
+        holders.push_back(share.csp);
       }
     }
     if (!slot.change.dead.empty()) {
-      CYRUS_ASSIGN_OR_RETURN(SecretSharingCodec codec, reader_->CodecFor(chunk));
+      CYRUS_ASSIGN_OR_RETURN(SecretSharingCodec codec, reader_->CodecFor(slot.id, slot.entry));
       CYRUS_ASSIGN_OR_RETURN(
           slot.change.fresh,
-          writer_->Extend(codec, chunk.id, slot.dst, *indices.rbegin() + 1,
+          writer_->Extend(codec, slot.id, slot.dst, *indices.rbegin() + 1,
                           static_cast<uint32_t>(slot.change.dead.size()),
                           std::move(holders), slot.read.report));
     }
@@ -475,10 +479,10 @@ void CyrusClient::GatherGroup(const std::vector<GatherSlot*>& group) {
     // record predates per-share digests, derive the authoritative digest
     // set from the verified plaintext (fresh shares carry theirs, and a
     // moved index's digest has no share left to land on).
-    if (chunk.share_digests.empty() || slot.read.healed > 0 || slot.read.corrected) {
+    if (Digestless(slot.entry) || slot.read.healed > 0 || slot.read.corrected) {
       CYRUS_ASSIGN_OR_RETURN(
           slot.change.derived,
-          reader_->DeriveDigests(chunk, slot.dst,
+          reader_->DeriveDigests(slot.id, slot.entry, slot.dst,
                                  std::vector<uint32_t>(indices.begin(), indices.end())));
     }
     return OkStatus();
@@ -645,9 +649,8 @@ Status CyrusClient::RecordScatteredChunk(const Sha1Digest& chunk_id, uint64_t si
   // commit may have landed fewer, and the gap is repair debt the scrub
   // engine completes against exactly this entry.
   const uint32_t stored = static_cast<uint32_t>(shares.size());
-  const ChunkRecord record{chunk_id, 0, size, config_.t, n, convergent,
-                           std::move(wrapped_key), {}};
-  ChunkEntry entry = EntryFromRecord(record, std::move(shares));
+  ChunkEntry entry{size, size, config_.t, n, /*refcount=*/0, convergent,
+                   std::move(wrapped_key), std::move(shares)};
   if (convergent && config_.share_index != nullptr) {
     // Publish the layout for every other writer. Racing publishers of the
     // same chunk merge (uploads were byte-identical overwrites).
@@ -772,7 +775,7 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
   };
   std::list<ScatterSlot> slots;
   OrderedPipeline::Options window;
-  window.max_in_flight = pipeline_window();
+  window.max_in_flight = config_.pipeline_window_chunks;
   OrderedPipeline pipeline(pool_.get(), window);
 
   const uint32_t quorum = PutQuorum(n);
@@ -904,12 +907,11 @@ Result<PutResult> CyrusClient::Put(std::string_view name, ByteSpan content) {
         ++result.dedup_chunks;
         ++result.index_hit_chunks;
         chunks_deduped_->Increment();
-        const ChunkRecord adopted{slot->chunk_id, 0, slot->span.size,
-                                  slot->index_entry.t, slot->index_entry.n, true,
-                                  std::move(slot->wrapped_key), {}};
         CYRUS_RETURN_IF_ERROR(chunk_table_.Insert(
             slot->chunk_id,
-            EntryFromRecord(adopted, std::move(slot->index_entry.shares))));
+            ChunkEntry{slot->span.size, slot->span.size, slot->index_entry.t,
+                       slot->index_entry.n, /*refcount=*/0, /*dedup=*/true,
+                       std::move(slot->wrapped_key), std::move(slot->index_entry.shares)}));
         return record_chunk(slot->chunk_id, slot->span.offset);
       }
       CYRUS_RETURN_IF_ERROR(slot->shares.status());
@@ -1095,12 +1097,12 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
     }
   }
 
-  // Copies a decoded chunk's overlap with the range into the result span.
-  auto copy_overlap = [&](const ChunkRecord& chunk, const Bytes& data) {
-    const uint64_t begin = std::max<uint64_t>(chunk.offset, offset);
-    const uint64_t end =
-        std::min<uint64_t>(chunk.offset + chunk.size, range_end);
-    std::copy_n(data.begin() + static_cast<ptrdiff_t>(begin - chunk.offset),
+  // Copies the overlap with the range of a decoded chunk at `chunk_offset`
+  // into the result span.
+  auto copy_overlap = [&](uint64_t chunk_offset, const Bytes& data) {
+    const uint64_t begin = std::max<uint64_t>(chunk_offset, offset);
+    const uint64_t end = std::min<uint64_t>(chunk_offset + data.size(), range_end);
+    std::copy_n(data.begin() + static_cast<ptrdiff_t>(begin - chunk_offset),
                 end - begin,
                 result.content.begin() + static_cast<ptrdiff_t>(begin - offset));
   };
@@ -1120,7 +1122,7 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
   std::vector<std::pair<Sha1Digest, std::shared_ptr<Prefetch>>> joined;
   auto use_resident = [&](const Sha1Digest& id, std::shared_ptr<const Bytes> bytes) {
     ++result.chunks_from_cache;
-    copy_overlap(*by_id.at(id), *bytes);
+    copy_overlap(by_id.at(id)->offset, *bytes);
     if (dup_ids.count(id) > 0) {
       resident.emplace(id, std::move(bytes));
     }
@@ -1146,23 +1148,31 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
   // Optimized downlink selection (Algorithm 1) over the chunks that
   // actually need the network; on infeasibility the reader's fallback walk
   // still tries every active holder. Each CSP is priced at its learned
-  // rate for the misses' mean share size.
+  // rate for the misses' mean share size. Each miss is read as its chunk
+  // table entry stores it; a chunk the table no longer tracks (scrub
+  // reclaimed it) has no layout left to read, and an entry must fill the
+  // record's place in the file exactly.
   DownloadProblem problem;
   problem.t = config_.t;
   double share_bytes = 0.0;
   bool optimizable = true;
+  std::vector<const ChunkEntry*> entries;
   for (const Sha1Digest& id : to_gather) {
-    const ChunkRecord* chunk = by_id.at(id);
-    if (chunk->t != config_.t) {
+    const ChunkEntry* entry = chunk_table_.Find(id);
+    if (entry == nullptr || entry->size != by_id.at(id)->size) {
+      return DataLossError(StrCat(name, ": chunk ", id.ToHex(), " has no tracked layout"));
+    }
+    entries.push_back(entry);
+    if (entry->t != config_.t) {
       optimizable = false;
     }
     DownloadChunk dc;
-    dc.share_bytes = static_cast<double>(ShareSize(chunk->size, chunk->t));
+    dc.share_bytes = static_cast<double>(ShareSize(entry->size, entry->t));
     share_bytes += dc.share_bytes;
     std::set<int> active_holders;
-    for (const ShareLocation& loc : ResolveChunkLocations(id)) {
-      if (registry_.IsActive(loc.csp)) {
-        active_holders.insert(loc.csp);
+    for (const ChunkShare& share : entry->shares) {
+      if (registry_.IsActive(share.csp)) {
+        active_holders.insert(share.csp);
       }
     }
     dc.stored_at.assign(active_holders.begin(), active_holders.end());
@@ -1197,7 +1207,7 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
   // does NOT populate the cache - one large download must not flush a
   // streaming working set.
   obs::ScopedSpan gather_span = trace.Span("gather");
-  const size_t window_chunks = pipeline_window();
+  const size_t window_chunks = config_.pipeline_window_chunks;
   // Without a transfer pool nothing downloads ahead, so there is nothing
   // to hash in lanes.
   const size_t group_size =
@@ -1209,7 +1219,7 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
   std::iota(gather_order.begin(), gather_order.end(), size_t{0});
   if (group_size > 1) {
     std::stable_sort(gather_order.begin(), gather_order.end(), [&](size_t a, size_t b) {
-      return by_id.at(to_gather[a])->size > by_id.at(to_gather[b])->size;
+      return entries[a]->size > entries[b]->size;
     });
   }
   std::list<GatherSlot> slots;  // stable addresses; outlives the pipeline
@@ -1223,14 +1233,14 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
     CYRUS_RETURN_IF_ERROR(slot.status);
     chunks_gathered_->Increment();
     ++result.chunks_decoded;
-    gather_span.AddBytes(slot.chunk.size);
+    gather_span.AddBytes(slot.entry.size);
     if (!whole_file) {
-      copy_overlap(slot.chunk, *slot.buffer);
+      copy_overlap(slot.offset, *slot.buffer);
       std::shared_ptr<const Bytes> decoded = std::move(slot.buffer);
-      if (dup_ids.count(slot.chunk.id) > 0) {
-        resident.emplace(slot.chunk.id, decoded);
+      if (dup_ids.count(slot.id) > 0) {
+        resident.emplace(slot.id, decoded);
       }
-      chunk_cache_.Put(slot.chunk.id, std::move(decoded));
+      chunk_cache_.Put(slot.id, std::move(decoded));
     }
     return OkStatus();
   };
@@ -1245,17 +1255,16 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
     std::vector<GatherSlot*> group;
     for (size_t i : members) {
       GatherSlot& slot = slots.emplace_back();
-      slot.chunk = *by_id.at(to_gather[i]);
-      // Workers must not read the chunk table, so the record takes the
-      // chunk's digests here.
-      AugmentRecordDigests(slot.chunk);
+      slot.id = to_gather[i];
+      slot.offset = by_id.at(slot.id)->offset;
+      // Workers must not read the chunk table, so the slot takes a copy.
+      slot.entry = *entries[i];
       if (whole_file) {
-        slot.dst = MutableByteSpan(result.content.data() + slot.chunk.offset, slot.chunk.size);
+        slot.dst = MutableByteSpan(result.content.data() + slot.offset, slot.entry.size);
       } else {
-        slot.buffer = std::make_shared<Bytes>(slot.chunk.size);
+        slot.buffer = std::make_shared<Bytes>(slot.entry.size);
         slot.dst = MutableByteSpan(*slot.buffer);
       }
-      slot.locations = ResolveChunkLocations(slot.chunk.id);
       slot.selected = selections[i];
       group.push_back(&slot);
     }
@@ -1286,11 +1295,11 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
     if (slot.change.fresh.empty() && slot.change.derived.empty()) {
       continue;
     }
-    repair_->RecordLayout(slot.chunk.id, slot.change);
-    relaid.insert(slot.chunk.id);
+    repair_->RecordLayout(slot.id, slot.change);
+    relaid.insert(slot.id);
     result.migrated_shares += slot.change.fresh.size();
     shares_migrated_->Increment(slot.change.fresh.size());
-    if (!slot.change.derived.empty() && slot.chunk.share_digests.empty()) {
+    if (!slot.change.derived.empty() && Digestless(slot.entry)) {
       ++result.digest_upgraded_chunks;
       integrity_records_upgraded_->Increment();
     }
@@ -1316,7 +1325,7 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
     }
     auto pinned = resident.find(chunk->id);
     if (pinned != resident.end()) {
-      copy_overlap(*chunk, *pinned->second);
+      copy_overlap(chunk->offset, *pinned->second);
       continue;
     }
     if (!whole_file) {
@@ -1389,10 +1398,10 @@ void CyrusClient::MaybeScheduleReadahead(const std::string& name,
   // the window are skipped, never replaced by records past it, so the
   // prefetch frontier stays at most K records ahead of the reader.
   // Everything here runs on the driver thread (tree/chunk-table reads);
-  // the tasks capture copies.
+  // the tasks capture copies of the chunk-table entries they read.
   struct Pick {
-    ChunkRecord chunk;
-    std::vector<ShareLocation> locations;
+    Sha1Digest id;
+    ChunkEntry entry;
     std::shared_ptr<Prefetch> prefetch;
   };
   std::vector<Pick> picks;
@@ -1410,7 +1419,9 @@ void CyrusClient::MaybeScheduleReadahead(const std::string& name,
     if (chunk.offset >= horizon && (learned || record != first)) {
       break;
     }
-    if (picked.count(chunk.id) > 0 || chunk_cache_.Peek(chunk.id) != nullptr) {
+    const ChunkEntry* entry = chunk_table_.Find(chunk.id);
+    if (entry == nullptr || picked.count(chunk.id) > 0 ||
+        chunk_cache_.Peek(chunk.id) != nullptr) {
       continue;
     }
     auto prefetch = std::make_shared<Prefetch>();
@@ -1422,15 +1433,14 @@ void CyrusClient::MaybeScheduleReadahead(const std::string& name,
       ++readahead_active_;
     }
     picked.insert(chunk.id);
-    Pick pick{chunk, ResolveChunkLocations(chunk.id), std::move(prefetch)};
-    AugmentRecordDigests(pick.chunk);
+    Pick pick{chunk.id, *entry, std::move(prefetch)};
     // Fastest links first, by the learned rate the selector uses, read in
     // order: a prefetch that waits on the slowest CSP arrives after the
     // reader does. (The foreground gather gets the full optimizing
     // selector.)
-    const double pick_share_bytes = static_cast<double>(ShareSize(chunk.size, chunk.t));
-    std::stable_sort(pick.locations.begin(), pick.locations.end(),
-                     [&](const ShareLocation& a, const ShareLocation& b) {
+    const double pick_share_bytes = static_cast<double>(ShareSize(entry->size, entry->t));
+    std::stable_sort(pick.entry.shares.begin(), pick.entry.shares.end(),
+                     [&](const ChunkShare& a, const ChunkShare& b) {
                        return LearnedDownloadRate(a.csp, pick_share_bytes) >
                               LearnedDownloadRate(b.csp, pick_share_bytes);
                      });
@@ -1451,14 +1461,13 @@ void CyrusClient::MaybeScheduleReadahead(const std::string& name,
       }
       std::shared_ptr<Bytes> plaintext;
       if (run) {
-        plaintext = std::make_shared<Bytes>(pick.chunk.size);
+        plaintext = std::make_shared<Bytes>(pick.entry.size);
         ChunkReadOptions options;
         options.heal = false;
         ChunkReadResult read;
-        if (reader_->Read(pick.chunk, pick.locations, options,
-                          MutableByteSpan(*plaintext), read)
+        if (reader_->Read(pick.id, pick.entry, options, MutableByteSpan(*plaintext), read)
                 .ok()) {
-          chunk_cache_.Put(pick.chunk.id, plaintext, /*prefetched=*/true);
+          chunk_cache_.Put(pick.id, plaintext, /*prefetched=*/true);
         } else {
           plaintext.reset();
         }
@@ -1467,7 +1476,7 @@ void CyrusClient::MaybeScheduleReadahead(const std::string& name,
       std::lock_guard<std::mutex> lock(readahead_mutex_);
       prefetch.plaintext = std::move(plaintext);
       prefetch.done = true;
-      if (auto it = readahead_inflight_.find(pick.chunk.id);
+      if (auto it = readahead_inflight_.find(pick.id);
           it != readahead_inflight_.end() && it->second == pick.prefetch) {
         readahead_inflight_.erase(it);
       }

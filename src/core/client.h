@@ -393,21 +393,6 @@ class CyrusClient {
   // Replaces the downlink selector (benchmarks swap in random/round-robin).
   void set_download_selector(std::unique_ptr<DownloadSelector> selector);
 
-  // Runtime override of config.pipeline_window_chunks, read at the start of
-  // each Put/Get. The gateway's backpressure controller shrinks a shard
-  // worker's window when its queue deepens and restores it as load drains.
-  // 0 restores the configured value; anything else is clamped to >= 1.
-  // Thread-safe (atomic); in-flight pipelines keep the window they started
-  // with.
-  void set_pipeline_window(uint32_t chunks) {
-    pipeline_window_override_.store(chunks, std::memory_order_relaxed);
-  }
-  // The window the next Put/Get will use.
-  uint32_t pipeline_window() const {
-    const uint32_t forced = pipeline_window_override_.load(std::memory_order_relaxed);
-    return forced > 0 ? forced : config_.pipeline_window_chunks;
-  }
-
   // Virtual clock for modified times and availability probes. Atomic:
   // reader, writer and repair-engine `now` callbacks read it from pool
   // threads while tests advance it on the driver.
@@ -457,14 +442,17 @@ class CyrusClient {
   // assembles bytes [offset, offset+len) of `version_id` from cache hits
   // plus pipelined gathers of the covering chunks. `whole_file` selects the
   // zero-copy decode-into-result layout (which never populates the cache)
-  // instead of per-chunk cache-owned buffers.
+  // instead of per-chunk cache-owned buffers. Each covering chunk is read
+  // as its chunk-table entry stores it; one the table no longer tracks
+  // fails the call with kDataLoss before any download.
   Result<GetResult> GetRangeTraced(std::string_view name,
                                    const Sha1Digest& version_id,
                                    uint64_t offset, uint64_t len,
                                    bool whole_file, obs::TraceBuilder& trace);
 
   // Sequential-stream detection and prefetch scheduling after a GetRange
-  // of [offset, offset+len) on `version`. Driver thread only.
+  // of [offset, offset+len) on `version`. Each prefetch task reads a copy
+  // of its chunk's table entry. Driver thread only.
   void MaybeScheduleReadahead(const std::string& name,
                               const FileVersion& version, uint64_t offset,
                               uint64_t len);
@@ -485,15 +473,18 @@ class CyrusClient {
   void InvalidateCachedChunks(const std::vector<ChunkRecord>& released,
                               const std::vector<ChunkRecord>* kept);
 
-  // One covering chunk of a pipelined gather (defined in client.cc).
+  // One covering chunk of a pipelined gather (defined in client.cc): the
+  // driver copies the chunk's table entry into it, and the version record
+  // supplies only where the chunk sits in the file.
   struct GatherSlot;
 
   // Reads a group of chunks through one ChunkReader::ReadGroup straight
-  // into each slot's dst; each slot gets its own status. A successful read
-  // fills the slot's change record without touching the chunk table:
-  // shares migrated off failed/removed CSPs and re-derived digests. Runs
-  // on a pipeline worker; the driver resolves slot.locations beforehand
-  // and records each change (RepairEngine::RecordLayout) after the drain.
+  // into each slot's dst, each exactly as its slot's entry copy stores it;
+  // each slot gets its own status. A successful read fills the slot's
+  // change record without touching the chunk table: shares migrated off
+  // failed/removed CSPs and re-derived digests. Runs on a pipeline worker;
+  // the driver records each change (RepairEngine::RecordLayout) after the
+  // drain.
   void GatherGroup(const std::vector<GatherSlot*>& group);
 
   // Algorithm 1's achievable bandwidth for `csp` on shares of
@@ -507,15 +498,6 @@ class CyrusClient {
   // once its ledger reaches kIntegrityQuarantineThreshold (3). Safe
   // from pipeline workers (same locking as MarkCspFailed).
   Status NoteIntegrityFailure(int csp);
-
-  // Copies the chunk table's share digests into a copy of a version's
-  // ChunkRecord, so gather workers can authenticate without reading the
-  // mutable chunk table. Driver-thread only.
-  void AugmentRecordDigests(ChunkRecord& record) const;
-
-  // Current share locations of a chunk, from the chunk table; none for a
-  // chunk it no longer tracks. Driver-thread only.
-  std::vector<ShareLocation> ResolveChunkLocations(const Sha1Digest& chunk_id) const;
 
   // True when the chunk table still tracks every chunk of `version`: scrub
   // reclaims the chunks of superseded versions, whose layouts are then
@@ -540,8 +522,9 @@ class CyrusClient {
   // The one ingest step for a version about to enter the tree: takes a
   // reference on each distinct chunk and moves the version's ShareMap rows
   // and share digests into the chunk table, leaving `version` without
-  // them. A chunk the table already tracks keeps its layout; an incoming
-  // digest only fills a tracked share that has none.
+  // them. A chunk the table already tracks keeps its entry (t and keying
+  // included); an incoming digest only fills a tracked share that has
+  // none.
   Status RegisterVersionChunks(FileVersion& version);
 
   // Drops one reference per unique chunk, locally and (for convergent
@@ -651,8 +634,6 @@ class CyrusClient {
   // The metadata object format and its scatter, fetch and discovery.
   std::unique_ptr<MetadataStore> metadata_;
   std::atomic<double> now_{0.0};
-  // Gateway backpressure override of the pipeline window (0 = use config).
-  std::atomic<uint32_t> pipeline_window_override_{0};
 
   // Observability sinks (never null after Create) plus cached pipeline
   // counters so the hot paths skip registry lookups.

@@ -43,6 +43,16 @@ std::optional<ObjectNameParts> SplitObjectName(std::string_view object) {
   return ObjectNameParts{object.substr(0, idx_dot), value, object.substr(gen_dot + 1)};
 }
 
+// Copies per-share digests from chunk-table rows into a record's
+// authentication list (one entry per distinct share index).
+void AdoptShareDigests(const std::vector<ChunkShare>& shares, ChunkRecord& record) {
+  for (const ChunkShare& s : shares) {
+    if (s.has_digest() && record.FindShareDigest(s.share_index) == nullptr) {
+      record.SetShareDigest(s.share_index, s.digest);
+    }
+  }
+}
+
 }  // namespace
 
 std::string MetadataStore::ObjectName(const MetaShareId& id) {
@@ -110,7 +120,9 @@ FileVersion MetadataStore::ToWireForm(const FileVersion& version) const {
     return it->second;
   };
   // Rows and digests go out in share-index order, so one layout always
-  // projects the same bytes, whatever order the table learned it in.
+  // projects the same bytes, whatever order the table learned it in. The
+  // chunk's parameters come from the table too: a version another device
+  // wrote may record a chunk this table stores under another t or keying.
   std::set<Sha1Digest> listed;
   for (ChunkRecord& chunk : wire.chunks) {
     chunk.share_digests.clear();
@@ -118,6 +130,10 @@ FileVersion MetadataStore::ToWireForm(const FileVersion& version) const {
     if (entry == nullptr) {
       continue;
     }
+    chunk.t = entry->t;
+    chunk.n = entry->n;
+    chunk.dedup = entry->dedup;
+    chunk.wrapped_key = entry->wrapped_key;
     std::vector<ChunkShare> shares = entry->shares;
     std::stable_sort(shares.begin(), shares.end(),
                      [](const ChunkShare& a, const ChunkShare& b) {

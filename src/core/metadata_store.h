@@ -105,8 +105,8 @@ class MetadataStore {
   // --- Wire form ---
 
   // The metadata of a local version: its ShareMap rows and every
-  // ChunkRecord's share digests are the chunk table's current layout, and
-  // rows name CSPs through the csp_directory of stable connector names, so
+  // ChunkRecord's share digests, t, n and keying are the chunk table's
+  // current layout, and rows name CSPs through the csp_directory of stable connector names, so
   // any client can interpret them. A chunk the table no longer tracks
   // (reclaimed by scrub) projects no rows.
   FileVersion ToWireForm(const FileVersion& version) const;

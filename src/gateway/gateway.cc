@@ -169,15 +169,9 @@ void GatewayService::AdjustWindow(Tenant* tenant, int shard_id) {
       depth >= options_.shard_depth_high || burn >= options_.quota_burn_high;
   if (pressured) {
     tenant->window = std::max(options_.min_tenant_window, tenant->window / 2);
-    if (options_.shrink_client_window) {
-      shard.client->set_pipeline_window(options_.client_window_when_shrunk);
-    }
   } else if (depth <= options_.shard_depth_low &&
              tenant->window < options_.max_tenant_window) {
     ++tenant->window;  // additive recovery
-    if (options_.shrink_client_window) {
-      shard.client->set_pipeline_window(0);  // clear the override
-    }
   }
   if (tenant->window_gauge != nullptr) {
     tenant->window_gauge->Set(tenant->window);

@@ -15,10 +15,9 @@
 //     (RejectReason) and fail fast, before any shard work;
 //   - backpressure: every tenant owns an in-flight window. When a shard's
 //     queue depth or the tenant's quota burn crosses the high-water mark,
-//     the window halves (and, optionally, the shard client's pipeline
-//     window shrinks with it); calm periods recover it one slot at a time
-//     - AIMD, the same discipline TCP uses, so overload sheds load
-//     smoothly instead of collapsing;
+//     the window halves; calm periods recover it one slot at a time -
+//     AIMD, the same discipline TCP uses, so overload sheds load smoothly
+//     instead of collapsing;
 //   - shard queue model: shards track a virtual busy-until horizon fed by
 //     per-op overhead and byte service rates, giving deterministic queue
 //     depths and latencies under src/sim virtual time (the 10k-client soak
@@ -76,11 +75,6 @@ struct GatewayOptions {
   // `shard_op_overhead_s + bytes / shard_bytes_per_sec` of shard time.
   double shard_op_overhead_s = 0.002;
   double shard_bytes_per_sec = 64.0 * 1024 * 1024;
-
-  // Shrink the shard client's chunk pipeline window together with the
-  // tenant window (plumbs into CyrusClient::set_pipeline_window).
-  bool shrink_client_window = false;
-  uint32_t client_window_when_shrunk = 2;
 
   // Per-tenant labeled metrics (ops, rejects, window). Off for huge tenant
   // counts - the soak keeps cardinality at the per-reason aggregates.

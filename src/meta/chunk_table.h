@@ -4,18 +4,21 @@
 // chunk, the uploader consults the table; a hit means zero new bytes leave
 // the client (Algorithm 2, "if chunk is not stored").
 //
-// It is also the only owner of share layouts: reads, lazy migration,
-// repair and scrub read and rewrite a chunk's share locations and digests
-// here alone, and the ShareMap rows and share digests of published
-// metadata are projected from it (src/core/metadata_store.h). Incoming
-// metadata hands its rows over once, on ingest; versions in the local
-// tree carry none. A rebuilt layout (lazy migration, repair, digest
-// upgrade) is written by one step, RepairEngine::RecordLayout.
+// It is also the only owner of share layouts. Every chunk read names, keys,
+// checks and decodes a chunk exactly as its entry here says (t, size,
+// keying, and each share's location and digest), whatever t the version
+// being read records; lazy migration, repair and scrub rewrite share rows
+// here alone; and the ShareMap rows, share digests and chunk parameters of
+// published metadata are projected from it (src/core/metadata_store.h).
+// Incoming metadata hands its rows over once, on ingest, and a chunk the
+// table already tracks keeps its entry; versions in the local tree carry
+// no rows. A rebuilt layout (lazy migration, repair, digest upgrade) is
+// written by one step, RepairEngine::RecordLayout.
 //
 // Threading discipline (deliberately no internal lock): the table is
 // driver-only. Every read and every mutation happens on the client's
-// driver thread; pipeline workers get copies of what they need (share
-// locations, digests) and hand changes back for the driver to record.
+// driver thread; pipeline workers and readahead tasks get copies of the
+// entries they read and hand changes back for the driver to record.
 #ifndef SRC_META_CHUNK_TABLE_H_
 #define SRC_META_CHUNK_TABLE_H_
 

@@ -1,6 +1,7 @@
 #include "src/repair/repair_engine.h"
 
 #include <algorithm>
+#include <iterator>
 #include <mutex>
 #include <utility>
 
@@ -11,6 +12,54 @@
 #include "src/util/strings.h"
 
 namespace cyrus {
+namespace {
+
+// Every RepairStats field once: Fold sums it into the engine's lifetime
+// stats and mirrors it into the registry counter named here. A field with
+// no name is summed only.
+struct ScrubCounter {
+  uint64_t RepairStats::*field;
+  const char* name;
+  const char* help;
+};
+
+constexpr ScrubCounter kScrubCounters[] = {
+    {&RepairStats::scrub_passes, "cyrus_scrub_passes_total", "Completed scrub passes"},
+    {&RepairStats::chunks_scanned, "cyrus_scrub_chunks_scanned_total",
+     "Chunk-table entries classified by scans"},
+    {&RepairStats::chunks_degraded, "cyrus_scrub_chunks_degraded_total",
+     "Chunks found below their target n"},
+    {&RepairStats::chunks_repaired, "cyrus_scrub_chunks_repaired_total",
+     "Chunks restored to their target n"},
+    {&RepairStats::chunks_unrepairable, "cyrus_scrub_chunks_unrepairable_total",
+     "Chunks with fewer than t reachable shares"},
+    {&RepairStats::chunks_deferred, "cyrus_scrub_chunks_deferred_total",
+     "Repairs deferred by pass budgets"},
+    {&RepairStats::shares_rebuilt, "cyrus_scrub_shares_rebuilt_total",
+     "Fresh shares encoded and uploaded"},
+    {&RepairStats::shares_pruned, "cyrus_scrub_shares_pruned_total",
+     "Stale dead share locations dropped"},
+    {&RepairStats::bytes_moved, "cyrus_scrub_bytes_moved_total", "Share bytes moved by repairs"},
+    {&RepairStats::probe_failures, "cyrus_scrub_probe_failures_total",
+     "Probe List calls failed after retry"},
+    {&RepairStats::chunks_reclaimed, "cyrus_scrub_chunks_reclaimed_total",
+     "Zero-ref dedup chunks garbage-collected"},
+    {&RepairStats::shares_reclaimed, "cyrus_scrub_shares_reclaimed_total",
+     "Share objects deleted by orphan reclaim"},
+    {&RepairStats::bytes_reclaimed, "cyrus_scrub_bytes_reclaimed_total",
+     "Physical share bytes freed by orphan reclaim"},
+    {&RepairStats::reclaims_deferred, nullptr, nullptr},
+    {&RepairStats::shares_integrity_checked, "cyrus_scrub_integrity_checked_total",
+     "At-rest shares downloaded and digest-checked"},
+    {&RepairStats::integrity_failures, "cyrus_scrub_integrity_failures_total",
+     "At-rest shares failing their digest check (bit rot)"},
+    {&RepairStats::shares_healed, "cyrus_scrub_shares_healed_total",
+     "Rotted shares re-encoded and overwritten in place"},
+    {&RepairStats::records_upgraded, "cyrus_scrub_records_upgraded_total",
+     "Digestless chunk entries given full digest sets"},
+};
+
+}  // namespace
 
 RepairEngine::RepairEngine(RepairContext context, RepairEngineOptions options)
     : context_(std::move(context)), options_(std::move(options)) {
@@ -25,55 +74,11 @@ RepairEngine::RepairEngine(RepairContext context, RepairEngineOptions options)
   degraded_writes_ =
       metrics_->GetCounter("cyrus_degraded_writes_total", {},
                            "Chunk commits that met quorum but missed target n");
-  scrub_counters_.passes = metrics_->GetCounter("cyrus_scrub_passes_total", {},
-                                                "Completed scrub passes");
-  scrub_counters_.scanned =
-      metrics_->GetCounter("cyrus_scrub_chunks_scanned_total", {},
-                           "Chunk-table entries classified by scans");
-  scrub_counters_.degraded =
-      metrics_->GetCounter("cyrus_scrub_chunks_degraded_total", {},
-                           "Chunks found below their target n");
-  scrub_counters_.repaired =
-      metrics_->GetCounter("cyrus_scrub_chunks_repaired_total", {},
-                           "Chunks restored to their target n");
-  scrub_counters_.unrepairable =
-      metrics_->GetCounter("cyrus_scrub_chunks_unrepairable_total", {},
-                           "Chunks with fewer than t reachable shares");
-  scrub_counters_.deferred =
-      metrics_->GetCounter("cyrus_scrub_chunks_deferred_total", {},
-                           "Repairs deferred by pass budgets");
-  scrub_counters_.shares_rebuilt =
-      metrics_->GetCounter("cyrus_scrub_shares_rebuilt_total", {},
-                           "Fresh shares encoded and uploaded");
-  scrub_counters_.shares_pruned =
-      metrics_->GetCounter("cyrus_scrub_shares_pruned_total", {},
-                           "Stale dead share locations dropped");
-  scrub_counters_.bytes_moved = metrics_->GetCounter(
-      "cyrus_scrub_bytes_moved_total", {}, "Share bytes moved by repairs");
-  scrub_counters_.probe_failures =
-      metrics_->GetCounter("cyrus_scrub_probe_failures_total", {},
-                           "Probe List calls failed after retry");
-  scrub_counters_.chunks_reclaimed =
-      metrics_->GetCounter("cyrus_scrub_chunks_reclaimed_total", {},
-                           "Zero-ref dedup chunks garbage-collected");
-  scrub_counters_.shares_reclaimed =
-      metrics_->GetCounter("cyrus_scrub_shares_reclaimed_total", {},
-                           "Share objects deleted by orphan reclaim");
-  scrub_counters_.bytes_reclaimed =
-      metrics_->GetCounter("cyrus_scrub_bytes_reclaimed_total", {},
-                           "Physical share bytes freed by orphan reclaim");
-  scrub_counters_.integrity_checked =
-      metrics_->GetCounter("cyrus_scrub_integrity_checked_total", {},
-                           "At-rest shares downloaded and digest-checked");
-  scrub_counters_.integrity_failures =
-      metrics_->GetCounter("cyrus_scrub_integrity_failures_total", {},
-                           "At-rest shares failing their digest check (bit rot)");
-  scrub_counters_.shares_healed =
-      metrics_->GetCounter("cyrus_scrub_shares_healed_total", {},
-                           "Rotted shares re-encoded and overwritten in place");
-  scrub_counters_.records_upgraded =
-      metrics_->GetCounter("cyrus_scrub_records_upgraded_total", {},
-                           "Digestless chunk entries given full digest sets");
+  for (const ScrubCounter& counter : kScrubCounters) {
+    scrub_counters_.push_back(counter.name == nullptr
+                                  ? nullptr
+                                  : metrics_->GetCounter(counter.name, {}, counter.help));
+  }
 }
 
 void RepairEngine::RefreshDebtGaugesLocked() {
@@ -106,44 +111,15 @@ uint64_t RepairEngine::OutstandingDegradedShares() const {
 }
 
 void RepairEngine::Fold(const RepairStats& delta) {
-  stats_.scrub_passes += delta.scrub_passes;
-  stats_.chunks_scanned += delta.chunks_scanned;
-  stats_.chunks_degraded += delta.chunks_degraded;
-  stats_.chunks_repaired += delta.chunks_repaired;
-  stats_.chunks_unrepairable += delta.chunks_unrepairable;
-  stats_.chunks_deferred += delta.chunks_deferred;
-  stats_.shares_rebuilt += delta.shares_rebuilt;
-  stats_.shares_pruned += delta.shares_pruned;
-  stats_.bytes_moved += delta.bytes_moved;
-  stats_.probe_failures += delta.probe_failures;
-  stats_.chunks_reclaimed += delta.chunks_reclaimed;
-  stats_.shares_reclaimed += delta.shares_reclaimed;
-  stats_.bytes_reclaimed += delta.bytes_reclaimed;
-  stats_.reclaims_deferred += delta.reclaims_deferred;
-  stats_.shares_integrity_checked += delta.shares_integrity_checked;
-  stats_.integrity_failures += delta.integrity_failures;
-  stats_.shares_healed += delta.shares_healed;
-  stats_.records_upgraded += delta.records_upgraded;
-
-  // Mirror the same deltas into the registry so dashboards and /metrics see
+  // Each delta also goes to the registry, so dashboards and /metrics see
   // scrub health without holding a RepairEngine reference.
-  scrub_counters_.passes->Increment(delta.scrub_passes);
-  scrub_counters_.scanned->Increment(delta.chunks_scanned);
-  scrub_counters_.degraded->Increment(delta.chunks_degraded);
-  scrub_counters_.repaired->Increment(delta.chunks_repaired);
-  scrub_counters_.unrepairable->Increment(delta.chunks_unrepairable);
-  scrub_counters_.deferred->Increment(delta.chunks_deferred);
-  scrub_counters_.shares_rebuilt->Increment(delta.shares_rebuilt);
-  scrub_counters_.shares_pruned->Increment(delta.shares_pruned);
-  scrub_counters_.bytes_moved->Increment(delta.bytes_moved);
-  scrub_counters_.probe_failures->Increment(delta.probe_failures);
-  scrub_counters_.chunks_reclaimed->Increment(delta.chunks_reclaimed);
-  scrub_counters_.shares_reclaimed->Increment(delta.shares_reclaimed);
-  scrub_counters_.bytes_reclaimed->Increment(delta.bytes_reclaimed);
-  scrub_counters_.integrity_checked->Increment(delta.shares_integrity_checked);
-  scrub_counters_.integrity_failures->Increment(delta.integrity_failures);
-  scrub_counters_.shares_healed->Increment(delta.shares_healed);
-  scrub_counters_.records_upgraded->Increment(delta.records_upgraded);
+  for (size_t i = 0; i < std::size(kScrubCounters); ++i) {
+    uint64_t RepairStats::*field = kScrubCounters[i].field;
+    stats_.*field += delta.*field;
+    if (scrub_counters_[i] != nullptr) {
+      scrub_counters_[i]->Increment(delta.*field);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -306,7 +282,7 @@ Status RepairEngine::RepairChunk(const ChunkHealth& health,
   const uint32_t t = entry->t;
   const uint64_t share_bytes = ShareSize(entry->size, t);
 
-  // Live locations = table locations minus the scan's dead list.
+  // The live entry = the table entry minus the scan's dead list.
   auto is_dead = [&](const ChunkShare& share) {
     for (const ChunkShare& d : dead) {
       if (d.csp == share.csp && d.share_index == share.share_index) {
@@ -315,18 +291,19 @@ Status RepairEngine::RepairChunk(const ChunkHealth& health,
     }
     return false;
   };
-  std::vector<ShareLocation> live;
+  ChunkEntry live = *entry;
+  live.shares.clear();
   std::vector<int> holders;  // CSPs of live shares: the rebuild avoids them
   uint32_t max_index = 0;
   for (const ChunkShare& share : entry->shares) {
     max_index = std::max(max_index, share.share_index);
     if (!is_dead(share)) {
-      live.push_back(ShareLocation{chunk_id, share.share_index, share.csp});
+      live.shares.push_back(share);
       holders.push_back(share.csp);
     }
   }
-  if (live.size() < t) {
-    return DataLossError(StrCat("chunk ", chunk_id.ToHex(), ": only ", live.size(),
+  if (live.shares.size() < t) {
+    return DataLossError(StrCat("chunk ", chunk_id.ToHex(), ": only ", live.shares.size(),
                                 " of t=", t, " shares live"));
   }
   const uint32_t missing = health.missing();
@@ -346,25 +323,24 @@ Status RepairEngine::RepairChunk(const ChunkHealth& health,
   };
 
   // Read the chunk through the client's read path: the first t live
-  // locations download concurrently, the rest are fallbacks, and corrupt
+  // shares download concurrently, the rest are fallbacks, and corrupt
   // shares are rejected (or corrected) and healed in place. Bit rot at a
   // surviving share is at-rest damage, so it lands in the integrity ledger
   // without quarantining the provider.
-  const ChunkRecord record = RecordFromEntry(chunk_id, *entry);
   ChunkReadOptions read_options;
-  for (size_t i = 0; i < live.size() && i < t; ++i) {
-    read_options.preferred.push_back(live[i].csp);
+  for (size_t i = 0; i < live.shares.size() && i < t; ++i) {
+    read_options.preferred.push_back(live.shares[i].csp);
   }
   read_options.quarantine = false;
   read_options.verify_plaintext = true;  // the rebuilt shares derive from it
   Bytes data(entry->size);
   ChunkReadResult read;
   const Status read_status =
-      context_.reader->Read(record, live, read_options, MutableByteSpan(data), read);
+      context_.reader->Read(chunk_id, live, read_options, MutableByteSpan(data), read);
   report.transfer.Append(read.report);
   spend(read.bytes_moved);
   CYRUS_RETURN_IF_ERROR(read_status);
-  CYRUS_ASSIGN_OR_RETURN(SecretSharingCodec codec, context_.reader->CodecFor(record));
+  CYRUS_ASSIGN_OR_RETURN(SecretSharingCodec codec, context_.reader->CodecFor(chunk_id, live));
 
   // Re-encode the missing redundancy at fresh indices through the client's
   // write path, never on a CSP already holding a live share.
@@ -380,7 +356,7 @@ Status RepairEngine::RepairChunk(const ChunkHealth& health,
   // replaced are stale bookkeeping (their CSPs are gone or their objects
   // vanished); they are pruned so the next scan sees a clean entry. Short
   // of target, whatever landed is still recorded.
-  const uint32_t live_now = static_cast<uint32_t>(live.size() + change.fresh.size());
+  const uint32_t live_now = static_cast<uint32_t>(live.shares.size() + change.fresh.size());
   const bool at_target = live_now >= health.n_target;
   const std::vector<ChunkShare> left = RecordLayout(chunk_id, change, at_target);
   if (!change.fresh.empty() || (at_target && !left.empty())) {
@@ -560,12 +536,11 @@ void RepairEngine::IntegrityPass(uint64_t* budget_left, ScrubReport& report,
     // against its digest, or (legacy entries) by the error-correcting decode
     // over all of them - and rotted shares are healed in place. A clean,
     // fully digested chunk is never decoded.
-    const ChunkRecord record = RecordFromEntry(chunk_id, *entry);
-    const bool legacy = record.share_digests.size() < entry->shares.size();
-    std::vector<ShareLocation> locations;
+    const bool legacy =
+        std::any_of(entry->shares.begin(), entry->shares.end(),
+                    [](const ChunkShare& share) { return !share.has_digest(); });
     std::vector<uint32_t> indices;
     for (const ChunkShare& share : entry->shares) {
-      locations.push_back(ShareLocation{chunk_id, share.share_index, share.csp});
       indices.push_back(share.share_index);
     }
     ChunkReadOptions read_options;
@@ -574,8 +549,8 @@ void RepairEngine::IntegrityPass(uint64_t* budget_left, ScrubReport& report,
     read_options.verify_plaintext = legacy;  // upgraded digests derive from it
     Bytes data(entry->size);
     ChunkReadResult read;
-    const Status read_status = context_.reader->Read(record, locations, read_options,
-                                                     MutableByteSpan(data), read);
+    const Status read_status =
+        context_.reader->Read(chunk_id, *entry, read_options, MutableByteSpan(data), read);
     report.transfer.Append(read.report);
     delta.bytes_moved += read.bytes_moved;
     if (budget_left != nullptr) {
@@ -600,7 +575,7 @@ void RepairEngine::IntegrityPass(uint64_t* budget_left, ScrubReport& report,
     // Legacy entries earned a full digest set from the verified plaintext;
     // record it so every future read authenticates before decoding.
     if (legacy) {
-      auto digests = context_.reader->DeriveDigests(record, data, indices);
+      auto digests = context_.reader->DeriveDigests(chunk_id, *entry, data, indices);
       if (!digests.ok()) {
         continue;
       }

@@ -68,7 +68,8 @@ struct RepairEngineOptions {
   uint32_t integrity_samples_per_pass = 0;
 };
 
-// Monotonic counters over the engine's lifetime.
+// Monotonic counters over the engine's lifetime. Every field has one row in
+// repair_engine.cc's field table, which names its cyrus_scrub_* counter.
 struct RepairStats {
   uint64_t scrub_passes = 0;
   uint64_t chunks_scanned = 0;
@@ -145,7 +146,8 @@ struct RepairContext {
   CspCalls* calls = nullptr;
   // The client's chunk read path: repair and the integrity sweep read
   // surviving shares through it (per-chunk keys, digest checks, error
-  // correction, in-place heals, pooled buffers).
+  // correction, in-place heals, pooled buffers), each passing the chunk's
+  // table entry as the layout to read.
   ChunkReader* reader = nullptr;
   // The client's chunk write path: repair rebuilds place and upload fresh
   // shares through it (ring placement, failover, failures routed to the
@@ -239,9 +241,10 @@ class RepairEngine {
                        const ProbeSnapshot& snapshot,
                        std::vector<ChunkShare>& dead) const;
 
-  // Repairs one degraded chunk, journaling transfers into `report` and
-  // counters into `delta`; decrements `*budget_left` by the bytes moved
-  // (budget_left == nullptr means unlimited). Returns OK when the chunk is
+  // Repairs one degraded chunk: reads it as its table entry minus `dead`
+  // stores it, then rebuilds the missing shares. Journals transfers into
+  // `report` and counters into `delta`; decrements `*budget_left` by the
+  // bytes moved (budget_left == nullptr means unlimited). Returns OK when the chunk is
   // back at its target n, kResourceExhausted when the pass budget blocked
   // it, kDataLoss when fewer than t live shares were reachable, and
   // kFailedPrecondition when the active CSP set cannot hold the target.
@@ -261,7 +264,8 @@ class RepairEngine {
   // options_.integrity_samples_per_pass chunks (round-robin from a
   // persistent cursor), hashes each against the table's stored digest, and
   // heals mismatches in place (decode from clean shares, re-encode the
-  // rotted index, overwrite the object). Entries without digests take the
+  // rotted index, overwrite the object); each chunk is read as its whole
+  // table entry stores it. Entries with a digestless share take the
   // error-correcting decode once and are upgraded with a full digest set.
   // Healed chunks land in report.repaired_chunks, and healed and upgraded
   // ones in report.changed_chunks. No-op when the knob is 0.
@@ -281,30 +285,13 @@ class RepairEngine {
   std::set<int> pending_reprobe_;
   obs::MetricsRegistry* metrics_ = nullptr;
 
-  // Registry mirrors of the lifetime scrub stats, resolved once at
-  // construction. Per-engine members, not a process-global cache keyed by
-  // registry pointer: a destroyed registry's address can be reused by a new
-  // one, which would make such a cache hand back dangling counters.
-  struct ScrubCounters {
-    obs::Counter* passes = nullptr;
-    obs::Counter* scanned = nullptr;
-    obs::Counter* degraded = nullptr;
-    obs::Counter* repaired = nullptr;
-    obs::Counter* unrepairable = nullptr;
-    obs::Counter* deferred = nullptr;
-    obs::Counter* shares_rebuilt = nullptr;
-    obs::Counter* shares_pruned = nullptr;
-    obs::Counter* bytes_moved = nullptr;
-    obs::Counter* probe_failures = nullptr;
-    obs::Counter* chunks_reclaimed = nullptr;
-    obs::Counter* shares_reclaimed = nullptr;
-    obs::Counter* bytes_reclaimed = nullptr;
-    obs::Counter* integrity_checked = nullptr;
-    obs::Counter* integrity_failures = nullptr;
-    obs::Counter* shares_healed = nullptr;
-    obs::Counter* records_upgraded = nullptr;
-  };
-  ScrubCounters scrub_counters_;
+  // Registry mirrors of the lifetime scrub stats, one per row of the
+  // field table in repair_engine.cc (null for a row it leaves unmirrored),
+  // resolved once at construction. Per-engine members, not a
+  // process-global cache keyed by registry pointer: a destroyed registry's
+  // address can be reused by a new one, which would make such a cache hand
+  // back dangling counters.
+  std::vector<obs::Counter*> scrub_counters_;
 
   // Round-robin position of the sampled integrity pass over the chunk-id
   // space, so successive budgeted passes sweep the whole table instead of

@@ -30,8 +30,8 @@ constexpr uint32_t kN = 5;
 struct StoredChunk {
   Bytes content;
   std::vector<Share> shares;
-  ChunkRecord record;
-  std::vector<ShareLocation> locations;
+  Sha1Digest id;
+  ChunkEntry entry;
 };
 
 struct ReaderBed {
@@ -61,7 +61,7 @@ struct ReaderBed {
     context.pool = &pool;
     context.buffers = &buffers;
     context.now = [] { return 0.0; };
-    context.chunk_key = [](const ChunkRecord&) -> Result<std::string> {
+    context.chunk_key = [](const Sha1Digest&, const ChunkEntry&) -> Result<std::string> {
       return std::string(kKey);
     };
     context.on_integrity_failure = [this](int csp) { indicted.push_back(csp); };
@@ -77,13 +77,14 @@ struct ReaderBed {
         b = static_cast<uint8_t>(rng.Next());
       }
       chunk.shares = *codec->Encode(chunk.content);
-      chunk.record = ChunkRecord{Sha1::Hash(chunk.content), 0, chunk.content.size(), kT, kN,
-                                 false, {}, {}};
+      chunk.id = Sha1::Hash(chunk.content);
+      chunk.entry = ChunkEntry{chunk.content.size(), chunk.content.size(), kT, kN, 1, false,
+                               {}, {}};
       for (uint32_t i = 0; i < kN; ++i) {
         EXPECT_TRUE(csps[i]->Upload(Object(i, c), chunk.shares[i].data).ok());
-        chunk.locations.push_back(ShareLocation{chunk.record.id, i, static_cast<int32_t>(i)});
+        chunk.entry.shares.push_back(ChunkShare{i, static_cast<int32_t>(i), {}});
         if (record_digests) {
-          chunk.record.SetShareDigest(i, Sha1::Hash(chunk.shares[i].data));
+          chunk.entry.shares[i].digest = Sha1::Hash(chunk.shares[i].data);
         }
       }
     }
@@ -93,7 +94,7 @@ struct ReaderBed {
   StoredChunk& first() { return chunks[0]; }
 
   std::string Object(uint32_t index, size_t chunk = 0) const {
-    return ShareName(chunks[chunk].record.id, index, kT);
+    return ShareName(chunks[chunk].id, index, kT);
   }
 
   void Corrupt(uint32_t index, size_t chunk = 0) {
@@ -106,7 +107,7 @@ struct ReaderBed {
     return *csps[index]->Download(Object(index, chunk));
   }
 
-  // Turns chunk 0's record into a convergent one whose layout came from
+  // Turns chunk 0's entry into a convergent one whose layout came from
   // another writer's ShareIndex entry: the CSPs hold shares of different
   // content, and the adopted digests match those shares, not the chunk id.
   void PublishForeignLayout() {
@@ -116,17 +117,15 @@ struct ReaderBed {
     auto codec = SecretSharingCodec::Create(kKey, kT, kN);
     ASSERT_TRUE(codec.ok()) << codec.status();
     chunk.shares = *codec->Encode(other);
-    chunk.record.dedup = true;
-    chunk.record.share_digests.clear();
+    chunk.entry.dedup = true;
     for (uint32_t i = 0; i < kN; ++i) {
       ASSERT_TRUE(csps[i]->Upload(Object(i), chunk.shares[i].data).ok());
-      chunk.record.SetShareDigest(i, Sha1::Hash(chunk.shares[i].data));
+      chunk.entry.shares[i].digest = Sha1::Hash(chunk.shares[i].data);
     }
   }
 
   Status ReadFirst(const ChunkReadOptions& options, Bytes& out, ChunkReadResult& read) {
-    return reader->Read(first().record, first().locations, options, MutableByteSpan(out),
-                        read);
+    return reader->Read(first().id, first().entry, options, MutableByteSpan(out), read);
   }
 
   // Reads every chunk as one group, each preferring CSPs 0 and 1.
@@ -139,8 +138,8 @@ struct ReaderBed {
       out.emplace_back(chunks[c].content.size());
     }
     for (size_t c = 0; c < chunks.size(); ++c) {
-      group[c].chunk = &chunks[c].record;
-      group[c].locations = &chunks[c].locations;
+      group[c].chunk_id = chunks[c].id;
+      group[c].entry = &chunks[c].entry;
       group[c].options.preferred = {0, 1};
       group[c].dst = MutableByteSpan(out[c]);
       group[c].result = &results[c];
@@ -364,13 +363,15 @@ TEST(ChunkReaderTest, GroupChunkBelowTFailsAloneWithDataLoss) {
   }
 }
 
-// A legacy digestless record, a convergent record and digested records
-// share one group: only the digested shares take the group's digest pass,
-// and each record keeps its own plaintext check.
+// A legacy digestless entry, a convergent entry and digested entries share
+// one group: only the digested shares take the group's digest pass, and
+// each entry keeps its own plaintext check.
 TEST(ChunkReaderTest, GroupMixesLegacyConvergentAndDigestedRecords) {
   ReaderBed bed(/*record_digests=*/true, /*chunk_count=*/4);
-  bed.chunks[0].record.share_digests.clear();
-  bed.chunks[1].record.dedup = true;
+  for (ChunkShare& share : bed.chunks[0].entry.shares) {
+    share.digest = {};
+  }
+  bed.chunks[1].entry.dedup = true;
   std::vector<Bytes> out;
   std::vector<ChunkReadResult> results;
   const std::vector<ChunkReadRequest> group = bed.ReadAll(out, results);
@@ -387,7 +388,7 @@ TEST(ChunkReaderTest, GroupMixesLegacyConvergentAndDigestedRecords) {
 TEST(ChunkReaderTest, DeriveDigestsMatchesPerIndexHash) {
   ReaderBed bed(/*record_digests=*/true);
   const StoredChunk& chunk = bed.first();
-  auto codec = bed.reader->CodecFor(chunk.record);
+  auto codec = bed.reader->CodecFor(chunk.id, chunk.entry);
   ASSERT_TRUE(codec.ok()) << codec.status();
   Bytes share(ShareSize(chunk.content.size(), kT));
   const std::vector<uint32_t> pool_of_indices = {6, 0, 3, 7, 1, 5, 2, 4};
@@ -395,7 +396,7 @@ TEST(ChunkReaderTest, DeriveDigestsMatchesPerIndexHash) {
     SCOPED_TRACE(StrCat(count, " indices"));
     const std::vector<uint32_t> indices(pool_of_indices.begin(),
                                         pool_of_indices.begin() + count);
-    auto digests = bed.reader->DeriveDigests(chunk.record, chunk.content, indices);
+    auto digests = bed.reader->DeriveDigests(chunk.id, chunk.entry, chunk.content, indices);
     ASSERT_TRUE(digests.ok()) << digests.status();
     ASSERT_EQ(digests->size(), count);
     for (size_t i = 0; i < count; ++i) {

@@ -1026,11 +1026,15 @@ TEST(ClientTest, GroupedGetsMatchWindowOneForEveryWindow) {
   };
   std::map<std::string, std::multiset<Record>> sequential;
   for (uint32_t window : {1u, 3u, 4u, 8u}) {
-    cloud.client->set_pipeline_window(window);
+    // One device per window, reading the same CSPs.
+    CyrusConfig config = SmallConfig();
+    config.pipeline_window_chunks = window;
+    TestCloud reader = MakeCloud(config, cloud.csps);
+    ASSERT_TRUE(reader.client->Recover().ok());
     for (size_t f = 0; f < files.size(); ++f) {
       const auto& [name, content] = files[f];
       SCOPED_TRACE(StrCat("window ", window, ", ", f + 1, " chunks"));
-      auto get = cloud.client->Get(name);
+      auto get = reader.client->Get(name);
       ASSERT_TRUE(get.ok()) << get.status();
       EXPECT_EQ(get->content, content);
       EXPECT_EQ(get->chunks_decoded, f + 1);
@@ -1042,7 +1046,6 @@ TEST(ClientTest, GroupedGetsMatchWindowOneForEveryWindow) {
       }
     }
   }
-  cloud.client->set_pipeline_window(0);
 }
 
 TEST(ClientTest, PutReportsTheContentIdOnEveryPath) {

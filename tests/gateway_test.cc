@@ -319,34 +319,6 @@ TEST(GatewayTest, QuotaBurnShrinksWindow) {
   EXPECT_LT(gateway->TenantWindow("iris"), 8u);
 }
 
-TEST(GatewayTest, BackpressureCanShrinkShardClientPipeline) {
-  obs::MetricsRegistry metrics;
-  GatewayOptions options = QuietOptions(&metrics);
-  options.shard_depth_high = 2;
-  options.shard_op_overhead_s = 1.0;
-  options.shrink_client_window = true;
-  options.client_window_when_shrunk = 2;
-
-  std::vector<std::unique_ptr<CyrusClient>> clients;
-  clients.push_back(MakeShardClient(0));
-  CyrusClient* shard_client = clients[0].get();
-  const uint32_t original_window = shard_client->pipeline_window();
-  auto gateway =
-      GatewayService::Create(std::move(options), std::move(clients));
-  ASSERT_TRUE(gateway.ok()) << gateway.status();
-  ASSERT_TRUE(gateway.value()->RegisterTenant("judy").ok());
-
-  for (int i = 0; i < 6; ++i) {
-    (void)gateway.value()->Put("judy", StrCat("f", i), ToBytes("x"));
-  }
-  EXPECT_EQ(shard_client->pipeline_window(), 2u);
-
-  // Recovery clears the override.
-  gateway.value()->set_time(100.0);
-  ASSERT_TRUE(gateway.value()->Get("judy", "f0").ok());
-  EXPECT_EQ(shard_client->pipeline_window(), original_window);
-}
-
 // --- observability -------------------------------------------------------
 
 TEST(GatewayTest, MetricsAndTracesCoverTheRequestPath) {

@@ -13,6 +13,9 @@
 //     record so every later read authenticates cheaply;
 //   - the scrub integrity pass finds injected at-rest rot within its
 //     sample/bandwidth budget, heals it, and a follow-up pass scans clean;
+//   - devices of one user with different t read each chunk exactly as
+//     their chunk table stores it (Get, GetRange and readahead), and a
+//     republish carries the table's t with its rows;
 //   - the REST layer maps integrity/data-loss failures to 502, not 500;
 //   - the fault injector's corruption schedule is seeded-reproducible.
 #include <gtest/gtest.h>
@@ -433,6 +436,137 @@ TEST(ShareIntegrityTest, ScrubSampleBudgetRotatesAcrossPasses) {
     healed += scrub->stats.shares_healed;
   }
   EXPECT_EQ(healed, rotted);
+}
+
+// Devices of one user over the same five CSPs, each with its own t. Two
+// devices that Put the same bytes before either syncs store the same chunk
+// twice, under each one's t, and each keeps its own layout when it ingests
+// the other's version.
+struct MixedTCloud {
+  std::vector<std::shared_ptr<SimulatedCsp>> csps;
+  // One registry per device, declared before the devices that record into
+  // them.
+  std::vector<std::unique_ptr<obs::MetricsRegistry>> metrics;
+  std::vector<std::unique_ptr<CyrusClient>> devices;
+
+  MixedTCloud() {
+    for (int i = 0; i < 5; ++i) {
+      SimulatedCspOptions o;
+      o.id = StrCat("mixed-csp", i);
+      csps.push_back(std::make_shared<SimulatedCsp>(o));
+    }
+  }
+
+  CyrusClient& AddDevice(std::string client_id, uint32_t t) {
+    metrics.push_back(std::make_unique<obs::MetricsRegistry>());
+    CyrusConfig config;
+    config.client_id = std::move(client_id);
+    config.key_string = "mixed-t key";
+    config.t = t;
+    config.epsilon = 1e-4;
+    config.default_failure_prob = 0.01;
+    config.chunker = ChunkerOptions::ForTesting();
+    config.cluster_aware = false;
+    config.metrics = metrics.back().get();
+    auto client = CyrusClient::Create(std::move(config));
+    EXPECT_TRUE(client.ok()) << client.status();
+    for (const auto& csp : csps) {
+      auto added = (*client)->AddCsp(csp, CspProfile{}, Credentials{"token"});
+      EXPECT_TRUE(added.ok()) << added.status();
+    }
+    devices.push_back(std::move(client).value());
+    return *devices.back();
+  }
+};
+
+// No CSP failed, and none served a share that failed its digest.
+void ExpectEveryCspClean(CyrusClient& client) {
+  for (size_t i = 0; i < client.registry().size(); ++i) {
+    const int csp = static_cast<int>(i);
+    EXPECT_TRUE(client.registry().IsActive(csp)) << "csp " << i;
+    EXPECT_EQ(client.availability_monitor().IntegrityFailureCount(csp), 0u) << "csp " << i;
+  }
+}
+
+// Device B (t = 3) reads device A's (t = 2) file. B's table stores the
+// chunk as B dispersed it, and the read names, checks and decodes the
+// shares exactly as that entry says, whatever t A's version records.
+TEST(ShareIntegrityTest, MixedTGetReadsTheChunkAsTheTableStoresIt) {
+  MixedTCloud cloud;
+  CyrusClient& a = cloud.AddDevice("device-a", 2);
+  CyrusClient& b = cloud.AddDevice("device-b", 3);
+  Rng rng(0x17E6000A);
+  const Bytes content = RandomContent(rng, 20 * 1024);
+  ASSERT_TRUE(a.Put("a.bin", content).ok());
+  ASSERT_TRUE(b.Put("b.bin", content).ok());
+  ASSERT_TRUE(b.SyncMetadata().ok());
+
+  auto get = b.Get("a.bin");
+  ASSERT_TRUE(get.ok()) << get.status();
+  EXPECT_EQ(get->content, content);
+  EXPECT_EQ(get->integrity_rejected_shares, 0u);
+  ExpectEveryCspClean(b);
+}
+
+// The same pair, read as a sequential GetRange stream: the foreground
+// gathers and the readahead prefetches (which read with quarantine on)
+// both read B's own layout.
+TEST(ShareIntegrityTest, MixedTRangeReadsAndReadaheadReadTheTableLayout) {
+  MixedTCloud cloud;
+  CyrusClient& a = cloud.AddDevice("device-a", 2);
+  CyrusClient& b = cloud.AddDevice("device-b", 3);
+  Rng rng(0x17E6000B);
+  const Bytes content = RandomContent(rng, 20 * 1024);
+  ASSERT_TRUE(a.Put("a.bin", content).ok());
+  ASSERT_TRUE(b.Put("b.bin", content).ok());
+  ASSERT_TRUE(b.SyncMetadata().ok());
+
+  constexpr uint64_t kStep = 2048;
+  for (uint64_t offset = 0; offset < content.size(); offset += kStep) {
+    SCOPED_TRACE(StrCat("offset ", offset));
+    auto range = b.GetRange("a.bin", offset, kStep);
+    ASSERT_TRUE(range.ok()) << range.status();
+    const uint64_t end = std::min<uint64_t>(offset + kStep, content.size());
+    EXPECT_EQ(range->content, Bytes(content.begin() + static_cast<ptrdiff_t>(offset),
+                                    content.begin() + static_cast<ptrdiff_t>(end)));
+    EXPECT_EQ(range->integrity_rejected_shares, 0u);
+  }
+  b.WaitForReadahead();
+  EXPECT_GT(b.readahead_stats().issued, 0u);
+  ExpectEveryCspClean(b);
+}
+
+// A republish carries the table's chunk parameters with its rows: after B
+// republishes A's version, a fresh device C reads t = 3 for A's chunks
+// next to B's t = 3 rows, and reads both files.
+TEST(ShareIntegrityTest, RepublishCarriesTheTablesChunkParameters) {
+  MixedTCloud cloud;
+  CyrusClient& a = cloud.AddDevice("device-a", 2);
+  CyrusClient& b = cloud.AddDevice("device-b", 3);
+  Rng rng(0x17E6000C);
+  const Bytes content = RandomContent(rng, 20 * 1024);
+  auto put = a.Put("a.bin", content);
+  ASSERT_TRUE(put.ok()) << put.status();
+  ASSERT_TRUE(b.Put("b.bin", content).ok());
+  ASSERT_TRUE(b.SyncMetadata().ok());
+  ASSERT_TRUE(b.RebalanceMetadata().ok());
+
+  CyrusClient& c = cloud.AddDevice("device-c", 2);
+  ASSERT_TRUE(c.Recover().ok());
+  const FileVersion* version = c.tree().Find(put->version_id);
+  ASSERT_NE(version, nullptr);
+  ASSERT_FALSE(version->chunks.empty());
+  for (const ChunkRecord& chunk : version->chunks) {
+    EXPECT_EQ(chunk.t, 3u) << chunk.id.ToHex();
+  }
+  for (const char* name : {"a.bin", "b.bin"}) {
+    SCOPED_TRACE(name);
+    auto get = c.Get(name);
+    ASSERT_TRUE(get.ok()) << get.status();
+    EXPECT_EQ(get->content, content);
+    EXPECT_EQ(get->integrity_rejected_shares, 0u);
+  }
+  ExpectEveryCspClean(c);
 }
 
 // REST mapping: integrity and data-loss failures are upstream (502), typed

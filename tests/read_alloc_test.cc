@@ -114,8 +114,8 @@ Bytes RandomContent(size_t size, uint64_t seed) {
 struct ReaderBed {
   struct StoredChunk {
     Bytes content;
-    ChunkRecord record;
-    std::vector<ShareLocation> locations;
+    Sha1Digest id;
+    ChunkEntry entry;
   };
 
   std::vector<std::shared_ptr<SimulatedCsp>> csps;
@@ -142,7 +142,7 @@ struct ReaderBed {
     context.pool = &pool;
     context.buffers = &buffers;
     context.now = [] { return 0.0; };
-    context.chunk_key = [](const ChunkRecord&) -> Result<std::string> {
+    context.chunk_key = [](const Sha1Digest&, const ChunkEntry&) -> Result<std::string> {
       return std::string(kKey);
     };
     context.on_integrity_failure = [](int) {};
@@ -155,13 +155,14 @@ struct ReaderBed {
       chunk.content = RandomContent(256 * 1024 + 7000 * c, 0xA110C + c);
       auto shares = codec->Encode(chunk.content);
       EXPECT_TRUE(shares.ok()) << shares.status();
-      chunk.record = ChunkRecord{Sha1::Hash(chunk.content), 0, chunk.content.size(), kT, kN,
-                                 false, {}, {}};
+      chunk.id = Sha1::Hash(chunk.content);
+      chunk.entry = ChunkEntry{chunk.content.size(), chunk.content.size(), kT, kN, 1, false,
+                               {}, {}};
       for (uint32_t i = 0; i < kN; ++i) {
-        const std::string object = ShareName(chunk.record.id, i, kT);
+        const std::string object = ShareName(chunk.id, i, kT);
         EXPECT_TRUE(csps[i]->Upload(object, (*shares)[i].data).ok());
-        chunk.locations.push_back(ShareLocation{chunk.record.id, i, static_cast<int32_t>(i)});
-        chunk.record.SetShareDigest(i, Sha1::Hash((*shares)[i].data));
+        chunk.entry.shares.push_back(
+            ChunkShare{i, static_cast<int32_t>(i), Sha1::Hash((*shares)[i].data)});
       }
     }
   }
@@ -171,8 +172,8 @@ struct ReaderBed {
     std::vector<ChunkReadResult> results(chunks.size());
     std::vector<ChunkReadRequest> group(chunks.size());
     for (size_t c = 0; c < chunks.size(); ++c) {
-      group[c].chunk = &chunks[c].record;
-      group[c].locations = &chunks[c].locations;
+      group[c].chunk_id = chunks[c].id;
+      group[c].entry = &chunks[c].entry;
       group[c].options.preferred = {0, 1};
       group[c].dst = MutableByteSpan(out[c]);
       group[c].result = &results[c];
@@ -194,8 +195,7 @@ TEST(ReadAllocTest, CleanReadAllocatesOnlyTheConnectorsShareCopies) {
   options.preferred = {0, 1};
   // The first read starts the pool's workers and registers metrics.
   ChunkReadResult warm;
-  ASSERT_TRUE(bed.reader->Read(chunk.record, chunk.locations, options, MutableByteSpan(out),
-                               warm)
+  ASSERT_TRUE(bed.reader->Read(chunk.id, chunk.entry, options, MutableByteSpan(out), warm)
                   .ok());
 
   uint64_t allocated = 0;
@@ -203,8 +203,7 @@ TEST(ReadAllocTest, CleanReadAllocatesOnlyTheConnectorsShareCopies) {
   ChunkReadResult read;
   {
     LargeAllocations counter;
-    ASSERT_TRUE(bed.reader->Read(chunk.record, chunk.locations, options,
-                                 MutableByteSpan(out), read)
+    ASSERT_TRUE(bed.reader->Read(chunk.id, chunk.entry, options, MutableByteSpan(out), read)
                     .ok());
     allocated = counter.bytes();
     allocations = counter.count();
